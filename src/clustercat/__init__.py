@@ -29,7 +29,7 @@ from .reps import (
     tau,
     tau_inverse,
 )
-from .bound import MonomialAlgebra, BQAModule, counterexample_report, ext1_bqa
+from .bound import MonomialAlgebra, counterexample_report, ext1_bqa
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,
@@ -43,7 +43,6 @@ from .tilting import (
     prop8_descent,
     torsion_class,
 )
-from .cli import main as cli_main
 
 __all__ = [
     "Quiver",
@@ -69,7 +68,6 @@ __all__ = [
     "tau",
     "tau_inverse",
     "MonomialAlgebra",
-    "BQAModule",
     "counterexample_report",
     "ext1_bqa",
     "GammaC",
@@ -81,5 +79,4 @@ __all__ = [
     "enumerate_tilting_modules",
     "prop8_descent",
     "torsion_class",
-    "cli_main",
 ]

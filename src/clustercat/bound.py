@@ -1,39 +1,38 @@
-"""Modules over monomial bound quiver algebras.
+"""Projective presentations and Ext over monomial bound quiver algebras.
 
-The algebra is a path algebra modulo zero relations, each relation a single
-path. The quiver may contain oriented cycles; the relations must make every
-long path vanish so that the algebra stays finite dimensional. Paths compose
-left to right: the path (a, b) means arrow a followed by arrow b and acts on
-a module as the matrix product mat(b) @ mat(a).
-
-Ext^1 is computed from a projective presentation: applying Hom(-, N) to
+Modules over a MonomialAlgebra are ordinary ``reps.Representation`` objects;
+this module adds what the hereditary theory does not need. Ext^1 is computed
+from a projective presentation: applying Hom(-, N) to
 0 -> Omega M -> P0 -> M -> 0 gives
 
     dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N)
 
-which needs nothing beyond the morphism solver and exact kernels.
+which needs nothing beyond the morphism solver and exact kernels, and holds
+for any algebra, hereditary or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .quivers import Quiver
-from .reps import HomSpace, atilde21_tube_modules, ext1_dim, hom_space, invertible_element_exists
+from .reps import (
+    MonomialAlgebra,
+    Representation,
+    atilde21_tube_modules,
+    direct_sum,
+    ext1_dim,
+    hom,
+    is_isomorphic,
+)
 
 __all__ = [
     "MonomialAlgebra",
-    "BQAModule",
     "projective",
-    "hom_bqa",
     "ext1_bqa",
     "syzygy",
     "projective_cover",
-    "bqa_direct_sum",
-    "is_isomorphic_bqa",
     "build_counterexample_algebra",
     "counterexample_modules",
     "counterexample_report",
@@ -42,174 +41,7 @@ __all__ = [
 Matrix = list[list[Fraction]]
 
 
-def _zero_mat(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-@dataclass(frozen=True)
-class MonomialAlgebra:
-    """Path algebra of a quiver modulo a set of zero-relation paths."""
-
-    quiver: Quiver
-    relations: tuple[tuple[int, ...], ...]
-    max_path_length: int = 40
-
-    def __post_init__(self):
-        arrows = self.quiver.arrows
-        seen = set()
-        for rel in self.relations:
-            if len(rel) < 2:
-                raise ValueError("a zero relation needs at least two arrows")
-            for a, b in zip(rel, rel[1:]):
-                if not (0 <= a < len(arrows)) or not (0 <= b < len(arrows)):
-                    raise ValueError(f"relation {rel} uses an unknown arrow index")
-                if arrows[a][1] != arrows[b][0]:
-                    raise ValueError(f"relation {rel} is not a composable path")
-            if rel in seen:
-                raise ValueError(f"duplicate relation {rel}")
-            seen.add(rel)
-        object.__setattr__(self, "relations", tuple(tuple(r) for r in self.relations))
-
-    def _dies(self, path: tuple[int, ...]) -> bool:
-        # only suffixes can become zero when a path grows by one arrow
-        return any(path[-len(r):] == r for r in self.relations if len(r) <= len(path))
-
-    @property
-    def paths(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        return self._all_paths()
-
-    @lru_cache(maxsize=None)
-    def _all_paths(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        arrows = self.quiver.arrows
-        out: list[tuple[int, tuple[int, ...]]] = []
-        for start in range(1, self.quiver.n + 1):
-            layer = [()]
-            out.append((start, ()))
-            length = 0
-            while layer:
-                length += 1
-                if length > self.max_path_length:
-                    raise ValueError(
-                        "paths keep growing; the relations do not bound the algebra"
-                    )
-                nxt = []
-                for p in layer:
-                    end = start if not p else arrows[p[-1]][1]
-                    for idx, (s, _) in enumerate(arrows):
-                        if s != end:
-                            continue
-                        cand = p + (idx,)
-                        if not self._dies(cand):
-                            nxt.append(cand)
-                            out.append((start, cand))
-                layer = nxt
-        return tuple(out)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.paths)
-
-    def path_end(self, start: int, path: tuple[int, ...]) -> int:
-        return start if not path else self.quiver.arrows[path[-1]][1]
-
-    @lru_cache(maxsize=None)
-    def basis_from(self, start: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Basis paths starting at ``start`` grouped by end vertex (0-based tuple
-        index), each group sorted by length then lexicographically."""
-        groups: list[list[tuple[int, ...]]] = [[] for _ in range(self.quiver.n)]
-        for s, p in self.paths:
-            if s == start:
-                groups[self.path_end(s, p) - 1].append(p)
-        return tuple(tuple(sorted(g, key=lambda p: (len(p), p))) for g in groups)
-
-
-class BQAModule:
-    """Finite dimensional module, given by arrow matrices that kill every
-    relation path."""
-
-    __slots__ = ("algebra", "dims", "mats")
-
-    def __init__(self, algebra: MonomialAlgebra, dims, mats):
-        self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
-        q = algebra.quiver
-        if len(self.dims) != q.n or any(d < 0 for d in self.dims):
-            raise ValueError("bad dimension vector")
-        if len(mats) != len(q.arrows):
-            raise ValueError("one matrix per arrow required")
-        fixed = []
-        for (s, t), m in zip(q.arrows, mats):
-            mm = linalg.mat(m)
-            linalg.shape_of(mm, self.dims[t - 1], self.dims[s - 1])
-            fixed.append(mm)
-        self.mats = tuple(tuple(tuple(row) for row in m) for m in fixed)
-        for rel in algebra.relations:
-            start = q.arrows[rel[0]][0]
-            comp = self.path_action(start, rel)
-            if any(any(x for x in row) for row in comp):
-                raise ValueError(f"relation {rel} does not act by zero")
-
-    def mat(self, arrow_index: int) -> Matrix:
-        return [list(row) for row in self.mats[arrow_index]]
-
-    def path_action(self, start: int, path: tuple[int, ...]) -> Matrix:
-        """Matrix of a path acting on the module, from the start vertex space
-        to the end vertex space. Column count is pinned so that passing
-        through a zero space still yields a correctly shaped zero matrix."""
-        cols = self.dims[start - 1]
-        cur = linalg.identity(cols)
-        for a in path:
-            step = self.mat(a)
-            out = _zero_mat(len(step), cols)
-            for i in range(len(step)):
-                for k in range(len(cur)):
-                    x = step[i][k]
-                    if x:
-                        for j in range(cols):
-                            out[i][j] += x * cur[k][j]
-            cur = out
-        return cur
-
-    @classmethod
-    def from_dims(cls, algebra: MonomialAlgebra, dims, entries=None) -> "BQAModule":
-        entries = entries or {}
-        mats = []
-        for idx, (s, t) in enumerate(algebra.quiver.arrows):
-            mats.append(entries.get(idx, _zero_mat(dims[t - 1], dims[s - 1])))
-        return cls(algebra, dims, mats)
-
-    @classmethod
-    def simple(cls, algebra: MonomialAlgebra, i: int) -> "BQAModule":
-        dims = tuple(int(v == i) for v in range(1, algebra.quiver.n + 1))
-        return cls.from_dims(algebra, dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def __repr__(self):
-        return f"BQAModule(dims={self.dims})"
-
-
-def bqa_direct_sum(m: BQAModule, n: BQAModule) -> BQAModule:
-    if m.algebra != n.algebra:
-        raise ValueError("direct sum needs a common algebra")
-    dims = tuple(a + b for a, b in zip(m.dims, n.dims))
-    mats = []
-    for idx, (s, t) in enumerate(m.algebra.quiver.arrows):
-        block = _zero_mat(dims[t - 1], dims[s - 1])
-        for r in range(m.dims[t - 1]):
-            for c in range(m.dims[s - 1]):
-                block[r][c] = m.mats[idx][r][c]
-        ro, co = m.dims[t - 1], m.dims[s - 1]
-        for r in range(n.dims[t - 1]):
-            for c in range(n.dims[s - 1]):
-                block[ro + r][co + c] = n.mats[idx][r][c]
-        mats.append(block)
-    return BQAModule(m.algebra, dims, mats)
-
-
-def projective(algebra: MonomialAlgebra, i: int) -> BQAModule:
+def projective(algebra: MonomialAlgebra, i: int) -> Representation:
     """Indecomposable projective at vertex i, with path basis; an arrow acts
     by appending itself when the longer path survives the relations."""
     q = algebra.quiver
@@ -218,7 +50,7 @@ def projective(algebra: MonomialAlgebra, i: int) -> BQAModule:
     index = {p: (v, k) for v in range(q.n) for k, p in enumerate(basis[v])}
     entries = {}
     for idx, (s, t) in enumerate(q.arrows):
-        block = _zero_mat(dims[t - 1], dims[s - 1])
+        block = linalg.zeros(dims[t - 1], dims[s - 1])
         for col, p in enumerate(basis[s - 1]):
             longer = p + (idx,)
             if longer in index:
@@ -226,26 +58,10 @@ def projective(algebra: MonomialAlgebra, i: int) -> BQAModule:
                 assert v == t - 1
                 block[row][col] = Fraction(1)
         entries[idx] = block
-    return BQAModule.from_dims(algebra, dims, entries)
+    return Representation.from_dims(algebra, dims, entries)
 
 
-def hom_bqa(m: BQAModule, n: BQAModule) -> HomSpace:
-    if m.algebra != n.algebra:
-        raise ValueError("hom needs a common algebra")
-    return hom_space(m.algebra.quiver.arrows, m.dims, m.mats, n.dims, n.mats)
-
-
-def is_isomorphic_bqa(m: BQAModule, n: BQAModule) -> bool:
-    if m.algebra != n.algebra:
-        raise ValueError("isomorphism test needs a common algebra")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    return invertible_element_exists(m.dims, hom_bqa(m, n))
-
-
-def _top_lifts(m: BQAModule) -> list[list[list[Fraction]]]:
+def _top_lifts(m: Representation) -> list[list[list[Fraction]]]:
     """Per vertex, standard basis vectors spanning a complement of the radical
     (the sum of all incoming arrow images)."""
     q = m.algebra.quiver
@@ -256,9 +72,7 @@ def _top_lifts(m: BQAModule) -> list[list[list[Fraction]]]:
         spanning: list[list[Fraction]] = []
         for idx, (s, t) in enumerate(q.arrows):
             if t == v:
-                mat = m.mat(idx)
-                for c in range(m.dims[s - 1]):
-                    spanning.append([mat[r][c] for r in range(dv)])
+                spanning.extend(linalg.transpose(m.mat(idx), m.dims[s - 1]))
         rank = linalg.rank(spanning)
         chosen = []
         for k in range(dv):
@@ -274,11 +88,11 @@ def _top_lifts(m: BQAModule) -> list[list[list[Fraction]]]:
     return lifts
 
 
-def projective_cover(m: BQAModule) -> tuple[BQAModule, list[Matrix]]:
+def projective_cover(m: Representation) -> tuple[Representation, list[Matrix]]:
     """Minimal projective cover P0 -> M.
 
     Returns P0 and the vertexwise matrices of the covering map; surjectivity
-    is checked, and the block layout follows bqa_direct_sum order.
+    is checked, and the block layout follows direct_sum order.
     """
     alg = m.algebra
     q = alg.quiver
@@ -287,12 +101,9 @@ def projective_cover(m: BQAModule) -> tuple[BQAModule, list[Matrix]]:
     for v in range(1, q.n + 1):
         for vec in lifts[v - 1]:
             blocks.append((v, vec))
-    p0: BQAModule | None = None
+    p0 = Representation.zero(alg)
     for v, _ in blocks:
-        piece = projective(alg, v)
-        p0 = piece if p0 is None else bqa_direct_sum(p0, piece)
-    if p0 is None:
-        p0 = BQAModule.from_dims(alg, (0,) * q.n)
+        p0 = direct_sum(p0, projective(alg, v))
     cover: list[Matrix] = []
     for j in range(1, q.n + 1):
         cols: list[list[Fraction]] = []
@@ -300,7 +111,7 @@ def projective_cover(m: BQAModule) -> tuple[BQAModule, list[Matrix]]:
             for p in alg.basis_from(v)[j - 1]:
                 action = m.path_action(v, p)
                 cols.append(linalg.mat_vec(action, vec))
-        mat_j = linalg.transpose(cols, m.dims[j - 1]) if cols else _zero_mat(m.dims[j - 1], 0)
+        mat_j = linalg.transpose(cols, m.dims[j - 1])
         linalg.shape_of(mat_j, m.dims[j - 1], p0.dims[j - 1])
         if linalg.rank([list(r) for r in mat_j]) != m.dims[j - 1]:
             raise AssertionError("cover map is not surjective")
@@ -308,40 +119,35 @@ def projective_cover(m: BQAModule) -> tuple[BQAModule, list[Matrix]]:
     return p0, cover
 
 
-def syzygy(m: BQAModule) -> tuple[BQAModule, BQAModule]:
+def syzygy(m: Representation) -> tuple[Representation, Representation]:
     """Kernel of the projective cover, as a module; returns (Omega M, P0)."""
     alg = m.algebra
     q = alg.quiver
     p0, cover = projective_cover(m)
     kernels = [linalg.nullspace([list(r) for r in cover[v]], p0.dims[v]) for v in range(q.n)]
     dims = tuple(len(k) for k in kernels)
-    entries = {}
+    mats = []
     for idx, (s, t) in enumerate(q.arrows):
         src, dst = kernels[s - 1], kernels[t - 1]
-        block = _zero_mat(dims[t - 1], dims[s - 1])
-        if src and dst:
-            basis_cols = linalg.transpose([list(v) for v in dst], p0.dims[t - 1])
-            for col, vec in enumerate(src):
-                image = linalg.mat_vec(p0.mat(idx), list(vec))
-                coords = linalg.solve(basis_cols, image, len(dst))
-                if coords is None:
-                    raise AssertionError("kernel is not arrow-stable")
-                for row in range(len(dst)):
-                    block[row][col] = coords[row]
-        elif src:
-            for vec in src:
-                image = linalg.mat_vec(p0.mat(idx), list(vec))
-                if any(image):
-                    raise AssertionError("kernel is not arrow-stable")
-        entries[idx] = block
-    omega = BQAModule.from_dims(alg, dims, entries)
+        # coordinates of each arrow image in the target kernel basis; with
+        # an empty basis only a zero image solves
+        basis_cols = linalg.transpose(dst, p0.dims[t - 1])
+        images = []
+        for vec in src:
+            coords = linalg.solve(basis_cols, linalg.mat_vec(p0.mats[idx], vec), len(dst))
+            if coords is None:
+                raise AssertionError("kernel is not arrow-stable")
+            images.append(coords)
+        mats.append(linalg.transpose(images, len(dst)))
+    omega = Representation(alg, dims, mats)
     return omega, p0
 
 
-def ext1_bqa(m: BQAModule, n: BQAModule) -> int:
-    """dim Ext^1 over the bound quiver algebra, from a projective presentation."""
+def ext1_bqa(m: Representation, n: Representation) -> int:
+    """dim Ext^1 over the modules' common algebra, from a projective
+    presentation; valid with or without relations."""
     omega, p0 = syzygy(m)
-    value = hom_bqa(omega, n).dim - hom_bqa(p0, n).dim + hom_bqa(m, n).dim
+    value = hom(omega, n).dim - hom(p0, n).dim + hom(m, n).dim
     if value < 0:
         raise AssertionError(f"ext went negative: {value}")
     return value
@@ -364,15 +170,15 @@ def build_counterexample_algebra() -> MonomialAlgebra:
     return MonomialAlgebra(q, ((0, 1), (1, 2), (2, 0)))
 
 
-def counterexample_modules(algebra: MonomialAlgebra) -> tuple[BQAModule, BQAModule]:
+def counterexample_modules(algebra: MonomialAlgebra) -> tuple[Representation, Representation]:
     """The two rigid modules with dimension vector (1, 1, 1).
 
     The first is the string along c then b (1 -> 3 -> 2), the second the
     string along g then c (2 -> 1 -> 3).
     """
     one = [[Fraction(1)]]
-    m = BQAModule.from_dims(algebra, (1, 1, 1), {1: one, 3: one})
-    n = BQAModule.from_dims(algebra, (1, 1, 1), {2: one, 3: one})
+    m = Representation.from_dims(algebra, (1, 1, 1), {1: one, 3: one})
+    n = Representation.from_dims(algebra, (1, 1, 1), {2: one, 3: one})
     return m, n
 
 
@@ -401,9 +207,9 @@ def counterexample_report() -> dict:
         "same_dimension_vector": m.dims == n.dims,
         "ext1_M_M": ext1_bqa(m, m),
         "ext1_N_N": ext1_bqa(n, n),
-        "hom_M_N": hom_bqa(m, n).dim,
-        "hom_N_M": hom_bqa(n, m).dim,
-        "isomorphic": is_isomorphic_bqa(m, n),
+        "hom_M_N": hom(m, n).dim,
+        "hom_N_M": hom(n, m).dim,
+        "isomorphic": is_isomorphic(m, n),
         "syzygy_M_dims": list(omega_m.dims),
         "syzygy_N_dims": list(omega_n.dims),
     }

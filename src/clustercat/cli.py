@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .bound import counterexample_report
 from .category import (
@@ -89,16 +88,21 @@ def _emit(report: dict, fmt: str) -> None:
 # quiver sources
 
 
-def _resolve_quiver(args, parser: argparse.ArgumentParser):
-    """Quiver for the seed commands, from --quiver FILE or --type NAME."""
+def _resolve_matrix(args, parser: argparse.ArgumentParser):
+    """Exchange matrix for the seed commands, from --quiver FILE or --type NAME."""
     if getattr(args, "quiver_file", None):
         try:
             q, _relations = load_quiver_json(args.quiver_file)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read quiver file: {exc}")
-        return q, args.quiver_file
-    name = args.type or "A2"
-    return builtin_quiver(name), name
+        source = args.quiver_file
+    else:
+        source = args.type or "A2"
+        q = builtin_quiver(source)
+    try:
+        return exchange_matrix(q), source
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +110,8 @@ def _resolve_quiver(args, parser: argparse.ArgumentParser):
 
 
 def cmd_mutate(args, parser) -> int:
-    q, source = _resolve_quiver(args, parser)
-    seed = initial_seed(exchange_matrix(q))
+    b, source = _resolve_matrix(args, parser)
+    seed = initial_seed(b)
     for k in args.sequence:
         try:
             seed = seed_mutate(seed, k)
@@ -124,9 +128,9 @@ def cmd_mutate(args, parser) -> int:
 
 
 def _explored(args, parser):
-    q, source = _resolve_quiver(args, parser)
+    b, source = _resolve_matrix(args, parser)
     try:
-        res = explore_exchange_graph(exchange_matrix(q), max_depth=args.depth)
+        res = explore_exchange_graph(b, max_depth=args.depth)
     except ValueError as exc:
         parser.error(str(exc))
     return res, source
@@ -333,7 +337,8 @@ def _checked_type(target: str, qtype, parser) -> str | None:
 
 def cmd_verify(args, parser) -> int:
     qtype = _checked_type(args.target, args.type, parser)
-    started = time.perf_counter()
+    if args.target == "denomhom" and args.depth == 0:
+        parser.error("denomhom needs --depth of at least 1")
     try:
         ok, details, witness = _VERIFY_DISPATCH[args.target](qtype, args.depth, args.seed)
     except (AssertionError, ArithmeticError, RuntimeError) as exc:
@@ -347,7 +352,6 @@ def cmd_verify(args, parser) -> int:
         "pass": ok,
         "details": details,
         "witness": witness,
-        "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
     _emit(report, args.format)
     return 0 if ok else 1
@@ -355,6 +359,13 @@ def cmd_verify(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_depth:
             sp.add_argument(
                 "--depth",
-                type=int,
+                type=non_negative_int,
                 help="mutation depth cutoff (required for non-Dynkin shapes)",
             )
         sp.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("target", choices=VERIFY_TARGETS)
     p_ver.add_argument("--type", choices=BUILTIN_QUIVER_NAMES)
-    p_ver.add_argument("--depth", type=int)
+    p_ver.add_argument("--depth", type=non_negative_int)
     p_ver.add_argument("--seed", type=int, default=0, help="RNG seed for sampled sweeps")
     p_ver.add_argument("--format", choices=("json", "tsv"), default="json")
 

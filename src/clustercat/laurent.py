@@ -23,7 +23,6 @@ from .quivers import classify_diagram, mutate_matrix, quiver_from_matrix
 __all__ = [
     "LaurentPoly",
     "DivisionNotExact",
-    "lp_arith",
     "Seed",
     "initial_seed",
     "seed_mutate",
@@ -219,19 +218,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no denominator vector")
         return tuple(-min(e[i] for e in self._terms) for i in range(self.nvars))
-
-
-def lp_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch arithmetic by name: add, sub, mul, div (exact)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a.exact_div(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def denominator_vector(p: LaurentPoly) -> tuple[int, ...]:

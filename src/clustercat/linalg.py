@@ -37,7 +37,6 @@ __all__ = [
     "inverse",
     "is_integral",
     "to_int_matrix",
-    "hstack",
     "vstack",
 ]
 
@@ -84,16 +83,13 @@ def mat_neg(a: Matrix) -> Matrix:
     return [[-x for x in row] for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
-    """Product a*b. ``inner`` pins the shared dimension when a is empty."""
-    if inner is None:
-        inner = len(b)
-    rows = len(a)
-    cols = len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ra = a[i]
-        oi = out[i]
+def mat_mul(a: Matrix, b: Matrix, cols: int | None = None) -> Matrix:
+    """Product a*b. ``cols`` pins the output width when b has no rows."""
+    if cols is None:
+        cols = len(b[0]) if b else 0
+    inner = len(b)
+    out = zeros(len(a), cols)
+    for ra, oi in zip(a, out):
         for k in range(inner):
             x = ra[k]
             if x:
@@ -193,14 +189,6 @@ def to_int_matrix(a: Matrix) -> list[list[int]]:
     if not is_integral(a):
         raise ValueError("matrix has non-integer entries")
     return [[int(x) for x in row] for row in a]
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return [row[:] for row in b]
-    if not b:
-        return [row[:] for row in a]
-    return [ra + rb for ra, rb in zip(a, b)]
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:

@@ -109,7 +109,15 @@ class Quiver:
 
 
 def exchange_matrix(q: Quiver) -> IntMatrix:
-    """Skew-symmetric matrix b_ij = #(i->j) - #(j->i)."""
+    """Skew-symmetric matrix b_ij = #(i->j) - #(j->i).
+
+    A 2-cycle would cancel in b and silently turn the quiver into another
+    one, so it is refused; module code still accepts such quivers.
+    """
+    arrows = set(q.arrows)
+    for s, t in arrows:
+        if (t, s) in arrows:
+            raise ValueError(f"quiver has a 2-cycle between {s} and {t}; no exchange matrix")
     b = [[0] * q.n for _ in range(q.n)]
     for s, t in q.arrows:
         b[s - 1][t - 1] += 1

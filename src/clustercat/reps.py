@@ -1,13 +1,17 @@
-"""Representations of acyclic quivers over the rationals.
+"""Modules over path algebras of quivers and their monomial quotients.
 
-A representation assigns a finite-dimensional Q-vector space to each vertex
-and a matrix to each arrow; the matrix of an arrow s -> t has shape
-dims[t] x dims[s] and acts on column vectors. Hom spaces are computed as
-kernels of the commuting-square system, Ext^1 through the Euler form
-(the category is hereditary), and indecomposables are built from positive
-roots with reflection functors, never by guessing matrices.
+A module assigns a finite-dimensional Q-vector space to each vertex and a
+matrix to each arrow; the matrix of an arrow s -> t has shape
+dims[t] x dims[s] and acts on column vectors. One class, Representation,
+serves every algebra: a bare Quiver stands for its path algebra, a
+MonomialAlgebra with no relations. Hom spaces are computed as kernels of the
+commuting-square system, which relations do not change. Ext^1 over a path
+algebra of an acyclic quiver comes from the Euler form (the category is
+hereditary); over an algebra with relations it needs the projective
+presentation in ``bound``. Indecomposables are built from positive roots
+with reflection functors, never by guessing matrices.
 
-Representations are immutable once constructed.
+Modules are immutable once constructed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .laurent import LaurentPoly
 from .quivers import EulerData, Quiver, builtin_quiver, positive_roots
 
 __all__ = [
+    "MonomialAlgebra",
     "Representation",
     "HomSpace",
     "NegativeExtError",
@@ -55,18 +60,116 @@ class PreinjectivityIndeterminate(RuntimeError):
 
 Matrix = list[list[Fraction]]
 
+# a basis path longer than this means the relations leave the algebra
+# infinite dimensional
+MAX_PATH_LENGTH = 40
 
-def _zero_mat(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+
+@dataclass(frozen=True)
+class MonomialAlgebra:
+    """Path algebra of a quiver modulo a set of zero-relation paths.
+
+    The quiver may contain oriented cycles; the relations must make every
+    long path vanish so that the algebra stays finite dimensional. Paths
+    compose left to right: the path (a, b) means arrow a followed by arrow b
+    and acts on a module as the matrix product mat(b) @ mat(a).
+    """
+
+    quiver: Quiver
+    relations: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        arrows = self.quiver.arrows
+        seen = set()
+        for rel in self.relations:
+            if len(rel) < 2:
+                raise ValueError("a zero relation needs at least two arrows")
+            for a, b in zip(rel, rel[1:]):
+                if not (0 <= a < len(arrows)) or not (0 <= b < len(arrows)):
+                    raise ValueError(f"relation {rel} uses an unknown arrow index")
+                if arrows[a][1] != arrows[b][0]:
+                    raise ValueError(f"relation {rel} is not a composable path")
+            if rel in seen:
+                raise ValueError(f"duplicate relation {rel}")
+            seen.add(rel)
+        object.__setattr__(self, "relations", tuple(tuple(r) for r in self.relations))
+
+    def _dies(self, path: tuple[int, ...]) -> bool:
+        # only suffixes can become zero when a path grows by one arrow
+        return any(path[-len(r):] == r for r in self.relations if len(r) <= len(path))
+
+    @property
+    def paths(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return self._all_paths()
+
+    @lru_cache(maxsize=None)
+    def _all_paths(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        arrows = self.quiver.arrows
+        out: list[tuple[int, tuple[int, ...]]] = []
+        for start in range(1, self.quiver.n + 1):
+            layer = [()]
+            out.append((start, ()))
+            length = 0
+            while layer:
+                length += 1
+                if length > MAX_PATH_LENGTH:
+                    raise ValueError(
+                        "paths keep growing; the relations do not bound the algebra"
+                    )
+                nxt = []
+                for p in layer:
+                    end = start if not p else arrows[p[-1]][1]
+                    for idx, (s, _) in enumerate(arrows):
+                        if s != end:
+                            continue
+                        cand = p + (idx,)
+                        if not self._dies(cand):
+                            nxt.append(cand)
+                            out.append((start, cand))
+                layer = nxt
+        return tuple(out)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.paths)
+
+    def path_end(self, start: int, path: tuple[int, ...]) -> int:
+        return start if not path else self.quiver.arrows[path[-1]][1]
+
+    @lru_cache(maxsize=None)
+    def basis_from(self, start: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Basis paths starting at ``start`` grouped by end vertex (0-based tuple
+        index), each group sorted by length then lexicographically."""
+        groups: list[list[tuple[int, ...]]] = [[] for _ in range(self.quiver.n)]
+        for s, p in self.paths:
+            if s == start:
+                groups[self.path_end(s, p) - 1].append(p)
+        return tuple(tuple(sorted(g, key=lambda p: (len(p), p))) for g in groups)
+
+
+@lru_cache(maxsize=None)
+def _path_algebra(q: Quiver) -> MonomialAlgebra:
+    # all modules over one quiver share one algebra object, which keeps the
+    # common-algebra test on the hom and direct-sum paths cheap
+    return MonomialAlgebra(q, ())
+
+
+def _algebra(over) -> MonomialAlgebra:
+    return _path_algebra(over) if isinstance(over, Quiver) else over
 
 
 class Representation:
-    """Quiver representation with exact rational matrices."""
+    """Module over a MonomialAlgebra with exact rational arrow matrices.
 
-    __slots__ = ("quiver", "dims", "mats")
+    ``algebra`` may be a bare Quiver, meaning its path algebra. Every
+    relation path must act by zero.
+    """
 
-    def __init__(self, quiver: Quiver, dims, mats):
-        self.quiver = quiver
+    __slots__ = ("algebra", "quiver", "dims", "mats")
+
+    def __init__(self, algebra, dims, mats):
+        self.algebra = algebra = _algebra(algebra)
+        self.quiver = quiver = algebra.quiver
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != quiver.n:
             raise ValueError("dims length must equal vertex count")
@@ -81,35 +184,52 @@ class Representation:
             linalg.shape_of(mm, rows, cols)
             fixed.append(mm)
         self.mats = tuple(tuple(tuple(row) for row in m) for m in fixed)
+        for rel in algebra.relations:
+            comp = self.path_action(quiver.arrows[rel[0]][0], rel)
+            if any(any(row) for row in comp):
+                raise ValueError(f"relation {rel} does not act by zero")
 
     def mat(self, arrow_index: int) -> Matrix:
         return [list(row) for row in self.mats[arrow_index]]
+
+    def path_action(self, start: int, path: tuple[int, ...]) -> Matrix:
+        """Matrix of a path from the start vertex space to the end vertex
+        space. The width is pinned so that passing through a zero space
+        still yields a correctly shaped zero matrix."""
+        cols = self.dims[start - 1]
+        cur = linalg.identity(cols)
+        for a in path:
+            cur = linalg.mat_mul(self.mats[a], cur, cols)
+        return cur
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
     @classmethod
-    def zero(cls, quiver: Quiver) -> "Representation":
-        return cls.from_dims(quiver, (0,) * quiver.n)
+    def zero(cls, algebra) -> "Representation":
+        algebra = _algebra(algebra)
+        return cls.from_dims(algebra, (0,) * algebra.quiver.n)
 
     @classmethod
-    def from_dims(cls, quiver: Quiver, dims, entries=None) -> "Representation":
-        """Representation with given dims; ``entries`` maps arrow index to matrix,
+    def from_dims(cls, algebra, dims, entries=None) -> "Representation":
+        """Module with given dims; ``entries`` maps arrow index to matrix,
         missing arrows get zero matrices."""
+        algebra = _algebra(algebra)
         entries = entries or {}
         mats = []
-        for idx, (s, t) in enumerate(quiver.arrows):
+        for idx, (s, t) in enumerate(algebra.quiver.arrows):
             if idx in entries:
                 mats.append(entries[idx])
             else:
-                mats.append(_zero_mat(dims[t - 1], dims[s - 1]))
-        return cls(quiver, dims, mats)
+                mats.append(linalg.zeros(dims[t - 1], dims[s - 1]))
+        return cls(algebra, dims, mats)
 
     @classmethod
-    def simple(cls, quiver: Quiver, i: int) -> "Representation":
-        dims = tuple(int(v == i) for v in range(1, quiver.n + 1))
-        return cls.from_dims(quiver, dims)
+    def simple(cls, algebra, i: int) -> "Representation":
+        algebra = _algebra(algebra)
+        dims = tuple(int(v == i) for v in range(1, algebra.quiver.n + 1))
+        return cls.from_dims(algebra, dims)
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
@@ -134,23 +254,19 @@ def rep_from_json(quiver: Quiver, data: dict) -> Representation:
 
 
 def direct_sum(m: Representation, n: Representation) -> Representation:
-    if m.quiver != n.quiver:
-        raise ValueError("direct sum needs a common quiver")
+    if m.algebra != n.algebra:
+        raise ValueError("direct sum needs a common algebra")
     dims = tuple(a + b for a, b in zip(m.dims, n.dims))
     mats = []
     for idx, (s, t) in enumerate(m.quiver.arrows):
-        rows, cols = dims[t - 1], dims[s - 1]
-        block = _zero_mat(rows, cols)
-        ma, mb = m.mats[idx], n.mats[idx]
-        for r in range(m.dims[t - 1]):
-            for c in range(m.dims[s - 1]):
-                block[r][c] = ma[r][c]
+        block = linalg.zeros(dims[t - 1], dims[s - 1])
         ro, co = m.dims[t - 1], m.dims[s - 1]
-        for r in range(n.dims[t - 1]):
-            for c in range(n.dims[s - 1]):
-                block[ro + r][co + c] = mb[r][c]
+        for r, row in enumerate(m.mats[idx]):
+            block[r][:co] = row
+        for r, row in enumerate(n.mats[idx]):
+            block[ro + r][co:] = row
         mats.append(block)
-    return Representation(m.quiver, dims, mats)
+    return Representation(m.algebra, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +288,7 @@ def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
     """Solve the commuting-square system for two arrow-matrix families.
 
     The relations of a bound quiver impose no extra conditions on morphisms,
-    so this one solver serves representations and bound-quiver modules alike.
+    so this one solver serves every algebra.
     """
     nverts = len(dims_m)
     offsets = [0]
@@ -200,23 +316,20 @@ def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
                 if any(row):
                     rows.append(row)
     kernel = linalg.nullspace(rows, nvars)
-    basis = []
-    for vec in kernel:
-        comps = []
-        for v in range(nverts):
-            comp = _zero_mat(dims_n[v], dims_m[v])
-            for r in range(dims_n[v]):
-                for c in range(dims_m[v]):
-                    comp[r][c] = vec[var(v, r, c)]
-            comps.append(comp)
-        basis.append(tuple(comps))
+    basis = [
+        tuple(
+            [vec[var(v, r, 0):var(v, r + 1, 0)] for r in range(dims_n[v])]
+            for v in range(nverts)
+        )
+        for vec in kernel
+    ]
     return HomSpace(len(basis), basis)
 
 
 def hom(m: Representation, n: Representation) -> HomSpace:
-    """Morphism space between representations of the same quiver."""
-    if m.quiver != n.quiver:
-        raise ValueError("hom needs a common quiver")
+    """Morphism space between modules over the same algebra."""
+    if m.algebra != n.algebra:
+        raise ValueError("hom needs a common algebra")
     return hom_space(m.quiver.arrows, m.dims, m.mats, n.dims, n.mats)
 
 
@@ -226,9 +339,14 @@ def euler_data(q: Quiver) -> EulerData:
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N> (hereditary)."""
-    ed = euler_data(m.quiver)
-    value = hom(m, n).dim - ed.euler_form(m.dims, n.dims)
+    """dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>.
+
+    The Euler form gives Ext only over a hereditary algebra, so a module
+    whose algebra has relations is refused; bound.ext1_bqa covers those.
+    """
+    if m.algebra.relations:
+        raise ValueError("ext1_dim needs a path algebra; use bound.ext1_bqa")
+    value = hom(m, n).dim - euler_data(m.quiver).euler_form(m.dims, n.dims)
     if value < 0:
         raise NegativeExtError(f"ext went negative: {value} for {m.dims} -> {n.dims}")
     return value
@@ -320,7 +438,7 @@ def _coreflection(n: Representation, k: int, target_quiver: Quiver) -> Represent
     for idx, (s, t) in enumerate(q.arrows):
         if s == k:
             dj = n.dims[t - 1]
-            block = _zero_mat(new_dim, dj)
+            block = linalg.zeros(new_dim, dj)
             off = offsets[idx]
             for r in range(new_dim):
                 for c in range(dj):
@@ -437,7 +555,7 @@ def _vertexwise_invertible(dims, candidate) -> bool:
 def _combine(basis, coeffs, dims):
     out = []
     for v, dv in enumerate(dims):
-        comp = _zero_mat(dv, dv)
+        comp = linalg.zeros(dv, dv)
         for b, c in zip(basis, coeffs):
             if c:
                 for r in range(dv):
@@ -514,8 +632,8 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test: equal dimension vectors plus a hom element
     that is invertible at every vertex."""
-    if m.quiver != n.quiver:
-        raise ValueError("isomorphism test needs a common quiver")
+    if m.algebra != n.algebra:
+        raise ValueError("isomorphism test needs a common algebra")
     if m.dims != n.dims:
         return False
     if m.total_dim == 0:

@@ -227,18 +227,6 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
 
 
-def _mul(a, b, rows: int, inner: int, cols: int):
-    # explicit shapes so zero-dimensional factors cannot collapse the output
-    out = linalg.zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            x = a[i][k]
-            if x:
-                for j in range(cols):
-                    out[i][j] += x * b[k][j]
-    return out
-
-
 def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     """Swap summand ``k`` for the second complement of the remaining n - 1.
 
@@ -293,9 +281,9 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     for idx, (sv, tv) in enumerate(quiver.arrows):
         u, v = sv - 1, tv - 1
         ea = e_rep.mats[idx]
-        pe = _mul(proj[v], ea, w_dims[v], e_rep.dims[v], e_rep.dims[u])
-        wa = _mul(pe, sect[u], w_dims[v], e_rep.dims[u], w_dims[u])
-        if _mul(wa, proj[u], w_dims[v], w_dims[u], e_rep.dims[u]) != pe:
+        pe = linalg.mat_mul(proj[v], ea, e_rep.dims[u])
+        wa = linalg.mat_mul(pe, sect[u], w_dims[u])
+        if linalg.mat_mul(wa, proj[u], e_rep.dims[u]) != pe:
             raise DescentStepError("cokernel arrow map is not well defined")
         w_mats.append(wa)
     w = Representation(quiver, tuple(w_dims), w_mats)

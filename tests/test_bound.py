@@ -4,20 +4,24 @@ from fractions import Fraction
 import pytest
 
 from clustercat.bound import (
-    BQAModule,
     MonomialAlgebra,
-    bqa_direct_sum,
     build_counterexample_algebra,
     counterexample_modules,
     counterexample_report,
     ext1_bqa,
-    hom_bqa,
-    is_isomorphic_bqa,
     projective,
     projective_cover,
     syzygy,
 )
-from clustercat.quivers import Quiver
+from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
+from clustercat.reps import (
+    Representation,
+    all_indecomposables,
+    direct_sum,
+    ext1_dim,
+    hom,
+    is_isomorphic,
+)
 
 
 def test_counterexample_report_frozen():
@@ -51,7 +55,7 @@ def test_projectives_have_zero_syzygy_and_ext():
     for i in (1, 2, 3):
         p = projective(alg, i)
         # End(P_i) = e_i B e_i; the surviving cycle through c gives dim 2 at i=2
-        assert hom_bqa(p, p).dim == p.dims[i - 1]
+        assert hom(p, p).dim == p.dims[i - 1]
         omega, _ = syzygy(p)
         assert omega.total_dim == 0
         for x in (m, n, p):
@@ -62,23 +66,23 @@ def test_hom_from_projective_counts_dimension():
     alg = build_counterexample_algebra()
     rng = random.Random(3)
     m, n = counterexample_modules(alg)
-    mods = [m, n, bqa_direct_sum(m, n)] + [projective(alg, i) for i in (1, 2, 3)]
+    mods = [m, n, direct_sum(m, n)] + [projective(alg, i) for i in (1, 2, 3)]
     for x in mods:
         for i in (1, 2, 3):
-            assert hom_bqa(projective(alg, i), x).dim == x.dims[i - 1]
+            assert hom(projective(alg, i), x).dim == x.dims[i - 1]
     # also on a randomly scaled copy of M
     scale = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
-    scaled = BQAModule.from_dims(
+    scaled = Representation.from_dims(
         alg, (1, 1, 1), {1: [[scale]], 3: [[Fraction(2)]]}
     )
     for i in (1, 2, 3):
-        assert hom_bqa(projective(alg, i), scaled).dim == scaled.dims[i - 1]
+        assert hom(projective(alg, i), scaled).dim == scaled.dims[i - 1]
 
 
 def test_cover_dimension_bookkeeping():
     alg = build_counterexample_algebra()
     m, n = counterexample_modules(alg)
-    for x in (m, n, bqa_direct_sum(m, n)):
+    for x in (m, n, direct_sum(m, n)):
         p0, cover = projective_cover(x)
         omega, p0b = syzygy(x)
         assert p0b.dims == p0.dims
@@ -94,20 +98,20 @@ def test_cover_dimension_bookkeeping():
 def test_ext_invariant_under_base_change():
     alg = build_counterexample_algebra()
     m, n = counterexample_modules(alg)
-    m_conj = BQAModule.from_dims(
+    m_conj = Representation.from_dims(
         alg, (1, 1, 1), {1: [[Fraction(7, 2)]], 3: [[Fraction(-3)]]}
     )
-    assert is_isomorphic_bqa(m_conj, m)
+    assert is_isomorphic(m_conj, m)
     assert ext1_bqa(m_conj, m_conj) == 0
-    assert hom_bqa(m_conj, n).dim == hom_bqa(m, n).dim
+    assert hom(m_conj, n).dim == hom(m, n).dim
 
 
 def test_modules_not_isomorphic_despite_equal_dims():
     alg = build_counterexample_algebra()
     m, n = counterexample_modules(alg)
     assert m.dims == n.dims == (1, 1, 1)
-    assert not is_isomorphic_bqa(m, n)
-    assert is_isomorphic_bqa(m, m)
+    assert not is_isomorphic(m, n)
+    assert is_isomorphic(m, m)
 
 
 def test_module_rejects_relation_violation():
@@ -115,14 +119,46 @@ def test_module_rejects_relation_violation():
     one = [[Fraction(1)]]
     # turning on arrows a: 1->3 and b: 3->2 makes the path ab act nonzero
     with pytest.raises(ValueError):
-        BQAModule.from_dims(alg, (1, 1, 1), {0: one, 1: one})
+        Representation.from_dims(alg, (1, 1, 1), {0: one, 1: one})
 
 
 def test_plain_path_algebra_reduces_to_hereditary_behaviour():
     alg = MonomialAlgebra(Quiver(2, ((1, 2),)), ())
-    s1 = BQAModule.simple(alg, 1)
-    s2 = BQAModule.simple(alg, 2)
+    s1 = Representation.simple(alg, 1)
+    s2 = Representation.simple(alg, 2)
     assert ext1_bqa(s1, s2) == 1
     assert ext1_bqa(s2, s1) == 0
     omega, p0 = syzygy(s1)
     assert omega.dims == (0, 1) and p0.dims == (1, 1)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_presentation_ext_matches_euler_form(name):
+    # two independent Ext routes over a path algebra
+    inds = all_indecomposables(builtin_quiver(name))
+    for m in inds:
+        for n in inds:
+            assert ext1_bqa(m, n) == ext1_dim(m, n)
+
+
+def test_modules_over_one_quiver_share_its_path_algebra():
+    q = Quiver(2, ((1, 2),))
+    s1, s2 = Representation.simple(q, 1), Representation.simple(q, 2)
+    assert s1.algebra is s2.algebra
+    assert s1.algebra == MonomialAlgebra(q, ())
+    assert s1.quiver == q
+
+
+def test_two_cycle_algebra_needs_the_presentation_route():
+    # 1 -> 2 -> 1 with both paths of length two killed
+    alg = MonomialAlgebra(Quiver(2, ((1, 2), (2, 1))), ((0, 1), (1, 0)))
+    assert alg.dimension == 4
+    s1, s2 = Representation.simple(alg, 1), Representation.simple(alg, 2)
+    assert ext1_bqa(s1, s2) == 1 and ext1_bqa(s2, s1) == 1
+    assert ext1_bqa(s1, s1) == 0
+    with pytest.raises(ValueError):
+        ext1_dim(s1, s2)
+    with pytest.raises(ValueError):
+        hom(s1, Representation.simple(alg.quiver, 2))
+    with pytest.raises(ValueError):
+        exchange_matrix(alg.quiver)

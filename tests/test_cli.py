@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +169,50 @@ def test_verify_denomhom_seeded(capsys):
     assert rep["pass"] is True
     assert rep["parameters"]["seed"] == 1
     assert rep["details"]["sequences"] == 120
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustercat.cli", "explore", "--type", "A2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["clusters"] == 5
+
+
+def test_verify_output_is_byte_stable(capsys):
+    outs = [run(capsys, "verify", "theorem1", "--type", "A3") for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert "elapsed_seconds" not in json.loads(outs[0][1])
+
+
+@pytest.mark.parametrize("command", [["mutate", "1"], ["explore"], ["denominators"]])
+def test_two_cycle_quiver_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "two_cycle.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2], [2, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--quiver", str(path)])
+    assert exc.value.code == 2
+    assert "2-cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--type", "A2", "--depth", "-1"],
+        ["denominators", "--type", "A2", "--depth", "-1"],
+        ["verify", "corollary5", "--depth", "-1"],
+        ["verify", "theorem1", "--type", "A2", "--depth", "-1"],
+        ["verify", "denomhom", "--type", "A2", "--depth", "0"],
+    ],
+)
+def test_bad_depth_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
