@@ -15,10 +15,13 @@ and are deliberately not imported.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 import random
+from typing import Iterator
 
 from .laurent import Seed, initial_seed, seed_mutate
 from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
@@ -37,6 +40,7 @@ __all__ = [
     "shifted_initial_seed_c",
     "mutate_tilting",
     "is_tilting_c",
+    "walk_tilting",
     "enumerate_tilting_objects",
     "is_compatible",
     "lemma6_check",
@@ -152,7 +156,7 @@ class CategorifiedSeed:
     summands: tuple[CVertex, ...]
     b: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def tilting_key(self) -> frozenset:
         return frozenset(self.summands)
 
@@ -169,10 +173,14 @@ class ExchangeData:
 
 
 Position = tuple[int, int]
+Edge = tuple[CategorifiedSeed, int, CategorifiedSeed, ExchangeData]
 
 
 class GammaC:
-    """Translation quiver of the cluster category, with a full hom table."""
+    """Translation quiver of the cluster category, with a full hom table on
+    vertex ids (``index[v]`` is v's position in ``vertices``): ``hom_i[x][y]``,
+    the translation ``tau_i``, and ``ext_free[x]``, whose bit y is set iff
+    ext1(x, y) = ext1(y, x) = 0."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -221,16 +229,13 @@ class GammaC:
         self._row_preimage = {c: i for i, c in self._row_image.items()}
         if len(self._row_preimage) != n:
             raise AssertionError("the glide row map must be a permutation")
-        self._inj_pos = inj_pos
 
         for i in range(1, n + 1):
             sp = CVertex.shifted_projective(i)
             ki, ci = inj_pos[i]
             self._place(sp, (ki + 1, ci))
             self.shift_obj[i] = sp
-        self.vertices: tuple[CVertex, ...] = tuple(
-            sorted(self.pos_of, key=CVertex.sort_key)
-        )
+        self.vertices: tuple[CVertex, ...] = tuple(sorted(self.pos_of, key=CVertex.sort_key))
         self.max_slice = max(k for k, _ in self.obj_at)
 
         self._out_nb = {v: [t for s, t in quiver.arrows if s == v] for v in range(1, n + 1)}
@@ -245,10 +250,14 @@ class GammaC:
             raise AssertionError("translation is not a bijection")
         self._check_translation()
 
-        self.arrows: tuple[tuple[CVertex, CVertex], ...] = self._build_arrows()
-        self._hom: dict[tuple[CVertex, CVertex], int] = {}
-        for x in self.vertices:
-            self._knit_row(x)
+        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(self.vertices)}
+        self.tau_i: tuple[int, ...] = tuple(self.index[self.tau[v]] for v in self.vertices)
+        self.hom_i: tuple[tuple[int, ...], ...] = tuple(self._knit_row(x) for x in self.vertices)
+        ids = range(len(self.vertices))
+        ext = [[self.hom_i[x][self.tau_i[y]] for y in ids] for x in ids]
+        self.ext_free: tuple[int, ...] = tuple(
+            sum(1 << y for y in ids if not ext[x][y] and not ext[y][x]) for x in ids
+        )
         self._check_rigidity()
 
     # -- construction helpers ------------------------------------------------
@@ -313,17 +322,9 @@ class GammaC:
                 if t != self.inj_vertex[v.shift_vertex]:
                     raise AssertionError("translate of a shifted projective is not the injective")
 
-    def _build_arrows(self) -> tuple[tuple[CVertex, CVertex], ...]:
-        out = []
-        for v, (k, i) in sorted(self.pos_of.items(), key=lambda p: p[0].sort_key()):
-            for j in self._in_nb[i]:
-                out.append((v, self.obj_at[self._reduce((k, j))]))
-            for m in self._out_nb[i]:
-                out.append((v, self.obj_at[self._reduce((k + 1, m))]))
-        return tuple(out)
-
-    def _knit_row(self, x: CVertex):
-        """Hammock of maps out of x on ZQ, then fold over the glide."""
+    def _knit_row(self, x: CVertex) -> tuple[int, ...]:
+        """Hammock of maps out of x on ZQ, then fold over the glide; the row
+        of hom dimensions from x to every vertex."""
         k0, i0 = self.pos_of[x]
         end = k0 + self._row_shift[i0] - 1  # slice of the suspended source
         sx = self._suspend_pos((k0, i0))
@@ -343,6 +344,7 @@ class GammaC:
             raise AssertionError("hammock source is not one dimensional")
         if any(h[(end, v)] for v in self._slice_order):
             raise AssertionError("hammock does not vanish past the suspended source")
+        row = []
         for y in self.vertices:
             cur = self.pos_of[y]
             while cur[0] >= k0:
@@ -352,11 +354,12 @@ class GammaC:
             while cur[0] <= end:
                 total += h.get(cur, 0)
                 cur = self._glide(cur)
-            self._hom[(x, y)] = total
+            row.append(total)
+        return tuple(row)
 
     def _check_rigidity(self):
         for v in self.vertices:
-            if self._hom[(v, v)] != 1:
+            if self.hom_c_dim(v, v) != 1:
                 raise AssertionError(f"{v.render()} is not a brick")
             if self.ext1_c_dim(v, v) != 0:
                 raise AssertionError(f"{v.render()} is not rigid")
@@ -364,16 +367,16 @@ class GammaC:
     # -- queries ---------------------------------------------------------------
 
     def hom_c_dim(self, x: CVertex, y: CVertex) -> int:
-        return self._hom[(x, y)]
+        return self.hom_i[self.index[x]][self.index[y]]
 
     def ext1_c_dim(self, x: CVertex, y: CVertex) -> int:
-        return self._hom[(x, self.tau[y])]
+        return self.hom_i[self.index[x]][self.tau_i[self.index[y]]]
 
     def hom_to_object(self, x: CVertex, obj: CObject) -> int:
-        return sum(m * self._hom[(x, v)] for v, m in obj.multiplicities)
+        return sum(m * self.hom_c_dim(x, v) for v, m in obj.multiplicities)
 
     def hom_from_object(self, obj: CObject, y: CVertex) -> int:
-        return sum(m * self._hom[(v, y)] for v, m in obj.multiplicities)
+        return sum(m * self.hom_c_dim(v, y) for v, m in obj.multiplicities)
 
     def shift_object(self, obj: CObject, times: int = 1) -> CObject:
         pairs = []
@@ -393,12 +396,8 @@ def is_tilting_c(g: GammaC, t: CObject) -> bool:
     """Basic, n summands, no extensions in either direction or with itself."""
     if not t.is_basic or len(t.summands) != g.quiver.n:
         return False
-    vs = t.summands
-    for a in range(len(vs)):
-        for b in range(a, len(vs)):
-            if g.ext1_c_dim(vs[a], vs[b]) or g.ext1_c_dim(vs[b], vs[a]):
-                return False
-    return True
+    ids = [g.index[v] for v in t.summands]
+    return all(g.ext_free[x] >> y & 1 for x in ids for y in ids)
 
 
 def initial_seed_c(g: GammaC) -> CategorifiedSeed:
@@ -417,32 +416,29 @@ def shifted_initial_seed_c(g: GammaC) -> CategorifiedSeed:
 def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[CategorifiedSeed, ExchangeData]:
     """Replace the k-th summand by its unique exchange partner.
 
-    The partner is found by brute force over all indecomposables; uniqueness
-    is a theorem and is asserted, not assumed. Middle-term multiplicities are
-    read off the pre-mutation matrix column.
+    The partner is the one vertex outside the seed that is ext-free with
+    every other summand (every vertex is rigid, as construction asserts): one
+    AND of ext_free masks. Uniqueness is a theorem and is asserted, not
+    assumed. Middle-term multiplicities are read off the pre-mutation matrix
+    column.
     """
     n = g.quiver.n
     if not (1 <= k <= n):
         raise IndexError(f"mutation index {k} out of range 1..{n}")
-    tk = seed.summands[k - 1]
-    others = tuple(v for i, v in enumerate(seed.summands) if i != k - 1)
-    if len(set(seed.summands)) != n:
+    idx = [g.index[v] for v in seed.summands]
+    if len(set(idx)) != n:
         raise ValueError("seed is not basic")
-    found = []
-    for cand in g.vertices:
-        if cand == tk or cand in others:
-            continue
-        if g.ext1_c_dim(cand, cand):
-            continue
-        if all(not g.ext1_c_dim(cand, o) and not g.ext1_c_dim(o, cand) for o in others):
-            found.append(cand)
-    if not found:
+    masks = (g.ext_free[x] for i, x in enumerate(idx) if i != k - 1)
+    mask = reduce(and_, masks, (1 << len(g.vertices)) - 1) & ~sum(1 << x for x in idx)
+    tk = seed.summands[k - 1]
+    if not mask:
         raise NoComplement(f"no exchange partner for {tk.render()}")
-    if len(found) > 1:
-        raise MultipleComplements(f"{len(found)} partners for {tk.render()}")
-    tk_star = found[0]
-    if g.ext1_c_dim(tk, tk_star) != 1:
+    if mask & (mask - 1):
+        raise MultipleComplements(f"{mask.bit_count()} partners for {tk.render()}")
+    star = mask.bit_length() - 1
+    if g.hom_i[idx[k - 1]][g.tau_i[star]] != 1:
         raise AssertionError("exchange pair does not have a one dimensional extension space")
+    tk_star = g.vertices[star]
     col = [seed.b[i][k - 1] for i in range(n)]
     e = CObject.of((seed.summands[i], col[i]) for i in range(n) if col[i] > 0)
     e_prime = CObject.of((seed.summands[i], -col[i]) for i in range(n) if col[i] < 0)
@@ -451,20 +447,34 @@ def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[Categorif
     return new_seed, ExchangeData(k, tk, tk_star, e, e_prime)
 
 
+def walk_tilting(g: GammaC) -> Iterator[Edge]:
+    """Breadth-first walk over every tilting object from the projective
+    generator, yielding each mutation edge ``(seed, k, next_seed, exchange)``.
+
+    Each tilting object is expanded once, as the seed that first reached it,
+    and its edges come out for k = 1..n in turn, so ``k == 1`` marks a newly
+    expanded seed.
+    """
+    start = initial_seed_c(g)
+    seen = {start.tilting_key}
+    queue = deque([start])
+    while queue:
+        seed = queue.popleft()
+        for k in range(1, g.quiver.n + 1):
+            nxt, xd = mutate_tilting(g, seed, k)
+            yield seed, k, nxt, xd
+            if nxt.tilting_key not in seen:
+                seen.add(nxt.tilting_key)
+                queue.append(nxt)
+
+
 def enumerate_tilting_objects(g: GammaC) -> dict[frozenset, tuple[int, ...]]:
     """All tilting objects, reached by mutation from the projective generator;
     values are mutation paths from that seed."""
-    start = initial_seed_c(g)
-    paths: dict[frozenset, tuple[int, ...]] = {start.tilting_key: ()}
-    queue = [(start, ())]
-    while queue:
-        seed, path = queue.pop(0)
-        for k in range(1, g.quiver.n + 1):
-            nxt, _ = mutate_tilting(g, seed, k)
-            key = nxt.tilting_key
-            if key not in paths:
-                paths[key] = path + (k,)
-                queue.append((nxt, path + (k,)))
+    paths: dict[frozenset, tuple[int, ...]] = {initial_seed_c(g).tilting_key: ()}
+    for seed, k, nxt, _ in walk_tilting(g):
+        if nxt.tilting_key not in paths:
+            paths[nxt.tilting_key] = paths[seed.tilting_key] + (k,)
     return paths
 
 
@@ -527,56 +537,44 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
     dimension vector there is well defined.
     """
     g = GammaC(quiver)
-    start = initial_seed_c(g)
-    seen: dict[frozenset, tuple[int, ...]] = {start.tilting_key: ()}
-    queue = [(start, ())]
-    checked_tiltings = 0
-    lemma7_cases = 0
+    index, tau_i, hom_i = g.index, g.tau_i, g.hom_i
+    checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
-    while queue:
-        seed, path = queue.pop(0)
-        checked_tiltings += 1
-        shifted = {g.tau[t] for t in seed.summands}
-        admissible = [v for v in g.vertices if v not in shifted]
-        vectors: dict[tuple[int, ...], CVertex] = {}
-        for m in admissible:
-            vec = dim_vector_mod_B(g, seed, m)
-            if vec in vectors:
-                failures.append(
-                    {
-                        "tilting": [t.render() for t in seed.summands],
-                        "first": vectors[vec].render(),
-                        "second": m.render(),
-                        "vector": list(vec),
-                    }
-                )
-            else:
-                vectors[vec] = m
-        for k in range(1, g.quiver.n + 1):
-            nxt, xd = mutate_tilting(g, seed, k)
-            new_shifted = {g.tau[t] for t in nxt.summands}
+    for seed, k, nxt, xd in walk_tilting(g):
+        if k == 1:
+            checked_tiltings += 1
+            summands = [index[t] for t in seed.summands]
+            shifted = {tau_i[t] for t in summands}
+            admissible = [m for m in range(len(g.vertices)) if m not in shifted]
+            # column m of the summands' hom rows is m's dimension vector
+            columns = list(zip(*(hom_i[t] for t in summands)))
+            first: dict[tuple[int, ...], int] = {}
             for m in admissible:
-                if m in new_shifted:
-                    if m != g.tau[xd.tk_star]:
-                        failures.append(
-                            {
-                                "tilting": [t.render() for t in seed.summands],
-                                "k": k,
-                                "object": m.render(),
-                                "reason": "entered the shifted summands without being the new one",
-                            }
-                        )
-                else:
-                    dim_vector_mod_B(g, nxt, m)
-                lemma7_cases += 1
-            key = nxt.tilting_key
-            if key not in seen:
-                seen[key] = path + (k,)
-                queue.append((nxt, path + (k,)))
+                vec = columns[m]
+                if first.setdefault(vec, m) != m:
+                    failures.append(
+                        {
+                            "tilting": [t.render() for t in seed.summands],
+                            "first": g.vertices[first[vec]].render(),
+                            "second": g.vertices[m].render(),
+                            "vector": list(vec),
+                        }
+                    )
+        lemma7_cases += len(admissible)
+        entered = {tau_i[index[t]] for t in nxt.summands} - shifted
+        for m in sorted(entered - {tau_i[index[xd.tk_star]]}):
+            failures.append(
+                {
+                    "tilting": [t.render() for t in seed.summands],
+                    "k": k,
+                    "object": g.vertices[m].render(),
+                    "reason": "entered the shifted summands without being the new one",
+                }
+            )
     return {
         "diagram": g.diagram.label,
         "vertices": len(g.vertices),
-        "tilting_count": len(seen),
+        "tilting_count": checked_tiltings,
         "injective_everywhere": not failures,
         "propagation_cases": lemma7_cases,
         "failures": failures,

@@ -18,12 +18,10 @@ from .bound import counterexample_report
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,
-    enumerate_tilting_objects,
-    initial_seed_c,
     is_compatible,
     lemma6_check,
-    mutate_tilting,
     theorem1_injectivity,
+    walk_tilting,
 )
 from .laurent import (
     den_injectivity_check,
@@ -48,6 +46,8 @@ VERIFY_TARGETS = (
     "lemma67",
     "denomhom",
 )
+# the only targets that read --depth; both need at least one mutation step
+DEPTH_TARGETS = ("corollary5", "denomhom")
 DYNKIN_TYPES = ("A2", "A3", "A4", "D4")
 
 # cross-checked against the categorical tilting-object count in verify theorem1
@@ -264,30 +264,25 @@ def _verify_prop8(qtype: str, depth, seed):
 def _verify_lemma67(qtype: str, depth, seed):
     q = builtin_quiver(qtype)
     g = GammaC(q)
-    seed0 = initial_seed_c(g)
-    paths = enumerate_tilting_objects(g)
-    compat_cases = 0
+    tilting_objects = compat_cases = 0
     failures: list[dict] = []
-    for _key, path in sorted(paths.items(), key=lambda kv: kv[1]):
-        cur = seed0
-        for k in path:
-            cur, _ = mutate_tilting(g, cur, k)
-        for k in range(1, q.n + 1):
-            _nxt, xd = mutate_tilting(g, cur, k)
-            for m in g.vertices:
-                compat_cases += 1
-                if not is_compatible(g, m, xd):
-                    failures.append(
-                        {"path": list(path), "k": k, "object": m.render(), "check": "compatibility"}
-                    )
-                if not lemma6_check(g, m, xd):
-                    failures.append(
-                        {"path": list(path), "k": k, "object": m.render(), "check": "shifted agreement"}
-                    )
+    for cur, k, _nxt, xd in walk_tilting(g):
+        tilting_objects += k == 1
+        tilting = [t.render() for t in cur.summands]
+        for m in g.vertices:
+            compat_cases += 1
+            if not is_compatible(g, m, xd):
+                failures.append(
+                    {"tilting": tilting, "k": k, "object": m.render(), "check": "compatibility"}
+                )
+            if not lemma6_check(g, m, xd):
+                failures.append(
+                    {"tilting": tilting, "k": k, "object": m.render(), "check": "shifted agreement"}
+                )
     prop = theorem1_injectivity(q)
     ok = not failures and prop["injective_everywhere"]
     details = {
-        "tilting_objects": len(paths),
+        "tilting_objects": tilting_objects,
         "compatibility_cases": compat_cases,
         "propagation_cases": prop["propagation_cases"],
     }
@@ -337,8 +332,11 @@ def _checked_type(target: str, qtype, parser) -> str | None:
 
 def cmd_verify(args, parser) -> int:
     qtype = _checked_type(args.target, args.type, parser)
-    if args.target == "denomhom" and args.depth == 0:
-        parser.error("denomhom needs --depth of at least 1")
+    if args.depth is not None:
+        if args.target not in DEPTH_TARGETS:
+            parser.error(f"{args.target} takes no --depth")
+        if args.depth == 0:
+            parser.error(f"{args.target} needs --depth of at least 1")
     try:
         ok, details, witness = _VERIFY_DISPATCH[args.target](qtype, args.depth, args.seed)
     except (AssertionError, ArithmeticError, RuntimeError) as exc:
@@ -409,7 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("target", choices=VERIFY_TARGETS)
     p_ver.add_argument("--type", choices=BUILTIN_QUIVER_NAMES)
-    p_ver.add_argument("--depth", type=non_negative_int)
+    p_ver.add_argument(
+        "--depth",
+        type=non_negative_int,
+        help=f"mutation depth cutoff, at least 1 (only for {', '.join(DEPTH_TARGETS)})",
+    )
     p_ver.add_argument("--seed", type=int, default=0, help="RNG seed for sampled sweeps")
     p_ver.add_argument("--format", choices=("json", "tsv"), default="json")
 

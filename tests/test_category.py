@@ -18,10 +18,13 @@ import itertools
 import pytest
 
 from clustercat.category import (
+    CategorifiedSeed,
     CObject,
     CVertex,
     GammaC,
     MInShiftedT,
+    MultipleComplements,
+    NoComplement,
     den_vs_hom_crosscheck,
     dim_vector_mod_B,
     enumerate_tilting_objects,
@@ -32,8 +35,9 @@ from clustercat.category import (
     mutate_tilting,
     shifted_initial_seed_c,
     theorem1_injectivity,
+    walk_tilting,
 )
-from clustercat.quivers import builtin_quiver
+from clustercat.quivers import Quiver, builtin_quiver
 from clustercat.reps import (
     ext1_dim,
     hom,
@@ -41,6 +45,14 @@ from clustercat.reps import (
     projective_dims,
     tau_inverse,
 )
+
+
+D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+QUIVERS = {"A4": builtin_quiver("A4"), "D4": builtin_quiver("D4"), "D6": D6, "E6": E6}
 
 
 def oracle_hom_c(quiver, x: CVertex, y: CVertex) -> int:
@@ -131,6 +143,91 @@ def test_tilting_object_counts_two_routes(name, count):
     start = initial_seed_c(g)
     assert start.tilting_key in reached
     assert reached[start.tilting_key] == ()
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6"])
+def test_int_tables_match_vertex_queries(name):
+    g = GammaC(QUIVERS[name])
+    assert [g.index[v] for v in g.vertices] == list(range(len(g.vertices)))
+    for x, vx in enumerate(g.vertices):
+        assert g.vertices[g.tau_i[x]] == g.tau[vx]
+        for y, vy in enumerate(g.vertices):
+            assert g.hom_i[x][y] == g.hom_c_dim(vx, vy)
+            ext_free = g.ext1_c_dim(vx, vy) == 0 and g.ext1_c_dim(vy, vx) == 0
+            assert bool(g.ext_free[x] >> y & 1) == ext_free, (vx, vy)
+
+
+def brute_force_partner(g, seed, k):
+    """Exchange partner of summand k by scanning every indecomposable for one
+    that is rigid and ext-free with the other summands, with the middle terms
+    read off the matrix column; the route mutate_tilting replaced."""
+    n = g.quiver.n
+    tk = seed.summands[k - 1]
+    others = tuple(v for i, v in enumerate(seed.summands) if i != k - 1)
+    found = [
+        cand
+        for cand in g.vertices
+        if cand != tk
+        and cand not in others
+        and not g.ext1_c_dim(cand, cand)
+        and all(not g.ext1_c_dim(cand, o) and not g.ext1_c_dim(o, cand) for o in others)
+    ]
+    col = [seed.b[i][k - 1] for i in range(n)]
+    e = CObject.of((seed.summands[i], col[i]) for i in range(n) if col[i] > 0)
+    e_prime = CObject.of((seed.summands[i], -col[i]) for i in range(n) if col[i] < 0)
+    return found, e, e_prime
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "D6"])
+def test_mask_partner_matches_brute_force_scan(name):
+    g = GammaC(QUIVERS[name])
+    edges = 0
+    for seed, k, nxt, xd in walk_tilting(g):
+        found, e, e_prime = brute_force_partner(g, seed, k)
+        assert found == [xd.tk_star], (seed.summands, k)
+        assert (xd.k, xd.tk, xd.e, xd.e_prime) == (k, seed.summands[k - 1], e, e_prime)
+        assert g.ext1_c_dim(xd.tk, xd.tk_star) == 1
+        assert nxt.summands[k - 1] == xd.tk_star
+        assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
+        edges += 1
+    assert edges == len(enumerate_tilting_objects(g)) * g.quiver.n
+
+
+def test_walker_expands_each_tilting_object_once():
+    g = GammaC(builtin_quiver("D4"))
+    edges = list(walk_tilting(g))
+    expanded = [seed for seed, k, _, _ in edges if k == 1]
+    assert [k for _, k, _, _ in edges] == [1, 2, 3, 4] * len(expanded)
+    assert expanded[0] == initial_seed_c(g)
+    assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
+    assert all(is_tilting_c(g, CObject.of_vertices(*s.summands)) for s in expanded)
+
+
+def test_non_tilting_seeds_raise():
+    # on seeds that are not tilting objects, the checks that guard the mask
+    # route fire exactly where the brute-force scan says they must
+    g = GammaC(builtin_quiver("D4"))
+    b = initial_seed_c(g).b
+    raised = set()
+    for combo in itertools.combinations(g.vertices, 4):
+        seed = CategorifiedSeed(combo, b)
+        found, _, _ = brute_force_partner(g, seed, 4)
+        if not found:
+            error = NoComplement
+        elif len(found) > 1:
+            error = MultipleComplements
+        elif g.ext1_c_dim(combo[3], found[0]) != 1:
+            error = AssertionError
+        else:
+            assert mutate_tilting(g, seed, 4)[1].tk_star == found[0]
+            continue
+        with pytest.raises(error):
+            mutate_tilting(g, seed, 4)
+        raised.add(error)
+    assert raised == {NoComplement, MultipleComplements, AssertionError}
+    p1 = g.proj_vertex[1]
+    with pytest.raises(ValueError):
+        mutate_tilting(g, CategorifiedSeed((p1, p1, g.proj_vertex[3], g.proj_vertex[4]), b), 2)
 
 
 def test_is_tilting_c():
@@ -228,6 +325,30 @@ def test_theorem1_injectivity_reports():
     rep3 = theorem1_injectivity(builtin_quiver("A3"))
     assert rep3["tilting_count"] == 14
     assert rep3["injective_everywhere"] is True
+
+
+@pytest.mark.parametrize(
+    "quiver,count,cases",
+    [(D5, 182, 18_200), (D6, 672, 120_960), (E6, 833, 179_928), (E7, 4160, 1_834_560)],
+    ids=["D5", "D6", "E6", "E7"],
+)
+def test_theorem1_finite_type_counts(quiver, count, cases):
+    # Fomin-Zelevinsky cluster counts; every tilting object and every one of
+    # its n mutations checks the objects outside its shift
+    rep = theorem1_injectivity(quiver)
+    assert rep["tilting_count"] == count
+    assert rep["injective_everywhere"] is True
+    assert rep["failures"] == []
+    assert rep["propagation_cases"] == cases == count * quiver.n * (rep["vertices"] - quiver.n)
+
+
+@pytest.mark.slow
+def test_theorem1_exhaustive_e8():
+    rep = theorem1_injectivity(E8)
+    assert rep["vertices"] == 128
+    assert rep["tilting_count"] == 25_080
+    assert rep["injective_everywhere"] is True
+    assert rep["propagation_cases"] == 25_080 * 8 * 120
 
 
 def test_den_vs_hom_exhaustive_small_depth():

@@ -210,9 +210,27 @@ def test_two_cycle_quiver_is_usage_error(capsys, tmp_path, command):
         ["verify", "corollary5", "--depth", "-1"],
         ["verify", "theorem1", "--type", "A2", "--depth", "-1"],
         ["verify", "denomhom", "--type", "A2", "--depth", "0"],
+        ["verify", "corollary5", "--depth", "0"],
     ],
 )
 def test_bad_depth_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--type", "A2"],
+        ["corollary4", "--type", "A2"],
+        ["counterexample"],
+        ["prop8", "--type", "A2"],
+        ["lemma67", "--type", "A2"],
+    ],
+)
+def test_depth_is_usage_error_where_unread(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv, "--depth", "5"])
+    assert exc.value.code == 2
+    assert f"{argv[0]} takes no --depth" in capsys.readouterr().err
