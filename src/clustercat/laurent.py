@@ -85,9 +85,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {(0,) * self.nvars: 1}
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self._key == other._key
 

@@ -24,8 +24,6 @@ __all__ = [
     "zeros",
     "identity",
     "shape_of",
-    "mat_add",
-    "mat_sub",
     "mat_neg",
     "mat_mul",
     "mat_vec",
@@ -69,14 +67,6 @@ def shape_of(m: Matrix, rows: int, cols: int) -> tuple[int, int]:
         if len(row) != cols:
             raise ValueError(f"expected {cols} columns, got {len(row)}")
     return rows, cols
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_neg(a: Matrix) -> Matrix:

@@ -53,12 +53,6 @@ class Quiver:
             if s == t:
                 raise ValueError(f"loop at vertex {s} not allowed")
 
-    def arrows_from(self, v: int) -> list[tuple[int, tuple[int, int]]]:
-        return [(i, a) for i, a in enumerate(self.arrows) if a[0] == v]
-
-    def arrows_into(self, v: int) -> list[tuple[int, tuple[int, int]]]:
-        return [(i, a) for i, a in enumerate(self.arrows) if a[1] == v]
-
     def arrow_count(self, s: int, t: int) -> int:
         return sum(1 for a in self.arrows if a == (s, t))
 
@@ -104,9 +98,6 @@ class Quiver:
                     frontier.append(w)
         return len(seen) == self.n
 
-    def opposite(self) -> "Quiver":
-        return Quiver(self.n, tuple((t, s) for s, t in self.arrows))
-
 
 def exchange_matrix(q: Quiver) -> IntMatrix:
     """Skew-symmetric matrix b_ij = #(i->j) - #(j->i).
@@ -150,15 +141,17 @@ def mutate_matrix(b, k: int) -> IntMatrix:
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
     kk = k - 1
-    pos = lambda x: x if x > 0 else 0
+    bk = b[kk]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + pos(b[i][kk]) * pos(b[kk][j]) - pos(-b[i][kk]) * pos(-b[kk][j]))
+    for i, bi in enumerate(b):
+        c = bi[kk]
+        if i == kk:
+            row = [-x for x in bi]
+        else:
+            # b_ij moves only where b_ik and b_kj share a sign, by |b_ik| b_kj
+            a = abs(c)
+            row = [x + a * y if c * y > 0 else x for x, y in zip(bi, bk)]
+            row[kk] = -c
         out.append(tuple(row))
     return tuple(out)
 

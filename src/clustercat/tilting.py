@@ -8,6 +8,10 @@ for the single new indecomposable left in the cokernel.  Over a Dynkin quiver
 this walks any tilting module down to the direct sum of the indecomposable
 injectives, shrinking the torsion class at every step; the chain report
 carries the exact-sequence witness for each swap.
+
+Everything here needs a Dynkin quiver: its indecomposables are fixed by their
+dimension vectors, so hom and ext between them are one table per quiver, and
+torsion classes, descent summands and rigidity checks are lookups in it.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .quivers import Quiver, classify_diagram
 from .reps import (
+    NegativeExtError,
     Representation,
     all_indecomposables,
     direct_sum,
     euler_data,
-    ext1_dim,
     hom,
     indecomposable_from_root,
     injective_dims,
@@ -48,43 +53,38 @@ class DescentStepError(RuntimeError):
     """Approximation or cokernel misbehaved during a swap; engine bug."""
 
 
-def _require_indecomposable(s: Representation) -> None:
-    # brick test; over a Dynkin quiver brick and indecomposable agree
-    end = hom(s, s).dim
-    if end != 1:
-        raise DecomposableSummand(
-            f"summand {s.dims} has {end}-dimensional endomorphism ring"
-        )
-
-
 @dataclass(frozen=True)
 class TiltingModule:
-    """Ordered tuple of pairwise non-isomorphic rigid indecomposables.
+    """Ordered tuple of pairwise non-isomorphic rigid indecomposables over a
+    Dynkin quiver.
 
-    Construction validates everything: summand count, indecomposability,
-    distinctness (by dimension vector, which is faithful away from regular
-    components), and vanishing of ext in both directions including self.
+    Construction validates everything: the quiver, indecomposability (brick),
+    summand count, distinctness (by dimension vector, faithful by Gabriel's
+    theorem), and vanishing of ext in both directions including self.
     """
 
     quiver: Quiver
     summands: tuple[Representation, ...]
 
     def __post_init__(self):
+        table = _directed_indecomposables(self.quiver)
+        for s in self.summands:
+            if s.quiver != self.quiver:
+                raise ValueError("summand lives on a different quiver")
+            # over a Dynkin quiver brick and indecomposable agree
+            if (end := hom(s, s).dim) != 1:
+                raise DecomposableSummand(
+                    f"summand {s.dims} has {end}-dimensional endomorphism ring"
+                )
         if len(self.summands) != self.quiver.n:
             raise NotTilting(
                 f"need {self.quiver.n} summands, got {len(self.summands)}"
             )
-        seen = set()
-        for s in self.summands:
-            if s.quiver != self.quiver:
-                raise ValueError("summand lives on a different quiver")
-            _require_indecomposable(s)
-            if s.dims in seen:
-                raise NotTilting(f"repeated summand {s.dims}")
-            seen.add(s.dims)
+        if len(set(self.dims)) != len(self.summands):
+            raise NotTilting(f"repeated summand in {self.dims}")
         for a in self.summands:
             for b in self.summands:
-                if ext1_dim(a, b) != 0:
+                if table.ext[table.index[a.dims]][table.index[b.dims]]:
                     raise NotTilting(f"ext^1({a.dims}, {b.dims}) is nonzero")
 
     @property
@@ -99,43 +99,52 @@ class TiltingModule:
 
 @dataclass(frozen=True)
 class TorsionClass:
-    """Dimension vectors of the indecomposables with no extensions from T."""
+    """Dimension vectors of the indecomposables with no extensions from T;
+    bit i of ``mask`` is set iff the i-th directed indecomposable is one."""
 
     members: frozenset
+    mask: int
 
 
 def is_tilting_module(quiver: Quiver, summands) -> bool:
     """Whether the given indecomposables form a tilting module.
 
-    Raises DecomposableSummand when a candidate is not a brick; the boolean
-    covers the count and the ext conditions.
+    Raises as TiltingModule does on a non-Dynkin quiver, a summand from
+    another quiver or a non-brick; the boolean covers count, distinctness
+    and ext.
     """
-    summands = tuple(summands)
-    for s in summands:
-        _require_indecomposable(s)
-    if len(summands) != quiver.n:
+    try:
+        TiltingModule(quiver, tuple(summands))
+    except NotTilting:
         return False
-    if len({s.dims for s in summands}) != len(summands):
-        return False
-    return all(ext1_dim(a, b) == 0 for a in summands for b in summands)
+    return True
+
+
+class _ModuleTable(NamedTuple):
+    ordered: tuple[Representation, ...]
+    hh: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    ext: tuple[tuple[int, ...], ...]
+    ext_free: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _directed_indecomposables(q: Quiver):
-    """All indecomposables ordered so hom(X_i, X_j) != 0 forces i <= j.
+def _directed_indecomposables(q: Quiver) -> _ModuleTable:
+    """One hom/ext table over the indecomposables of a Dynkin quiver.
 
-    Dynkin module categories are directed, so the nonzero-hom relation on
-    pairwise non-isomorphic indecomposables is a partial order; any linear
-    extension works.  Returns (ordered reps, hom-dimension matrix).
+    ``ordered`` is a linear extension of the nonzero-hom relation, a partial
+    order as Dynkin module categories are directed; ``index`` maps a dimension
+    vector to its id.  ``hh[i][j]`` is dim Hom(X_i, X_j), ``ext[i][j]`` is
+    hh[i][j] - <d_i, d_j> = dim Ext^1(X_i, X_j), and bit j of ``ext_free[i]``
+    is set iff ext[i][j] = 0.
     """
+    diagram = classify_diagram(q)
+    if diagram.kind != "dynkin":
+        raise ValueError(f"tilting modules need a Dynkin quiver, got {diagram.label}")
     inds = all_indecomposables(q)
     nn = len(inds)
     hmat = [[hom(a, b).dim for b in inds] for a in inds]
-    indeg = [0] * nn
-    for i in range(nn):
-        for j in range(nn):
-            if i != j and hmat[i][j]:
-                indeg[j] += 1
+    indeg = [sum(1 for i in range(nn) if i != j and hmat[i][j]) for j in range(nn)]
     avail = [i for i in range(nn) if indeg[i] == 0]
     order: list[int] = []
     while avail:
@@ -151,7 +160,16 @@ def _directed_indecomposables(q: Quiver):
         raise ValueError("hom relation between indecomposables has a cycle")
     ordered = tuple(inds[i] for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
-    return ordered, hh
+    ed = euler_data(q)
+    ext = tuple(
+        tuple(h - ed.euler_form(a.dims, b.dims) for h, b in zip(row, ordered))
+        for row, a in zip(hh, ordered)
+    )
+    if min(map(min, ext)) < 0:
+        raise NegativeExtError("ext went negative between indecomposables")
+    ext_free = tuple(sum(1 << j for j, e in enumerate(row) if e == 0) for row in ext)
+    index = {m.dims: i for i, m in enumerate(ordered)}
+    return _ModuleTable(ordered, hh, index, ext, ext_free)
 
 
 def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...], ...]:
@@ -161,7 +179,8 @@ def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...]
     multiplicities (bricks on the diagonal, zeros below), so back-substitution
     forces them.  The result is cross-checked against the dimension vector.
     """
-    ordered, hh = _directed_indecomposables(q)
+    table = _directed_indecomposables(q)
+    ordered, hh = table.ordered, table.hh
     nn = len(ordered)
     homs = [hom(x, rep).dim for x in ordered]
     mult = [0] * nn
@@ -184,29 +203,29 @@ def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...]
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
     """All tilting modules, by brute force over indecomposable subsets."""
-    inds, hh = _directed_indecomposables(quiver)
-    ed = euler_data(quiver)
-    nn = len(inds)
-    ext = [
-        [hh[i][j] - ed.euler_form(inds[i].dims, inds[j].dims) for j in range(nn)]
-        for i in range(nn)
-    ]
+    table = _directed_indecomposables(quiver)
     out = []
-    for sub in combinations(range(nn), quiver.n):
-        if all(ext[i][j] == 0 for i in sub for j in sub):
-            out.append(TiltingModule(quiver, tuple(inds[i] for i in sub)))
+    for sub in combinations(range(len(table.ordered)), quiver.n):
+        if all(table.ext[i][j] == 0 for i in sub for j in sub):
+            out.append(TiltingModule(quiver, tuple(table.ordered[i] for i in sub)))
     return tuple(out)
+
+
+def _summand_ids(quiver: Quiver, t: TiltingModule) -> tuple[_ModuleTable, list[int]]:
+    if t.quiver != quiver:
+        raise ValueError("tilting module lives on a different quiver")
+    table = _directed_indecomposables(quiver)
+    return table, [table.index[d] for d in t.dims]
 
 
 def torsion_class(quiver: Quiver, t: TiltingModule) -> TorsionClass:
     """Indecomposables M with ext^1(T, M) = 0, recorded by dimension vector."""
-    inds, _ = _directed_indecomposables(quiver)
-    keep = [
-        m.dims
-        for m in inds
-        if all(ext1_dim(s, m) == 0 for s in t.summands)
-    ]
-    return TorsionClass(frozenset(keep))
+    table, ids = _summand_ids(quiver, t)
+    mask = (1 << len(table.ordered)) - 1
+    for i in ids:
+        mask &= table.ext_free[i]
+    keep = [m.dims for j, m in enumerate(table.ordered) if mask >> j & 1]
+    return TorsionClass(frozenset(keep), mask)
 
 
 def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
@@ -216,12 +235,13 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     summands, so the full hom space from T onto it is the one-dimensional
     endomorphism ring.
     """
+    table, ids = _summand_ids(quiver, t)
     inj = {injective_dims(quiver, i) for i in range(1, quiver.n + 1)}
     noninj = [k for k, s in enumerate(t.summands) if s.dims not in inj]
     if not noninj:
         return None
     for k in noninj:
-        total = sum(hom(s, t.summands[k]).dim for s in t.summands)
+        total = sum(table.hh[i][ids[k]] for i in ids)
         if total == 1:
             return k
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
@@ -336,7 +356,7 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     class while the removed summand keeps trivial extensions into it.  An
     already injective module yields an empty chain.
     """
-    inds, _ = _directed_indecomposables(quiver)
+    table = _directed_indecomposables(quiver)
     inj = {injective_dims(quiver, i) for i in range(1, quiver.n + 1)}
     cur = t
     cur_tc = torsion_class(quiver, cur)
@@ -346,7 +366,7 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
         k = find_descent_summand(quiver, cur)
         if k is None:
             break
-        if len(steps) >= len(inds):
+        if len(steps) >= len(table.ordered):
             raise DescentStepError("descent did not terminate within the module count")
         t0 = cur.summands[k]
         new_t, witness = complement_and_sequence(quiver, cur, k)
@@ -357,9 +377,8 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
             raise DescentStepError("swap changed more than one summand")
         if t0.dims in new_tc.members:
             raise DescentStepError("removed summand stayed in the torsion class")
-        for d in new_tc.members:
-            if ext1_dim(t0, indecomposable_from_root(quiver, d)) != 0:
-                raise DescentStepError("extension from the removed summand survived")
+        if new_tc.mask & ~table.ext_free[table.index[t0.dims]]:
+            raise DescentStepError("extension from the removed summand survived")
         steps.append(witness)
         sizes.append(len(new_tc.members))
         cur, cur_tc = new_t, new_tc

@@ -75,6 +75,33 @@ def test_mutation_involution_and_skew_symmetry(b, data):
     assert mutate_matrix(b2, k) == b
 
 
+def _mutate_by_formula(b, k):
+    pos = lambda x: max(x, 0)
+    n, kk = len(b), k - 1
+    return tuple(
+        tuple(
+            -b[i][j]
+            if kk in (i, j)
+            else b[i][j] + pos(b[i][kk]) * pos(b[kk][j]) - pos(-b[i][kk]) * pos(-b[kk][j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.integers(-4, 4), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(lambda vals: _skew_from_upper(n, vals))
+    )
+)
+def test_mutation_matches_written_out_formula(b):
+    for k in range(1, len(b) + 1):
+        assert mutate_matrix(b, k) == _mutate_by_formula(b, k)
+
+
 def test_acyclicity():
     assert builtin_quiver("A3").is_acyclic()
     assert builtin_quiver("Atilde21").is_acyclic()

@@ -1,11 +1,14 @@
 import pytest
 
+from clustercat.bound import projective
 from clustercat.category import GammaC, enumerate_tilting_objects
-from clustercat.quivers import builtin_quiver
+from clustercat.quivers import Quiver, builtin_quiver
 from clustercat.reps import (
+    MonomialAlgebra,
     Representation,
     all_indecomposables,
     direct_sum,
+    ext1_dim,
     indecomposable_from_root,
     injective_dims,
     projective_dims,
@@ -14,6 +17,7 @@ from clustercat.tilting import (
     DecomposableSummand,
     NotTilting,
     TiltingModule,
+    _directed_indecomposables,
     complement_and_sequence,
     enumerate_tilting_modules,
     find_descent_summand,
@@ -24,7 +28,11 @@ from clustercat.tilting import (
 )
 
 A3 = builtin_quiver("A3")
+A4 = builtin_quiver("A4")
 D4 = builtin_quiver("D4")
+A5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
 
 
 def rep(q, dims):
@@ -170,3 +178,65 @@ def test_descent_invariants_everywhere(q, bound):
             cur, w = complement_and_sequence(q, cur, step["replaced_index"])
             assert w == step
         assert frozenset(cur.dims) == inj
+
+
+@pytest.mark.parametrize("q", [A3, A5, D4, D5, E6], ids=["A3", "A5", "D4", "D5", "E6"])
+def test_ext_table_matches_hom_solve(q):
+    table = _directed_indecomposables(q)
+    assert [m.dims for m in table.ordered] == sorted(
+        table.index, key=table.index.__getitem__
+    )
+    for i, a in enumerate(table.ordered):
+        for j, b in enumerate(table.ordered):
+            e = ext1_dim(a, b)
+            assert table.ext[i][j] == e, (a.dims, b.dims)
+            assert (table.ext_free[i] >> j & 1) == (e == 0)
+
+
+def _brute_force_torsion(q, t):
+    return frozenset(
+        m.dims
+        for m in all_indecomposables(q)
+        if all(ext1_dim(s, m) == 0 for s in t.summands)
+    )
+
+
+@pytest.mark.parametrize("q", [A4, D4], ids=["A4", "D4"])
+def test_torsion_class_matches_brute_force(q):
+    table = _directed_indecomposables(q)
+    for t in enumerate_tilting_modules(q):
+        tc = torsion_class(q, t)
+        assert tc.members == _brute_force_torsion(q, t)
+        assert tc.mask == sum(1 << table.index[d] for d in tc.members)
+
+
+@pytest.mark.parametrize("q,total", [(A4, 37), (D4, 75)], ids=["A4", "D4"])
+def test_survival_mask_matches_hom_solve(q, total):
+    # replays every descent step and checks the removed summand's ext-free
+    # mask bit by bit against a fresh solve, then the survival test itself
+    table = _directed_indecomposables(q)
+    steps = 0
+    for t in enumerate_tilting_modules(q):
+        cur = t
+        while (k := find_descent_summand(q, cur)) is not None:
+            t0 = cur.summands[k]
+            cur, _ = complement_and_sequence(q, cur, k)
+            free = table.ext_free[table.index[t0.dims]]
+            ext = {d: ext1_dim(t0, indecomposable_from_root(q, d)) for d in table.index}
+            for d, e in ext.items():
+                assert (free >> table.index[d] & 1) == (e == 0), (t0.dims, d)
+            tc = torsion_class(q, cur)
+            assert bool(tc.mask & ~free) == any(ext[d] for d in tc.members)
+            steps += 1
+    assert steps == total
+
+
+def test_non_dynkin_quiver_is_refused():
+    qa = builtin_quiver("Atilde21")
+    algebra = MonomialAlgebra(qa, ())
+    ps = tuple(projective(algebra, i) for i in range(1, qa.n + 1))
+    assert [p.dims for p in ps] == [(1, 1, 2), (0, 1, 1), (0, 0, 1)]
+    with pytest.raises(ValueError, match="need a Dynkin quiver, got A~"):
+        TiltingModule(qa, ps)
+    with pytest.raises(ValueError, match="need a Dynkin quiver, got A~"):
+        is_tilting_module(qa, ps)
