@@ -97,11 +97,6 @@ class CVertex:
             return "M(" + ",".join(str(d) for d in self.dims) + ")"
         return f"SP({self.shift_vertex})"
 
-    def to_json(self) -> dict:
-        if self.is_module:
-            return {"kind": "module", "dims": list(self.dims)}
-        return {"kind": "shifted_projective", "vertex": self.shift_vertex}
-
     def __repr__(self):
         return self.render()
 

@@ -35,7 +35,6 @@ __all__ = [
     "inverse",
     "is_integral",
     "to_int_matrix",
-    "vstack",
 ]
 
 
@@ -179,7 +178,3 @@ def to_int_matrix(a: Matrix) -> list[list[int]]:
     if not is_integral(a):
         raise ValueError("matrix has non-integer entries")
     return [[int(x) for x in row] for row in a]
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    return [row[:] for row in a] + [row[:] for row in b]

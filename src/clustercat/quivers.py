@@ -402,6 +402,13 @@ def builtin_quiver(name: str) -> Quiver:
     raise KeyError(f"unknown quiver name {name!r}; known: {', '.join(BUILTIN_QUIVER_NAMES)}")
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, and a float or string is never read as a count
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_quiver_json(source) -> tuple[Quiver, tuple[tuple[int, ...], ...]]:
     """Read a quiver (and optional monomial relations) from JSON.
 
@@ -415,12 +422,20 @@ def load_quiver_json(source) -> tuple[Quiver, tuple[tuple[int, ...], ...]]:
         data = source
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise ValueError("quiver JSON needs 'vertices' and 'arrows'")
-    q = Quiver(int(data["vertices"]), tuple((int(s), int(t)) for s, t in data["arrows"]))
-    relations = tuple(tuple(int(i) for i in rel) for rel in data.get("relations", []))
-    for rel in relations:
-        for i in rel:
-            if not (0 <= i < len(q.arrows)):
-                raise ValueError(f"relation arrow index {i} out of range")
+    arrows, relations = data["arrows"], data.get("relations", [])
+    if not isinstance(arrows, list) or any(
+        not isinstance(a, list) or len(a) != 2 for a in arrows
+    ):
+        raise ValueError("'arrows' must be a list of [source, target] pairs")
+    if not isinstance(relations, list) or any(not isinstance(r, list) for r in relations):
+        raise ValueError("'relations' must be a list of lists of arrow indices")
+    n = _json_int(data["vertices"], "'vertices'")
+    q = Quiver(n, tuple(tuple(_json_int(v, "an arrow endpoint") for v in a) for a in arrows))
+    relations = tuple(
+        tuple(_json_int(i, "a relation index") for i in rel) for rel in relations
+    )
+    if any(not 0 <= i < len(q.arrows) for rel in relations for i in rel):
+        raise ValueError(f"relation arrow index out of range in {relations}")
     return q, relations
 
 

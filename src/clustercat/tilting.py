@@ -10,14 +10,15 @@ injectives, shrinking the torsion class at every step; the chain report
 carries the exact-sequence witness for each swap.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
-dimension vectors, so hom and ext between them are one table per quiver, and
-torsion classes, descent summands and rigidity checks are lookups in it.
+dimension vectors, so hom and ext between them are one table per quiver.  An
+indecomposable is named by its id in that table; tilting modules hold ids, and
+torsion classes, descent summands and rigidity checks are lookups.  Modules
+cross in only at ``TiltingModule.of``, whose brick check maps each to its id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -31,7 +32,6 @@ from .reps import (
     direct_sum,
     euler_data,
     hom,
-    indecomposable_from_root,
     injective_dims,
     is_preinjective,
 )
@@ -55,46 +55,56 @@ class DescentStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class TiltingModule:
-    """Ordered tuple of pairwise non-isomorphic rigid indecomposables over a
-    Dynkin quiver.
+    """A tilting module over a Dynkin quiver, held as the ids of its summands
+    in the quiver's module table.
 
-    Construction validates everything: the quiver, indecomposability (brick),
-    summand count, distinctness (by dimension vector, faithful by Gabriel's
-    theorem), and vanishing of ext in both directions including self.
+    Construction checks the id range, the summand count, distinctness and
+    vanishing of ext in both directions including self, all by table lookup.
+    Modules enter only through ``of``, which checks that each is a brick (over
+    a Dynkin quiver, an indecomposable) and maps it to its id: by Gabriel's
+    theorem its dimension vector fixes it up to isomorphism.
     """
 
     quiver: Quiver
-    summands: tuple[Representation, ...]
+    ids: tuple[int, ...]
 
     def __post_init__(self):
         table = _directed_indecomposables(self.quiver)
-        for s in self.summands:
-            if s.quiver != self.quiver:
+        if not all(0 <= i < len(table.ordered) for i in self.ids):
+            raise ValueError(f"summand ids {self.ids} out of range")
+        if len(self.ids) != self.quiver.n:
+            raise NotTilting(f"need {self.quiver.n} summands, got {len(self.ids)}")
+        dims = self.dims
+        if len(set(self.ids)) != len(self.ids):
+            raise NotTilting(f"repeated summand in {dims}")
+        for a, da in zip(self.ids, dims):
+            for b, db in zip(self.ids, dims):
+                if table.ext[a][b]:
+                    raise NotTilting(f"ext^1({da}, {db}) is nonzero")
+
+    @classmethod
+    def of(cls, quiver: Quiver, summands) -> "TiltingModule":
+        """The tilting module with the given indecomposable summands."""
+        table = _directed_indecomposables(quiver)
+        ids = []
+        for s in summands:
+            if s.quiver != quiver:
                 raise ValueError("summand lives on a different quiver")
-            # over a Dynkin quiver brick and indecomposable agree
             if (end := hom(s, s).dim) != 1:
                 raise DecomposableSummand(
                     f"summand {s.dims} has {end}-dimensional endomorphism ring"
                 )
-        if len(self.summands) != self.quiver.n:
-            raise NotTilting(
-                f"need {self.quiver.n} summands, got {len(self.summands)}"
-            )
-        if len(set(self.dims)) != len(self.summands):
-            raise NotTilting(f"repeated summand in {self.dims}")
-        for a in self.summands:
-            for b in self.summands:
-                if table.ext[table.index[a.dims]][table.index[b.dims]]:
-                    raise NotTilting(f"ext^1({a.dims}, {b.dims}) is nonzero")
+            ids.append(table.index[s.dims])
+        return cls(quiver, tuple(ids))
+
+    @property
+    def summands(self) -> tuple[Representation, ...]:
+        ordered = _directed_indecomposables(self.quiver).ordered
+        return tuple(ordered[i] for i in self.ids)
 
     @property
     def dims(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.dims for s in self.summands)
-
-    def replaced(self, k: int, new: Representation) -> "TiltingModule":
-        out = list(self.summands)
-        out[k] = new
-        return TiltingModule(self.quiver, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -109,12 +119,12 @@ class TorsionClass:
 def is_tilting_module(quiver: Quiver, summands) -> bool:
     """Whether the given indecomposables form a tilting module.
 
-    Raises as TiltingModule does on a non-Dynkin quiver, a summand from
+    Raises as TiltingModule.of does on a non-Dynkin quiver, a summand from
     another quiver or a non-brick; the boolean covers count, distinctness
     and ext.
     """
     try:
-        TiltingModule(quiver, tuple(summands))
+        TiltingModule.of(quiver, summands)
     except NotTilting:
         return False
     return True
@@ -126,6 +136,7 @@ class _ModuleTable(NamedTuple):
     index: dict[tuple[int, ...], int]
     ext: tuple[tuple[int, ...], ...]
     ext_free: tuple[int, ...]
+    injective: frozenset[int]
 
 
 @lru_cache(maxsize=None)
@@ -135,8 +146,9 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     ``ordered`` is a linear extension of the nonzero-hom relation, a partial
     order as Dynkin module categories are directed; ``index`` maps a dimension
     vector to its id.  ``hh[i][j]`` is dim Hom(X_i, X_j), ``ext[i][j]`` is
-    hh[i][j] - <d_i, d_j> = dim Ext^1(X_i, X_j), and bit j of ``ext_free[i]``
-    is set iff ext[i][j] = 0.
+    hh[i][j] - <d_i, d_j> = dim Ext^1(X_i, X_j), bit j of ``ext_free[i]``
+    is set iff ext[i][j] = 0, and ``injective`` holds the ids of the
+    indecomposable injectives.
     """
     diagram = classify_diagram(q)
     if diagram.kind != "dynkin":
@@ -169,7 +181,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
         raise NegativeExtError("ext went negative between indecomposables")
     ext_free = tuple(sum(1 << j for j, e in enumerate(row) if e == 0) for row in ext)
     index = {m.dims: i for i, m in enumerate(ordered)}
-    return _ModuleTable(ordered, hh, index, ext, ext_free)
+    injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
+    return _ModuleTable(ordered, hh, index, ext, ext_free, injective)
 
 
 def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...], ...]:
@@ -189,40 +202,29 @@ def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...]
         if val < 0:
             raise ValueError(f"negative multiplicity at {ordered[i].dims}")
         mult[i] = val
-    total = [0] * q.n
-    for i, x in enumerate(ordered):
-        for v in range(q.n):
-            total[v] += mult[i] * x.dims[v]
-    if tuple(total) != rep.dims:
+    out = [x.dims for x, m in zip(ordered, mult) for _ in range(m)]
+    if tuple(sum(d[v] for d in out) for v in range(q.n)) != rep.dims:
         raise ValueError("summand multiplicities do not add up to the module")
-    out: list[tuple[int, ...]] = []
-    for i, x in enumerate(ordered):
-        out.extend([x.dims] * mult[i])
     return tuple(sorted(out))
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
     """All tilting modules, by brute force over indecomposable subsets."""
     table = _directed_indecomposables(quiver)
-    out = []
-    for sub in combinations(range(len(table.ordered)), quiver.n):
-        if all(table.ext[i][j] == 0 for i in sub for j in sub):
-            out.append(TiltingModule(quiver, tuple(table.ordered[i] for i in sub)))
-    return tuple(out)
-
-
-def _summand_ids(quiver: Quiver, t: TiltingModule) -> tuple[_ModuleTable, list[int]]:
-    if t.quiver != quiver:
-        raise ValueError("tilting module lives on a different quiver")
-    table = _directed_indecomposables(quiver)
-    return table, [table.index[d] for d in t.dims]
+    return tuple(
+        TiltingModule(quiver, sub)
+        for sub in combinations(range(len(table.ordered)), quiver.n)
+        if all(table.ext[i][j] == 0 for i in sub for j in sub)
+    )
 
 
 def torsion_class(quiver: Quiver, t: TiltingModule) -> TorsionClass:
     """Indecomposables M with ext^1(T, M) = 0, recorded by dimension vector."""
-    table, ids = _summand_ids(quiver, t)
+    if t.quiver != quiver:
+        raise ValueError("tilting module lives on a different quiver")
+    table = _directed_indecomposables(quiver)
     mask = (1 << len(table.ordered)) - 1
-    for i in ids:
+    for i in t.ids:
         mask &= table.ext_free[i]
     keep = [m.dims for j, m in enumerate(table.ordered) if mask >> j & 1]
     return TorsionClass(frozenset(keep), mask)
@@ -235,14 +237,13 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     summands, so the full hom space from T onto it is the one-dimensional
     endomorphism ring.
     """
-    table, ids = _summand_ids(quiver, t)
-    inj = {injective_dims(quiver, i) for i in range(1, quiver.n + 1)}
-    noninj = [k for k, s in enumerate(t.summands) if s.dims not in inj]
-    if not noninj:
+    if t.quiver != quiver:
+        raise ValueError("tilting module lives on a different quiver")
+    table = _directed_indecomposables(quiver)
+    if table.injective.issuperset(t.ids):
         return None
-    for k in noninj:
-        total = sum(table.hh[i][ids[k]] for i in ids)
-        if total == 1:
+    for k, j in enumerate(t.ids):
+        if j not in table.injective and sum(table.hh[i][j] for i in t.ids) == 1:
             return k
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
 
@@ -269,12 +270,8 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     e_rep = blocks[0][0]
     for s, _ in blocks[1:]:
         e_rep = direct_sum(e_rep, s)
-    fmats = []
-    for v in range(quiver.n):
-        stacked: list[list[Fraction]] = []
-        for _, f in blocks:
-            stacked = linalg.vstack(stacked, f[v])
-        fmats.append(stacked)
+    # at each vertex the approximation stacks the blocks' matrices
+    fmats = [[row for _, f in blocks for row in f[v]] for v in range(quiver.n)]
     for v in range(quiver.n):
         if linalg.rank(fmats[v]) != t0.dims[v]:
             raise DescentStepError(
@@ -291,8 +288,7 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
         proj.append(pv)
         w_dims.append(len(pv))
         cols = []
-        for j in range(len(pv)):
-            rhs = [Fraction(int(i == j)) for i in range(len(pv))]
+        for rhs in linalg.identity(len(pv)):
             x = linalg.solve(pv, rhs, ev)
             assert x is not None, "projection rows are independent by construction"
             cols.append(x)
@@ -321,7 +317,6 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     t0p_dims = parts[0]
     if t0p_dims == t0.dims:
         raise DescentStepError("swap reproduced the removed summand")
-    t0_prime = indecomposable_from_root(quiver, t0p_dims)
 
     e_summands = sorted(s.dims for s, _ in blocks)
     for d in stripped:
@@ -334,7 +329,8 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
             f"middle term {dim_e} is not {t0.dims} + {t0p_dims}"
         )
 
-    new_t = t.replaced(k, t0_prime)
+    t0p = _directed_indecomposables(quiver).index[t0p_dims]
+    new_t = TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:])
     witness = {
         "replaced_index": k,
         "dim_t0": list(t0.dims),
@@ -357,7 +353,6 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     already injective module yields an empty chain.
     """
     table = _directed_indecomposables(quiver)
-    inj = {injective_dims(quiver, i) for i in range(1, quiver.n + 1)}
     cur = t
     cur_tc = torsion_class(quiver, cur)
     sizes = [len(cur_tc.members)]
@@ -368,21 +363,21 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
             break
         if len(steps) >= len(table.ordered):
             raise DescentStepError("descent did not terminate within the module count")
-        t0 = cur.summands[k]
+        t0 = cur.ids[k]
         new_t, witness = complement_and_sequence(quiver, cur, k)
         new_tc = torsion_class(quiver, new_t)
         if not new_tc.members < cur_tc.members:
             raise DescentStepError("torsion class did not shrink")
-        if len(set(cur.dims) ^ set(new_t.dims)) != 2:
+        if len(set(cur.ids) ^ set(new_t.ids)) != 2:
             raise DescentStepError("swap changed more than one summand")
-        if t0.dims in new_tc.members:
+        if new_tc.mask >> t0 & 1:
             raise DescentStepError("removed summand stayed in the torsion class")
-        if new_tc.mask & ~table.ext_free[table.index[t0.dims]]:
+        if new_tc.mask & ~table.ext_free[t0]:
             raise DescentStepError("extension from the removed summand survived")
         steps.append(witness)
         sizes.append(len(new_tc.members))
         cur, cur_tc = new_t, new_tc
-    if {s.dims for s in cur.summands} != inj:
+    if set(cur.ids) != table.injective:
         raise DescentStepError("chain terminated away from the injectives")
     return {
         "diagram": classify_diagram(quiver).label,

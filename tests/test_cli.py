@@ -234,3 +234,28 @@ def test_depth_is_usage_error_where_unread(capsys, argv):
         cli.main(["verify", *argv, "--depth", "5"])
     assert exc.value.code == 2
     assert f"{argv[0]} takes no --depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": 2, "arrows": 5},
+        {"vertices": 2, "arrows": [[1, 2]], "relations": 3},
+        {"vertices": None, "arrows": []},
+        {"vertices": 2.5, "arrows": [[1, 2]]},
+        {"vertices": True, "arrows": []},
+        {"vertices": "2", "arrows": [[1, 2]]},
+        {"vertices": 2, "arrows": [[1, 2.0]]},
+        {"vertices": 3, "arrows": [[1, 2, 3]]},
+        {"vertices": 2, "arrows": [[1, 2]], "relations": [0]},
+        {"vertices": 2, "arrows": [[1, 2]], "relations": [[False]]},
+    ],
+)
+def test_mistyped_quiver_file_is_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explore", "--quiver", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read quiver file" in err and "Traceback" not in err

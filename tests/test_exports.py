@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +19,39 @@ def test_every_export_resolves(name):
     exports = getattr(mod, "__all__", ())
     assert len(set(exports)) == len(exports), f"{name}.__all__ repeats a name"
     assert [n for n in exports if not hasattr(mod, n)] == []
+
+
+def _names(tree):
+    """Every name a tree uses: bare names, attributes and imported names.
+    String constants, such as the entries of __all__, are not uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_definition_is_used():
+    # a def or class in the package that nothing in src/, tests/ or bench/
+    # names, outside its own body, is dead code
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in ("src", "tests", "bench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    used = Counter(n for tree in trees.values() for n in _names(tree))
+    dead = []
+    for path, tree in trees.items():
+        if path.is_relative_to(root / "src"):
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                own = sum(n == node.name for n in _names(node))
+                if used[node.name] == own:
+                    dead.append(f"{path.relative_to(root)}::{node.name}")
+    assert dead == []

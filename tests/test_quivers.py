@@ -192,6 +192,54 @@ def test_quiver_json_roundtrip(tmp_path):
     assert rels == ((0, 1),)
 
 
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=2)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_ENTRY = st.integers(-1, 5) | _JSON_SCALARS
+_ARROW = st.lists(_ENTRY, min_size=2, max_size=2) | st.lists(_ENTRY, max_size=3)
+_QUIVER_LIKE = st.fixed_dictionaries(
+    {"vertices": st.integers(-1, 4) | _JSON, "arrows": st.lists(_ARROW, max_size=3) | _JSON},
+    optional={"relations": st.lists(st.lists(_ENTRY, max_size=2), max_size=2) | _JSON},
+)
+
+
+@st.composite
+def _valid_quiver_json(draw):
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4))
+    data = {"vertices": n, "arrows": [[s, t] for s, t in pairs if s != t]}
+    if data["arrows"]:
+        index = st.integers(0, len(data["arrows"]) - 1)
+        data["relations"] = draw(st.lists(st.lists(index, max_size=2), max_size=2))
+    return data
+
+
+# a bare string is a file path to load_quiver_json, not a JSON value
+@settings(max_examples=300, deadline=None)
+@given(_valid_quiver_json() | _QUIVER_LIKE | _JSON.filter(lambda v: not isinstance(v, str)))
+def test_quiver_json_round_trips_or_raises_value_error(data):
+    try:
+        q, rels = load_quiver_json(data)
+    except ValueError:
+        return
+    out = quiver_to_json(q, rels)
+    assert load_quiver_json(out) == (q, rels)
+    # nothing was coerced: a float, bool or string never reads as an integer
+    expected = {"vertices": data["vertices"], "arrows": data["arrows"]}
+    if data.get("relations"):
+        expected["relations"] = data["relations"]
+    assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_quiver_json_rejects_bad_relation_index():
     with pytest.raises(ValueError):
         load_quiver_json({"vertices": 2, "arrows": [[1, 2]], "relations": [[5]]})

@@ -84,7 +84,7 @@ def test_validation_errors():
     i1 = rep(A3, (1, 0, 0))
     assert not is_tilting_module(A3, (p1, p2, i1))
     with pytest.raises(NotTilting):
-        TiltingModule(A3, (p1, p2, i1))
+        TiltingModule.of(A3, (p1, p2, i1))
     assert not is_tilting_module(A3, (p1, p2, p2))
     assert not is_tilting_module(A3, (p1, p2))
 
@@ -105,23 +105,23 @@ def test_module_decomposition():
 
 
 def test_torsion_classes_a3():
-    t_a = TiltingModule(A3, projectives(A3))
+    t_a = TiltingModule.of(A3, projectives(A3))
     assert torsion_class(A3, t_a).members == {
         m.dims for m in all_indecomposables(A3)
     }
-    t_da = TiltingModule(A3, injectives(A3))
+    t_da = TiltingModule.of(A3, injectives(A3))
     assert torsion_class(A3, t_da).members == {(1, 0, 0), (1, 1, 0), (1, 1, 1)}
 
 
 def test_descent_summand_selection():
-    t_a = TiltingModule(A3, projectives(A3))
+    t_a = TiltingModule.of(A3, projectives(A3))
     assert find_descent_summand(A3, t_a) == 2
-    t_da = TiltingModule(A3, injectives(A3))
+    t_da = TiltingModule.of(A3, injectives(A3))
     assert find_descent_summand(A3, t_da) is None
 
 
 def test_full_descent_chain_from_projectives():
-    t = TiltingModule(A3, projectives(A3))
+    t = TiltingModule.of(A3, projectives(A3))
     report = prop8_descent(A3, t)
     assert report["diagram"] == "A3"
     assert report["step_count"] == 3
@@ -143,7 +143,7 @@ def test_full_descent_chain_from_projectives():
 
 
 def test_single_step_witness():
-    t = TiltingModule(A3, projectives(A3))
+    t = TiltingModule.of(A3, projectives(A3))
     t2, w = complement_and_sequence(A3, t, 2)
     assert w["dim_t0"] == [0, 0, 1]
     assert w["e_summands"] == [[0, 1, 1]]
@@ -237,6 +237,61 @@ def test_non_dynkin_quiver_is_refused():
     ps = tuple(projective(algebra, i) for i in range(1, qa.n + 1))
     assert [p.dims for p in ps] == [(1, 1, 2), (0, 1, 1), (0, 0, 1)]
     with pytest.raises(ValueError, match="need a Dynkin quiver, got A~"):
-        TiltingModule(qa, ps)
+        TiltingModule.of(qa, ps)
     with pytest.raises(ValueError, match="need a Dynkin quiver, got A~"):
         is_tilting_module(qa, ps)
+
+
+def _copy(m, scale=1):
+    return Representation(m.quiver, m.dims, [[[scale * x for x in row] for row in a] for a in m.mats])
+
+
+def test_modules_built_apart_compare_equal():
+    a = TiltingModule.of(A3, projectives(A3))
+    b = TiltingModule.of(A3, tuple(_copy(p) for p in projectives(A3)))
+    assert a == b and hash(a) == hash(b)
+    assert a.ids == b.ids
+    assert {a, b} == {TiltingModule(A3, a.ids)}
+
+
+def test_decomposable_summand_on_a_root_is_refused():
+    # S1 + S2 has the dimension vector (1, 1, 0) of an indecomposable, so only
+    # the brick check tells it apart from that module
+    s1, s2 = rep(A3, (1, 0, 0)), rep(A3, (0, 1, 0))
+    p1, p2, p3 = projectives(A3)
+    assert (1, 1, 0) in _directed_indecomposables(A3).index
+    with pytest.raises(DecomposableSummand):
+        TiltingModule.of(A3, (direct_sum(s1, s2), p2, p3))
+    with pytest.raises(DecomposableSummand):
+        is_tilting_module(A3, (p1, direct_sum(s1, s2), p3))
+
+
+def test_isomorphic_brick_maps_to_the_table_module():
+    ps = projectives(A3)
+    scaled = _copy(ps[0], scale=2)
+    assert scaled.mats != ps[0].mats and scaled.dims == ps[0].dims
+    t = TiltingModule.of(A3, ps)
+    t_scaled = TiltingModule.of(A3, (scaled,) + ps[1:])
+    assert t_scaled.ids == t.ids
+    table = _directed_indecomposables(A3)
+    assert t_scaled.summands[0] is table.ordered[t.ids[0]]
+    assert torsion_class(A3, t_scaled) == torsion_class(A3, t)
+    assert prop8_descent(A3, t_scaled) == prop8_descent(A3, t)
+
+
+def test_ids_are_checked_by_lookup():
+    table = _directed_indecomposables(A3)
+    ids = tuple(table.index[d] for d in ((1, 1, 1), (0, 1, 1), (0, 0, 1)))
+    t = TiltingModule(A3, ids)
+    assert t.dims == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
+    assert t.summands == tuple(table.ordered[i] for i in ids)
+    with pytest.raises(NotTilting, match="repeated"):
+        TiltingModule(A3, ids[:2] + ids[:1])
+    with pytest.raises(NotTilting, match="need 3 summands"):
+        TiltingModule(A3, ids[:2])
+    with pytest.raises(NotTilting, match="ext"):
+        TiltingModule(A3, ids[:2] + (table.index[(1, 0, 0)],))
+    with pytest.raises(ValueError, match="out of range"):
+        TiltingModule(A3, ids[:2] + (-1,))
+    with pytest.raises(ValueError, match="out of range"):
+        TiltingModule(A3, ids[:2] + (len(table.ordered),))
