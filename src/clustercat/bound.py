@@ -129,16 +129,13 @@ def syzygy(m: Representation) -> tuple[Representation, Representation]:
     mats = []
     for idx, (s, t) in enumerate(q.arrows):
         src, dst = kernels[s - 1], kernels[t - 1]
-        # coordinates of each arrow image in the target kernel basis; with
-        # an empty basis only a zero image solves
-        basis_cols = linalg.transpose(dst, p0.dims[t - 1])
-        images = []
-        for vec in src:
-            coords = linalg.solve(basis_cols, linalg.mat_vec(p0.mats[idx], vec), len(dst))
-            if coords is None:
-                raise AssertionError("kernel is not arrow-stable")
-            images.append(coords)
-        mats.append(linalg.transpose(images, len(dst)))
+        # coordinates of the arrow images in the target kernel basis, in one
+        # elimination; with an empty basis only a zero image solves
+        images = linalg.transpose([linalg.mat_vec(p0.mats[idx], vec) for vec in src], p0.dims[t - 1])
+        coords = linalg.solve_matrix(linalg.transpose(dst, p0.dims[t - 1]), images, len(dst))
+        if coords is None:
+            raise AssertionError("kernel is not arrow-stable")
+        mats.append(coords)
     omega = Representation(alg, dims, mats)
     return omega, p0
 

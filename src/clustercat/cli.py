@@ -92,9 +92,11 @@ def _resolve_matrix(args, parser: argparse.ArgumentParser):
     """Exchange matrix for the seed commands, from --quiver FILE or --type NAME."""
     if getattr(args, "quiver_file", None):
         try:
-            q, _relations = load_quiver_json(args.quiver_file)
+            q, relations = load_quiver_json(args.quiver_file)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read quiver file: {exc}")
+        if relations:
+            parser.error(f"quiver file has relations {list(map(list, relations))}; seeds take none")
         source = args.quiver_file
     else:
         source = args.type or "A2"

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
-Everything in this package that touches ranks, kernels or inverses must be
-exact, so matrices are plain lists of lists of ``fractions.Fraction`` and all
-eliminations are fraction-free in spirit (Gaussian elimination over Q).
+Matrices are plain lists of lists of ``fractions.Fraction`` (ints are
+accepted as input).  Ranks, kernels, solutions and inverses all come from one
+integer elimination kernel: each row is scaled to Python ints and reduced by
+fraction-free Gauss-Jordan steps that keep each row primitive by its gcd,
+and a Fraction is formed only when an answer is read off a pivot row.
 Shapes are carried explicitly because zero-row and zero-column matrices are
 legitimate values here (representations routinely have zero-dimensional
 vertex spaces).
@@ -13,6 +15,7 @@ All functions return fresh objects; nothing mutates its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Row = list[Fraction]
@@ -32,6 +35,7 @@ __all__ = [
     "rank",
     "nullspace",
     "solve",
+    "solve_matrix",
     "inverse",
     "is_integral",
     "to_int_matrix",
@@ -99,75 +103,99 @@ def transpose(a: Matrix, cols: int | None = None) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon form of ``a`` and its pivot columns.
+
+    Rows are scaled to integers, then eliminated fraction-free: under pivot
+    p, a row with entry f becomes (p/g)*row - (f/g)*pivot_row, g = gcd(p, f),
+    divided by its content; a unit pivot touches only its row's support.
+    Pivot columns are cleared above the pivots too, so pivot row r is a
+    multiple of row r of the reduced form.  Other rows are zero.
+    """
+    m = []
+    for row in a:
+        den = 1 if set(map(type, row)) <= {int} else lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        # the smallest pivot keeps the entries small
+        col = [(abs(row[c]), i) for i, row in enumerate(m[r:], r) if row[c]]
+        if not col:
             continue
+        best, pr = min(col)
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r] = m[r] if m[r][c] > 0 else [-x for x in m[r]]
+        support = [j for j, y in enumerate(prow) if y]
+        for i in range(len(m)):
+            f = m[i][c]
+            if not f or i == r:
+                continue
+            if best == 1:
+                row = m[i]
+                for j in support:
+                    row[j] -= f * prow[j]
+            else:
+                g = gcd(best, f)
+                row = [best // g * x - f // g * y for x, y in zip(m[i], prow)]
+                g = gcd(*row) or 1
+                m[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == len(m):
             break
     return m, pivots
 
 
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    m, pivots = _echelon(a)
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return red + zeros(len(m) - len(pivots), len(a[0]) if a else 0), pivots
+
+
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(_echelon(a)[1])
 
 
 def nullspace(a: Matrix, cols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of ``a`` (a has ``cols`` columns)."""
-    if cols == 0:
-        return []
-    if not a:
-        return [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots = _echelon(a)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(m, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
-def solve(a: Matrix, b: Sequence, cols: int) -> list[Fraction] | None:
-    """One solution of a*x = b, or None if inconsistent."""
-    bb = [frac(x) for x in b]
-    if not a:
-        return [Fraction(0)] * cols if all(x == 0 for x in bb) else None
-    aug = [row[:] + [bb[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+def solve_matrix(a: Matrix, b: Matrix, cols: int) -> Matrix | None:
+    """The solution X of a*X = b (``cols`` columns in a) that is zero on every
+    free variable, or None if the system is inconsistent."""
+    m, pivots = _echelon([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    if pivots and pivots[-1] >= cols:
         return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    x = zeros(cols, len(b[0]) if b else 0)
+    for row, pc in zip(m, pivots):
+        x[pc] = [Fraction(y, row[pc]) for y in row[cols:]]
     return x
 
 
+def solve(a: Matrix, b: Sequence, cols: int) -> list[Fraction] | None:
+    """One solution of a*x = b, or None if inconsistent."""
+    if not a:
+        return [Fraction(0)] * cols if not any(b) else None
+    x = solve_matrix(a, [[y] for y in b], cols)
+    return None if x is None else [row[0] for row in x]
+
+
 def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    x = solve_matrix(a, identity(len(a)), len(a))
+    if x is None:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return x
 
 
 def is_integral(a: Matrix) -> bool:

@@ -30,6 +30,7 @@ __all__ = [
     "BUILTIN_QUIVER_NAMES",
     "load_quiver_json",
     "quiver_to_json",
+    "check_relations",
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -434,9 +435,20 @@ def load_quiver_json(source) -> tuple[Quiver, tuple[tuple[int, ...], ...]]:
     relations = tuple(
         tuple(_json_int(i, "a relation index") for i in rel) for rel in relations
     )
-    if any(not 0 <= i < len(q.arrows) for rel in relations for i in rel):
-        raise ValueError(f"relation arrow index out of range in {relations}")
+    check_relations(q, relations)
     return q, relations
+
+
+def check_relations(q: Quiver, relations) -> None:
+    """Raise ValueError unless the relations are distinct paths of at least
+    two composable arrows of q, each a tuple of 0-based arrow indices."""
+    for rel in relations:
+        if len(rel) < 2 or any(not 0 <= a < len(q.arrows) for a in rel):
+            raise ValueError(f"zero relation {list(rel)} needs two or more known arrows")
+        if any(q.arrows[a][1] != q.arrows[b][0] for a, b in zip(rel, rel[1:])):
+            raise ValueError(f"relation {list(rel)} is not a composable path")
+    if len(set(map(tuple, relations))) != len(relations):
+        raise ValueError(f"duplicate relation in {[list(r) for r in relations]}")
 
 
 def quiver_to_json(q: Quiver, relations=()) -> dict:

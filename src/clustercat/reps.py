@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 import random
 
 from . import linalg
 from .laurent import LaurentPoly
-from .quivers import EulerData, Quiver, builtin_quiver, positive_roots
+from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots
 
 __all__ = [
     "MonomialAlgebra",
@@ -79,19 +80,7 @@ class MonomialAlgebra:
     relations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        arrows = self.quiver.arrows
-        seen = set()
-        for rel in self.relations:
-            if len(rel) < 2:
-                raise ValueError("a zero relation needs at least two arrows")
-            for a, b in zip(rel, rel[1:]):
-                if not (0 <= a < len(arrows)) or not (0 <= b < len(arrows)):
-                    raise ValueError(f"relation {rel} uses an unknown arrow index")
-                if arrows[a][1] != arrows[b][0]:
-                    raise ValueError(f"relation {rel} is not a composable path")
-            if rel in seen:
-                raise ValueError(f"duplicate relation {rel}")
-            seen.add(rel)
+        check_relations(self.quiver, self.relations)
         object.__setattr__(self, "relations", tuple(tuple(r) for r in self.relations))
 
     def _dies(self, path: tuple[int, ...]) -> bool:
@@ -299,14 +288,16 @@ def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
     def var(v, r, c):
         return offsets[v] + r * dims_m[v] + c
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for idx, (s, t) in enumerate(arrows):
         u, v = s - 1, t - 1
-        na = mats_n[idx]
-        ma = mats_m[idx]
+        # one common scale per arrow keeps its square's equations integral
+        pair = (mats_m[idx], mats_n[idx])
+        den = lcm(*(x.denominator for m in pair for row in m for x in row))
+        ma, na = ([[x.numerator * den // x.denominator for x in row] for row in m] for m in pair)
         for r in range(dims_n[v]):
             for c in range(dims_m[u]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for k in range(dims_m[v]):
                     if ma[k][c]:
                         row[var(v, r, k)] -= ma[k][c]

@@ -2,25 +2,25 @@
 
 A tilting module is a basic module with no extensions between its summands and
 as many indecomposable summands as the quiver has vertices.  The descent
-engine repeatedly locates a summand T0 that receives no maps from the rest,
-forms the left approximation of T0 into the remaining summands, and swaps T0
-for the single new indecomposable left in the cokernel.  Over a Dynkin quiver
-this walks any tilting module down to the direct sum of the indecomposable
-injectives, shrinking the torsion class at every step; the chain report
-carries the exact-sequence witness for each swap.
+engine repeatedly locates a summand T0 that receives no maps from the rest and
+swaps it for the other complement T0' of the remaining summands, through the
+exact sequence 0 -> T0 -> E -> T0' -> 0.  Over a Dynkin quiver this walks any
+tilting module down to the direct sum of the indecomposable injectives,
+shrinking the torsion class at every step.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
 dimension vectors, so hom and ext between them are one table per quiver.  An
 indecomposable is named by its id in that table; tilting modules hold ids, and
-torsion classes, descent summands and rigidity checks are lookups.  Modules
-cross in only at ``TiltingModule.of``, whose brick check maps each to its id.
+torsion classes, descent summands, the enumeration and each swap's T0' and E
+are lookups.  The module route certifies every swap with one hom solve:
+the cokernel of the approximation of T0 must be rigid, and so it is fixed by
+its dimension vector.  Modules cross in only at ``TiltingModule.of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from . import linalg
@@ -77,10 +77,9 @@ class TiltingModule:
         dims = self.dims
         if len(set(self.ids)) != len(self.ids):
             raise NotTilting(f"repeated summand in {dims}")
-        for a, da in zip(self.ids, dims):
-            for b, db in zip(self.ids, dims):
-                if table.ext[a][b]:
-                    raise NotTilting(f"ext^1({da}, {db}) is nonzero")
+        bits = sum(1 << i for i in self.ids)
+        if any(table.compat[a] & bits != bits for a in self.ids):
+            raise NotTilting(f"ext^1 between summands of {dims} is nonzero")
 
     @classmethod
     def of(cls, quiver: Quiver, summands) -> "TiltingModule":
@@ -133,9 +132,11 @@ def is_tilting_module(quiver: Quiver, summands) -> bool:
 class _ModuleTable(NamedTuple):
     ordered: tuple[Representation, ...]
     hh: tuple[tuple[int, ...], ...]
+    hom_basis: tuple[tuple[list, ...], ...]
     index: dict[tuple[int, ...], int]
     ext: tuple[tuple[int, ...], ...]
     ext_free: tuple[int, ...]
+    compat: tuple[int, ...]
     injective: frozenset[int]
 
 
@@ -145,9 +146,11 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
 
     ``ordered`` is a linear extension of the nonzero-hom relation, a partial
     order as Dynkin module categories are directed; ``index`` maps a dimension
-    vector to its id.  ``hh[i][j]`` is dim Hom(X_i, X_j), ``ext[i][j]`` is
+    vector to its id.  ``hh[i][j]`` is dim Hom(X_i, X_j), with the basis the
+    solve found in ``hom_basis[i][j]``, ``ext[i][j]`` is
     hh[i][j] - <d_i, d_j> = dim Ext^1(X_i, X_j), bit j of ``ext_free[i]``
-    is set iff ext[i][j] = 0, and ``injective`` holds the ids of the
+    is set iff ext[i][j] = 0, bit j of ``compat[i]`` is set iff ext vanishes
+    both ways between X_i and X_j, and ``injective`` holds the ids of the
     indecomposable injectives.
     """
     diagram = classify_diagram(q)
@@ -155,7 +158,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
         raise ValueError(f"tilting modules need a Dynkin quiver, got {diagram.label}")
     inds = all_indecomposables(q)
     nn = len(inds)
-    hmat = [[hom(a, b).dim for b in inds] for a in inds]
+    spaces = [[hom(a, b) for b in inds] for a in inds]
+    hmat = [[s.dim for s in row] for row in spaces]
     indeg = [sum(1 for i in range(nn) if i != j and hmat[i][j]) for j in range(nn)]
     avail = [i for i in range(nn) if indeg[i] == 0]
     order: list[int] = []
@@ -172,6 +176,7 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
         raise ValueError("hom relation between indecomposables has a cycle")
     ordered = tuple(inds[i] for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
+    hom_basis = tuple(tuple(spaces[a][b].basis for b in order) for a in order)
     ed = euler_data(q)
     ext = tuple(
         tuple(h - ed.euler_form(a.dims, b.dims) for h, b in zip(row, ordered))
@@ -180,9 +185,13 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     if min(map(min, ext)) < 0:
         raise NegativeExtError("ext went negative between indecomposables")
     ext_free = tuple(sum(1 << j for j, e in enumerate(row) if e == 0) for row in ext)
+    compat = tuple(
+        sum(1 << j for j, e in enumerate(row) if e == ext[j][i] == 0)
+        for i, row in enumerate(ext)
+    )
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
-    return _ModuleTable(ordered, hh, index, ext, ext_free, injective)
+    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective)
 
 
 def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...], ...]:
@@ -209,13 +218,23 @@ def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...]
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
-    """All tilting modules, by brute force over indecomposable subsets."""
+    """All tilting modules in lexicographic id order, by a clique search on
+    the compatibility masks: a clique's candidates are the ids above its
+    last that are compatible with every member, and it branches on the
+    lowest while enough candidates are left to reach n summands."""
     table = _directed_indecomposables(quiver)
-    return tuple(
-        TiltingModule(quiver, sub)
-        for sub in combinations(range(len(table.ordered)), quiver.n)
-        if all(table.ext[i][j] == 0 for i in sub for j in sub)
-    )
+    found: list[TiltingModule] = []
+
+    def extend(ids: tuple[int, ...], cand: int) -> None:
+        if len(ids) == quiver.n:
+            found.append(TiltingModule(quiver, ids))
+        while cand.bit_count() >= quiver.n - len(ids) > 0:
+            i = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            extend(ids + (i,), cand & table.compat[i])
+
+    extend((), (1 << len(table.ordered)) - 1)
+    return tuple(found)
 
 
 def torsion_class(quiver: Quiver, t: TiltingModule) -> TorsionClass:
@@ -248,96 +267,78 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
 
 
-def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
-    """Swap summand ``k`` for the second complement of the remaining n - 1.
-
-    Builds the left approximation of T0 into the other summands from a full
-    hom basis, checks it is injective vertexwise, and reads the new summand
-    off the cokernel after stripping copies of the untouched summands.  The
-    stripped copies are also removed from the approximation target, which
-    recovers the minimal middle term E of 0 -> T0 -> E -> T0' -> 0.  Returns
-    the new tilting module and a step witness dict.
-    """
-    t0 = t.summands[k]
-    t_bar = tuple(s for i, s in enumerate(t.summands) if i != k)
-    blocks: list[tuple[Representation, tuple]] = []
-    for s in t_bar:
-        for f in hom(t0, s).basis:
-            blocks.append((s, f))
+def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
+    """Cokernel W of the left approximation of summand ``k`` by the table's
+    full hom bases into the others; it must be injective at every vertex."""
+    table, i0 = _directed_indecomposables(quiver), t.ids[k]
+    t0 = table.ordered[i0]
+    blocks = [(table.ordered[j], f) for j in t.ids if j != i0 for f in table.hom_basis[i0][j]]
     if not blocks:
         raise DescentStepError(f"summand {t0.dims} admits no maps into the rest")
-
-    e_rep = blocks[0][0]
-    for s, _ in blocks[1:]:
-        e_rep = direct_sum(e_rep, s)
-    # at each vertex the approximation stacks the blocks' matrices
-    fmats = [[row for _, f in blocks for row in f[v]] for v in range(quiver.n)]
-    for v in range(quiver.n):
-        if linalg.rank(fmats[v]) != t0.dims[v]:
-            raise DescentStepError(
-                f"approximation of {t0.dims} is not injective at vertex {v + 1}"
-            )
-
-    # cokernel: left-nullspace rows project each vertex space onto the quotient
-    proj = []
-    sect = []
-    w_dims = []
-    for v in range(quiver.n):
-        ev = e_rep.dims[v]
-        pv = linalg.nullspace(linalg.transpose(fmats[v], cols=ev), ev)
-        proj.append(pv)
-        w_dims.append(len(pv))
-        cols = []
-        for rhs in linalg.identity(len(pv)):
-            x = linalg.solve(pv, rhs, ev)
-            assert x is not None, "projection rows are independent by construction"
-            cols.append(x)
-        sect.append(linalg.transpose(cols, cols=ev))
+    e_rep = reduce(direct_sum, (s for s, _ in blocks))
+    proj, sect = [], []
+    for v, ev in enumerate(e_rep.dims):
+        # left-kernel rows of the stacked maps project onto W; a right inverse lifts back
+        stacked = linalg.transpose([row for _, f in blocks for row in f[v]], cols=ev)
+        proj.append(linalg.nullspace(stacked, ev))
+        if len(proj[v]) != ev - t0.dims[v]:
+            raise DescentStepError(f"approximation of {t0.dims} is not injective at vertex {v + 1}")
+        sect.append(linalg.solve_matrix(proj[v], linalg.identity(len(proj[v])), ev))
+    w_dims = tuple(map(len, proj))
     w_mats = []
     for idx, (sv, tv) in enumerate(quiver.arrows):
         u, v = sv - 1, tv - 1
-        ea = e_rep.mats[idx]
-        pe = linalg.mat_mul(proj[v], ea, e_rep.dims[u])
+        pe = linalg.mat_mul(proj[v], e_rep.mats[idx], e_rep.dims[u])
         wa = linalg.mat_mul(pe, sect[u], w_dims[u])
         if linalg.mat_mul(wa, proj[u], e_rep.dims[u]) != pe:
             raise DescentStepError("cokernel arrow map is not well defined")
         w_mats.append(wa)
-    w = Representation(quiver, tuple(w_dims), w_mats)
+    return Representation(quiver, w_dims, w_mats)
 
-    parts = list(module_summand_dims(quiver, w))
-    stripped: list[tuple[int, ...]] = []
-    for s in t_bar:
-        while s.dims in parts:
-            parts.remove(s.dims)
-            stripped.append(s.dims)
-    if len(parts) != 1:
-        raise DescentStepError(
-            f"cokernel of {t0.dims} leaves {parts} after stripping"
-        )
-    t0p_dims = parts[0]
-    if t0p_dims == t0.dims:
-        raise DescentStepError("swap reproduced the removed summand")
 
-    e_summands = sorted(s.dims for s, _ in blocks)
-    for d in stripped:
-        if d not in e_summands:
-            raise DescentStepError("stripped summand missing from the middle term")
-        e_summands.remove(d)
-    dim_e = tuple(sum(d[v] for d in e_summands) for v in range(quiver.n))
-    if dim_e != tuple(a + b for a, b in zip(t0.dims, t0p_dims)):
-        raise DescentStepError(
-            f"middle term {dim_e} is not {t0.dims} + {t0p_dims}"
-        )
+def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
+    """Swap summand ``k`` for the second complement of the remaining n - 1.
 
-    t0p = _directed_indecomposables(quiver).index[t0p_dims]
+    The table predicts the swap: T0' is the one id left in the AND of the
+    remaining summands' compatibility masks once their bits and T0's are
+    cleared (an almost complete tilting module has at most two complements),
+    and the minimal middle term E of 0 -> T0 -> E -> T0' -> 0 has the unique
+    multiplicities over the remaining summands that add up to dim T0 + dim T0'.
+    The module route certifies it with one solve: the cokernel W of the
+    approximation, whose dimension vector is then dim T0' plus the surplus
+    copies of the remaining summands, must have dim End(W) = <w, w>, so that
+    W is rigid; a rigid module is fixed by its dimension vector (its orbit
+    is open), so W is T0' plus those copies.  Returns the new tilting module
+    and a step witness dict.
+    """
+    table = _directed_indecomposables(quiver)
+    dims = [m.dims for m in table.ordered]
+    t0, rest = t.ids[k], t.ids[:k] + t.ids[k + 1:]
+    cand = ~(1 << t0)
+    for j in rest:
+        cand &= table.compat[j] & ~(1 << j)
+    if cand <= 0 or cand & (cand - 1):
+        raise DescentStepError(f"{t.dims} without summand {k} has no single second complement")
+    t0p = cand.bit_length() - 1
+    target = [a + b for a, b in zip(dims[t0], dims[t0p])]
+    mult = linalg.solve([[dims[j][v] for j in rest] for v in range(quiver.n)], target, len(rest))
+    if mult is None or any(x.denominator != 1 or x < 0 for x in mult):
+        raise DescentStepError(f"no middle term over the rest adds up to {target}")
+    if any(table.hh[t0][j] < x for j, x in zip(rest, mult)):
+        raise DescentStepError("approximation misses part of the predicted middle term")
+    w = _cokernel(quiver, t, k)
+    # dim End(W) = <w, w> + dim Ext^1(W, W), so one solve certifies W rigid
+    if hom(w, w).dim != euler_data(quiver).euler_form(w.dims, w.dims):
+        raise DescentStepError(f"cokernel with dimension vector {w.dims} is not rigid")
+
     new_t = TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:])
     witness = {
         "replaced_index": k,
-        "dim_t0": list(t0.dims),
-        "dim_e": list(dim_e),
-        "e_summands": [list(d) for d in e_summands],
-        "dim_t0_prime": list(t0p_dims),
-        "t0_prime_preinjective": is_preinjective(euler_data(quiver), t0p_dims),
+        "dim_t0": list(dims[t0]),
+        "dim_e": target,
+        "e_summands": sorted(list(dims[j]) for j, x in zip(rest, mult) for _ in range(int(x))),
+        "dim_t0_prime": list(dims[t0p]),
+        "t0_prime_preinjective": is_preinjective(euler_data(quiver), dims[t0p]),
         "torsion_before": len(torsion_class(quiver, t).members),
         "torsion_after": len(torsion_class(quiver, new_t).members),
     }

@@ -259,3 +259,32 @@ def test_mistyped_quiver_file_is_usage_error(capsys, tmp_path, data):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "cannot read quiver file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [[[0]], [[0, 1]], [[0, 2]], [[1, 2], [1, 2]]],
+    ids=["one-arrow", "not-composable", "unknown-arrow", "duplicate"],
+)
+def test_quiver_file_with_invalid_relations_is_usage_error(capsys, tmp_path, relations):
+    # arrows 1->2 and 1->3 share a source, so [0, 1] is no path
+    path = tmp_path / "quiver.json"
+    data = {"vertices": 4, "arrows": [[1, 2], [1, 3], [3, 4]], "relations": relations}
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explore", "--quiver", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read quiver file" in err and "relation" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mutate", "explore", "denominators"])
+def test_quiver_file_relations_are_not_dropped(capsys, tmp_path, command):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"vertices": 3, "arrows": [[1, 2], [2, 3]], "relations": [[0, 1]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--quiver", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "has relations [[0, 1]]" in err and "Traceback" not in err

@@ -6,6 +6,32 @@ from hypothesis import strategies as st
 from clustercat import linalg
 
 
+def reference_rref(a):
+    """Gauss-Jordan elimination on Fractions: the reduced row echelon form
+    and pivot columns, as the kernel computed them before it went integer."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def test_rref_pivots():
     m = linalg.mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     red, pivots = linalg.rref(m)
@@ -35,15 +61,109 @@ def test_inverse_roundtrip():
     assert linalg.mat_mul(a, inv) == linalg.identity(2)
 
 
-matrices = st.integers(1, 4).flatmap(
-    lambda r: st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def test_solve_matrix_gives_a_right_inverse_of_a_wide_matrix():
+    a = linalg.mat([[0, 2, 1], [0, 0, 3]])
+    right = linalg.solve_matrix(a, linalg.identity(2), 3)
+    assert linalg.mat_mul(a, right) == linalg.identity(2)
+    # zero on the free variable, as solve leaves it
+    assert right[0] == [0, 0]
+    assert [linalg.solve(a, e, 3) for e in ([1, 0], [0, 1])] == [list(c) for c in zip(*right)]
+    # dependent rows make some right-hand side inconsistent
+    assert linalg.solve_matrix([[1, 2], [2, 4]], linalg.identity(2), 2) is None
+
+
+def _shaped(entries, min_rows=1, min_cols=1, max_rows=4, max_cols=4):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda r: st.integers(min_cols, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+            )
         )
     )
+
+
+matrices = _shaped(st.integers(-4, 4))
+# sparse small entries like the hom systems, zero rows and columns included,
+# and rationals with assorted denominators
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9) | _RATIONALS
+oracle_matrices = _shaped(_ENTRIES, min_rows=0, min_cols=0, max_rows=6, max_cols=7)
+
+
+@settings(max_examples=250, deadline=None)
+@given(oracle_matrices)
+def test_rref_equals_fraction_reference(rows):
+    red, pivots = linalg.rref(rows)
+    ref, ref_pivots = reference_rref(rows)
+    assert pivots == ref_pivots
+    assert red == ref
+    assert linalg.rref(linalg.mat(rows)) == (ref, ref_pivots)
+    assert linalg.rank(rows) == len(ref_pivots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_matrices.filter(lambda rows: rows and rows[0]))
+def test_nullspace_and_solve_read_the_reference_form(rows):
+    cols = len(rows[0])
+    ref, pivots = reference_rref(rows)
+    expected = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -ref[r][fc]
+        expected.append(v)
+    assert linalg.nullspace(rows, cols) == expected
+    # the last column as right-hand side of the rest
+    a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+    x = linalg.solve(a, b, cols - 1)
+    if cols - 1 in pivots:
+        assert x is None
+    else:
+        assert x == [
+            ref[pivots.index(c)][cols - 1] if c in pivots else 0 for c in range(cols - 1)
+        ]
+
+
+def test_empty_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], []]) == ([[], []], [])
+    assert linalg.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    assert linalg.rank([]) == 0
+    assert linalg.nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert linalg.inverse([]) == []
+    assert linalg.solve_matrix([], [], 2) == [[], []]
+
+
+square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-5, 5) | _RATIONALS, min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(square.filter(lambda a: len(reference_rref(a)[1]) == len(a)))
+def test_inverse_times_matrix_is_identity(rows):
+    a = linalg.mat(rows)
+    inv = linalg.inverse(a)
+    n = len(a)
+    assert linalg.mat_mul(inv, a) == linalg.identity(n)
+    assert linalg.mat_mul(a, inv) == linalg.identity(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square, st.integers(-3, 3))
+def test_inverse_of_singular_matrix_raises(rows, scale):
+    # the last row repeats a multiple of the first, or is zero for n = 1
+    rows = rows[:-1] + [[scale * x for x in rows[0]] if len(rows) > 1 else [0]]
+    try:
+        linalg.inverse(rows)
+    except ValueError:
+        return
+    raise AssertionError("singular matrix inverted")
 
 
 @settings(max_examples=60, deadline=None)

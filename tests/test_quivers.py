@@ -16,6 +16,7 @@ from clustercat.quivers import (
     quiver_from_matrix,
     quiver_to_json,
 )
+from clustercat.reps import MonomialAlgebra
 
 
 def test_mutation_negates_incident_row_and_column():
@@ -248,3 +249,17 @@ def test_quiver_json_rejects_bad_relation_index():
 def test_quiver_rejects_out_of_range_vertex():
     with pytest.raises(ValueError):
         Quiver(2, ((1, 3),))
+
+
+@pytest.mark.parametrize(
+    "relations,message",
+    [([[0]], "two or more known"), ([[0, 1]], "not a composable path"), ([[2, 3]], "known arrows")],
+)
+def test_quiver_json_relations_are_checked_as_the_algebra_checks_them(relations, message):
+    data = {"vertices": 4, "arrows": [[1, 2], [1, 3], [3, 4]], "relations": relations}
+    with pytest.raises(ValueError, match=message):
+        load_quiver_json(data)
+    q = Quiver(4, ((1, 2), (1, 3), (3, 4)))
+    with pytest.raises(ValueError, match=message):
+        MonomialAlgebra(q, tuple(map(tuple, relations)))
+    assert load_quiver_json({**data, "relations": [[1, 2]]})[1] == ((1, 2),)

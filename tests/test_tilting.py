@@ -1,7 +1,8 @@
 import pytest
 
+from clustercat import tilting
 from clustercat.bound import projective
-from clustercat.category import GammaC, enumerate_tilting_objects
+from clustercat.category import GammaC, enumerate_tilting_objects, walk_tilting
 from clustercat.quivers import Quiver, builtin_quiver
 from clustercat.reps import (
     MonomialAlgebra,
@@ -9,14 +10,17 @@ from clustercat.reps import (
     all_indecomposables,
     direct_sum,
     ext1_dim,
+    hom,
     indecomposable_from_root,
     injective_dims,
     projective_dims,
 )
 from clustercat.tilting import (
     DecomposableSummand,
+    DescentStepError,
     NotTilting,
     TiltingModule,
+    _cokernel,
     _directed_indecomposables,
     complement_and_sequence,
     enumerate_tilting_modules,
@@ -31,8 +35,12 @@ A3 = builtin_quiver("A3")
 A4 = builtin_quiver("A4")
 D4 = builtin_quiver("D4")
 A5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+A6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)))
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 
 
 def rep(q, dims):
@@ -295,3 +303,126 @@ def test_ids_are_checked_by_lookup():
         TiltingModule(A3, ids[:2] + (-1,))
     with pytest.raises(ValueError, match="out of range"):
         TiltingModule(A3, ids[:2] + (len(table.ordered),))
+
+
+@pytest.mark.parametrize(
+    "q,total", [(A5, 176), (D4, 75), (D5, 493)], ids=["A5", "D4", "D5"]
+)
+def test_table_prediction_matches_cokernel_decomposition(q, total):
+    # every descent step, read the old way: decompose the cokernel W by hom
+    # solves, strip every copy of the remaining summands, and take E as the
+    # approximation target minus the stripped copies
+    steps = 0
+    for t in enumerate_tilting_modules(q):
+        cur = t
+        while (k := find_descent_summand(q, cur)) is not None:
+            t0, rest = cur.summands[k], [s for i, s in enumerate(cur.summands) if i != k]
+            parts = list(module_summand_dims(q, _cokernel(q, cur, k)))
+            approx = sorted(s.dims for s in rest for _ in range(hom(t0, s).dim))
+            for s in rest:
+                while s.dims in parts:
+                    parts.remove(s.dims)
+                    approx.remove(s.dims)
+            new, witness = complement_and_sequence(q, cur, k)
+            assert [tuple(witness["dim_t0_prime"])] == parts, (cur.dims, k)
+            assert witness["e_summands"] == [list(d) for d in approx], (cur.dims, k)
+            assert set(new.dims) - set(cur.dims) == set(parts)
+            cur = new
+            steps += 1
+    assert steps == total
+
+
+def test_certificate_refuses_a_non_rigid_cokernel(monkeypatch):
+    # swapping P3 out of A3's projectives: W = (P1 + P2) / P3 = P1 + S2
+    t = TiltingModule.of(A3, projectives(A3))
+    w = _cokernel(A3, t, 2)
+    assert w.dims == (1, 2, 1)
+    assert module_summand_dims(A3, w) == ((0, 1, 0), (1, 1, 1))
+    complement_and_sequence(A3, t, 2)
+    # zero arrow maps give the semisimple module of the same dimension
+    # vector, which has self-extensions
+    flat = Representation.from_dims(A3, w.dims)
+    monkeypatch.setattr(tilting, "_cokernel", lambda q, t, k: flat)
+    with pytest.raises(DescentStepError, match="is not rigid"):
+        complement_and_sequence(A3, t, 2)
+
+
+# Coxeter number and exponents: the tilting modules are counted by the
+# positive Catalan number prod (h + e - 1) / (e + 1) (Fomin-Zelevinsky)
+COXETER = {
+    "A2": (3, (1, 2)),
+    "A3": (4, (1, 2, 3)),
+    "A4": (5, (1, 2, 3, 4)),
+    "A5": (6, (1, 2, 3, 4, 5)),
+    "A6": (7, (1, 2, 3, 4, 5, 6)),
+    "D4": (6, (1, 3, 3, 5)),
+    "D5": (8, (1, 3, 4, 5, 7)),
+    "D6": (10, (1, 3, 5, 5, 7, 9)),
+    "E6": (12, (1, 4, 5, 7, 8, 11)),
+    "E7": (18, (1, 5, 7, 9, 11, 13, 17)),
+    "E8": (30, (1, 7, 11, 13, 17, 19, 23, 29)),
+}
+
+
+def _positive_catalan(name):
+    h, exponents = COXETER[name]
+    num = den = 1
+    for e in exponents:
+        num *= h + e - 1
+        den *= e + 1
+    assert num % den == 0
+    return num // den
+
+
+def _module_tilting_objects(q):
+    # tilting objects of the cluster category with no shifted projective
+    g = GammaC(q)
+    found = set()
+    for seed, k, _, _ in walk_tilting(g):
+        if k == 1 and all(v.is_module for v in seed.tilting_key):
+            found.add(frozenset(v.dims for v in seed.tilting_key))
+    return found
+
+
+def _three_routes(name, q, count):
+    assert _positive_catalan(name) == count
+    tilts = enumerate_tilting_modules(q)
+    assert len(tilts) == count
+    assert [t.ids for t in tilts] == sorted(tuple(sorted(t.ids)) for t in tilts)
+    assert {frozenset(t.dims) for t in tilts} == _module_tilting_objects(q)
+
+
+@pytest.mark.parametrize(
+    "name,q,count",
+    [
+        ("A2", builtin_quiver("A2"), 2),
+        ("A3", A3, 5),
+        ("A4", A4, 14),
+        ("A5", A5, 42),
+        ("A6", A6, 132),
+        ("D4", D4, 20),
+        ("D5", D5, 77),
+        ("D6", D6, 294),
+        ("E6", E6, 418),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_tilting_module_counts_by_three_routes(name, q, count):
+    _three_routes(name, q, count)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,q,count", [("E7", E7, 2431), ("E8", E8, 17_342)], ids=["E7", "E8"])
+def test_tilting_module_counts_by_three_routes_e7_e8(name, q, count):
+    _three_routes(name, q, count)
+
+
+@pytest.mark.slow
+def test_prop8_exhaustive_e6():
+    steps = 0
+    for t in enumerate_tilting_modules(E6):
+        report = prop8_descent(E6, t)
+        assert report["terminal_injectives"] is True
+        assert report["torsion_sizes"][-1] == E6.n
+        steps += report["step_count"]
+    assert steps == 5217
