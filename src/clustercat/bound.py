@@ -101,9 +101,7 @@ def projective_cover(m: Representation) -> tuple[Representation, list[Matrix]]:
     for v in range(1, q.n + 1):
         for vec in lifts[v - 1]:
             blocks.append((v, vec))
-    p0 = Representation.zero(alg)
-    for v, _ in blocks:
-        p0 = direct_sum(p0, projective(alg, v))
+    p0 = direct_sum(Representation.zero(alg), *(projective(alg, v) for v, _ in blocks))
     cover: list[Matrix] = []
     for j in range(1, q.n + 1):
         cols: list[list[Fraction]] = []

@@ -23,7 +23,7 @@ from operator import and_
 import random
 from typing import Iterator
 
-from .laurent import Seed, initial_seed, seed_mutate
+from .laurent import initial_seed, seed_mutate
 from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
 from .reps import euler_data, injective_dims, projective_dims
 
@@ -175,7 +175,11 @@ class GammaC:
     """Translation quiver of the cluster category, with a full hom table on
     vertex ids (``index[v]`` is v's position in ``vertices``): ``hom_i[x][y]``,
     the translation ``tau_i``, and ``ext_free[x]``, whose bit y is set iff
-    ext1(x, y) = ext1(y, x) = 0."""
+    ext1(x, y) = ext1(y, x) = 0.
+
+    ``hammock(x)`` is the one knitting of hom dimensions: ``hom_i`` folds it
+    over the glide, and the module table of ``tilting`` reads it unfolded at
+    module positions."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -317,9 +321,11 @@ class GammaC:
                 if t != self.inj_vertex[v.shift_vertex]:
                     raise AssertionError("translate of a shifted projective is not the injective")
 
-    def _knit_row(self, x: CVertex) -> tuple[int, ...]:
-        """Hammock of maps out of x on ZQ, then fold over the glide; the row
-        of hom dimensions from x to every vertex."""
+    def hammock(self, x: CVertex) -> dict[Position, int]:
+        """Hammock of maps out of x on ZQ: dim Hom(x, -) in D^b(kQ) at every
+        position from x's slice through the slice of its suspension.  For
+        modules x and y this is dim Hom_kQ(x, y) at y's position (Happel:
+        D^b(kQ) is the mesh category of ZQ)."""
         k0, i0 = self.pos_of[x]
         end = k0 + self._row_shift[i0] - 1  # slice of the suspended source
         sx = self._suspend_pos((k0, i0))
@@ -339,6 +345,14 @@ class GammaC:
             raise AssertionError("hammock source is not one dimensional")
         if any(h[(end, v)] for v in self._slice_order):
             raise AssertionError("hammock does not vanish past the suspended source")
+        return h
+
+    def _knit_row(self, x: CVertex) -> tuple[int, ...]:
+        """The hammock of x folded over the glide; the row of hom dimensions
+        from x to every vertex."""
+        h = self.hammock(x)
+        k0, i0 = self.pos_of[x]
+        end = k0 + self._row_shift[i0] - 1
         row = []
         for y in self.vertices:
             cur = self.pos_of[y]

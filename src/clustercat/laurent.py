@@ -26,7 +26,6 @@ __all__ = [
     "Seed",
     "initial_seed",
     "seed_mutate",
-    "denominator_vector",
     "ExplorationResult",
     "explore_exchange_graph",
     "InjectivityResult",
@@ -215,10 +214,6 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no denominator vector")
         return tuple(-min(e[i] for e in self._terms) for i in range(self.nvars))
-
-
-def denominator_vector(p: LaurentPoly) -> tuple[int, ...]:
-    return p.denominator_vector()
 
 
 # ---------------------------------------------------------------------------

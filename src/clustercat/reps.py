@@ -224,36 +224,21 @@ class Representation:
         return f"Representation(dims={self.dims})"
 
 
-def rep_to_json(m: Representation) -> dict:
-    """JSON form: dims plus per-arrow matrices with entries rendered "p/q"."""
-    mats = {
-        str(idx): [[str(x) for x in row] for row in m.mats[idx]]
-        for idx in range(len(m.quiver.arrows))
-    }
-    return {"dims": list(m.dims), "mats": mats}
-
-
-def rep_from_json(quiver: Quiver, data: dict) -> Representation:
-    dims = tuple(int(d) for d in data["dims"])
-    entries = {
-        int(key): [[Fraction(cell) for cell in row] for row in rows]
-        for key, rows in data.get("mats", {}).items()
-    }
-    return Representation.from_dims(quiver, dims, entries)
-
-
-def direct_sum(m: Representation, n: Representation) -> Representation:
-    if m.algebra != n.algebra:
+def direct_sum(m: Representation, *more: Representation) -> Representation:
+    """Block-diagonal sum of one or more modules over a common algebra,
+    in argument order."""
+    parts = (m,) + more
+    if any(p.algebra != m.algebra for p in more):
         raise ValueError("direct sum needs a common algebra")
-    dims = tuple(a + b for a, b in zip(m.dims, n.dims))
+    dims = tuple(map(sum, zip(*(p.dims for p in parts))))
     mats = []
     for idx, (s, t) in enumerate(m.quiver.arrows):
         block = linalg.zeros(dims[t - 1], dims[s - 1])
-        ro, co = m.dims[t - 1], m.dims[s - 1]
-        for r, row in enumerate(m.mats[idx]):
-            block[r][:co] = row
-        for r, row in enumerate(n.mats[idx]):
-            block[ro + r][co:] = row
+        ro = co = 0
+        for p in parts:
+            for r, row in enumerate(p.mats[idx]):
+                block[ro + r][co:co + len(row)] = row
+            ro, co = ro + p.dims[t - 1], co + p.dims[s - 1]
         mats.append(block)
     return Representation(m.algebra, dims, mats)
 
@@ -579,7 +564,6 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
     # an iso exists iff the product polynomial is nonzero. Scaling each basis
     # element to integer entries only rescales the lambda variables.
     from itertools import permutations
-    from math import lcm
 
     scaled = []
     for b in space.basis:

@@ -9,7 +9,9 @@ tilting module down to the direct sum of the indecomposable injectives,
 shrinking the torsion class at every step.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
-dimension vectors, so hom and ext between them are one table per quiver.  An
+dimension vectors, so hom and ext between them are one table per quiver.  Its
+hom dimensions are read from the hammocks ``category.GammaC`` knits on ZQ;
+hom bases are solved only for the pairs a swap's approximation uses.  An
 indecomposable is named by its id in that table; tilting modules hold ids, and
 torsion classes, descent summands, the enumeration and each swap's T0' and E
 are lookups.  The module route certifies every swap with one hom solve:
@@ -20,18 +22,19 @@ its dimension vector.  Modules cross in only at ``TiltingModule.of``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
+from .category import GammaC
 from .quivers import Quiver, classify_diagram
 from .reps import (
     NegativeExtError,
     Representation,
-    all_indecomposables,
     direct_sum,
     euler_data,
     hom,
+    indecomposable_from_root,
     injective_dims,
     is_preinjective,
 )
@@ -132,7 +135,7 @@ def is_tilting_module(quiver: Quiver, summands) -> bool:
 class _ModuleTable(NamedTuple):
     ordered: tuple[Representation, ...]
     hh: tuple[tuple[int, ...], ...]
-    hom_basis: tuple[tuple[list, ...], ...]
+    hom_basis: dict[tuple[int, int], list]
     index: dict[tuple[int, ...], int]
     ext: tuple[tuple[int, ...], ...]
     ext_free: tuple[int, ...]
@@ -144,22 +147,24 @@ class _ModuleTable(NamedTuple):
 def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     """One hom/ext table over the indecomposables of a Dynkin quiver.
 
-    ``ordered`` is a linear extension of the nonzero-hom relation, a partial
-    order as Dynkin module categories are directed; ``index`` maps a dimension
-    vector to its id.  ``hh[i][j]`` is dim Hom(X_i, X_j), with the basis the
-    solve found in ``hom_basis[i][j]``, ``ext[i][j]`` is
-    hh[i][j] - <d_i, d_j> = dim Ext^1(X_i, X_j), bit j of ``ext_free[i]``
-    is set iff ext[i][j] = 0, bit j of ``compat[i]`` is set iff ext vanishes
-    both ways between X_i and X_j, and ``injective`` holds the ids of the
-    indecomposable injectives.
+    ``hh[i][j]`` is dim Hom(X_i, X_j), read from ``GammaC.hammock`` of X_i at
+    X_j's position in ZQ.  ``ordered`` is a linear extension of the
+    nonzero-hom relation, a partial order as Dynkin module categories are
+    directed, ties broken by dimension vector; ``index`` maps a dimension
+    vector to its id.  ``ext[i][j]`` is hh[i][j] - <d_i, d_j> =
+    dim Ext^1(X_i, X_j), bit j of ``ext_free[i]`` is set iff ext[i][j] = 0,
+    bit j of ``compat[i]`` is set iff ext vanishes both ways between X_i and
+    X_j, and ``injective`` holds the ids of the indecomposable injectives.
+    ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
+    summands of a tilting module can form: i != j, compatible, nonzero hom.
     """
     diagram = classify_diagram(q)
     if diagram.kind != "dynkin":
         raise ValueError(f"tilting modules need a Dynkin quiver, got {diagram.label}")
-    inds = all_indecomposables(q)
+    g = GammaC(q)
+    inds = [v for v in g.vertices if v.is_module]
     nn = len(inds)
-    spaces = [[hom(a, b) for b in inds] for a in inds]
-    hmat = [[s.dim for s in row] for row in spaces]
+    hmat = [[h.get(g.pos_of[y], 0) for y in inds] for h in map(g.hammock, inds)]
     indeg = [sum(1 for i in range(nn) if i != j and hmat[i][j]) for j in range(nn)]
     avail = [i for i in range(nn) if indeg[i] == 0]
     order: list[int] = []
@@ -174,9 +179,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
                     avail.append(j)
     if len(order) != nn:
         raise ValueError("hom relation between indecomposables has a cycle")
-    ordered = tuple(inds[i] for i in order)
+    ordered = tuple(indecomposable_from_root(q, inds[i].dims) for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
-    hom_basis = tuple(tuple(spaces[a][b].basis for b in order) for a in order)
     ed = euler_data(q)
     ext = tuple(
         tuple(h - ed.euler_form(a.dims, b.dims) for h, b in zip(row, ordered))
@@ -189,32 +193,16 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
         sum(1 << j for j, e in enumerate(row) if e == ext[j][i] == 0)
         for i, row in enumerate(ext)
     )
+    hom_basis = {}
+    for i, row in enumerate(hh):
+        for j, h in enumerate(row):
+            if i != j and h and compat[i] >> j & 1:
+                hom_basis[i, j] = hom(ordered[i], ordered[j]).basis
+                if len(hom_basis[i, j]) != h:
+                    raise AssertionError("hammock and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
     return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective)
-
-
-def module_summand_dims(q: Quiver, rep: Representation) -> tuple[tuple[int, ...], ...]:
-    """Multiset of indecomposable summand dimension vectors of ``rep``.
-
-    hom dimensions out of the directed list are unitriangular in the summand
-    multiplicities (bricks on the diagonal, zeros below), so back-substitution
-    forces them.  The result is cross-checked against the dimension vector.
-    """
-    table = _directed_indecomposables(q)
-    ordered, hh = table.ordered, table.hh
-    nn = len(ordered)
-    homs = [hom(x, rep).dim for x in ordered]
-    mult = [0] * nn
-    for i in reversed(range(nn)):
-        val = homs[i] - sum(hh[i][j] * mult[j] for j in range(i + 1, nn))
-        if val < 0:
-            raise ValueError(f"negative multiplicity at {ordered[i].dims}")
-        mult[i] = val
-    out = [x.dims for x, m in zip(ordered, mult) for _ in range(m)]
-    if tuple(sum(d[v] for d in out) for v in range(q.n)) != rep.dims:
-        raise ValueError("summand multiplicities do not add up to the module")
-    return tuple(sorted(out))
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
@@ -269,13 +257,15 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
 
 def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
     """Cokernel W of the left approximation of summand ``k`` by the table's
-    full hom bases into the others; it must be injective at every vertex."""
+    hom bases into the others; it must be injective at every vertex."""
     table, i0 = _directed_indecomposables(quiver), t.ids[k]
     t0 = table.ordered[i0]
-    blocks = [(table.ordered[j], f) for j in t.ids if j != i0 for f in table.hom_basis[i0][j]]
+    blocks = [
+        (table.ordered[j], f) for j in t.ids if j != i0 for f in table.hom_basis.get((i0, j), ())
+    ]
     if not blocks:
         raise DescentStepError(f"summand {t0.dims} admits no maps into the rest")
-    e_rep = reduce(direct_sum, (s for s, _ in blocks))
+    e_rep = direct_sum(*(s for s, _ in blocks))
     proj, sect = [], []
     for v, ev in enumerate(e_rep.dims):
         # left-kernel rows of the stacked maps project onto W; a right inverse lifts back

@@ -55,3 +55,30 @@ def test_every_definition_is_used():
                 if used[node.name] == own:
                     dead.append(f"{path.relative_to(root)}::{node.name}")
     assert dead == []
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(clustercat.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    # an import that the module never names and does not re-export is left over
+    tree = ast.parse(path.read_text(), str(path))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exports(tree)
+    assert [name for name in imported if name not in used] == []

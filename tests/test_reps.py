@@ -20,8 +20,6 @@ from clustercat.reps import (
     is_preinjective,
     is_rigid,
     projective_dims,
-    rep_from_json,
-    rep_to_json,
     tau,
     tau_inverse,
 )
@@ -179,6 +177,16 @@ def test_hom_additive_over_direct_sums():
         )
 
 
+def test_direct_sum_of_many_is_the_fold_of_pairs():
+    inds = all_indecomposables(A3)
+    for parts in itertools.islice(itertools.permutations(inds, 3), 20):
+        many, pairs = direct_sum(*parts), direct_sum(direct_sum(*parts[:2]), parts[2])
+        assert (many.dims, many.mats) == (pairs.dims, pairs.mats)
+    assert direct_sum(inds[0]).mats == inds[0].mats
+    with pytest.raises(ValueError, match="common algebra"):
+        direct_sum(inds[0], inds[1], Representation.simple(A2, 1))
+
+
 def test_ext_vanishing_against_projectives_and_injectives():
     inds = all_indecomposables(A3)
     for i in (1, 2, 3):
@@ -198,15 +206,6 @@ def test_tube_modules():
     assert not is_rigid(mt)
     assert ext1_dim(mt, mt) == 1
     assert ext1_dim(r1, r2) == 1 and ext1_dim(r2, r1) == 1
-
-
-def test_rep_json_roundtrip():
-    m = M(A3, (1, 2, 1), {0: [[1], [Fraction(1, 2)]], 1: [[0, 1]]})
-    data = rep_to_json(m)
-    assert data["mats"]["0"] == [["1"], ["1/2"]]
-    back = rep_from_json(A3, data)
-    assert back.dims == m.dims
-    assert all(back.mat(i) == m.mat(i) for i in range(len(A3.arrows)))
 
 
 reps_strategy = st.lists(st.sampled_from(range(6)), min_size=1, max_size=3)

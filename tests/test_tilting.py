@@ -1,6 +1,6 @@
 import pytest
 
-from clustercat import tilting
+from clustercat import reps, tilting
 from clustercat.bound import projective
 from clustercat.category import GammaC, enumerate_tilting_objects, walk_tilting
 from clustercat.quivers import Quiver, builtin_quiver
@@ -26,7 +26,6 @@ from clustercat.tilting import (
     enumerate_tilting_modules,
     find_descent_summand,
     is_tilting_module,
-    module_summand_dims,
     prop8_descent,
     torsion_class,
 )
@@ -53,6 +52,30 @@ def projectives(q):
 
 def injectives(q):
     return tuple(rep(q, injective_dims(q, i)) for i in range(1, q.n + 1))
+
+
+def module_summand_dims(q, rep):
+    """Multiset of indecomposable summand dimension vectors of ``rep``, by
+    hom solves: the oracle for the table-predicted descent swaps.
+
+    hom dimensions out of the directed list are unitriangular in the summand
+    multiplicities (bricks on the diagonal, zeros below), so back-substitution
+    forces them.  The result is cross-checked against the dimension vector.
+    """
+    table = _directed_indecomposables(q)
+    ordered, hh = table.ordered, table.hh
+    nn = len(ordered)
+    homs = [hom(x, rep).dim for x in ordered]
+    mult = [0] * nn
+    for i in reversed(range(nn)):
+        val = homs[i] - sum(hh[i][j] * mult[j] for j in range(i + 1, nn))
+        if val < 0:
+            raise ValueError(f"negative multiplicity at {ordered[i].dims}")
+        mult[i] = val
+    out = [x.dims for x, m in zip(ordered, mult) for _ in range(m)]
+    if tuple(sum(d[v] for d in out) for v in range(q.n)) != rep.dims:
+        raise ValueError("summand multiplicities do not add up to the module")
+    return tuple(sorted(out))
 
 
 def test_enumeration_a3_frozen():
@@ -188,17 +211,46 @@ def test_descent_invariants_everywhere(q, bound):
         assert frozenset(cur.dims) == inj
 
 
-@pytest.mark.parametrize("q", [A3, A5, D4, D5, E6], ids=["A3", "A5", "D4", "D5", "E6"])
+@pytest.mark.parametrize(
+    "q",
+    [A3, A5, D4, D5, D6, E6, pytest.param(E7, marks=pytest.mark.slow),
+     pytest.param(E8, marks=pytest.mark.slow)],
+    ids=["A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"],
+)
 def test_ext_table_matches_hom_solve(q):
+    # the knitted table against the hom_space oracle, pair by pair
     table = _directed_indecomposables(q)
     assert [m.dims for m in table.ordered] == sorted(
         table.index, key=table.index.__getitem__
     )
     for i, a in enumerate(table.ordered):
         for j, b in enumerate(table.ordered):
+            assert table.hh[i][j] == hom(a, b).dim, (a.dims, b.dims)
             e = ext1_dim(a, b)
             assert table.ext[i][j] == e, (a.dims, b.dims)
             assert (table.ext_free[i] >> j & 1) == (e == 0)
+
+
+def test_table_solves_only_the_bases_a_swap_reads(monkeypatch):
+    # hom dimensions come from the knitting; a basis is solved only for a
+    # compatible pair with nonzero hom, the pairs _cokernel can look up
+    table = _directed_indecomposables(E6)
+    nn = len(table.ordered)
+    pairs = {
+        (i, j)
+        for i in range(nn)
+        for j in range(nn)
+        if i != j and table.hh[i][j] and table.compat[i] >> j & 1
+    }
+    assert set(table.hom_basis) == pairs
+    assert all(len(table.hom_basis[i, j]) == table.hh[i][j] for i, j in pairs)
+    calls = []
+    solve = reps.hom_space
+    monkeypatch.setattr(reps, "hom_space", lambda *a: calls.append(1) or solve(*a))
+    fresh = _directed_indecomposables.__wrapped__(E6)
+    assert fresh[1:] == table[1:]
+    # one brick check per indecomposable plus one solve per stored basis
+    assert len(calls) == nn + len(pairs) <= 228
 
 
 def _brute_force_torsion(q, t):
