@@ -11,6 +11,11 @@ summed over the finitely many glide translates of the target.
 Everything here is exact integer combinatorics; the representation-theoretic
 formulas for the same numbers live in the test suite as an independent check
 and are deliberately not imported.
+
+Once ``GammaC`` is built, vertex ids are the only currency: seeds hold
+summand ids, a tilting key is an int bitmask of them, and exchange data
+hold ids with multiplicities. ``CVertex`` is the label of a vertex, read
+back through ``g.vertices`` when a report is written.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 import random
 from typing import Iterator
 
@@ -29,7 +34,6 @@ from .reps import euler_data, injective_dims, projective_dims
 
 __all__ = [
     "CVertex",
-    "CObject",
     "CategorifiedSeed",
     "ExchangeData",
     "GammaC",
@@ -102,69 +106,29 @@ class CVertex:
 
 
 @dataclass(frozen=True)
-class CObject:
-    """Finite direct sum, stored as sorted (vertex, multiplicity) pairs."""
-
-    multiplicities: tuple[tuple[CVertex, int], ...]
-
-    @classmethod
-    def of(cls, pairs) -> "CObject":
-        merged: dict[CVertex, int] = {}
-        for v, m in pairs:
-            m = int(m)
-            if m < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if m:
-                merged[v] = merged.get(v, 0) + m
-        return cls(tuple(sorted(merged.items(), key=lambda p: p[0].sort_key())))
-
-    @classmethod
-    def of_vertices(cls, *vertices: CVertex) -> "CObject":
-        return cls.of((v, 1) for v in vertices)
-
-    @property
-    def is_basic(self) -> bool:
-        return all(m == 1 for _, m in self.multiplicities)
-
-    @property
-    def summands(self) -> tuple[CVertex, ...]:
-        return tuple(v for v, _ in self.multiplicities)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.multiplicities
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for v, m in self.multiplicities:
-            parts.append(v.render() if m == 1 else f"{v.render()}^{m}")
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
 class CategorifiedSeed:
-    """Ordered tilting object with the exchange matrix of its endomorphism
-    algebra; the two mutate in lockstep."""
+    """Ordered tilting object, as vertex ids, with the exchange matrix of its
+    endomorphism algebra; the two mutate in lockstep."""
 
-    summands: tuple[CVertex, ...]
+    summands: tuple[int, ...]
     b: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def tilting_key(self) -> frozenset:
-        return frozenset(self.summands)
+    def tilting_key(self) -> int:
+        """Bitmask with bit x set iff vertex x is a summand."""
+        return reduce(or_, (1 << x for x in self.summands), 0)
 
 
 @dataclass(frozen=True)
 class ExchangeData:
-    """An exchange pair with the middle terms of its two triangles."""
+    """An exchange pair of vertex ids with the middle terms of its two
+    triangles, each a tuple of (id, multiplicity) pairs sorted by id."""
 
     k: int
-    tk: CVertex
-    tk_star: CVertex
-    e: CObject
-    e_prime: CObject
+    tk: int
+    tk_star: int
+    e: tuple[tuple[int, int], ...]
+    e_prime: tuple[tuple[int, int], ...]
 
 
 Position = tuple[int, int]
@@ -173,9 +137,11 @@ Edge = tuple[CategorifiedSeed, int, CategorifiedSeed, ExchangeData]
 
 class GammaC:
     """Translation quiver of the cluster category, with a full hom table on
-    vertex ids (``index[v]`` is v's position in ``vertices``): ``hom_i[x][y]``,
-    the translation ``tau_i``, and ``ext_free[x]``, whose bit y is set iff
-    ext1(x, y) = ext1(y, x) = 0.
+    vertex ids (``index[v]`` is v's position in ``vertices``, which follow
+    ``CVertex.sort_key``): ``hom_i[x][y]``, the translation ``tau_i``, and
+    ``ext_free[x]``, whose bit y is set iff ext1(x, y) = ext1(y, x) = 0.
+    ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
+    quiver vertex i and of its shift.
 
     ``hammock(x)`` is the one knitting of hom dimensions: ``hom_i`` folds it
     over the glide, and the module table of ``tilting`` reads it unfolded at
@@ -194,24 +160,17 @@ class GammaC:
         roots = positive_roots(quiver)
         self.pos_of: dict[CVertex, Position] = {}
         self.obj_at: dict[Position, CVertex] = {}
-        self.proj_vertex: dict[int, CVertex] = {}
-        self.inj_vertex: dict[int, CVertex] = {}
-        self.shift_obj: dict[int, CVertex] = {}
         inj_pos: dict[int, Position] = {}
         for i in range(1, n + 1):
             d = projective_dims(quiver, i)
             k = 0
             while True:
-                v = CVertex.module(d)
-                if k == 0:
-                    self.proj_vertex[i] = v
-                self._place(v, (k, i))
+                self._place(CVertex.module(d), (k, i))
                 if d in inj_lookup:
                     j = inj_lookup[d]
                     if j in inj_pos:
                         raise AssertionError("two orbits claim the same injective")
                     inj_pos[j] = (k, i)
-                    self.inj_vertex[j] = v
                     break
                 d = ed.inverse_coxeter_transform(d)
                 if d not in roots:
@@ -230,27 +189,26 @@ class GammaC:
             raise AssertionError("the glide row map must be a permutation")
 
         for i in range(1, n + 1):
-            sp = CVertex.shifted_projective(i)
             ki, ci = inj_pos[i]
-            self._place(sp, (ki + 1, ci))
-            self.shift_obj[i] = sp
+            self._place(CVertex.shifted_projective(i), (ki + 1, ci))
         self.vertices: tuple[CVertex, ...] = tuple(sorted(self.pos_of, key=CVertex.sort_key))
+        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(self.vertices)}
+        rows = range(1, n + 1)
+        self.proj_i: tuple[int, ...] = tuple(self.index[self.obj_at[0, i]] for i in rows)
+        self.shift_i: tuple[int, ...] = tuple(self.index[CVertex.shifted_projective(i)] for i in rows)
         self.max_slice = max(k for k, _ in self.obj_at)
 
         self._out_nb = {v: [t for s, t in quiver.arrows if s == v] for v in range(1, n + 1)}
         self._in_nb = {v: [s for s, t in quiver.arrows if t == v] for v in range(1, n + 1)}
         self._slice_order = list(reversed(quiver.topological_order()))
 
-        self.tau: dict[CVertex, CVertex] = {}
-        for v, (k, i) in self.pos_of.items():
-            self.tau[v] = self.obj_at[self._reduce((k - 1, i))]
-        self.tau_inv = {w: v for v, w in self.tau.items()}
-        if len(self.tau_inv) != len(self.tau):
+        self.tau_i: tuple[int, ...] = tuple(
+            self._id_at((k - 1, i)) for k, i in map(self.pos_of.get, self.vertices)
+        )
+        if len(set(self.tau_i)) != len(self.tau_i):
             raise AssertionError("translation is not a bijection")
-        self._check_translation()
+        self._check_translation(inj_pos)
 
-        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(self.vertices)}
-        self.tau_i: tuple[int, ...] = tuple(self.index[self.tau[v]] for v in self.vertices)
         self.hom_i: tuple[tuple[int, ...], ...] = tuple(self._knit_row(x) for x in self.vertices)
         ids = range(len(self.vertices))
         ext = [[self.hom_i[x][self.tau_i[y]] for y in ids] for x in ids]
@@ -300,26 +258,27 @@ class GammaC:
                 raise AssertionError("glide reduction ran away")
         raise AssertionError(f"orbit of {pos} misses the fundamental domain")
 
-    def _check_translation(self):
+    def _id_at(self, pos: Position) -> int:
+        """Id of the vertex that the glide orbit of a ZQ position meets."""
+        return self.index[self.obj_at[self._reduce(pos)]]
+
+    def _check_translation(self, inj_pos: dict[int, Position]):
         # suspension equals translation on the quotient, and tau cross-checks
         # against the module-level facts
         ed = euler_data(self.quiver)
-        n = self.quiver.n
-        proj = {projective_dims(self.quiver, i): i for i in range(1, n + 1)}
-        for v in self.pos_of:
-            s = self.obj_at[self._reduce(self._suspend_pos(self.pos_of[v]))]
-            if s != self.tau[v]:
+        shift_of = dict(zip(self.proj_i, self.shift_i))
+        for x, v in enumerate(self.vertices):
+            t = self.tau_i[x]
+            if self._id_at(self._suspend_pos(self.pos_of[v])) != t:
                 raise AssertionError(f"suspension and translation disagree at {v.render()}")
-            t = self.tau[v]
-            if v.is_module and v.dims in proj:
-                if t != self.shift_obj[proj[v.dims]]:
+            if x in shift_of:
+                if t != shift_of[x]:
                     raise AssertionError("translate of a projective is not its shift")
             elif v.is_module:
-                if t.dims != ed.coxeter_transform(v.dims):
+                if self.vertices[t].dims != ed.coxeter_transform(v.dims):
                     raise AssertionError("translate disagrees with the matrix transform")
-            else:
-                if t != self.inj_vertex[v.shift_vertex]:
-                    raise AssertionError("translate of a shifted projective is not the injective")
+            elif t != self._id_at(inj_pos[v.shift_vertex]):
+                raise AssertionError("translate of a shifted projective is not the injective")
 
     def hammock(self, x: CVertex) -> dict[Position, int]:
         """Hammock of maps out of x on ZQ: dim Hom(x, -) in D^b(kQ) at every
@@ -367,10 +326,10 @@ class GammaC:
         return tuple(row)
 
     def _check_rigidity(self):
-        for v in self.vertices:
-            if self.hom_c_dim(v, v) != 1:
+        for x, v in enumerate(self.vertices):
+            if self.hom_i[x][x] != 1:
                 raise AssertionError(f"{v.render()} is not a brick")
-            if self.ext1_c_dim(v, v) != 0:
+            if self.hom_i[x][self.tau_i[x]] != 0:
                 raise AssertionError(f"{v.render()} is not rigid")
 
     # -- queries ---------------------------------------------------------------
@@ -381,45 +340,29 @@ class GammaC:
     def ext1_c_dim(self, x: CVertex, y: CVertex) -> int:
         return self.hom_i[self.index[x]][self.tau_i[self.index[y]]]
 
-    def hom_to_object(self, x: CVertex, obj: CObject) -> int:
-        return sum(m * self.hom_c_dim(x, v) for v, m in obj.multiplicities)
-
-    def hom_from_object(self, obj: CObject, y: CVertex) -> int:
-        return sum(m * self.hom_c_dim(v, y) for v, m in obj.multiplicities)
-
-    def shift_object(self, obj: CObject, times: int = 1) -> CObject:
-        pairs = []
-        for v, m in obj.multiplicities:
-            w = v
-            for _ in range(times):
-                w = self.tau[w]
-            pairs.append((w, m))
-        return CObject.of(pairs)
-
 
 # ---------------------------------------------------------------------------
 # tilting objects and mutation
 
 
-def is_tilting_c(g: GammaC, t: CObject) -> bool:
-    """Basic, n summands, no extensions in either direction or with itself."""
-    if not t.is_basic or len(t.summands) != g.quiver.n:
+def is_tilting_c(g: GammaC, ids: tuple[int, ...]) -> bool:
+    """n distinct summand ids, no extensions in either direction or with
+    itself."""
+    key = reduce(or_, (1 << x for x in ids), 0)
+    if key.bit_count() != len(ids) or len(ids) != g.quiver.n:
         return False
-    ids = [g.index[v] for v in t.summands]
-    return all(g.ext_free[x] >> y & 1 for x in ids for y in ids)
+    return all(g.ext_free[x] & key == key for x in ids)
 
 
 def initial_seed_c(g: GammaC) -> CategorifiedSeed:
     """The projective generator with the quiver's own exchange matrix."""
-    t = tuple(g.proj_vertex[i] for i in range(1, g.quiver.n + 1))
-    return CategorifiedSeed(t, exchange_matrix(g.quiver))
+    return CategorifiedSeed(g.proj_i, exchange_matrix(g.quiver))
 
 
 def shifted_initial_seed_c(g: GammaC) -> CategorifiedSeed:
     """Shift of the projective generator; same endomorphism quiver, and the
     seed whose summands track the cluster variables one to one."""
-    t = tuple(g.shift_obj[i] for i in range(1, g.quiver.n + 1))
-    return CategorifiedSeed(t, exchange_matrix(g.quiver))
+    return CategorifiedSeed(g.shift_i, exchange_matrix(g.quiver))
 
 
 def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[CategorifiedSeed, ExchangeData]:
@@ -427,31 +370,31 @@ def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[Categorif
 
     The partner is the one vertex outside the seed that is ext-free with
     every other summand (every vertex is rigid, as construction asserts): one
-    AND of ext_free masks. Uniqueness is a theorem and is asserted, not
+    AND of ext_free masks, started from all ones so that it is exact when the
+    summand is the only one. Uniqueness is a theorem and is asserted, not
     assumed. Middle-term multiplicities are read off the pre-mutation matrix
     column.
     """
     n = g.quiver.n
     if not (1 <= k <= n):
         raise IndexError(f"mutation index {k} out of range 1..{n}")
-    idx = [g.index[v] for v in seed.summands]
-    if len(set(idx)) != n:
+    key = seed.tilting_key
+    if key.bit_count() != n:
         raise ValueError("seed is not basic")
-    masks = (g.ext_free[x] for i, x in enumerate(idx) if i != k - 1)
-    mask = reduce(and_, masks, (1 << len(g.vertices)) - 1) & ~sum(1 << x for x in idx)
     tk = seed.summands[k - 1]
+    masks = (g.ext_free[x] for x in seed.summands if x != tk)
+    mask = reduce(and_, masks, (1 << len(g.vertices)) - 1) & ~key
     if not mask:
-        raise NoComplement(f"no exchange partner for {tk.render()}")
+        raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
     if mask & (mask - 1):
-        raise MultipleComplements(f"{mask.bit_count()} partners for {tk.render()}")
-    star = mask.bit_length() - 1
-    if g.hom_i[idx[k - 1]][g.tau_i[star]] != 1:
+        raise MultipleComplements(f"{mask.bit_count()} partners for {g.vertices[tk].render()}")
+    tk_star = mask.bit_length() - 1
+    if g.hom_i[tk][g.tau_i[tk_star]] != 1:
         raise AssertionError("exchange pair does not have a one dimensional extension space")
-    tk_star = g.vertices[star]
     col = [seed.b[i][k - 1] for i in range(n)]
-    e = CObject.of((seed.summands[i], col[i]) for i in range(n) if col[i] > 0)
-    e_prime = CObject.of((seed.summands[i], -col[i]) for i in range(n) if col[i] < 0)
-    new_summands = tuple(tk_star if i == k - 1 else v for i, v in enumerate(seed.summands))
+    e = tuple(sorted((x, c) for x, c in zip(seed.summands, col) if c > 0))
+    e_prime = tuple(sorted((x, -c) for x, c in zip(seed.summands, col) if c < 0))
+    new_summands = seed.summands[: k - 1] + (tk_star,) + seed.summands[k:]
     new_seed = CategorifiedSeed(new_summands, mutate_matrix(seed.b, k))
     return new_seed, ExchangeData(k, tk, tk_star, e, e_prime)
 
@@ -477,10 +420,10 @@ def walk_tilting(g: GammaC) -> Iterator[Edge]:
                 queue.append(nxt)
 
 
-def enumerate_tilting_objects(g: GammaC) -> dict[frozenset, tuple[int, ...]]:
-    """All tilting objects, reached by mutation from the projective generator;
-    values are mutation paths from that seed."""
-    paths: dict[frozenset, tuple[int, ...]] = {initial_seed_c(g).tilting_key: ()}
+def enumerate_tilting_objects(g: GammaC) -> dict[int, tuple[int, ...]]:
+    """All tilting objects by their bitmask keys, reached by mutation from
+    the projective generator; values are mutation paths from that seed."""
+    paths: dict[int, tuple[int, ...]] = {initial_seed_c(g).tilting_key: ()}
     for seed, k, nxt, _ in walk_tilting(g):
         if nxt.tilting_key not in paths:
             paths[nxt.tilting_key] = paths[seed.tilting_key] + (k,)
@@ -494,10 +437,12 @@ def enumerate_tilting_objects(g: GammaC) -> dict[frozenset, tuple[int, ...]]:
 def is_compatible(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
     """Either m is the desuspension of one of the pair, or the hom count to
     the pair matches the larger of the hom counts to the two middle terms."""
-    if m == g.tau_inv[xd.tk] or m == g.tau_inv[xd.tk_star]:
+    x = g.index[m]
+    if g.tau_i[x] in (xd.tk, xd.tk_star):
         return True
-    lhs = g.hom_c_dim(m, xd.tk) + g.hom_c_dim(m, xd.tk_star)
-    return lhs == max(g.hom_to_object(m, xd.e), g.hom_to_object(m, xd.e_prime))
+    row = g.hom_i[x]
+    lhs = row[xd.tk] + row[xd.tk_star]
+    return lhs == max(sum(c * row[v] for v, c in mid) for mid in (xd.e, xd.e_prime))
 
 
 def lemma6_check(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
@@ -507,19 +452,15 @@ def lemma6_check(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
     from the pair into m matches the larger of the counts from the middle
     terms. The double shift acts on the translation quiver as tau twice.
     """
+    x = g.index[m]
+    hom, tau = g.hom_i, g.tau_i
     dual = (
-        m == g.tau[xd.tk]
-        or m == g.tau[xd.tk_star]
-        or g.hom_c_dim(xd.tk, m) + g.hom_c_dim(xd.tk_star, m)
-        == max(g.hom_from_object(xd.e, m), g.hom_from_object(xd.e_prime, m))
+        x in (tau[xd.tk], tau[xd.tk_star])
+        or hom[xd.tk][x] + hom[xd.tk_star][x]
+        == max(sum(c * hom[v][x] for v, c in mid) for mid in (xd.e, xd.e_prime))
     )
-    shifted = ExchangeData(
-        xd.k,
-        g.tau[g.tau[xd.tk]],
-        g.tau[g.tau[xd.tk_star]],
-        g.shift_object(xd.e, 2),
-        g.shift_object(xd.e_prime, 2),
-    )
+    e2, e2_prime = (tuple(sorted((tau[tau[v]], c) for v, c in mid)) for mid in (xd.e, xd.e_prime))
+    shifted = ExchangeData(xd.k, tau[tau[xd.tk]], tau[tau[xd.tk_star]], e2, e2_prime)
     return dual == is_compatible(g, m, shifted)
 
 
@@ -530,9 +471,10 @@ def lemma6_check(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
 def dim_vector_mod_B(g: GammaC, seed: CategorifiedSeed, m: CVertex) -> tuple[int, ...]:
     """Dimension vector of the module corresponding to m over the endomorphism
     algebra of the seed's tilting object."""
-    if m in {g.tau[t] for t in seed.summands}:
+    x = g.index[m]
+    if x in {g.tau_i[t] for t in seed.summands}:
         raise MInShiftedT(f"{m.render()} lies in the shift of the tilting object")
-    return tuple(g.hom_c_dim(t, m) for t in seed.summands)
+    return tuple(g.hom_i[t][x] for t in seed.summands)
 
 
 def theorem1_injectivity(quiver: Quiver) -> dict:
@@ -546,35 +488,34 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
     dimension vector there is well defined.
     """
     g = GammaC(quiver)
-    index, tau_i, hom_i = g.index, g.tau_i, g.hom_i
+    tau_i, hom_i = g.tau_i, g.hom_i
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
     for seed, k, nxt, xd in walk_tilting(g):
         if k == 1:
             checked_tiltings += 1
-            summands = [index[t] for t in seed.summands]
-            shifted = {tau_i[t] for t in summands}
+            shifted = {tau_i[t] for t in seed.summands}
             admissible = [m for m in range(len(g.vertices)) if m not in shifted]
             # column m of the summands' hom rows is m's dimension vector
-            columns = list(zip(*(hom_i[t] for t in summands)))
+            columns = list(zip(*(hom_i[t] for t in seed.summands)))
             first: dict[tuple[int, ...], int] = {}
             for m in admissible:
                 vec = columns[m]
                 if first.setdefault(vec, m) != m:
                     failures.append(
                         {
-                            "tilting": [t.render() for t in seed.summands],
+                            "tilting": [g.vertices[t].render() for t in seed.summands],
                             "first": g.vertices[first[vec]].render(),
                             "second": g.vertices[m].render(),
                             "vector": list(vec),
                         }
                     )
         lemma7_cases += len(admissible)
-        entered = {tau_i[index[t]] for t in nxt.summands} - shifted
-        for m in sorted(entered - {tau_i[index[xd.tk_star]]}):
+        entered = {tau_i[t] for t in nxt.summands} - shifted
+        for m in sorted(entered - {tau_i[xd.tk_star]}):
             failures.append(
                 {
-                    "tilting": [t.render() for t in seed.summands],
+                    "tilting": [g.vertices[t].render() for t in seed.summands],
                     "k": k,
                     "object": g.vertices[m].render(),
                     "reason": "entered the shifted summands without being the new one",
@@ -608,12 +549,16 @@ def den_vs_hom_crosscheck(
     must match the hom counts from the projective generator to the tracked
     summand; variables that are still initial must show den = -e_j. With
     samples=None all mutation sequences of length <= depth are checked,
-    otherwise that many random sequences.
+    otherwise that many random sequences of length 1..depth. Both depth and
+    samples must be at least 1, so that some mutation step is checked.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     g = GammaC(quiver)
     n = quiver.n
     b0 = exchange_matrix(quiver)
-    proj = [g.proj_vertex[j] for j in range(1, n + 1)]
     if samples is None:
         sequences = [
             seq for d in range(0, depth + 1) for seq in product(range(1, n + 1), repeat=d)
@@ -634,13 +579,12 @@ def den_vs_hom_crosscheck(
             cs, _ = mutate_tilting(g, cs, k)
             if ls.b != cs.b:
                 raise AssertionError("exchange matrices drifted apart")
-            for i in range(n):
+            for i, t in enumerate(cs.summands):
                 den = ls.cluster[i].denominator_vector()
-                t = cs.summands[i]
-                if t.is_module:
-                    want = tuple(g.hom_c_dim(p, t) for p in proj)
+                j = g.vertices[t].shift_vertex
+                if j is None:
+                    want = tuple(g.hom_i[p][t] for p in g.proj_i)
                 else:
-                    j = t.shift_vertex
                     want = tuple(-(v == j) for v in range(1, n + 1))
                 checks += 1
                 if den != want:
@@ -650,7 +594,7 @@ def den_vs_hom_crosscheck(
                             "position": i + 1,
                             "denominator": list(den),
                             "hom_vector": list(want),
-                            "summand": t.render(),
+                            "summand": g.vertices[t].render(),
                         }
                     )
     return {

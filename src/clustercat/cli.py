@@ -268,19 +268,15 @@ def _verify_lemma67(qtype: str, depth, seed):
     g = GammaC(q)
     tilting_objects = compat_cases = 0
     failures: list[dict] = []
+    checks = (("compatibility", is_compatible), ("shifted agreement", lemma6_check))
     for cur, k, _nxt, xd in walk_tilting(g):
         tilting_objects += k == 1
-        tilting = [t.render() for t in cur.summands]
         for m in g.vertices:
             compat_cases += 1
-            if not is_compatible(g, m, xd):
-                failures.append(
-                    {"tilting": tilting, "k": k, "object": m.render(), "check": "compatibility"}
-                )
-            if not lemma6_check(g, m, xd):
-                failures.append(
-                    {"tilting": tilting, "k": k, "object": m.render(), "check": "shifted agreement"}
-                )
+            for check, holds in checks:
+                if not holds(g, m, xd):
+                    tilting = [g.vertices[t].render() for t in cur.summands]
+                    failures.append({"tilting": tilting, "k": k, "object": m.render(), "check": check})
     prop = theorem1_injectivity(q)
     ok = not failures and prop["injective_everywhere"]
     details = {

@@ -126,14 +126,15 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers only via exact_div")
-        result = LaurentPoly.one(self.nvars)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return LaurentPoly.one(self.nvars) if result is None else result
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other.
@@ -249,13 +250,18 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
     col = [s.b[i][k - 1] for i in range(n)]
-    plus = LaurentPoly.one(n)
-    minus = LaurentPoly.one(n)
+    # each product starts from its first factor; an empty product is 1
+    plus = minus = None
     for i, bik in enumerate(col):
         if bik > 0:
-            plus = plus * s.cluster[i] ** bik
+            f = s.cluster[i] ** bik
+            plus = f if plus is None else plus * f
         elif bik < 0:
-            minus = minus * s.cluster[i] ** (-bik)
+            f = s.cluster[i] ** -bik
+            minus = f if minus is None else minus * f
+    one = LaurentPoly.one(n)
+    plus = one if plus is None else plus
+    minus = one if minus is None else minus
     new_var = (plus + minus).exact_div(s.cluster[k - 1])
     cluster = tuple(new_var if i == k - 1 else p for i, p in enumerate(s.cluster))
     return Seed(mutate_matrix(s.b, k), cluster)

@@ -19,7 +19,6 @@ import pytest
 
 from clustercat.category import (
     CategorifiedSeed,
-    CObject,
     CVertex,
     GammaC,
     MInShiftedT,
@@ -37,16 +36,21 @@ from clustercat.category import (
     theorem1_injectivity,
     walk_tilting,
 )
-from clustercat.quivers import Quiver, builtin_quiver
+from clustercat.laurent import explore_exchange_graph
+from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 from clustercat.reps import (
     ext1_dim,
     hom,
     indecomposable_from_root,
+    injective_dims,
     projective_dims,
+    tau,
     tau_inverse,
 )
+from clustercat.tilting import enumerate_tilting_modules, prop8_descent
 
 
+A1 = Quiver(1, ())
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
 D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
@@ -78,6 +82,18 @@ def oracle_hom_c(quiver, x: CVertex, y: CVertex) -> int:
     return projective_dims(quiver, y.shift_vertex)[x.shift_vertex - 1]
 
 
+def oracle_tau(quiver, v: CVertex) -> CVertex:
+    """Translate in the cluster category from module theory: tau P_i is the
+    shift of P_i, the shift of P_i goes to I_i, and any other module goes to
+    its AR translate."""
+    if not v.is_module:
+        return CVertex.module(injective_dims(quiver, v.shift_vertex))
+    for i in range(1, quiver.n + 1):
+        if v.dims == projective_dims(quiver, i):
+            return CVertex.shifted_projective(i)
+    return CVertex.module(tau(indecomposable_from_root(quiver, v.dims)).dims)
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
 def test_hom_table_matches_module_oracle(name):
     q = builtin_quiver(name)
@@ -103,22 +119,22 @@ def test_serre_duality_symmetry(name):
 
 def test_almost_split_self_extension():
     g = GammaC(builtin_quiver("A3"))
-    for x in g.vertices:
-        assert g.ext1_c_dim(x, g.tau[x]) == 1
+    for x, v in enumerate(g.vertices):
+        assert g.ext1_c_dim(v, g.vertices[g.tau_i[x]]) == 1
 
 
 def test_tau_bijections():
     g = GammaC(builtin_quiver("A3"))
-    assert set(g.tau) == set(g.vertices)
-    assert set(g.tau.values()) == set(g.vertices)
-    for x in g.vertices:
-        assert g.tau_inv[g.tau[x]] == x
+    assert sorted(g.tau_i) == list(range(len(g.vertices)))
 
 
 def test_shift_is_tau_of_projective():
-    g = GammaC(builtin_quiver("A3"))
+    q = builtin_quiver("A3")
+    g = GammaC(q)
     for i in (1, 2, 3):
-        assert g.tau[g.proj_vertex[i]] == g.shift_obj[i]
+        assert g.vertices[g.proj_i[i - 1]] == CVertex.module(projective_dims(q, i))
+        assert g.vertices[g.shift_i[i - 1]] == CVertex.shifted_projective(i)
+        assert g.tau_i[g.proj_i[i - 1]] == g.shift_i[i - 1]
 
 
 def brute_force_tilting_count(g):
@@ -145,12 +161,35 @@ def test_tilting_object_counts_two_routes(name, count):
     assert reached[start.tilting_key] == ()
 
 
+def test_a1_counts():
+    # with one vertex no other summand narrows the partner mask
+    assert list(enumerate_tilting_objects(GammaC(A1)).values()) == [(), (1,)]
+    assert explore_exchange_graph(exchange_matrix(A1)).cluster_count == 2
+    (only,) = enumerate_tilting_modules(A1)
+    assert prop8_descent(A1, only)["step_count"] == 0
+
+
+def test_walk_hashes_no_vertex_label(monkeypatch):
+    # once GammaC is built, the walk runs on ids alone
+    g = GammaC(E6)
+    hashed = []
+    label_hash = CVertex.__hash__
+
+    def counting_hash(v):
+        hashed.append(v)
+        return label_hash(v)
+
+    monkeypatch.setattr(CVertex, "__hash__", counting_hash)
+    assert len([edge for edge in walk_tilting(g) if edge[1] == 1]) == 833
+    assert hashed == []
+
+
 @pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6"])
 def test_int_tables_match_vertex_queries(name):
     g = GammaC(QUIVERS[name])
     assert [g.index[v] for v in g.vertices] == list(range(len(g.vertices)))
     for x, vx in enumerate(g.vertices):
-        assert g.vertices[g.tau_i[x]] == g.tau[vx]
+        assert g.vertices[g.tau_i[x]] == oracle_tau(QUIVERS[name], vx)
         for y, vy in enumerate(g.vertices):
             assert g.hom_i[x][y] == g.hom_c_dim(vx, vy)
             ext_free = g.ext1_c_dim(vx, vy) == 0 and g.ext1_c_dim(vy, vx) == 0
@@ -160,22 +199,30 @@ def test_int_tables_match_vertex_queries(name):
 def brute_force_partner(g, seed, k):
     """Exchange partner of summand k by scanning every indecomposable for one
     that is rigid and ext-free with the other summands, with the middle terms
-    read off the matrix column; the route mutate_tilting replaced."""
+    read off the matrix column and ordered by their labels' sort keys; the
+    route mutate_tilting replaced."""
     n = g.quiver.n
+
+    def ext(a, b):
+        return g.ext1_c_dim(g.vertices[a], g.vertices[b])
+
     tk = seed.summands[k - 1]
     others = tuple(v for i, v in enumerate(seed.summands) if i != k - 1)
     found = [
         cand
-        for cand in g.vertices
+        for cand in range(len(g.vertices))
         if cand != tk
         and cand not in others
-        and not g.ext1_c_dim(cand, cand)
-        and all(not g.ext1_c_dim(cand, o) and not g.ext1_c_dim(o, cand) for o in others)
+        and not ext(cand, cand)
+        and all(not ext(cand, o) and not ext(o, cand) for o in others)
     ]
     col = [seed.b[i][k - 1] for i in range(n)]
-    e = CObject.of((seed.summands[i], col[i]) for i in range(n) if col[i] > 0)
-    e_prime = CObject.of((seed.summands[i], -col[i]) for i in range(n) if col[i] < 0)
-    return found, e, e_prime
+
+    def middle(sign):
+        pairs = {seed.summands[i]: sign * col[i] for i in range(n) if sign * col[i] > 0}
+        return tuple(sorted(pairs.items(), key=lambda p: g.vertices[p[0]].sort_key()))
+
+    return found, middle(1), middle(-1)
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D6"])
@@ -186,7 +233,7 @@ def test_mask_partner_matches_brute_force_scan(name):
         found, e, e_prime = brute_force_partner(g, seed, k)
         assert found == [xd.tk_star], (seed.summands, k)
         assert (xd.k, xd.tk, xd.e, xd.e_prime) == (k, seed.summands[k - 1], e, e_prime)
-        assert g.ext1_c_dim(xd.tk, xd.tk_star) == 1
+        assert g.ext1_c_dim(g.vertices[xd.tk], g.vertices[xd.tk_star]) == 1
         assert nxt.summands[k - 1] == xd.tk_star
         assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
         edges += 1
@@ -200,7 +247,7 @@ def test_walker_expands_each_tilting_object_once():
     assert [k for _, k, _, _ in edges] == [1, 2, 3, 4] * len(expanded)
     assert expanded[0] == initial_seed_c(g)
     assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
-    assert all(is_tilting_c(g, CObject.of_vertices(*s.summands)) for s in expanded)
+    assert all(is_tilting_c(g, s.summands) for s in expanded)
 
 
 def test_non_tilting_seeds_raise():
@@ -209,14 +256,14 @@ def test_non_tilting_seeds_raise():
     g = GammaC(builtin_quiver("D4"))
     b = initial_seed_c(g).b
     raised = set()
-    for combo in itertools.combinations(g.vertices, 4):
+    for combo in itertools.combinations(range(len(g.vertices)), 4):
         seed = CategorifiedSeed(combo, b)
         found, _, _ = brute_force_partner(g, seed, 4)
         if not found:
             error = NoComplement
         elif len(found) > 1:
             error = MultipleComplements
-        elif g.ext1_c_dim(combo[3], found[0]) != 1:
+        elif g.ext1_c_dim(g.vertices[combo[3]], g.vertices[found[0]]) != 1:
             error = AssertionError
         else:
             assert mutate_tilting(g, seed, 4)[1].tk_star == found[0]
@@ -225,17 +272,18 @@ def test_non_tilting_seeds_raise():
             mutate_tilting(g, seed, 4)
         raised.add(error)
     assert raised == {NoComplement, MultipleComplements, AssertionError}
-    p1 = g.proj_vertex[1]
+    p1, _, p3, p4 = g.proj_i
     with pytest.raises(ValueError):
-        mutate_tilting(g, CategorifiedSeed((p1, p1, g.proj_vertex[3], g.proj_vertex[4]), b), 2)
+        mutate_tilting(g, CategorifiedSeed((p1, p1, p3, p4), b), 2)
 
 
 def test_is_tilting_c():
     g = GammaC(builtin_quiver("A2"))
-    good = CObject.of_vertices(g.proj_vertex[1], g.proj_vertex[2])
-    assert is_tilting_c(g, good)
-    bad = CObject.of_vertices(g.proj_vertex[1], g.shift_obj[1])
-    assert not is_tilting_c(g, bad)
+    (p1, p2), (s1, _) = g.proj_i, g.shift_i
+    assert is_tilting_c(g, (p1, p2))
+    assert not is_tilting_c(g, (p1, s1))
+    assert not is_tilting_c(g, (p1, p1))
+    assert not is_tilting_c(g, (p1,))
 
 
 def test_mutation_exchange_a2():
@@ -244,10 +292,10 @@ def test_mutation_exchange_a2():
     g = GammaC(builtin_quiver("A2"))
     seed = initial_seed_c(g)
     new, xd = mutate_tilting(g, seed, 2)
-    assert xd.tk == CVertex.module((0, 1))
-    assert xd.tk_star == CVertex.module((1, 0))
-    assert xd.e.summands == (CVertex.module((1, 1)),)
-    assert xd.e_prime.is_zero
+    assert g.vertices[xd.tk] == CVertex.module((0, 1))
+    assert g.vertices[xd.tk_star] == CVertex.module((1, 0))
+    assert xd.e == ((g.index[CVertex.module((1, 1))], 1),)
+    assert xd.e_prime == ()
     assert new.summands[1] == xd.tk_star
     assert new.b == ((0, -1), (1, 0))
 
@@ -286,7 +334,7 @@ def test_tampered_exchange_data_is_detected():
     g = GammaC(builtin_quiver("A3"))
     seed = initial_seed_c(g)
     _, xd = mutate_tilting(g, seed, 2)
-    wrong = dataclasses.replace(xd, e=CObject.of_vertices(g.proj_vertex[3]))
+    wrong = dataclasses.replace(xd, e=((g.proj_i[2], 1),))
     assert any(not is_compatible(g, m, wrong) for m in g.vertices)
 
 
@@ -305,13 +353,13 @@ def test_dim_vector_mod_b_against_hom_route():
     # against the shifted seed: coordinates are hom dimensions from the seed
     g = GammaC(builtin_quiver("A3"))
     shifted = shifted_initial_seed_c(g)
-    for m in g.vertices:
-        if m in set(shifted.summands):
+    for x, m in enumerate(g.vertices):
+        if x in shifted.summands:
             continue
-        if any(m == g.tau[t] for t in shifted.summands):
+        if any(x == g.tau_i[t] for t in shifted.summands):
             continue
         d = dim_vector_mod_B(g, shifted, m)
-        assert d == tuple(g.hom_c_dim(t, m) for t in shifted.summands)
+        assert d == tuple(g.hom_c_dim(g.vertices[t], m) for t in shifted.summands)
 
 
 def test_theorem1_injectivity_reports():
@@ -329,8 +377,8 @@ def test_theorem1_injectivity_reports():
 
 @pytest.mark.parametrize(
     "quiver,count,cases",
-    [(D5, 182, 18_200), (D6, 672, 120_960), (E6, 833, 179_928), (E7, 4160, 1_834_560)],
-    ids=["D5", "D6", "E6", "E7"],
+    [(A1, 2, 2), (D5, 182, 18_200), (D6, 672, 120_960), (E6, 833, 179_928), (E7, 4160, 1_834_560)],
+    ids=["A1", "D5", "D6", "E6", "E7"],
 )
 def test_theorem1_finite_type_counts(quiver, count, cases):
     # Fomin-Zelevinsky cluster counts; every tilting object and every one of
@@ -362,6 +410,15 @@ def test_den_vs_hom_random_a3():
     rep = den_vs_hom_crosscheck(builtin_quiver("A3"), depth=6, samples=40, rng_seed=5)
     assert rep["ok"] is True
     assert rep["sequences"] == 40
+
+
+@pytest.mark.parametrize(
+    "depth,samples,name",
+    [(0, 5, "depth"), (-1, None, "depth"), (-1, 5, "depth"), (3, 0, "samples"), (3, -2, "samples")],
+)
+def test_den_vs_hom_rejects_vacuous_sweeps(depth, samples, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        den_vs_hom_crosscheck(builtin_quiver("A2"), depth=depth, samples=samples)
 
 
 def test_rejects_non_dynkin():

@@ -68,7 +68,8 @@ def _exports(tree):
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in Path(clustercat.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    sorted(p for p in Path(clustercat.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    + sorted(Path(__file__).parent.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_every_import_is_used(path):

@@ -39,6 +39,28 @@ def test_render_canonical():
     assert LaurentPoly.one(2).render() == "1"
 
 
+def test_powers_and_products_skip_needless_multiplications(monkeypatch):
+    # x^5 is x * x^4 after two squarings, and a D4 exploration builds each
+    # exchange product from its first factor: 64 products, not 1,080
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    p = LaurentPoly.one(2) + x(1) + x(2) * x(2)
+    product = p * p * p * p * p
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    assert p ** 0 == LaurentPoly.one(2)
+    assert p ** 1 is p
+    assert p ** 5 == product
+    assert len(calls) == 3
+    calls.clear()
+    assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
+    assert len(calls) == 64
+
+
 def test_denominator_vectors():
     assert x(1).denominator_vector() == (-1, 0)
     p = (LaurentPoly.one(2) + x(1) + x(2)).exact_div(x(1) * x(2))

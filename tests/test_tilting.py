@@ -102,7 +102,8 @@ def test_d4_count_against_cluster_category():
     g = GammaC(D4)
     keys = enumerate_tilting_objects(g)
     module_only = [
-        key for key in keys if all(v.is_module for v in key)
+        key for key in keys
+        if all(v.is_module for x, v in enumerate(g.vertices) if key >> x & 1)
     ]
     assert len(module_only) == 20
 
@@ -402,6 +403,7 @@ def test_certificate_refuses_a_non_rigid_cokernel(monkeypatch):
 # Coxeter number and exponents: the tilting modules are counted by the
 # positive Catalan number prod (h + e - 1) / (e + 1) (Fomin-Zelevinsky)
 COXETER = {
+    "A1": (2, (1,)),
     "A2": (3, (1, 2)),
     "A3": (4, (1, 2, 3)),
     "A4": (5, (1, 2, 3, 4)),
@@ -431,8 +433,9 @@ def _module_tilting_objects(q):
     g = GammaC(q)
     found = set()
     for seed, k, _, _ in walk_tilting(g):
-        if k == 1 and all(v.is_module for v in seed.tilting_key):
-            found.add(frozenset(v.dims for v in seed.tilting_key))
+        labels = [g.vertices[x] for x in seed.summands]
+        if k == 1 and all(v.is_module for v in labels):
+            found.add(frozenset(v.dims for v in labels))
     return found
 
 
@@ -456,6 +459,7 @@ def _three_routes(name, q, count):
         ("D5", D5, 77),
         ("D6", D6, 294),
         ("E6", E6, 418),
+        ("A1", Quiver(1, ()), 1),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
