@@ -548,9 +548,11 @@ def den_vs_hom_crosscheck(
     After each mutation step, every current variable's denominator vector
     must match the hom counts from the projective generator to the tracked
     summand; variables that are still initial must show den = -e_j. With
-    samples=None all mutation sequences of length <= depth are checked,
-    otherwise that many random sequences of length 1..depth. Both depth and
-    samples must be at least 1, so that some mutation step is checked.
+    samples=None every mutation sequence of length <= depth is checked, by a
+    depth-first walk of their prefix tree (one check per nonempty sequence
+    and position); otherwise that many random sequences of length 1..depth,
+    each replayed from the start (one check per step and position). Both
+    depth and samples must be at least 1, so some mutation step is checked.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -558,11 +560,10 @@ def den_vs_hom_crosscheck(
         raise ValueError(f"samples must be at least 1, got {samples}")
     g = GammaC(quiver)
     n = quiver.n
-    b0 = exchange_matrix(quiver)
     if samples is None:
-        sequences = [
+        sequences = sorted(
             seq for d in range(0, depth + 1) for seq in product(range(1, n + 1), repeat=d)
-        ]
+        )
     else:
         rng = random.Random(rng_seed)
         sequences = [
@@ -571,10 +572,12 @@ def den_vs_hom_crosscheck(
         ]
     checks = 0
     mismatches: list[dict] = []
+    path = [(initial_seed(exchange_matrix(quiver)), shifted_initial_seed_c(g))]
     for seq in sequences:
-        ls = initial_seed(b0)
-        cs = shifted_initial_seed_c(g)
-        for k in seq:
+        # path[d] is the pair after d steps; a sorted exhaustive sequence adds one step
+        del path[max(len(seq), 1) if samples is None else 1 :]
+        for k in seq[len(path) - 1 :]:
+            ls, cs = path[-1]
             ls = seed_mutate(ls, k)
             cs, _ = mutate_tilting(g, cs, k)
             if ls.b != cs.b:
@@ -597,6 +600,7 @@ def den_vs_hom_crosscheck(
                             "summand": g.vertices[t].render(),
                         }
                     )
+            path.append((ls, cs))
     return {
         "diagram": g.diagram.label,
         "sequences": len(sequences),

@@ -10,7 +10,11 @@ The exchange relation reads column k of the exchange matrix:
 
     x_k' = (prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}) / x_k
 
-Seeds and polynomials are immutable.
+Seeds and polynomials are immutable. A cluster's key is the frozenset of its
+polynomials (hashes cached); strings are rendered only for output. In
+explore_exchange_graph a call-local exchange table maps (x_k, {(x_i, b_ik) :
+b_ik != 0}) to x_k' and (x_k', {(x_i, -b_ik)}) to x_k, exact as x_k * x_k' is
+the binomial above, so each exchange relation is divided out once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class DivisionNotExact(ArithmeticError):
 class LaurentPoly:
     """Immutable Laurent polynomial in nvars variables over the integers."""
 
-    __slots__ = ("nvars", "_terms", "_key")
+    __slots__ = ("nvars", "_terms", "_key", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -54,6 +58,7 @@ class LaurentPoly:
                 clean[e] = clean.get(e, 0) + c
         self._terms = {e: c for e, c in clean.items() if c}
         self._key = (nvars, tuple(sorted(self._terms.items())))
+        self._hash = None
 
     # construction helpers
 
@@ -88,7 +93,9 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"LaurentPoly({self.render()!r})"
@@ -181,8 +188,8 @@ class LaurentPoly:
     def render(self) -> str:
         """Canonical string, terms in descending lex order of exponents.
 
-        Deterministic and injective on polynomials; used as the dedup key
-        for clusters and in golden tests.
+        Deterministic and injective on polynomials; used for output, for
+        sorted output order and in golden tests.
         """
         if not self._terms:
             return "0"
@@ -233,9 +240,9 @@ class Seed:
         if len(self.cluster) != n:
             raise ValueError("cluster size does not match matrix size")
 
-    def cluster_key(self) -> tuple[str, ...]:
-        """Canonical unordered-cluster key: sorted rendered polynomials."""
-        return tuple(sorted(p.render() for p in self.cluster))
+    def cluster_key(self) -> frozenset[LaurentPoly]:
+        """Unordered-cluster key: the frozenset of the cluster's polynomials."""
+        return frozenset(self.cluster)
 
 
 def initial_seed(b) -> Seed:
@@ -275,13 +282,13 @@ def seed_mutate(s: Seed, k: int) -> Seed:
 class ExplorationResult:
     """Breadth-first exploration summary.
 
-    seeds maps each canonical cluster key to the first seed found with that
-    cluster; variables collects every cluster variable expressed in the
-    initial cluster's coordinates. truncated means the depth cutoff hid at
-    least one unvisited cluster.
+    seeds maps each cluster key (the frozenset of its polynomials) to the
+    first seed found with that cluster; variables collects every cluster
+    variable expressed in the initial cluster's coordinates. truncated means
+    the depth cutoff hid at least one unvisited cluster.
     """
 
-    seeds: dict[tuple[str, ...], Seed]
+    seeds: dict[frozenset[LaurentPoly], Seed]
     variables: set[LaurentPoly]
     truncated: bool
     depth_reached: int
@@ -311,7 +318,20 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
             )
     start = initial_seed(b)
     n = len(start.b)
-    seeds: dict[tuple[str, ...], Seed] = {start.cluster_key(): start}
+    exchanged: dict[tuple[LaurentPoly, frozenset], LaurentPoly] = {}
+
+    def mutate(s: Seed, k: int) -> Seed:
+        old = s.cluster[k - 1]
+        rel = frozenset((p, row[k - 1]) for p, row in zip(s.cluster, s.b) if row[k - 1])
+        new = exchanged.get((old, rel))
+        if new is not None:
+            return Seed(mutate_matrix(s.b, k), s.cluster[: k - 1] + (new,) + s.cluster[k:])
+        t = seed_mutate(s, k)
+        exchanged[old, rel] = new = t.cluster[k - 1]
+        exchanged[new, frozenset((p, -bik) for p, bik in rel)] = old
+        return t
+
+    seeds: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
     variables: set[LaurentPoly] = set(start.cluster)
     layer = [start]
     depth = 0
@@ -319,18 +339,14 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     while layer:
         if max_depth is not None and depth >= max_depth:
             # probe one layer to see whether the cutoff actually hid anything
-            for s in layer:
-                for k in range(1, n + 1):
-                    if seed_mutate(s, k).cluster_key() not in seeds:
-                        truncated = True
-                        break
-                if truncated:
-                    break
+            truncated = any(
+                mutate(s, k).cluster_key() not in seeds for s in layer for k in range(1, n + 1)
+            )
             break
         next_layer = []
         for s in layer:
             for k in range(1, n + 1):
-                t = seed_mutate(s, k)
+                t = mutate(s, k)
                 key = t.cluster_key()
                 if key not in seeds:
                     seeds[key] = t

@@ -390,6 +390,22 @@ def test_theorem1_finite_type_counts(quiver, count, cases):
     assert rep["propagation_cases"] == cases == count * quiver.n * (rep["vertices"] - quiver.n)
 
 
+@pytest.mark.parametrize(
+    "quiver,clusters,variables",
+    [(D5, 182, 25), (D6, 672, 36), (E6, 833, 42), pytest.param(E7, 4160, 70, marks=pytest.mark.slow)],
+    ids=["D5", "D6", "E6", "E7"],
+)
+def test_explore_counts_match_tilting_counts(quiver, clusters, variables):
+    # two routes to the Fomin-Zelevinsky counts: clusters of the exchange
+    # graph against tilting objects, and cluster variables against the
+    # indecomposable rigid objects of the cluster category
+    rep = theorem1_injectivity(quiver)
+    res = explore_exchange_graph(exchange_matrix(quiver))
+    assert not res.truncated
+    assert res.cluster_count == rep["tilting_count"] == clusters
+    assert res.variable_count == rep["vertices"] == variables
+
+
 @pytest.mark.slow
 def test_theorem1_exhaustive_e8():
     rep = theorem1_injectivity(E8)
@@ -404,6 +420,28 @@ def test_den_vs_hom_exhaustive_small_depth():
     assert rep["ok"] is True
     assert rep["mismatches"] == []
     assert rep["sequences"] == 1 + 2 + 4 + 8 + 16
+
+
+def test_den_vs_hom_exhaustive_walks_the_prefix_tree(monkeypatch):
+    # each of the 3 + 9 + ... + 3^8 nonempty sequences is one mutation of its
+    # parent on both sides: 9,840 steps, where replaying every sequence from
+    # the start takes 73,812
+    import clustercat.category as category
+
+    calls = {"seed_mutate": 0, "mutate_tilting": 0}
+    for name in calls:
+        real = getattr(category, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(category, name, counting)
+    rep = den_vs_hom_crosscheck(builtin_quiver("A3"), depth=8)
+    assert rep["ok"] is True
+    assert rep["sequences"] == 9_841
+    assert rep["checks"] == 9_840 * 3
+    assert calls == {"seed_mutate": 9_840, "mutate_tilting": 9_840}
 
 
 def test_den_vs_hom_random_a3():

@@ -12,11 +12,17 @@ from clustercat.laurent import (
     initial_seed,
     seed_mutate,
 )
-from clustercat.quivers import builtin_quiver, exchange_matrix
+from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
+
+D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
 
 
 def x(i, n=2):
     return LaurentPoly.variable(n, i)
+
+
+def _quiver(name):
+    return D5 if name == "D5" else builtin_quiver(name)
 
 
 def test_arithmetic_examples():
@@ -33,6 +39,26 @@ def test_exact_div_raises_on_remainder():
         (LaurentPoly.one(2) + x(1)).exact_div(LaurentPoly.one(2) + x(2))
 
 
+_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: LaurentPoly(2, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys, _polys)
+def test_exact_div_undoes_multiplication(a, b):
+    assert (a * b).exact_div(b) == a
+    # the units of Z[x1^+-1, x2^+-1] are the monomials with coefficient +-1,
+    # so a*b + 1 is a multiple of b only when b is one of them
+    unit = len(b.terms()) == 1 and abs(next(iter(b.terms().values()))) == 1
+    if not unit:
+        with pytest.raises(DivisionNotExact):
+            (a * b + LaurentPoly.one(2)).exact_div(b)
+
+
 def test_render_canonical():
     p = LaurentPoly.monomial((-1, 1)) + LaurentPoly.monomial((-1, 0))
     assert p.render() == "x1^-1*x2 + x1^-1"
@@ -40,25 +66,34 @@ def test_render_canonical():
 
 
 def test_powers_and_products_skip_needless_multiplications(monkeypatch):
-    # x^5 is x * x^4 after two squarings, and a D4 exploration builds each
-    # exchange product from its first factor: 64 products, not 1,080
+    # x^5 is x * x^4 after two squarings. A D4 exploration builds each
+    # exchange product from its first factor and solves each exchange
+    # relation once: 32 products and 52 divisions for its 200 mutations
     calls = []
+    divisions = []
     mul = LaurentPoly.__mul__
+    div = LaurentPoly.exact_div
 
     def counting_mul(a, b):
         calls.append(1)
         return mul(a, b)
 
+    def counting_div(a, b):
+        divisions.append(1)
+        return div(a, b)
+
     p = LaurentPoly.one(2) + x(1) + x(2) * x(2)
     product = p * p * p * p * p
     monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting_div)
     assert p ** 0 == LaurentPoly.one(2)
     assert p ** 1 is p
     assert p ** 5 == product
     assert len(calls) == 3
     calls.clear()
     assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
-    assert len(calls) == 64
+    assert len(calls) == 32
+    assert len(divisions) == 52
 
 
 def test_denominator_vectors():
@@ -89,6 +124,34 @@ def test_mutation_index_out_of_range():
         seed_mutate(s, 3)
 
 
+def _bfs_explore(b, max_depth):
+    """Breadth-first exploration that solves every mutation with seed_mutate,
+    truncation probe included."""
+    start = initial_seed(b)
+    seeds = {start.cluster_key(): start}
+    variables = set(start.cluster)
+    layer, depth, truncated = [start], 0, False
+    while layer:
+        if depth >= max_depth:
+            truncated = any(
+                seed_mutate(s, k).cluster_key() not in seeds
+                for s in layer
+                for k in range(1, len(b) + 1)
+            )
+            break
+        next_layer = []
+        for s in layer:
+            for k in range(1, len(b) + 1):
+                t = seed_mutate(s, k)
+                if t.cluster_key() not in seeds:
+                    seeds[t.cluster_key()] = t
+                    variables.update(t.cluster)
+                    next_layer.append(t)
+        depth += bool(next_layer)
+        layer = next_layer
+    return seeds, variables, truncated, depth
+
+
 def _dfs_explore(b):
     """Independent depth-first re-enumeration of seeds and variables."""
     start = initial_seed(b)
@@ -109,10 +172,10 @@ def _dfs_explore(b):
 
 @pytest.mark.parametrize(
     "name,clusters,varcount",
-    [("A2", 5, 5), ("A3", 14, 9)],
+    [("A2", 5, 5), ("A3", 14, 9), ("A4", 42, 14), ("D4", 50, 16), ("D5", 182, 25)],
 )
 def test_finite_type_counts_with_dfs_oracle(name, clusters, varcount):
-    b = exchange_matrix(builtin_quiver(name))
+    b = exchange_matrix(_quiver(name))
     res = explore_exchange_graph(b)
     assert not res.truncated
     assert res.cluster_count == clusters
@@ -120,6 +183,20 @@ def test_finite_type_counts_with_dfs_oracle(name, clusters, varcount):
     seen, variables = _dfs_explore(b)
     assert set(seen) == set(res.seeds)
     assert variables == res.variables
+    # every exchange the table answered is also reached by plain seed_mutate
+    for s in res.seeds.values():
+        for k in range(1, len(b) + 1):
+            assert seed_mutate(s, k).cluster_key() in res.seeds
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_affine_exchange_table_matches_plain_bfs(depth):
+    b = exchange_matrix(builtin_quiver("Atilde21"))
+    res = explore_exchange_graph(b, max_depth=depth)
+    seeds, variables, truncated, depth_reached = _bfs_explore(b, depth)
+    assert list(res.seeds.items()) == list(seeds.items())
+    assert res.variables == variables
+    assert (res.truncated, res.depth_reached) == (truncated, depth_reached) == (True, depth)
 
 
 def test_a4_and_d4_counts():
