@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
+from itertools import accumulate, product
 from operator import and_, or_
 import random
 from typing import Iterator
@@ -143,9 +143,11 @@ class GammaC:
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
-    ``hammock(x)`` is the one knitting of hom dimensions: ``hom_i`` folds it
-    over the glide, and the module table of ``tilting`` reads it unfolded at
-    module positions."""
+    ``hammock(x)`` is the one knitting of hom dimensions: the module table of
+    ``tilting`` reads it unfolded at module positions, and ``hom_i`` takes n
+    knittings, one per projective folded over the glide, translated by tau:
+    the vertex at (k, i) is tau^-k P_i, so its row is P_i's row read at tau^k
+    of each target."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -209,8 +211,15 @@ class GammaC:
             raise AssertionError("translation is not a bijection")
         self._check_translation(inj_pos)
 
-        self.hom_i: tuple[tuple[int, ...], ...] = tuple(self._knit_row(x) for x in self.vertices)
+        # Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
         ids = range(len(self.vertices))
+        knitted = {i: self._knit_row(self.obj_at[0, i]) for i in rows}
+        tau_k = [tuple(ids)]
+        while len(tau_k) <= self.max_slice:
+            tau_k.append(tuple(self.tau_i[y] for y in tau_k[-1]))
+        self.hom_i: tuple[tuple[int, ...], ...] = tuple(
+            tuple(map(knitted[i].__getitem__, tau_k[k])) for k, i in map(self.pos_of.get, self.vertices)
+        )
         ext = [[self.hom_i[x][self.tau_i[y]] for y in ids] for x in ids]
         self.ext_free: tuple[int, ...] = tuple(
             sum(1 << y for y in ids if not ext[x][y] and not ext[y][x]) for x in ids
@@ -378,12 +387,18 @@ def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[Categorif
     n = g.quiver.n
     if not (1 <= k <= n):
         raise IndexError(f"mutation index {k} out of range 1..{n}")
-    key = seed.tilting_key
-    if key.bit_count() != n:
+    if seed.tilting_key.bit_count() != n:
         raise ValueError("seed is not basic")
+    masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
+    return _exchange(g, seed, k, reduce(and_, masks, (1 << len(g.vertices)) - 1))
+
+
+def _exchange(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> tuple[CategorifiedSeed, ExchangeData]:
+    """The exchange of summand k of a basic seed, given ``others``, the AND of
+    the other summands' ext_free masks. The new seed's key is one XOR."""
+    key = seed.tilting_key
     tk = seed.summands[k - 1]
-    masks = (g.ext_free[x] for x in seed.summands if x != tk)
-    mask = reduce(and_, masks, (1 << len(g.vertices)) - 1) & ~key
+    mask = others & ~key
     if not mask:
         raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
     if mask & (mask - 1):
@@ -391,11 +406,12 @@ def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[Categorif
     tk_star = mask.bit_length() - 1
     if g.hom_i[tk][g.tau_i[tk_star]] != 1:
         raise AssertionError("exchange pair does not have a one dimensional extension space")
-    col = [seed.b[i][k - 1] for i in range(n)]
+    col = [row[k - 1] for row in seed.b]
     e = tuple(sorted((x, c) for x, c in zip(seed.summands, col) if c > 0))
     e_prime = tuple(sorted((x, -c) for x, c in zip(seed.summands, col) if c < 0))
     new_summands = seed.summands[: k - 1] + (tk_star,) + seed.summands[k:]
     new_seed = CategorifiedSeed(new_summands, mutate_matrix(seed.b, k))
+    vars(new_seed)["tilting_key"] = key ^ (1 << tk) ^ mask  # fills the cached_property
     return new_seed, ExchangeData(k, tk, tk_star, e, e_prime)
 
 
@@ -405,15 +421,20 @@ def walk_tilting(g: GammaC) -> Iterator[Edge]:
 
     Each tilting object is expanded once, as the seed that first reached it,
     and its edges come out for k = 1..n in turn, so ``k == 1`` marks a newly
-    expanded seed.
+    expanded seed. The mask of the summands other than k is the AND of a
+    prefix and a suffix of their ext_free masks: 2n ANDs per object.
     """
     start = initial_seed_c(g)
     seen = {start.tilting_key}
     queue = deque([start])
+    full = (1 << len(g.vertices)) - 1
     while queue:
         seed = queue.popleft()
+        masks = [g.ext_free[x] for x in seed.summands]
+        prefix = list(accumulate(masks, and_, initial=full))  # prefix[j]: AND of masks[:j]
+        suffix = list(accumulate(reversed(masks), and_, initial=full))[::-1]  # masks[j:]
         for k in range(1, g.quiver.n + 1):
-            nxt, xd = mutate_tilting(g, seed, k)
+            nxt, xd = _exchange(g, seed, k, prefix[k - 1] & suffix[k])
             yield seed, k, nxt, xd
             if nxt.tilting_key not in seen:
                 seen.add(nxt.tilting_key)
@@ -445,23 +466,27 @@ def is_compatible(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
     return lhs == max(sum(c * row[v] for v, c in mid) for mid in (xd.e, xd.e_prime))
 
 
-def lemma6_check(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
-    """Dual compatibility agrees with compatibility for the double-shifted pair.
+def lemma6_check(g: GammaC, xd: ExchangeData) -> tuple[bool, ...]:
+    """For every vertex id m: dual compatibility of m agrees with
+    compatibility of m for the double-shifted pair.
 
     Dual criterion: m is the suspension of one of the pair, or the hom count
     from the pair into m matches the larger of the counts from the middle
-    terms. The double shift acts on the translation quiver as tau twice.
+    terms. The double shift acts on the translation quiver as tau twice; the
+    shifted pair is built once for every m.
     """
-    x = g.index[m]
     hom, tau = g.hom_i, g.tau_i
-    dual = (
-        x in (tau[xd.tk], tau[xd.tk_star])
-        or hom[xd.tk][x] + hom[xd.tk_star][x]
-        == max(sum(c * hom[v][x] for v, c in mid) for mid in (xd.e, xd.e_prime))
-    )
     e2, e2_prime = (tuple(sorted((tau[tau[v]], c) for v, c in mid)) for mid in (xd.e, xd.e_prime))
     shifted = ExchangeData(xd.k, tau[tau[xd.tk]], tau[tau[xd.tk_star]], e2, e2_prime)
-    return dual == is_compatible(g, m, shifted)
+    return tuple(
+        (
+            x in (tau[xd.tk], tau[xd.tk_star])
+            or hom[xd.tk][x] + hom[xd.tk_star][x]
+            == max(sum(c * hom[v][x] for v, c in mid) for mid in (xd.e, xd.e_prime))
+        )
+        == is_compatible(g, m, shifted)
+        for x, m in enumerate(g.vertices)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -268,13 +268,12 @@ def _verify_lemma67(qtype: str, depth, seed):
     g = GammaC(q)
     tilting_objects = compat_cases = 0
     failures: list[dict] = []
-    checks = (("compatibility", is_compatible), ("shifted agreement", lemma6_check))
     for cur, k, _nxt, xd in walk_tilting(g):
         tilting_objects += k == 1
-        for m in g.vertices:
+        for m, agree in zip(g.vertices, lemma6_check(g, xd)):
             compat_cases += 1
-            for check, holds in checks:
-                if not holds(g, m, xd):
+            for check, holds in (("compatibility", is_compatible(g, m, xd)), ("shifted agreement", agree)):
+                if not holds:
                     tilting = [g.vertices[t].render() for t in cur.summands]
                     failures.append({"tilting": tilting, "k": k, "object": m.render(), "check": check})
     prop = theorem1_injectivity(q)

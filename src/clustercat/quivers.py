@@ -137,6 +137,8 @@ def mutate_matrix(b, k: int) -> IntMatrix:
 
     b'_ij = -b_ij when i = k or j = k, otherwise
     b'_ij = b_ij + [b_ik]_+ [b_kj]_+ - [-b_ik]_+ [-b_kj]_+.
+    A row i != k with b_ik = 0 is unchanged and is shared with the input
+    when that row is a tuple.
     """
     n = len(b)
     if not (1 <= k <= n):
@@ -148,6 +150,8 @@ def mutate_matrix(b, k: int) -> IntMatrix:
         c = bi[kk]
         if i == kk:
             row = [-x for x in bi]
+        elif not c:
+            row = bi
         else:
             # b_ij moves only where b_ik and b_kj share a sign, by |b_ik| b_kj
             a = abs(c)

@@ -152,6 +152,31 @@ def test_verify_prop8_a3(capsys):
     assert len(rep["details"]["chains"]) == 5
 
 
+def test_verify_lemma67_builds_one_shifted_pair_per_edge(capsys, monkeypatch):
+    # D4 has 50 tilting objects, so 200 edges; each edge builds its exchange
+    # data in the cli walk, once more in theorem1's walk, and one double-shifted
+    # copy for all 16 vertices (16 per edge when each vertex built its own)
+    from clustercat import category
+
+    built = []
+    real = category.ExchangeData
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(category, "ExchangeData", counting)
+    code, rep = run_json(capsys, "verify", "lemma67", "--type", "D4")
+    assert code == 0
+    assert rep["pass"] is True
+    assert rep["details"] == {
+        "compatibility_cases": 3200,
+        "propagation_cases": 2400,
+        "tilting_objects": 50,
+    }
+    assert len(built) == 3 * 200
+
+
 def test_verify_failure_reported_with_witness(capsys, monkeypatch):
     # force a count mismatch to exercise the failure path end to end
     monkeypatch.setitem(cli.KNOWN_CLUSTER_COUNTS, "A2", 6)

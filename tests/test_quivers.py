@@ -99,8 +99,18 @@ def _mutate_by_formula(b, k):
     )
 )
 def test_mutation_matches_written_out_formula(b):
+    lists = [list(row) for row in b]
     for k in range(1, len(b) + 1):
-        assert mutate_matrix(b, k) == _mutate_by_formula(b, k)
+        want = _mutate_by_formula(b, k)
+        for given in (b, lists):
+            out = mutate_matrix(given, k)
+            assert out == want
+            assert type(out) is tuple and all(type(row) is tuple for row in out)
+            # row k has b_kk = 0 like the rows that are kept, yet it is negated
+            assert out[k - 1] == tuple(-x for x in b[k - 1])
+        assert lists == [list(row) for row in b]
+        kept = [i for i, row in enumerate(b) if i != k - 1 and not row[k - 1]]
+        assert all(mutate_matrix(b, k)[i] is b[i] for i in kept)
 
 
 def test_acyclicity():
