@@ -33,7 +33,6 @@ from .bound import MonomialAlgebra, counterexample_report, ext1_bqa
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,
-    enumerate_tilting_objects,
     mutate_tilting,
     theorem1_injectivity,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ext1_bqa",
     "GammaC",
     "den_vs_hom_crosscheck",
-    "enumerate_tilting_objects",
     "mutate_tilting",
     "theorem1_injectivity",
     "TiltingModule",

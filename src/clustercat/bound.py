@@ -63,28 +63,26 @@ def projective(algebra: MonomialAlgebra, i: int) -> Representation:
 
 def _top_lifts(m: Representation) -> list[list[list[Fraction]]]:
     """Per vertex, standard basis vectors spanning a complement of the radical
-    (the sum of all incoming arrow images)."""
+    (the sum of all incoming arrow images).
+
+    e_k is taken iff it is not in the span of the radical and the e_j before
+    it, that is iff no radical vector has its last nonzero entry at k: iff k
+    is not a pivot of the radical's echelon form with the columns reversed.
+    """
     q = m.algebra.quiver
     lifts: list[list[list[Fraction]]] = []
     for v in range(1, q.n + 1):
         dv = m.dims[v - 1]
-        # radical vectors stored as rows; row rank equals column rank
-        spanning: list[list[Fraction]] = []
+        reversed_rows: list[list[Fraction]] = []
         for idx, (s, t) in enumerate(q.arrows):
             if t == v:
-                spanning.extend(linalg.transpose(m.mat(idx), m.dims[s - 1]))
-        rank = linalg.rank(spanning)
-        chosen = []
-        for k in range(dv):
-            e = [Fraction(int(r == k)) for r in range(dv)]
-            trial = spanning + [e]
-            new_rank = linalg.rank(trial)
-            if new_rank > rank:
-                chosen.append(e)
-                spanning = trial
-                rank = new_rank
-        assert rank == dv
-        lifts.append(chosen)
+                rows = linalg.transpose(m.mat(idx), m.dims[s - 1])
+                reversed_rows.extend(row[::-1] for row in rows)
+        _, pivots = linalg.rref(reversed_rows)
+        radical = {dv - 1 - c for c in pivots}
+        lifts.append(
+            [[Fraction(int(r == k)) for r in range(dv)] for k in range(dv) if k not in radical]
+        )
     return lifts
 
 

@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, product
 from operator import and_, or_
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .laurent import initial_seed, seed_mutate
 from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
@@ -39,16 +39,12 @@ __all__ = [
     "GammaC",
     "NoComplement",
     "MultipleComplements",
-    "MInShiftedT",
     "initial_seed_c",
     "shifted_initial_seed_c",
     "mutate_tilting",
-    "is_tilting_c",
     "walk_tilting",
-    "enumerate_tilting_objects",
     "is_compatible",
     "lemma6_check",
-    "dim_vector_mod_B",
     "theorem1_injectivity",
     "den_vs_hom_crosscheck",
 ]
@@ -60,11 +56,6 @@ class NoComplement(RuntimeError):
 
 class MultipleComplements(RuntimeError):
     """More than two completions found: engine bug."""
-
-
-class MInShiftedT(ValueError):
-    """The object lies in the shift of the tilting object, so it does not
-    correspond to a module over the endomorphism algebra."""
 
 
 @dataclass(frozen=True)
@@ -341,26 +332,9 @@ class GammaC:
             if self.hom_i[x][self.tau_i[x]] != 0:
                 raise AssertionError(f"{v.render()} is not rigid")
 
-    # -- queries ---------------------------------------------------------------
-
-    def hom_c_dim(self, x: CVertex, y: CVertex) -> int:
-        return self.hom_i[self.index[x]][self.index[y]]
-
-    def ext1_c_dim(self, x: CVertex, y: CVertex) -> int:
-        return self.hom_i[self.index[x]][self.tau_i[self.index[y]]]
-
 
 # ---------------------------------------------------------------------------
 # tilting objects and mutation
-
-
-def is_tilting_c(g: GammaC, ids: tuple[int, ...]) -> bool:
-    """n distinct summand ids, no extensions in either direction or with
-    itself."""
-    key = reduce(or_, (1 << x for x in ids), 0)
-    if key.bit_count() != len(ids) or len(ids) != g.quiver.n:
-        return False
-    return all(g.ext_free[x] & key == key for x in ids)
 
 
 def initial_seed_c(g: GammaC) -> CategorifiedSeed:
@@ -441,24 +415,14 @@ def walk_tilting(g: GammaC) -> Iterator[Edge]:
                 queue.append(nxt)
 
 
-def enumerate_tilting_objects(g: GammaC) -> dict[int, tuple[int, ...]]:
-    """All tilting objects by their bitmask keys, reached by mutation from
-    the projective generator; values are mutation paths from that seed."""
-    paths: dict[int, tuple[int, ...]] = {initial_seed_c(g).tilting_key: ()}
-    for seed, k, nxt, _ in walk_tilting(g):
-        if nxt.tilting_key not in paths:
-            paths[nxt.tilting_key] = paths[seed.tilting_key] + (k,)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # compatibility
 
 
-def is_compatible(g: GammaC, m: CVertex, xd: ExchangeData) -> bool:
-    """Either m is the desuspension of one of the pair, or the hom count to
-    the pair matches the larger of the hom counts to the two middle terms."""
-    x = g.index[m]
+def is_compatible(g: GammaC, x: int, xd: ExchangeData) -> bool:
+    """Either vertex x is the desuspension of one of the pair, or the hom
+    count to the pair matches the larger of the hom counts to the two middle
+    terms."""
     if g.tau_i[x] in (xd.tk, xd.tk_star):
         return True
     row = g.hom_i[x]
@@ -484,22 +448,13 @@ def lemma6_check(g: GammaC, xd: ExchangeData) -> tuple[bool, ...]:
             or hom[xd.tk][x] + hom[xd.tk_star][x]
             == max(sum(c * hom[v][x] for v, c in mid) for mid in (xd.e, xd.e_prime))
         )
-        == is_compatible(g, m, shifted)
-        for x, m in enumerate(g.vertices)
+        == is_compatible(g, x, shifted)
+        for x in range(len(g.vertices))
     )
 
 
 # ---------------------------------------------------------------------------
-# dimension vectors over the endomorphism algebra
-
-
-def dim_vector_mod_B(g: GammaC, seed: CategorifiedSeed, m: CVertex) -> tuple[int, ...]:
-    """Dimension vector of the module corresponding to m over the endomorphism
-    algebra of the seed's tilting object."""
-    x = g.index[m]
-    if x in {g.tau_i[t] for t in seed.summands}:
-        raise MInShiftedT(f"{m.render()} lies in the shift of the tilting object")
-    return tuple(g.hom_i[t][x] for t in seed.summands)
+# Theorem 1
 
 
 def theorem1_injectivity(quiver: Quiver) -> dict:
@@ -513,10 +468,16 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
     dimension vector there is well defined.
     """
     g = GammaC(quiver)
+    return _theorem1_report(g, walk_tilting(g))
+
+
+def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
+    """The report of ``theorem1_injectivity`` over the edges of a walk of g,
+    for callers that walk g for checks of their own as well."""
     tau_i, hom_i = g.tau_i, g.hom_i
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
-    for seed, k, nxt, xd in walk_tilting(g):
+    for seed, k, nxt, xd in edges:
         if k == 1:
             checked_tiltings += 1
             shifted = {tau_i[t] for t in seed.summands}

@@ -17,6 +17,7 @@ import sys
 from .bound import counterexample_report
 from .category import (
     GammaC,
+    _theorem1_report,
     den_vs_hom_crosscheck,
     is_compatible,
     lemma6_check,
@@ -266,17 +267,20 @@ def _verify_prop8(qtype: str, depth, seed):
 def _verify_lemma67(qtype: str, depth, seed):
     q = builtin_quiver(qtype)
     g = GammaC(q)
+    # one walk serves both lemmas and the Theorem 1 propagation report
+    edges = list(walk_tilting(g))
     tilting_objects = compat_cases = 0
     failures: list[dict] = []
-    for cur, k, _nxt, xd in walk_tilting(g):
+    for cur, k, _nxt, xd in edges:
         tilting_objects += k == 1
-        for m, agree in zip(g.vertices, lemma6_check(g, xd)):
+        for x, agree in enumerate(lemma6_check(g, xd)):
             compat_cases += 1
-            for check, holds in (("compatibility", is_compatible(g, m, xd)), ("shifted agreement", agree)):
+            for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):
                 if not holds:
                     tilting = [g.vertices[t].render() for t in cur.summands]
-                    failures.append({"tilting": tilting, "k": k, "object": m.render(), "check": check})
-    prop = theorem1_injectivity(q)
+                    obj = g.vertices[x].render()
+                    failures.append({"tilting": tilting, "k": k, "object": obj, "check": check})
+    prop = _theorem1_report(g, edges)
     ok = not failures and prop["injective_everywhere"]
     details = {
         "tilting_objects": tilting_objects,

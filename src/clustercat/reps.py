@@ -37,7 +37,6 @@ __all__ = [
     "hom_space",
     "invertible_element_exists",
     "ext1_dim",
-    "is_rigid",
     "direct_sum",
     "projective_dims",
     "injective_dims",
@@ -328,10 +327,6 @@ def ext1_dim(m: Representation, n: Representation) -> int:
     return value
 
 
-def is_rigid(m: Representation) -> bool:
-    return ext1_dim(m, m) == 0
-
-
 # ---------------------------------------------------------------------------
 # projective and injective dimension vectors
 
@@ -553,6 +548,9 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
     for b in space.basis:
         if _vertexwise_invertible(dims, b):
             return True
+    if space.dim == 1:
+        # every element is a multiple of the one basis element
+        return False
     rng = random.Random(0xC1A5)
     for _ in range(60):
         coeffs = [rng.randint(-4, 4) for _ in range(space.dim)]

@@ -109,29 +109,6 @@ class TiltingModule:
         return tuple(s.dims for s in self.summands)
 
 
-@dataclass(frozen=True)
-class TorsionClass:
-    """Dimension vectors of the indecomposables with no extensions from T;
-    bit i of ``mask`` is set iff the i-th directed indecomposable is one."""
-
-    members: frozenset
-    mask: int
-
-
-def is_tilting_module(quiver: Quiver, summands) -> bool:
-    """Whether the given indecomposables form a tilting module.
-
-    Raises as TiltingModule.of does on a non-Dynkin quiver, a summand from
-    another quiver or a non-brick; the boolean covers count, distinctness
-    and ext.
-    """
-    try:
-        TiltingModule.of(quiver, summands)
-    except NotTilting:
-        return False
-    return True
-
-
 class _ModuleTable(NamedTuple):
     ordered: tuple[Representation, ...]
     hh: tuple[tuple[int, ...], ...]
@@ -225,16 +202,16 @@ def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
     return tuple(found)
 
 
-def torsion_class(quiver: Quiver, t: TiltingModule) -> TorsionClass:
-    """Indecomposables M with ext^1(T, M) = 0, recorded by dimension vector."""
+def torsion_class(quiver: Quiver, t: TiltingModule) -> int:
+    """Indecomposables M with ext^1(T, M) = 0, as a mask: bit j is set iff
+    the module with id j is one."""
     if t.quiver != quiver:
         raise ValueError("tilting module lives on a different quiver")
     table = _directed_indecomposables(quiver)
     mask = (1 << len(table.ordered)) - 1
     for i in t.ids:
         mask &= table.ext_free[i]
-    keep = [m.dims for j, m in enumerate(table.ordered) if mask >> j & 1]
-    return TorsionClass(frozenset(keep), mask)
+    return mask
 
 
 def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
@@ -329,8 +306,8 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
         "e_summands": sorted(list(dims[j]) for j, x in zip(rest, mult) for _ in range(int(x))),
         "dim_t0_prime": list(dims[t0p]),
         "t0_prime_preinjective": is_preinjective(euler_data(quiver), dims[t0p]),
-        "torsion_before": len(torsion_class(quiver, t).members),
-        "torsion_after": len(torsion_class(quiver, new_t).members),
+        "torsion_before": torsion_class(quiver, t).bit_count(),
+        "torsion_after": torsion_class(quiver, new_t).bit_count(),
     }
     return new_t, witness
 
@@ -338,15 +315,16 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
 def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     """Walk a tilting module down to the injectives one swap at a time.
 
-    Every step must shrink the torsion class strictly (member-wise), change
-    exactly one summand, and expel the removed summand from the new torsion
-    class while the removed summand keeps trivial extensions into it.  An
-    already injective module yields an empty chain.
+    Every step must shrink the torsion class strictly (its mask loses bits
+    and gains none), change exactly one summand, and expel the removed
+    summand from the new torsion class while the removed summand keeps
+    trivial extensions into it.  An already injective module yields an empty
+    chain.
     """
     table = _directed_indecomposables(quiver)
     cur = t
     cur_tc = torsion_class(quiver, cur)
-    sizes = [len(cur_tc.members)]
+    sizes = [cur_tc.bit_count()]
     steps: list[dict] = []
     while True:
         k = find_descent_summand(quiver, cur)
@@ -357,16 +335,16 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
         t0 = cur.ids[k]
         new_t, witness = complement_and_sequence(quiver, cur, k)
         new_tc = torsion_class(quiver, new_t)
-        if not new_tc.members < cur_tc.members:
+        if new_tc & ~cur_tc or new_tc == cur_tc:
             raise DescentStepError("torsion class did not shrink")
         if len(set(cur.ids) ^ set(new_t.ids)) != 2:
             raise DescentStepError("swap changed more than one summand")
-        if new_tc.mask >> t0 & 1:
+        if new_tc >> t0 & 1:
             raise DescentStepError("removed summand stayed in the torsion class")
-        if new_tc.mask & ~table.ext_free[t0]:
+        if new_tc & ~table.ext_free[t0]:
             raise DescentStepError("extension from the removed summand survived")
         steps.append(witness)
-        sizes.append(len(new_tc.members))
+        sizes.append(new_tc.bit_count())
         cur, cur_tc = new_t, new_tc
     if set(cur.ids) != table.injective:
         raise DescentStepError("chain terminated away from the injectives")

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clustercat import linalg
 from clustercat.bound import (
     MonomialAlgebra,
+    _top_lifts,
     build_counterexample_algebra,
     counterexample_modules,
     counterexample_report,
@@ -90,9 +94,64 @@ def test_cover_dimension_bookkeeping():
         # cover surjects vertexwise
         for v in range(3):
             rows = [list(r) for r in cover[v]]
-            from clustercat import linalg
-
             assert linalg.rank(rows) == x.dims[v]
+
+
+def greedy_top_lifts(m):
+    """Per vertex, the standard basis vectors e_k that raise the rank of the
+    radical plus the ones taken before them: the rank-per-vector loop that
+    _top_lifts replaced."""
+    q = m.algebra.quiver
+    lifts = []
+    for v in range(1, q.n + 1):
+        dv = m.dims[v - 1]
+        spanning = []
+        for idx, (s, t) in enumerate(q.arrows):
+            if t == v:
+                spanning.extend(linalg.transpose(m.mat(idx), m.dims[s - 1]))
+        rank = linalg.rank(spanning)
+        chosen = []
+        for k in range(dv):
+            e = [Fraction(int(r == k)) for r in range(dv)]
+            if linalg.rank(spanning + [e]) > rank:
+                chosen.append(e)
+                spanning = spanning + [e]
+                rank += 1
+        lifts.append(chosen)
+    return lifts
+
+
+LIFT_QUIVERS = [
+    builtin_quiver("D4"),
+    builtin_quiver("Atilde21"),
+    build_counterexample_algebra().quiver,
+]
+
+
+@st.composite
+def path_algebra_modules(draw):
+    q = draw(st.sampled_from(LIFT_QUIVERS))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=q.n, max_size=q.n)))
+    entries = st.integers(-2, 2)
+    mats = [
+        [draw(st.lists(entries, min_size=dims[s - 1], max_size=dims[s - 1])) for _ in range(dims[t - 1])]
+        for s, t in q.arrows
+    ]
+    return Representation(q, dims, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_algebra_modules())
+def test_top_lifts_match_the_greedy_rank_loop(m):
+    assert _top_lifts(m) == greedy_top_lifts(m)
+
+
+def test_top_lifts_match_the_greedy_rank_loop_on_the_counterexample():
+    alg = build_counterexample_algebra()
+    m, n = counterexample_modules(alg)
+    for x in (m, n, direct_sum(m, n), *(projective(alg, i) for i in (1, 2, 3))):
+        assert _top_lifts(x) == greedy_top_lifts(x)
+        assert _top_lifts(syzygy(x)[0]) == greedy_top_lifts(syzygy(x)[0])
 
 
 def test_ext_invariant_under_base_change():
@@ -112,6 +171,18 @@ def test_modules_not_isomorphic_despite_equal_dims():
     assert m.dims == n.dims == (1, 1, 1)
     assert not is_isomorphic(m, n)
     assert is_isomorphic(m, m)
+
+
+def test_isomorphism_on_a_one_dimensional_hom_space_reads_only_its_basis(monkeypatch):
+    # Hom(M, N) is spanned by one map, so whether it is invertible at every
+    # vertex settles the question: at most one rank per vertex
+    m, n = counterexample_modules(build_counterexample_algebra())
+    assert hom(m, n).dim == 1
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or rank(a))
+    assert not is_isomorphic(m, n)
+    assert len(calls) <= 3
 
 
 def test_module_rejects_relation_violation():

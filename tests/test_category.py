@@ -23,15 +23,11 @@ from clustercat.category import (
     CategorifiedSeed,
     CVertex,
     GammaC,
-    MInShiftedT,
     MultipleComplements,
     NoComplement,
     den_vs_hom_crosscheck,
-    dim_vector_mod_B,
-    enumerate_tilting_objects,
     initial_seed_c,
     is_compatible,
-    is_tilting_c,
     lemma6_check,
     mutate_tilting,
     shifted_initial_seed_c,
@@ -111,9 +107,9 @@ def oracle_tau(quiver, v: CVertex) -> CVertex:
 )
 def test_hom_table_matches_module_oracle(q):
     g = GammaC(q)
-    for x in g.vertices:
-        for y in g.vertices:
-            assert g.hom_c_dim(x, y) == oracle_hom_c(q, x, y), (x, y)
+    for x, vx in enumerate(g.vertices):
+        for y, vy in enumerate(g.vertices):
+            assert g.hom_i[x][y] == oracle_hom_c(q, vx, vy), (vx, vy)
 
 
 def linear(n):
@@ -152,18 +148,24 @@ def test_vertex_counts(name, count):
     assert len(g.vertices) == count
 
 
+def ext_c(g, x, y):
+    """dim Ext^1(x, y) in the cluster category, as hom(x, tau y)."""
+    return g.hom_i[x][g.tau_i[y]]
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
 def test_serre_duality_symmetry(name):
     g = GammaC(builtin_quiver(name))
-    for x in g.vertices:
-        for y in g.vertices:
-            assert g.ext1_c_dim(x, y) == g.ext1_c_dim(y, x)
+    ids = range(len(g.vertices))
+    for x in ids:
+        for y in ids:
+            assert ext_c(g, x, y) == ext_c(g, y, x)
 
 
 def test_almost_split_self_extension():
     g = GammaC(builtin_quiver("A3"))
-    for x, v in enumerate(g.vertices):
-        assert g.ext1_c_dim(v, g.vertices[g.tau_i[x]]) == 1
+    for x in range(len(g.vertices)):
+        assert ext_c(g, x, g.tau_i[x]) == 1
 
 
 def test_tau_bijections():
@@ -181,32 +183,35 @@ def test_shift_is_tau_of_projective():
 
 
 def brute_force_tilting_count(g):
-    verts = sorted(g.vertices, key=lambda v: v.sort_key())
     n = g.quiver.n
     count = 0
-    for combo in itertools.combinations(verts, n):
+    for combo in itertools.combinations(range(len(g.vertices)), n):
         if all(
-            g.ext1_c_dim(a, b) == 0
+            ext_c(g, a, b) == 0
             for a, b in itertools.combinations_with_replacement(combo, 2)
         ):
             count += 1
     return count
 
 
+def expanded_seeds(g):
+    """The seeds walk_tilting expands, one per tilting object."""
+    return [seed for seed, k, _, _ in walk_tilting(g) if k == 1]
+
+
 @pytest.mark.parametrize("name,count", [("A2", 5), ("A3", 14), ("D4", 50)])
 def test_tilting_object_counts_two_routes(name, count):
     g = GammaC(builtin_quiver(name))
-    reached = enumerate_tilting_objects(g)
+    reached = expanded_seeds(g)
     assert len(reached) == count
     assert brute_force_tilting_count(g) == count
-    start = initial_seed_c(g)
-    assert start.tilting_key in reached
-    assert reached[start.tilting_key] == ()
+    assert reached[0] == initial_seed_c(g)
 
 
 def test_a1_counts():
     # with one vertex no other summand narrows the partner mask
-    assert list(enumerate_tilting_objects(GammaC(A1)).values()) == [(), (1,)]
+    g = GammaC(A1)
+    assert [seed.summands for seed in expanded_seeds(g)] == [g.proj_i, g.shift_i]
     assert explore_exchange_graph(exchange_matrix(A1)).cluster_count == 2
     (only,) = enumerate_tilting_modules(A1)
     assert prop8_descent(A1, only)["step_count"] == 0
@@ -234,8 +239,7 @@ def test_int_tables_match_vertex_queries(name):
     for x, vx in enumerate(g.vertices):
         assert g.vertices[g.tau_i[x]] == oracle_tau(QUIVERS[name], vx)
         for y, vy in enumerate(g.vertices):
-            assert g.hom_i[x][y] == g.hom_c_dim(vx, vy)
-            ext_free = g.ext1_c_dim(vx, vy) == 0 and g.ext1_c_dim(vy, vx) == 0
+            ext_free = ext_c(g, x, y) == 0 and ext_c(g, y, x) == 0
             assert bool(g.ext_free[x] >> y & 1) == ext_free, (vx, vy)
 
 
@@ -245,10 +249,6 @@ def brute_force_partner(g, seed, k):
     read off the matrix column and ordered by their labels' sort keys; the
     route mutate_tilting replaced."""
     n = g.quiver.n
-
-    def ext(a, b):
-        return g.ext1_c_dim(g.vertices[a], g.vertices[b])
-
     tk = seed.summands[k - 1]
     others = tuple(v for i, v in enumerate(seed.summands) if i != k - 1)
     found = [
@@ -256,8 +256,8 @@ def brute_force_partner(g, seed, k):
         for cand in range(len(g.vertices))
         if cand != tk
         and cand not in others
-        and not ext(cand, cand)
-        and all(not ext(cand, o) and not ext(o, cand) for o in others)
+        and not ext_c(g, cand, cand)
+        and all(not ext_c(g, cand, o) and not ext_c(g, o, cand) for o in others)
     ]
     col = [seed.b[i][k - 1] for i in range(n)]
 
@@ -276,14 +276,15 @@ def test_mask_partner_matches_brute_force_scan(name):
         found, e, e_prime = brute_force_partner(g, seed, k)
         assert found == [xd.tk_star], (seed.summands, k)
         assert (xd.k, xd.tk, xd.e, xd.e_prime) == (k, seed.summands[k - 1], e, e_prime)
-        assert g.ext1_c_dim(g.vertices[xd.tk], g.vertices[xd.tk_star]) == 1
+        assert ext_c(g, xd.tk, xd.tk_star) == 1
         assert nxt.summands[k - 1] == xd.tk_star
         assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
         # the walk derives the next key by one XOR; recompute it from the summands
         assert "tilting_key" in vars(nxt)
         assert nxt.tilting_key == functools.reduce(operator.or_, (1 << x for x in nxt.summands))
         edges += 1
-    assert edges == len(enumerate_tilting_objects(g)) * g.quiver.n
+    # Fomin-Zelevinsky cluster counts
+    assert edges == {"A4": 42, "D4": 50, "D6": 672}[name] * g.quiver.n
 
 
 def test_walker_expands_each_tilting_object_once():
@@ -293,7 +294,9 @@ def test_walker_expands_each_tilting_object_once():
     assert [k for _, k, _, _ in edges] == [1, 2, 3, 4] * len(expanded)
     assert expanded[0] == initial_seed_c(g)
     assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
-    assert all(is_tilting_c(g, s.summands) for s in expanded)
+    for s in expanded:
+        assert len(set(s.summands)) == 4
+        assert all(ext_c(g, a, b) == 0 for a in s.summands for b in s.summands)
 
 
 def test_non_tilting_seeds_raise():
@@ -309,7 +312,7 @@ def test_non_tilting_seeds_raise():
             error = NoComplement
         elif len(found) > 1:
             error = MultipleComplements
-        elif g.ext1_c_dim(g.vertices[combo[3]], g.vertices[found[0]]) != 1:
+        elif ext_c(g, combo[3], found[0]) != 1:
             error = AssertionError
         else:
             assert mutate_tilting(g, seed, 4)[1].tk_star == found[0]
@@ -321,15 +324,6 @@ def test_non_tilting_seeds_raise():
     p1, _, p3, p4 = g.proj_i
     with pytest.raises(ValueError):
         mutate_tilting(g, CategorifiedSeed((p1, p1, p3, p4), b), 2)
-
-
-def test_is_tilting_c():
-    g = GammaC(builtin_quiver("A2"))
-    (p1, p2), (s1, _) = g.proj_i, g.shift_i
-    assert is_tilting_c(g, (p1, p2))
-    assert not is_tilting_c(g, (p1, s1))
-    assert not is_tilting_c(g, (p1, p1))
-    assert not is_tilting_c(g, (p1,))
 
 
 def test_mutation_exchange_a2():
@@ -365,8 +359,8 @@ def test_compatibility_and_dual_criterion_sweep():
         seed = stack.pop()
         for k in range(1, 4):
             new, xd = mutate_tilting(g, seed, k)
-            for m, agree in zip(g.vertices, lemma6_check(g, xd), strict=True):
-                assert is_compatible(g, m, xd)
+            for x, agree in zip(range(len(g.vertices)), lemma6_check(g, xd), strict=True):
+                assert is_compatible(g, x, xd)
                 assert agree
                 seen += 1
             if new.tilting_key not in visited:
@@ -381,31 +375,50 @@ def test_tampered_exchange_data_is_detected():
     seed = initial_seed_c(g)
     _, xd = mutate_tilting(g, seed, 2)
     wrong = dataclasses.replace(xd, e=((g.proj_i[2], 1),))
-    assert any(not is_compatible(g, m, wrong) for m in g.vertices)
+    assert any(not is_compatible(g, x, wrong) for x in range(len(g.vertices)))
 
 
-def test_dim_vector_mod_b_on_projective_seed():
+def seed_columns(g, seed):
+    """Column x of the summands' hom rows, for every vertex x, as
+    theorem1_injectivity reads them, and the vertices it leaves out: the
+    shift tau T of the tilting object."""
+    columns = list(zip(*(g.hom_i[t] for t in seed.summands)))
+    return columns, {g.tau_i[t] for t in seed.summands}
+
+
+def test_hom_columns_on_projective_seed():
+    # over the projective seed a module's column is its dimension vector;
+    # the left-out shift holds the shifted projectives, whose columns are
+    # all zero, so they would break injectivity if they were read
     g = GammaC(builtin_quiver("A3"))
-    seed = initial_seed_c(g)
-    for m in g.vertices:
-        if m.is_module:
-            assert dim_vector_mod_B(g, seed, m) == m.dims
-        else:
-            with pytest.raises(MInShiftedT):
-                dim_vector_mod_B(g, seed, m)
-
-
-def test_dim_vector_mod_b_against_hom_route():
-    # against the shifted seed: coordinates are hom dimensions from the seed
-    g = GammaC(builtin_quiver("A3"))
-    shifted = shifted_initial_seed_c(g)
+    columns, left_out = seed_columns(g, initial_seed_c(g))
+    assert left_out == set(g.shift_i)
     for x, m in enumerate(g.vertices):
-        if x in shifted.summands:
+        if m.is_module:
+            assert columns[x] == m.dims
+        else:
+            assert columns[x] == (0, 0, 0)
+
+
+def test_hom_columns_over_shifted_seed():
+    # over the shifted seed, hom(P_i[1], M) is the i-th entry of
+    # dim tau^-1 M, and hom(P_i[1], P_j[1]) that of dim P_j; the left-out
+    # shift holds the injectives, where tau^-1 M is zero
+    q = builtin_quiver("A3")
+    g = GammaC(q)
+    columns, left_out = seed_columns(g, shifted_initial_seed_c(g))
+    assert {g.vertices[x] for x in left_out} == {
+        CVertex.module(injective_dims(q, i)) for i in (1, 2, 3)
+    }
+    for x, m in enumerate(g.vertices):
+        if not m.is_module:
+            assert columns[x] == projective_dims(q, m.shift_vertex)
             continue
-        if any(x == g.tau_i[t] for t in shifted.summands):
-            continue
-        d = dim_vector_mod_B(g, shifted, m)
-        assert d == tuple(g.hom_c_dim(g.vertices[t], m) for t in shifted.summands)
+        translate = tau_inverse(indecomposable_from_root(q, m.dims))
+        if x in left_out:
+            assert translate is None
+        else:
+            assert columns[x] == translate.dims
 
 
 def test_theorem1_injectivity_reports():

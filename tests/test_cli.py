@@ -154,8 +154,8 @@ def test_verify_prop8_a3(capsys):
 
 def test_verify_lemma67_builds_one_shifted_pair_per_edge(capsys, monkeypatch):
     # D4 has 50 tilting objects, so 200 edges; each edge builds its exchange
-    # data in the cli walk, once more in theorem1's walk, and one double-shifted
-    # copy for all 16 vertices (16 per edge when each vertex built its own)
+    # data once in the one walk, and one double-shifted copy for all 16
+    # vertices (16 per edge when each vertex built its own)
     from clustercat import category
 
     built = []
@@ -174,7 +174,31 @@ def test_verify_lemma67_builds_one_shifted_pair_per_edge(capsys, monkeypatch):
         "propagation_cases": 2400,
         "tilting_objects": 50,
     }
-    assert len(built) == 3 * 200
+    assert len(built) == 2 * 200
+
+
+def test_verify_lemma67_builds_the_category_and_walks_it_once(capsys, monkeypatch):
+    # the lemma checks and the Theorem 1 propagation report share one
+    # GammaC and one walk over its tilting objects
+    from clustercat import category
+
+    calls = {"GammaC": 0, "walk_tilting": 0}
+    init = category.GammaC.__init__
+
+    def counting_init(self, quiver):
+        calls["GammaC"] += 1
+        init(self, quiver)
+
+    def counting_walk(g, _real=category.walk_tilting):
+        calls["walk_tilting"] += 1
+        return _real(g)
+
+    monkeypatch.setattr(category.GammaC, "__init__", counting_init)
+    for module in (category, cli):
+        monkeypatch.setattr(module, "walk_tilting", counting_walk)
+    code, rep = run_json(capsys, "verify", "lemma67", "--type", "D4")
+    assert code == 0 and rep["pass"] is True
+    assert calls == {"GammaC": 1, "walk_tilting": 1}
 
 
 def test_verify_failure_reported_with_witness(capsys, monkeypatch):

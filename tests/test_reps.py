@@ -18,7 +18,6 @@ from clustercat.reps import (
     injective_dims,
     is_isomorphic,
     is_preinjective,
-    is_rigid,
     projective_dims,
     tau,
     tau_inverse,
@@ -104,7 +103,7 @@ def test_indecomposables_exhaust_positive_roots():
         assert {m.dims for m in inds} == set(positive_roots(q))
         for m in inds:
             assert hom(m, m).dim == 1
-            assert is_rigid(m)
+            assert ext1_dim(m, m) == 0
         for m, n in itertools.combinations(inds, 2):
             assert not is_isomorphic(m, n)
 
@@ -202,8 +201,7 @@ def test_tube_modules():
     assert r1.dims == (0, 1, 0)
     assert r2.dims == (1, 0, 1)
     assert mt.dims == (1, 1, 1)
-    assert is_rigid(r1) and is_rigid(r2)
-    assert not is_rigid(mt)
+    assert ext1_dim(r1, r1) == 0 and ext1_dim(r2, r2) == 0
     assert ext1_dim(mt, mt) == 1
     assert ext1_dim(r1, r2) == 1 and ext1_dim(r2, r1) == 1
 
