@@ -20,6 +20,7 @@ from .laurent import (
     seed_mutate,
 )
 from .reps import (
+    MonomialAlgebra,
     Representation,
     all_indecomposables,
     ext1_dim,
@@ -29,7 +30,7 @@ from .reps import (
     tau,
     tau_inverse,
 )
-from .bound import MonomialAlgebra, counterexample_report, ext1_bqa
+from .bound import counterexample_report, ext1_bqa
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,

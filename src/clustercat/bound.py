@@ -28,7 +28,6 @@ from .reps import (
 )
 
 __all__ = [
-    "MonomialAlgebra",
     "projective",
     "ext1_bqa",
     "syzygy",

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are plain lists of lists of ``fractions.Fraction`` (ints are
-accepted as input).  Ranks, kernels, solutions and inverses all come from one
+accepted as input).  Ranks, kernels and solutions all come from one
 integer elimination kernel: each row is scaled to Python ints and reduced by
 fraction-free Gauss-Jordan steps that keep each row primitive by its gcd,
 and a Fraction is formed only when an answer is read off a pivot row.
@@ -27,7 +27,6 @@ __all__ = [
     "zeros",
     "identity",
     "shape_of",
-    "mat_neg",
     "mat_mul",
     "mat_vec",
     "transpose",
@@ -36,9 +35,6 @@ __all__ = [
     "nullspace",
     "solve",
     "solve_matrix",
-    "inverse",
-    "is_integral",
-    "to_int_matrix",
 ]
 
 
@@ -70,10 +66,6 @@ def shape_of(m: Matrix, rows: int, cols: int) -> tuple[int, int]:
         if len(row) != cols:
             raise ValueError(f"expected {cols} columns, got {len(row)}")
     return rows, cols
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix, cols: int | None = None) -> Matrix:
@@ -189,20 +181,3 @@ def solve(a: Matrix, b: Sequence, cols: int) -> list[Fraction] | None:
         return [Fraction(0)] * cols if not any(b) else None
     x = solve_matrix(a, [[y] for y in b], cols)
     return None if x is None else [row[0] for row in x]
-
-
-def inverse(a: Matrix) -> Matrix:
-    x = solve_matrix(a, identity(len(a)), len(a))
-    if x is None:
-        raise ValueError("matrix is singular")
-    return x
-
-
-def is_integral(a: Matrix) -> bool:
-    return all(x.denominator == 1 for row in a for x in row)
-
-
-def to_int_matrix(a: Matrix) -> list[list[int]]:
-    if not is_integral(a):
-        raise ValueError("matrix has non-integer entries")
-    return [[int(x) for x in row] for row in a]

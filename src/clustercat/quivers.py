@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-
-from . import linalg
 
 __all__ = [
     "Quiver",
@@ -26,6 +24,7 @@ __all__ = [
     "mutate_matrix",
     "classify_diagram",
     "positive_roots",
+    "simple_reflection",
     "builtin_quiver",
     "BUILTIN_QUIVER_NAMES",
     "load_quiver_json",
@@ -298,6 +297,15 @@ def classify_diagram(q: Quiver) -> DiagramClass:
 # root system
 
 
+def simple_reflection(q: Quiver, d, k: int) -> Vector:
+    """Simple reflection s_k of the Weyl group of the underlying graph:
+    d_k becomes the sum of d_j over the edges k - j, minus d_k."""
+    neighbours = [t if s == k else s for s, t in q.arrows if k in (s, t)]
+    dk = sum(d[j - 1] for j in neighbours) - d[k - 1]
+    return tuple(dk if j == k - 1 else x for j, x in enumerate(d))
+
+
+@lru_cache(maxsize=None)
 def positive_roots(q: Quiver) -> frozenset[Vector]:
     """Positive roots of the underlying Dynkin diagram.
 
@@ -309,22 +317,13 @@ def positive_roots(q: Quiver) -> frozenset[Vector]:
     if cls.kind != "dynkin":
         raise ValueError(f"positive roots require a Dynkin diagram, got {cls.label}")
     n = q.n
-    mult = [[0] * n for _ in range(n)]
-    for (s, t), m in _edge_multiplicities(q).items():
-        mult[s - 1][t - 1] += m
-        mult[t - 1][s - 1] += m
-
-    def reflect(d: Vector, i: int) -> Vector:
-        new_i = -d[i] + sum(mult[i][j] * d[j] for j in range(n))
-        return tuple(new_i if j == i else d[j] for j in range(n))
-
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen: set[Vector] = set(simples)
     frontier = list(simples)
     while frontier:
         d = frontier.pop()
-        for i in range(n):
-            r = reflect(d, i)
+        for k in range(1, n + 1):
+            r = simple_reflection(q, d, k)
             if r not in seen:
                 seen.add(r)
                 frontier.append(r)
@@ -343,9 +342,11 @@ class EulerData:
     The form is <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j, which
     equals dim Hom(M, N) - dim Ext^1(M, N) for representations with
     dim M = d, dim N = e. The Coxeter matrix Phi = -E^{-1} E^T is the
-    dimension shadow of the AR translate: Phi dim M = dim tau M for
-    non-projective indecomposables and Phi dim P_i = -dim I_i; the inverse
-    transform plays the same role for the inverse translate.
+    product of the simple reflections taken sinks first (Bernstein-Gelfand-
+    Ponomarev) and the dimension shadow of the AR translate: Phi dim M =
+    dim tau M for non-projective indecomposables and Phi dim P_i = -dim I_i;
+    Phi^-1, the reflections taken sources first, plays the same role for
+    the inverse translate.
     """
 
     def __init__(self, q: Quiver):
@@ -353,18 +354,21 @@ class EulerData:
             raise ValueError("Euler data requires an acyclic quiver")
         self.quiver = q
         n = q.n
-        e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
         for s, t in q.arrows:
             e[s - 1][t - 1] -= 1
-        self._e = e
-        e_inv = linalg.inverse(e)
-        et = linalg.transpose(e)
-        phi = linalg.mat_neg(linalg.mat_mul(e_inv, et))
-        phi_inv = linalg.mat_neg(linalg.mat_mul(linalg.inverse(et), e))
-        # acyclic E is unitriangular in a topological order, so both are integral
-        self.matrix = tuple(tuple(r) for r in linalg.to_int_matrix(phi))
-        self.inverse_matrix = tuple(tuple(r) for r in linalg.to_int_matrix(phi_inv))
-        self.euler_matrix = tuple(tuple(r) for r in linalg.to_int_matrix(e))
+        self.euler_matrix = tuple(map(tuple, e))
+
+        def product(order) -> IntMatrix:
+            # the unit vectors as columns, reflected at order[0] first
+            columns = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            for k in order:
+                columns = [simple_reflection(q, d, k) for d in columns]
+            return tuple(zip(*columns))
+
+        order = q.topological_order()
+        self.matrix = product(order[::-1])
+        self.inverse_matrix = product(order)
 
     def euler_form(self, d, e) -> int:
         total = 0

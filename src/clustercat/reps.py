@@ -24,7 +24,7 @@ import random
 
 from . import linalg
 from .laurent import LaurentPoly
-from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots
+from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots, simple_reflection
 
 __all__ = [
     "MonomialAlgebra",
@@ -360,25 +360,8 @@ def injective_dims(q: Quiver, i: int) -> tuple[int, ...]:
 # reflection functors and indecomposables
 
 
-@lru_cache(maxsize=None)
-def _roots_of(q: Quiver) -> frozenset[tuple[int, ...]]:
-    return positive_roots(q)
-
-
 def _reflect_quiver(q: Quiver, k: int) -> Quiver:
     return Quiver(q.n, tuple((t, s) if s == k or t == k else (s, t) for s, t in q.arrows))
-
-
-def _simple_reflection(q: Quiver, d, k: int) -> tuple[int, ...]:
-    # reflection in the Weyl group of the underlying diagram
-    adj = [0] * q.n
-    for s, t in q.arrows:
-        if s == k:
-            adj[t - 1] += 1
-        elif t == k:
-            adj[s - 1] += 1
-    new_k = -d[k - 1] + sum(adj[j] * d[j] for j in range(q.n))
-    return tuple(new_k if j == k - 1 else d[j] for j in range(q.n))
 
 
 def _coreflection(n: Representation, k: int, target_quiver: Quiver) -> Representation:
@@ -430,13 +413,13 @@ def indecomposable_from_root(q: Quiver, d) -> Representation:
     is verified to be a brick (one-dimensional endomorphism ring).
     """
     d = tuple(int(x) for x in d)
-    if d not in _roots_of(q):
+    if d not in positive_roots(q):
         raise ValueError(f"{d} is not a positive root of this quiver")
     round_order = list(reversed(q.topological_order()))
     steps: list[tuple[Quiver, int]] = []
     cur_q, cur_d = q, d
     simple_at = None
-    cap = 2 * len(_roots_of(q)) * q.n + 4 * q.n
+    cap = 2 * len(positive_roots(q)) * q.n + 4 * q.n
     while True:
         if sum(cur_d) == 1:
             simple_at = cur_d.index(1) + 1
@@ -445,7 +428,7 @@ def indecomposable_from_root(q: Quiver, d) -> Representation:
             if sum(cur_d) == 1:
                 break
             steps.append((cur_q, k))
-            cur_d = _simple_reflection(cur_q, cur_d, k)
+            cur_d = simple_reflection(cur_q, cur_d, k)
             cur_q = _reflect_quiver(cur_q, k)
             if len(steps) > cap:
                 raise AssertionError("reflection sequence did not terminate")
@@ -461,7 +444,7 @@ def indecomposable_from_root(q: Quiver, d) -> Representation:
 
 def all_indecomposables(q: Quiver) -> list[Representation]:
     """All indecomposables of a Dynkin quiver, sorted by dimension vector."""
-    return [indecomposable_from_root(q, d) for d in sorted(_roots_of(q))]
+    return [indecomposable_from_root(q, d) for d in sorted(positive_roots(q))]
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +454,12 @@ def all_indecomposables(q: Quiver) -> list[Representation]:
 def tau(m: Representation) -> Representation | None:
     """AR translate of an indecomposable; None for projectives."""
     q = m.quiver
-    if m.dims not in _roots_of(q):
+    if m.dims not in positive_roots(q):
         raise ValueError("tau is defined here for indecomposables (root dims) only")
     if any(m.dims == projective_dims(q, i) for i in range(1, q.n + 1)):
         return None
     shifted = euler_data(q).coxeter_transform(m.dims)
-    if shifted not in _roots_of(q):
+    if shifted not in positive_roots(q):
         raise AssertionError(f"Coxeter image {shifted} of non-projective is not a root")
     return indecomposable_from_root(q, shifted)
 
@@ -484,17 +467,20 @@ def tau(m: Representation) -> Representation | None:
 def tau_inverse(m: Representation) -> Representation | None:
     """Inverse AR translate of an indecomposable; None for injectives."""
     q = m.quiver
-    if m.dims not in _roots_of(q):
+    if m.dims not in positive_roots(q):
         raise ValueError("tau inverse is defined here for indecomposables only")
     if any(m.dims == injective_dims(q, i) for i in range(1, q.n + 1)):
         return None
     shifted = euler_data(q).inverse_coxeter_transform(m.dims)
-    if shifted not in _roots_of(q):
+    if shifted not in positive_roots(q):
         raise AssertionError(f"inverse Coxeter image {shifted} is not a root")
     return indecomposable_from_root(q, shifted)
 
 
-def is_preinjective(ed: EulerData, d, bound: int = 64) -> bool:
+_PREINJECTIVE_STEPS = 64
+
+
+def is_preinjective(ed: EulerData, d) -> bool:
     """Whether iterating the inverse translate drives d out of the orthant.
 
     Detects periodic orbits (returns False); raises
@@ -502,14 +488,14 @@ def is_preinjective(ed: EulerData, d, bound: int = 64) -> bool:
     """
     cur = tuple(int(x) for x in d)
     seen = {cur}
-    for _ in range(bound):
+    for _ in range(_PREINJECTIVE_STEPS):
         cur = ed.inverse_coxeter_transform(cur)
         if any(x < 0 for x in cur):
             return True
         if cur in seen:
             return False
         seen.add(cur)
-    raise PreinjectivityIndeterminate(f"orbit of {tuple(d)} undecided after {bound} steps")
+    raise PreinjectivityIndeterminate(f"orbit of {tuple(d)} undecided after {_PREINJECTIVE_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +525,10 @@ def _combine(basis, coeffs, dims):
 def invertible_element_exists(dims, space: HomSpace) -> bool:
     """Whether some element of a hom space is invertible at every vertex.
 
-    Seeded random combinations are tried first; if none works the product of
-    vertex determinants is expanded symbolically (complete over an infinite
-    field), so the answer is never probabilistic. Assumes square components.
+    Seeded random combinations are tried first; if none works each vertex
+    determinant is expanded symbolically (complete over an infinite field),
+    so the answer is never probabilistic. Assumes square components. Raises
+    RuntimeError when the random tries fail on a space of dimension above 6.
     """
     if space.dim == 0:
         return False
@@ -559,15 +546,14 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
     if space.dim > 6:
         raise RuntimeError("isomorphism test inconclusive for a large hom space")
     # det(sum_t lambda_t B_t) per vertex, expanded as a polynomial in lambda;
-    # an iso exists iff the product polynomial is nonzero. Scaling each basis
-    # element to integer entries only rescales the lambda variables.
+    # an iso exists iff their product, hence each of them, is nonzero. Scaling
+    # each basis element to integer entries only rescales the lambda variables.
     from itertools import permutations
 
     scaled = []
     for b in space.basis:
         denom = lcm(*(x.denominator for comp in b for row in comp for x in row), 1)
         scaled.append([[[x * denom for x in row] for row in comp] for comp in b])
-    product = LaurentPoly.one(space.dim)
     for v, dv in enumerate(dims):
         if dv == 0:
             continue
@@ -598,8 +584,7 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
             det = det + (term if sign > 0 else -term)
         if det.is_zero():
             return False
-        product = product * det
-    return not product.is_zero()
+    return True
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:

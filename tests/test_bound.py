@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from clustercat import linalg
 from clustercat.bound import (
-    MonomialAlgebra,
     _top_lifts,
     build_counterexample_algebra,
     counterexample_modules,
@@ -19,6 +18,7 @@ from clustercat.bound import (
 )
 from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 from clustercat.reps import (
+    MonomialAlgebra,
     Representation,
     all_indecomposables,
     direct_sum,

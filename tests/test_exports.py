@@ -92,6 +92,8 @@ ORACLES = {
     "reps.all_indecomposables": "every indecomposable built by reflection "
     "functors; the tilting, bound and acceptance tests check the knitted "
     "tables and both Ext routes against it",
+    "reps.tau": "the AR translate on modules; the category tests build the "
+    "module translate of the knitted quiver from it",
     "reps.tau_inverse": "the AR translate on modules; the category tests "
     "recompute the knitted hom table and the hom columns from it",
     "quivers.quiver_to_json": "writes the format load_quiver_json reads; "
@@ -99,10 +101,31 @@ ORACLES = {
 }
 
 
+def _calls(tree, module):
+    """The names of ``module`` that a tree uses: each name it imports from
+    the module, and each attribute it reads off a name that it binds to the
+    module by importing it."""
+    bindings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == module:
+                yield from (alias.name for alias in node.names)
+            bindings |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bindings:
+                yield node.attr
+
+
+def _bare_uses(tree, name):
+    return sum(isinstance(node, ast.Name) and node.id == name for node in ast.walk(tree))
+
+
 def _uncalled_exports():
     """Every ``module.name`` in a submodule's ``__all__`` that nothing in
-    src/ or bench/ names outside the name's own definition, a re-export by
-    the package's ``__init__`` not counting as a call."""
+    src/ or bench/ imports from the module or reads off it, and that its own
+    module names nowhere outside the name's own definition; a re-export by
+    the package's ``__init__`` does not count as a call."""
     root = Path(__file__).resolve().parents[1]
     trees = {
         path: ast.parse(path.read_text(), str(path))
@@ -110,18 +133,18 @@ def _uncalled_exports():
         for path in sorted((root / top).rglob("*.py"))
         if path.name != "__init__.py"
     }
-    used = Counter(n for tree in trees.values() for n in _names(tree))
     found = set()
     for name in MODULES[1:]:
         module = name.removeprefix("clustercat.")
         tree = trees[root / "src" / "clustercat" / f"{module}.py"]
-        for export in _exports(tree):
+        called = {n for other in trees.values() for n in _calls(other, module)}
+        for export in _exports(tree) - called:
             own = sum(
-                sum(n == export for n in _names(node))
+                _bare_uses(node, export)
                 for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == export
             )
-            if used[export] == own:
+            if _bare_uses(tree, export) == own:
                 found.add(f"{module}.{export}")
     return found
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercat.quivers import (
+    BUILTIN_QUIVER_NAMES,
     EulerData,
     Quiver,
     builtin_quiver,
@@ -142,11 +143,26 @@ def test_classify_diagram():
     assert classify_diagram(cycle).label == "A~(3,0)"
 
 
+def _branched(n, b):
+    """The path 1 -> ... -> n-1 with a leaf b -> n: D_n for b = n-2, E_n for b = 3."""
+    return Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((b, n),))
+
+
 def test_positive_root_counts():
     assert len(positive_roots(builtin_quiver("A2"))) == 3
     assert len(positive_roots(builtin_quiver("A3"))) == 6
     assert len(positive_roots(builtin_quiver("A4"))) == 10
     assert len(positive_roots(builtin_quiver("D4"))) == 12
+    # n(n+1)/2 for A_n, n(n-1) for D_n, and 36, 63, 120 for E6, E7, E8
+    for n in range(1, 9):
+        a_n = Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+        assert len(positive_roots(a_n)) == n * (n + 1) // 2
+    for n in range(4, 9):
+        assert classify_diagram(_branched(n, n - 2)).label == f"D{n}"
+        assert len(positive_roots(_branched(n, n - 2))) == n * (n - 1)
+    for n, count in ((6, 36), (7, 63), (8, 120)):
+        assert classify_diagram(_branched(n, 3)).label == f"E{n}"
+        assert len(positive_roots(_branched(n, 3))) == count
 
 
 def test_positive_roots_a2_explicit():
@@ -178,15 +194,48 @@ def test_coxeter_transform_a2():
     assert any(x < 0 for x in out)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-)
-def test_coxeter_adjoint_identity(d, e):
+NAMED = [builtin_quiver(name) for name in BUILTIN_QUIVER_NAMES] + [
+    _branched(6, 4),
+    _branched(6, 3),
+    _branched(7, 3),
+    _branched(8, 3),
+]
+
+
+@st.composite
+def acyclic_quivers(draw):
+    # every arrow goes forward in a shuffled vertex order; a repeated pair is
+    # a parallel arrow, and vertices may be left disconnected
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=9))
+    return Quiver(n, tuple((order[min(a, b)], order[max(a, b)]) for a, b in pairs if a != b))
+
+
+def _assert_coxeter_matrix(ed):
+    # <e, Phi d> = -<d, e> for all d, e says E Phi = -E^T, which fixes Phi
+    # because E is invertible; and Phi^-1 Phi = 1
+    em, phi, inv = ed.euler_matrix, ed.matrix, ed.inverse_matrix
+    n = len(em)
+    for i in range(n):
+        for j in range(n):
+            assert sum(em[i][k] * phi[k][j] for k in range(n)) == -em[j][i]
+            assert sum(inv[i][k] * phi[k][j] for k in range(n)) == int(i == j)
+
+
+def test_coxeter_matrix_of_named_quivers():
+    for q in NAMED:
+        _assert_coxeter_matrix(EulerData(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(NAMED) | acyclic_quivers(), st.data())
+def test_coxeter_adjoint_identity(q, data):
     # <e, Phi d> = -<d, e> and the form is Phi-invariant
-    ed = EulerData(builtin_quiver("A3"))
-    d, e = tuple(d), tuple(e)
+    ed = EulerData(q)
+    _assert_coxeter_matrix(ed)
+    vectors = st.tuples(*[st.integers(-5, 5)] * q.n)
+    d, e = data.draw(vectors), data.draw(vectors)
     pd = ed.coxeter_transform(d)
     assert ed.euler_form(e, pd) == -ed.euler_form(d, e)
     assert ed.euler_form(pd, ed.coxeter_transform(e)) == ed.euler_form(d, e)

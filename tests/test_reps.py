@@ -166,6 +166,29 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(scaled, p1)
 
 
+def test_is_isomorphic_on_hom_spaces_of_dimension_two_and_more():
+    # no single basis element is an isomorphism here, so the answers come
+    # from the seeded random combinations (True) or the vertex determinants
+    s1 = Representation.simple(A2, 1)
+    s2 = Representation.simple(A2, 2)
+    p1 = M(A2, (1, 1), {0: [[1]]})
+    twisted = M(A2, (2, 2), {0: [[1, 1], [0, 1]]})
+    cases = [
+        (direct_sum(p1, s2), direct_sum(s2, p1), 3, True),
+        (direct_sum(p1, p1), twisted, 4, True),
+        (direct_sum(s1, s2, s2), direct_sum(p1, s2), 4, False),
+        (direct_sum(s1, s1, s2, s2), direct_sum(p1, p1), 4, False),
+    ]
+    for m, n, dim, iso in cases:
+        assert hom(m, n).dim == dim
+        assert is_isomorphic(m, n) is iso
+    # past dimension 6 a failed random search is not decided symbolically
+    m, n = direct_sum(*[s1] * 3, *[s2] * 3), direct_sum(p1, p1, p1)
+    assert hom(m, n).dim == 9
+    with pytest.raises(RuntimeError):
+        is_isomorphic(m, n)
+
+
 def test_hom_additive_over_direct_sums():
     inds = all_indecomposables(A3)
     for m, n, w in itertools.islice(itertools.permutations(inds, 3), 40):
