@@ -532,6 +532,10 @@ def invertible_element_exists(dims, space: HomSpace) -> bool:
     """
     if space.dim == 0:
         return False
+    for v, dv in enumerate(dims):
+        if dv and not any(x for b in space.basis for row in b[v] for x in row):
+            # every element of the space vanishes at this vertex
+            return False
     for b in space.basis:
         if _vertexwise_invertible(dims, b):
             return True

@@ -16,7 +16,9 @@ indecomposable is named by its id in that table; tilting modules hold ids, and
 torsion classes, descent summands, the enumeration and each swap's T0' and E
 are lookups.  The module route certifies every swap with one hom solve:
 the cokernel of the approximation of T0 must be rigid, and so it is fixed by
-its dimension vector.  Modules cross in only at ``TiltingModule.of``.
+its dimension vector.  A swap depends only on the summand set and on T0, so
+each (set, T0) swap is certified once per table and shared by every descent
+chain through it.  Modules cross in only at ``TiltingModule.of``.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ class _ModuleTable(NamedTuple):
     ext_free: tuple[int, ...]
     compat: tuple[int, ...]
     injective: frozenset[int]
+    swaps: dict[tuple[int, int], tuple]
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +137,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     X_j, and ``injective`` holds the ids of the indecomposable injectives.
     ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
     summands of a tilting module can form: i != j, compatible, nonzero hom.
+    ``swaps`` starts empty and memoizes ``prop8_descent``'s certified swaps:
+    (summand bitmask, T0 id) -> (T0' id, witness items but replaced_index).
     """
     diagram = classify_diagram(q)
     if diagram.kind != "dynkin":
@@ -179,7 +184,7 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
                     raise AssertionError("hammock and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
-    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective)
+    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective, {})
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
@@ -312,10 +317,24 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     return new_t, witness
 
 
+def _freeze(x):
+    return tuple(map(_freeze, x)) if isinstance(x, list) else x
+
+
+def _thaw(x):
+    return list(map(_thaw, x)) if isinstance(x, tuple) else x
+
+
 def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     """Walk a tilting module down to the injectives one swap at a time.
 
-    Every step must shrink the torsion class strictly (its mask loses bits
+    A swap depends only on the summand set and on the removed summand T0 (an
+    almost complete tilting module has at most two complements), so each
+    (set, T0) swap is certified once per module table by
+    ``complement_and_sequence`` and read from the table's ``swaps`` memo by
+    every later chain that passes through it; only ``replaced_index`` is
+    per chain.  Every step, certified or read, must state the torsion sizes
+    of its own masks, shrink the torsion class strictly (its mask loses bits
     and gains none), change exactly one summand, and expel the removed
     summand from the new torsion class while the removed summand keeps
     trivial extensions into it.  An already injective module yields an empty
@@ -333,8 +352,19 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
         if len(steps) >= len(table.ordered):
             raise DescentStepError("descent did not terminate within the module count")
         t0 = cur.ids[k]
-        new_t, witness = complement_and_sequence(quiver, cur, k)
+        key = (sum(1 << i for i in cur.ids), t0)
+        if (swap := table.swaps.get(key)) is None:
+            new_t, witness = complement_and_sequence(quiver, cur, k)
+            fields = tuple((f, _freeze(v)) for f, v in witness.items() if f != "replaced_index")
+            table.swaps[key] = (new_t.ids[k], fields)
+        else:
+            t0p, fields = swap
+            new_t = TiltingModule(quiver, cur.ids[:k] + (t0p,) + cur.ids[k + 1:])
+            witness = {"replaced_index": k, **{f: _thaw(v) for f, v in fields}}
         new_tc = torsion_class(quiver, new_t)
+        stated = witness["torsion_before"], witness["torsion_after"]
+        if stated != (cur_tc.bit_count(), new_tc.bit_count()):
+            raise DescentStepError("step witness disagrees with the torsion classes")
         if new_tc & ~cur_tc or new_tc == cur_tc:
             raise DescentStepError("torsion class did not shrink")
         if len(set(cur.ids) ^ set(new_t.ids)) != 2:

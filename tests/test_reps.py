@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercat import reps
 from clustercat.quivers import builtin_quiver, positive_roots
 from clustercat.reps import (
     Representation,
@@ -182,11 +183,36 @@ def test_is_isomorphic_on_hom_spaces_of_dimension_two_and_more():
     for m, n, dim, iso in cases:
         assert hom(m, n).dim == dim
         assert is_isomorphic(m, n) is iso
-    # past dimension 6 a failed random search is not decided symbolically
+    # every map from S1^3 + S2^3 to P1^3 vanishes at vertex 1, which decides
+    # the answer however large the hom space is
     m, n = direct_sum(*[s1] * 3, *[s2] * 3), direct_sum(p1, p1, p1)
+    assert hom(m, n).dim == 9
+    assert is_isomorphic(m, n) is False
+    # past dimension 6 a failed random search is not decided symbolically:
+    # here only S1's summand maps to zero, so no vertex vanishes outright
+    m = direct_sum(p1, p1, s1, s2)
     assert hom(m, n).dim == 9
     with pytest.raises(RuntimeError):
         is_isomorphic(m, n)
+
+
+def test_vanishing_vertex_skips_the_random_search(monkeypatch):
+    s1 = Representation.simple(A2, 1)
+    s2 = Representation.simple(A2, 2)
+    p1 = M(A2, (1, 1), {0: [[1]]})
+    calls = []
+    real = reps._vertexwise_invertible
+    monkeypatch.setattr(reps, "_vertexwise_invertible", lambda *a: calls.append(a) or real(*a))
+    cases = [
+        (direct_sum(s1, s2, s2), direct_sum(p1, s2)),
+        (direct_sum(s1, s1, s2, s2), direct_sum(p1, p1)),
+        (direct_sum(*[s1] * 3, *[s2] * 3), direct_sum(p1, p1, p1)),
+    ]
+    for m, n in cases:
+        calls.clear()
+        space = hom(m, n)
+        assert reps.invertible_element_exists(m.dims, space) is False
+        assert len(calls) <= space.dim
 
 
 def test_hom_additive_over_direct_sums():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from clustercat import reps, tilting
@@ -399,6 +401,12 @@ def test_certificate_refuses_a_non_rigid_cokernel(monkeypatch):
     monkeypatch.setattr(tilting, "_cokernel", lambda q, t, k: flat)
     with pytest.raises(DescentStepError, match="is not rigid"):
         complement_and_sequence(A3, t, 2)
+    # a descent's first swap from the projectives is this one; on a cleared
+    # table it misses the swap memo and runs the same certificate
+    _directed_indecomposables.cache_clear()
+    with pytest.raises(DescentStepError, match="is not rigid"):
+        prop8_descent(A3, t)
+    assert not _directed_indecomposables(A3).swaps
 
 
 # Coxeter number and exponents: the tilting modules are counted by the
@@ -474,12 +482,88 @@ def test_tilting_module_counts_by_three_routes_e7_e8(name, q, count):
     _three_routes(name, q, count)
 
 
-@pytest.mark.slow
-def test_prop8_exhaustive_e6():
-    steps = 0
-    for t in enumerate_tilting_modules(E6):
-        report = prop8_descent(E6, t)
+def _cold_sweep(q):
+    """Every module's descent chain in enumeration order, from an emptied
+    table, so every chain after the first reads the swaps before it."""
+    _directed_indecomposables.cache_clear()
+    return [prop8_descent(q, t) for t in enumerate_tilting_modules(q)]
+
+
+def _prop8_exhaustive(q, modules, steps, swaps):
+    # streams the chains: E7 has 55,970 steps
+    _directed_indecomposables.cache_clear()
+    tilts = enumerate_tilting_modules(q)
+    total = 0
+    for t in tilts:
+        report = prop8_descent(q, t)
         assert report["terminal_injectives"] is True
-        assert report["torsion_sizes"][-1] == E6.n
-        steps += report["step_count"]
-    assert steps == 5217
+        assert report["torsion_sizes"][-1] == q.n
+        total += report["step_count"]
+    assert (len(tilts), total) == (modules, steps)
+    # one certified swap per distinct (summand set, T0)
+    assert len(_directed_indecomposables(q).swaps) == swaps
+
+
+@pytest.mark.parametrize(
+    "q,modules,steps,swaps",
+    [(D4, 20, 75, 20), (A5, 42, 176, 41), (D6, 294, 2795, 321)],
+    ids=["D4", "A5", "D6"],
+)
+def test_swap_memo_size_after_cold_sweep(q, modules, steps, swaps):
+    _prop8_exhaustive(q, modules, steps, swaps)
+
+
+def test_prop8_exhaustive_e6():
+    _prop8_exhaustive(E6, 418, 5217, 499)
+
+
+@pytest.mark.slow
+def test_prop8_exhaustive_e7():
+    _prop8_exhaustive(E7, 2431, 55_970, 3020)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [builtin_quiver("A2"), A3, A4, A5, D4, D5, pytest.param(D6, marks=pytest.mark.slow)],
+    ids=["A2", "A3", "A4", "A5", "D4", "D5", "D6"],
+)
+def test_memo_shared_chains_equal_cold_chains(q):
+    shared = [json.dumps(c) for c in _cold_sweep(q)]
+    cold = []
+    for t in enumerate_tilting_modules(q):
+        _directed_indecomposables.cache_clear()
+        cold.append(json.dumps(prop8_descent(q, t)))
+    assert shared == cold
+
+
+def _scribble(x):
+    if isinstance(x, list):
+        for y in x:
+            _scribble(y)
+        x.append(-1)
+
+
+def test_witness_lists_are_not_shared_between_chains():
+    chains = _cold_sweep(A3)
+    snapshot = json.dumps(chains)
+    assert sum(c["step_count"] for c in chains) > len(_directed_indecomposables(A3).swaps)
+    for i, chain in enumerate(chains):
+        for step in chain["steps"]:
+            for v in step.values():
+                _scribble(v)
+        assert json.dumps(chains[i + 1:]) == json.dumps(json.loads(snapshot)[i + 1:])
+        again = [prop8_descent(A3, t) for t in enumerate_tilting_modules(A3)]
+        assert json.dumps(again) == snapshot
+
+
+def test_a_wrong_memo_entry_fails_loudly():
+    _cold_sweep(A3)
+    swaps = _directed_indecomposables(A3).swaps
+    key, (t0p, fields) = next(iter(swaps.items()))
+    swaps[key] = (t0p, tuple((f, v + 1 if f == "torsion_after" else v) for f, v in fields))
+    try:
+        with pytest.raises(DescentStepError, match="disagrees with the torsion"):
+            for t in enumerate_tilting_modules(A3):
+                prop8_descent(A3, t)
+    finally:
+        _directed_indecomposables.cache_clear()
