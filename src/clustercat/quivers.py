@@ -53,9 +53,6 @@ class Quiver:
             if s == t:
                 raise ValueError(f"loop at vertex {s} not allowed")
 
-    def arrow_count(self, s: int, t: int) -> int:
-        return sum(1 for a in self.arrows if a == (s, t))
-
     def is_acyclic(self) -> bool:
         try:
             self.topological_order()
@@ -201,21 +198,17 @@ def _branch_lengths(adj: dict[int, list[int]], center: int) -> list[int]:
 
 
 def _cycle_orientation_split(q: Quiver) -> tuple[int, int]:
-    # Walk the unique cycle and count arrows agreeing/disagreeing with the
-    # walk direction. Returns (p, q) with p >= q.
-    adj: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
-    for s, t in q.arrows:
-        adj[s].append(t)
-        adj[t].append(s)
-    walk = [1, adj[1][0]]
-    while walk[-1] != 1:
-        nbrs = adj[walk[-1]]
-        walk.append(nbrs[0] if nbrs[0] != walk[-2] else nbrs[1])
-    along = 0
-    against = 0
-    for u, v in zip(walk, walk[1:]):
-        along += q.arrow_count(u, v)
-        against += q.arrow_count(v, u)
+    # Walk the unique cycle from vertex 1 one arrow at a time, using each
+    # arrow once (two parallel arrows are two steps), and count the arrows
+    # agreeing/disagreeing with the walk direction. Returns (p, q), p >= q.
+    unused = list(q.arrows)
+    v, along = 1, 0
+    while unused:
+        s, t = next(a for a in unused if v in a)
+        unused.remove((s, t))
+        along += s == v
+        v = t if s == v else s
+    against = len(q.arrows) - along
     return (max(along, against), min(along, against))
 
 

@@ -9,7 +9,9 @@ commuting-square system, which relations do not change. Ext^1 over a path
 algebra of an acyclic quiver comes from the Euler form (the category is
 hereditary); over an algebra with relations it needs the projective
 presentation in ``bound``. Indecomposables are built from positive roots
-with reflection functors, never by guessing matrices.
+with reflection functors, never by guessing matrices. Isomorphism has one
+exact route: a hom element invertible at every vertex, looked for on a
+finite lattice of coefficient vectors that holds one whenever one exists.
 
 Modules are immutable once constructed.
 """
@@ -19,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import lcm
-import random
 
 from . import linalg
-from .laurent import LaurentPoly
 from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots, simple_reflection
 
 __all__ = [
@@ -502,91 +503,40 @@ def is_preinjective(ed: EulerData, d) -> bool:
 # isomorphism
 
 
-def _vertexwise_invertible(dims, candidate) -> bool:
-    for v, dv in enumerate(dims):
-        if dv and linalg.rank([list(r) for r in candidate[v]]) != dv:
-            return False
-    return True
-
-
-def _combine(basis, coeffs, dims):
-    out = []
-    for v, dv in enumerate(dims):
-        comp = linalg.zeros(dv, dv)
-        for b, c in zip(basis, coeffs):
-            if c:
-                for r in range(dv):
-                    for cc in range(dv):
-                        comp[r][cc] += c * b[v][r][cc]
-        out.append(comp)
-    return out
-
-
 def invertible_element_exists(dims, space: HomSpace) -> bool:
     """Whether some element of a hom space is invertible at every vertex.
 
-    Seeded random combinations are tried first; if none works each vertex
-    determinant is expanded symbolically (complete over an infinite field),
-    so the answer is never probabilistic. Assumes square components. Raises
-    RuntimeError when the random tries fail on a space of dimension above 6.
-    """
-    if space.dim == 0:
-        return False
-    for v, dv in enumerate(dims):
-        if dv and not any(x for b in space.basis for row in b[v] for x in row):
-            # every element of the space vanishes at this vertex
-            return False
-    for b in space.basis:
-        if _vertexwise_invertible(dims, b):
-            return True
-    if space.dim == 1:
-        # every element is a multiple of the one basis element
-        return False
-    rng = random.Random(0xC1A5)
-    for _ in range(60):
-        coeffs = [rng.randint(-4, 4) for _ in range(space.dim)]
-        if _vertexwise_invertible(dims, _combine(space.basis, coeffs, dims)):
-            return True
-    if space.dim > 6:
-        raise RuntimeError("isomorphism test inconclusive for a large hom space")
-    # det(sum_t lambda_t B_t) per vertex, expanded as a polynomial in lambda;
-    # an iso exists iff their product, hence each of them, is nonzero. Scaling
-    # each basis element to integer entries only rescales the lambda variables.
-    from itertools import permutations
+    Exact and finite. At a vertex v with d = dims[v] > 0, keep the m nonzero
+    components B_1..B_m of the basis at v; the answer is True iff at every
+    such vertex sum_t c_t B_t has rank d at some c in N^m with sum c = d.
+    Assumes square components. Proof:
 
-    scaled = []
-    for b in space.basis:
-        denom = lcm(*(x.denominator for comp in b for row in comp for x in row), 1)
-        scaled.append([[[x * denom for x in row] for row in comp] for comp in b])
+    * P_v(c) = det(sum_t c_t B_t) is zero or homogeneous of degree d.
+    * A nonzero polynomial P of degree <= d in m variables is nonzero at some
+      c in N^m with sum c <= d. By induction on m: write P as a polynomial
+      in c_m of degree e; its top coefficient has degree <= d - e in the
+      other variables and is nonzero at some a with sum a <= d - e, so
+      P(a, c_m) is a nonzero one-variable polynomial of degree e, nonzero at
+      one of c_m = 0..e.
+    * For nonzero homogeneous P of degree d, Q(a) = P(a, d - sum a) on
+      N^(m-1) is nonzero too: P(sc) = s^d P(c), so a P vanishing on the
+      hyperplane sum c = d would vanish wherever sum c != 0. Q has degree
+      <= d, so some a with sum a <= d has Q(a) != 0, and c = (a, d - sum a)
+      lies in N^m with sum c = d exactly.
+    * If every P_v is nonzero so is their product, which has a rational
+      non-root: an element invertible at every vertex. If some P_v is zero,
+      no element is invertible at v.
+
+    A vertex whose components all vanish has no such point, a basis element
+    is a point d*e_t, and a one-dimensional space has the single point (d).
+    """
     for v, dv in enumerate(dims):
-        if dv == 0:
-            continue
-        entries = [
-            [
-                LaurentPoly(
-                    space.dim,
-                    {
-                        tuple(int(t == s) for s in range(space.dim)): scaled[t][v][r][c]
-                        for t in range(space.dim)
-                        if scaled[t][v][r][c]
-                    },
-                )
-                for c in range(dv)
-            ]
-            for r in range(dv)
-        ]
-        det = LaurentPoly.zero(space.dim)
-        for perm in permutations(range(dv)):
-            sign = 1
-            for a in range(dv):
-                for b in range(a + 1, dv):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            term = LaurentPoly.one(space.dim)
-            for r in range(dv):
-                term = term * entries[r][perm[r]]
-            det = det + (term if sign > 0 else -term)
-        if det.is_zero():
+        comps = [b[v] for b in space.basis if any(map(any, b[v]))]
+        # each multiset of d components is one point c of the lattice
+        if dv and not any(
+            linalg.rank([[sum(xs) for xs in zip(*rows)] for rows in zip(*picks)]) == dv
+            for picks in combinations_with_replacement(comps, dv)
+        ):
             return False
     return True
 

@@ -147,20 +147,10 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     inds = [v for v in g.vertices if v.is_module]
     nn = len(inds)
     hmat = [[h.get(g.pos_of[y], 0) for y in inds] for h in map(g.hammock, inds)]
-    indeg = [sum(1 for i in range(nn) if i != j and hmat[i][j]) for j in range(nn)]
-    avail = [i for i in range(nn) if indeg[i] == 0]
-    order: list[int] = []
-    while avail:
-        i = min(avail)
-        avail.remove(i)
-        order.append(i)
-        for j in range(nn):
-            if j != i and hmat[i][j]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    avail.append(j)
-    if len(order) != nn:
-        raise ValueError("hom relation between indecomposables has a cycle")
+    # an arrow i -> j per nonzero Hom(X_i, X_j), i != j; the topological
+    # order raises ValueError on a cycle
+    arrows = [(i + 1, j + 1) for i, row in enumerate(hmat) for j, h in enumerate(row) if i != j and h]
+    order = [v - 1 for v in Quiver(nn, arrows).topological_order()]
     ordered = tuple(indecomposable_from_root(q, inds[i].dims) for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
     ed = euler_data(q)

@@ -49,10 +49,18 @@ def test_explore_finite(capsys):
     assert rep["truncated"] is False
 
 
-def test_explore_affine_needs_depth(capsys):
+def test_explore_affine_needs_depth(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["explore", "--type", "Atilde21"])
     assert exc.value.code == 2
+    assert "exchange graph of A~(2,1) shape may be infinite" in capsys.readouterr().err
+    # the Kronecker quiver has one arrow each way round its two-vertex cycle
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2], [1, 2]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explore", "--quiver", str(path)])
+    assert exc.value.code == 2
+    assert "exchange graph of A~(1,1) shape may be infinite" in capsys.readouterr().err
     code, rep = run_json(capsys, "explore", "--type", "Atilde21", "--depth", "3")
     assert code == 0
     assert rep["truncated"] is True

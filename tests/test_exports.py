@@ -157,3 +157,17 @@ def test_every_export_has_a_caller():
     assert sorted(e for e in uncalled - ORACLES.keys() if e.split(".")[1] not in public) == []
     # an oracle that gained a caller or left __all__ no longer needs its entry
     assert ORACLES.keys() <= uncalled
+
+
+@pytest.mark.parametrize("module", ["reps", "bound", "linalg"])
+def test_module_layer_imports_nothing_from_laurent(module):
+    # modules, their bound quotients and the matrix kernel do not depend on
+    # cluster variables
+    path = Path(clustercat.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert [name for name in imported if name.rpartition(".")[2] == "laurent"] == []

@@ -141,6 +141,13 @@ def test_classify_diagram():
     cycle = Quiver(3, ((1, 2), (2, 3), (3, 1)))
     assert classify_diagram(cycle).kind == "affine"
     assert classify_diagram(cycle).label == "A~(3,0)"
+    square = Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+    assert classify_diagram(square).label == "A~(3,1)"
+    # in A~(p, q), p + q is the number of vertices: the Kronecker quiver has
+    # one arrow each way round its cycle, the oriented 2-cycle two one way
+    kronecker = classify_diagram(Quiver(2, ((1, 2), (1, 2))))
+    assert (kronecker.kind, kronecker.label, kronecker.rank) == ("affine", "A~(1,1)", 1)
+    assert classify_diagram(Quiver(2, ((1, 2), (2, 1)))).label == "A~(2,0)"
 
 
 def _branched(n, b):

@@ -1,11 +1,13 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercat import reps
+from clustercat import linalg, reps
 from clustercat.quivers import builtin_quiver, positive_roots
 from clustercat.reps import (
     Representation,
@@ -168,8 +170,8 @@ def test_is_isomorphic_examples():
 
 
 def test_is_isomorphic_on_hom_spaces_of_dimension_two_and_more():
-    # no single basis element is an isomorphism here, so the answers come
-    # from the seeded random combinations (True) or the vertex determinants
+    # a basis element need not be an isomorphism here: the answers come from
+    # the lattice points that combine basis elements
     s1 = Representation.simple(A2, 1)
     s2 = Representation.simple(A2, 2)
     p1 = M(A2, (1, 1), {0: [[1]]})
@@ -188,31 +190,114 @@ def test_is_isomorphic_on_hom_spaces_of_dimension_two_and_more():
     m, n = direct_sum(*[s1] * 3, *[s2] * 3), direct_sum(p1, p1, p1)
     assert hom(m, n).dim == 9
     assert is_isomorphic(m, n) is False
-    # past dimension 6 a failed random search is not decided symbolically:
-    # here only S1's summand maps to zero, so no vertex vanishes outright
+    # no vertex vanishes outright here, only S1's summand maps to zero; the
+    # lattice at vertex 1 holds no invertible point
     m = direct_sum(p1, p1, s1, s2)
     assert hom(m, n).dim == 9
-    with pytest.raises(RuntimeError):
-        is_isomorphic(m, n)
+    assert is_isomorphic(m, n) is False
 
 
-def test_vanishing_vertex_skips_the_random_search(monkeypatch):
+def test_isomorphism_ranks_one_lattice_point_at_a_time(monkeypatch):
+    # at most C(m_v + d_v - 1, d_v) ranks at vertex v, one per point c of
+    # N^(m_v) with sum c = d_v; none where every component vanishes
     s1 = Representation.simple(A2, 1)
     s2 = Representation.simple(A2, 2)
     p1 = M(A2, (1, 1), {0: [[1]]})
+    twisted = M(A2, (2, 2), {0: [[1, 1], [0, 1]]})
     calls = []
-    real = reps._vertexwise_invertible
-    monkeypatch.setattr(reps, "_vertexwise_invertible", lambda *a: calls.append(a) or real(*a))
-    cases = [
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or rank(a))
+    vanishing = [
         (direct_sum(s1, s2, s2), direct_sum(p1, s2)),
         (direct_sum(s1, s1, s2, s2), direct_sum(p1, p1)),
         (direct_sum(*[s1] * 3, *[s2] * 3), direct_sum(p1, p1, p1)),
     ]
-    for m, n in cases:
+    for m, n in vanishing:
         calls.clear()
+        assert reps.invertible_element_exists(m.dims, hom(m, n)) is False
+        assert calls == []
+    cases = [
+        (p1, M(A2, (1, 1), {0: [[Fraction(5, 3)]]}), True),
+        (direct_sum(s1, s2), p1, False),
+        (direct_sum(p1, s2), direct_sum(s2, p1), True),
+        (direct_sum(p1, p1), twisted, True),
+        (direct_sum(p1, p1, s1, s2), direct_sum(p1, p1, p1), False),
+    ]
+    for m, n, iso in cases:
         space = hom(m, n)
-        assert reps.invertible_element_exists(m.dims, space) is False
-        assert len(calls) <= space.dim
+        calls.clear()
+        assert reps.invertible_element_exists(m.dims, space) is iso
+        points = []
+        for v, d in enumerate(m.dims):
+            nonzero = sum(any(map(any, b[v])) for b in space.basis)
+            points.append(1 if space.dim == 1 else math.comb(nonzero + d - 1, d))
+        assert len(calls) <= sum(points)
+    # the False answer above ranks every point of the failing vertex
+    assert len(calls) == 56
+
+
+def _conjugate(m, rng):
+    """m with each arrow matrix base-changed by random invertible integer
+    matrices at its ends: a module isomorphic to m."""
+    gs = []
+    for d in m.dims:
+        g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        while linalg.rank(g) != d:
+            g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        gs.append(g)
+    inverses = [linalg.solve_matrix(g, linalg.identity(d), d) for g, d in zip(gs, m.dims)]
+    mats = [
+        linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mat(i), m.dims[s - 1]), inverses[s - 1], m.dims[s - 1])
+        for i, (s, t) in enumerate(m.quiver.arrows)
+    ]
+    return Representation(m.algebra, m.dims, mats)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4"])
+def test_is_isomorphic_agrees_with_krull_schmidt(name):
+    # over a Dynkin quiver an indecomposable is fixed by its dimension
+    # vector, so two sums are isomorphic iff their summands' dimension
+    # vectors agree as multisets; sums of equal dimension vector are paired
+    q = builtin_quiver(name)
+    inds = all_indecomposables(q)
+    by_dims = {}
+    for parts in itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(len(inds)), k) for k in (1, 2, 3)
+    ):
+        total = tuple(map(sum, zip(*(inds[i].dims for i in parts))))
+        by_dims.setdefault(total, []).append(parts)
+    rng = random.Random(f"krull-schmidt {name}")
+    answers = set()
+    for _ in range(62):
+        group = rng.choice(list(by_dims.values()))
+        left, right = rng.choice(group), rng.choice(group)
+        m = direct_sum(*(inds[i] for i in rng.sample(left, len(left))))
+        n = _conjugate(direct_sum(*(inds[i] for i in rng.sample(right, len(right)))), rng)
+        assert is_isomorphic(m, n) is (left == right)
+        answers.add(left == right)
+    assert answers == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=4)
+    )
+)
+def test_lattice_lemma_on_products_of_linear_forms(forms):
+    # P = prod_i sum_t forms[i][t] c_t has degree d in m variables; the
+    # points of N^m with sum d are the multisets of d variables
+    m, d = len(forms[0]), len(forms)
+    points = list(itertools.combinations_with_replacement(range(m), d))
+    assert len(points) == math.comb(m + d - 1, d)
+    nonzero = all(map(any, forms))
+    assert any(math.prod(sum(f[t] for t in c) for f in forms) for c in points) is nonzero
+    # P is the determinant of sum_t c_t diag(forms[0][t], ..., forms[d-1][t])
+    basis = [
+        ([[Fraction(f[t]) if i == j else Fraction(0) for j, f in enumerate(forms)] for i in range(d)],)
+        for t in range(m)
+    ]
+    assert reps.invertible_element_exists((d,), reps.HomSpace(m, basis)) is nonzero
 
 
 def test_hom_additive_over_direct_sums():
