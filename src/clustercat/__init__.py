@@ -30,7 +30,7 @@ from .reps import (
     tau,
     tau_inverse,
 )
-from .bound import counterexample_report, ext1_bqa
+from .bound import counterexample_report
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,
@@ -69,7 +69,6 @@ __all__ = [
     "tau_inverse",
     "MonomialAlgebra",
     "counterexample_report",
-    "ext1_bqa",
     "GammaC",
     "den_vs_hom_crosscheck",
     "mutate_tilting",

@@ -135,7 +135,8 @@ def _explored(args, parser):
     try:
         res = explore_exchange_graph(b, max_depth=args.depth)
     except ValueError as exc:
-        parser.error(str(exc))
+        # the library's max_depth is this command's --depth
+        parser.error(str(exc).replace("max_depth", "--depth"))
     return res, source
 
 

@@ -28,9 +28,7 @@ __all__ = [
     "identity",
     "shape_of",
     "mat_mul",
-    "mat_vec",
     "transpose",
-    "rref",
     "rank",
     "nullspace",
     "solve",
@@ -85,10 +83,6 @@ def mat_mul(a: Matrix, b: Matrix, cols: int | None = None) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence) -> list[Fraction]:
-    return [sum((x * frac(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def transpose(a: Matrix, cols: int | None = None) -> Matrix:
     if not a:
         return [[] for _ in range(cols or 0)]
@@ -136,13 +130,6 @@ def _echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
         if len(pivots) == len(m):
             break
     return m, pivots
-
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m, pivots = _echelon(a)
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return red + zeros(len(m) - len(pivots), len(a[0]) if a else 0), pivots
 
 
 def rank(a: Matrix) -> int:

@@ -5,10 +5,10 @@ matrix to each arrow; the matrix of an arrow s -> t has shape
 dims[t] x dims[s] and acts on column vectors. One class, Representation,
 serves every algebra: a bare Quiver stands for its path algebra, a
 MonomialAlgebra with no relations. Hom spaces are computed as kernels of the
-commuting-square system, which relations do not change. Ext^1 over a path
-algebra of an acyclic quiver comes from the Euler form (the category is
-hereditary); over an algebra with relations it needs the projective
-presentation in ``bound``. Indecomposables are built from positive roots
+commuting-square system, which relations do not change. Ext^1 over every
+algebra is the first cohomology of one small complex (vertices -> arrows ->
+relations), whose first map is that same system; without relations it is
+dim Hom minus the Euler form. Indecomposables are built from positive roots
 with reflection functors, never by guessing matrices. Isomorphism has one
 exact route: a hom element invertible at every vertex, looked for on a
 finite lattice of coefficient vectors that holds one whenever one exists.
@@ -52,7 +52,7 @@ __all__ = [
 
 
 class NegativeExtError(AssertionError):
-    """Internal failure: the hereditary Ext formula went negative."""
+    """Internal failure: the Ext formula went negative."""
 
 
 class PreinjectivityIndeterminate(RuntimeError):
@@ -196,11 +196,6 @@ class Representation:
         return sum(self.dims)
 
     @classmethod
-    def zero(cls, algebra) -> "Representation":
-        algebra = _algebra(algebra)
-        return cls.from_dims(algebra, (0,) * algebra.quiver.n)
-
-    @classmethod
     def from_dims(cls, algebra, dims, entries=None) -> "Representation":
         """Module with given dims; ``entries`` maps arrow index to matrix,
         missing arrows get zero matrices."""
@@ -258,15 +253,13 @@ class HomSpace:
     basis: list[tuple[Matrix, ...]]
 
 
-def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
-    """Solve the commuting-square system for two arrow-matrix families.
-
-    The relations of a bound quiver impose no extra conditions on morphisms,
-    so this one solver serves every algebra.
-    """
-    nverts = len(dims_m)
+def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[list[int]], list[int]]:
+    """The commuting-square system f -> (N_a f_s - f_t M_a)_a, one integer
+    row per nonzero equation, over the variables of the vertexwise maps f_v
+    laid out vertex by vertex, each row-major; also the offset of each
+    vertex's block and, last, the variable count."""
     offsets = [0]
-    for v in range(nverts):
+    for v in range(len(dims_m)):
         offsets.append(offsets[-1] + dims_n[v] * dims_m[v])
     nvars = offsets[-1]
 
@@ -291,11 +284,21 @@ def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
                         row[var(u, k, c)] += na[r][k]
                 if any(row):
                     rows.append(row)
-    kernel = linalg.nullspace(rows, nvars)
+    return rows, offsets
+
+
+def hom_space(arrows, dims_m, mats_m, dims_n, mats_n) -> HomSpace:
+    """Solve the commuting-square system for two arrow-matrix families.
+
+    The relations of a bound quiver impose no extra conditions on morphisms,
+    so this one solver serves every algebra.
+    """
+    rows, offsets = _square_rows(arrows, dims_m, mats_m, dims_n, mats_n)
+    kernel = linalg.nullspace(rows, offsets[-1])
     basis = [
         tuple(
-            [vec[var(v, r, 0):var(v, r + 1, 0)] for r in range(dims_n[v])]
-            for v in range(nverts)
+            [vec[offsets[v] + r * dm:offsets[v] + (r + 1) * dm] for r in range(dims_n[v])]
+            for v, dm in enumerate(dims_m)
         )
         for vec in kernel
     ]
@@ -314,15 +317,57 @@ def euler_data(q: Quiver) -> EulerData:
     return EulerData(q)
 
 
-def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N>.
+def _relation_rows(m: Representation, n: Representation) -> list[list[Fraction]]:
+    """The map phi -> sum_i N(a_{i+1}..a_l) phi_{a_i} M(a_1..a_{i-1}) on each
+    relation a_1..a_l, one row per entry of Hom_k(M_s, N_t) of the relation,
+    over the variables of the arrowwise maps phi_a laid out arrow by arrow,
+    each row-major."""
+    arrows = m.quiver.arrows
+    offsets = [0]
+    for s, t in arrows:
+        offsets.append(offsets[-1] + n.dims[t - 1] * m.dims[s - 1])
+    rows: list[list[Fraction]] = []
+    for rel in m.algebra.relations:
+        start, end = arrows[rel[0]][0], arrows[rel[-1]][1]
+        terms = [
+            (offsets[a], m.dims[arrows[a][0] - 1], m.path_action(start, rel[:i]),
+             n.path_action(arrows[a][1], rel[i + 1:]))
+            for i, a in enumerate(rel)
+        ]
+        for r in range(n.dims[end - 1]):
+            for c in range(m.dims[start - 1]):
+                row = [Fraction(0)] * offsets[-1]
+                for off, width, before, after in terms:
+                    for x, nx in enumerate(after[r]):
+                        if nx:
+                            for y in range(width):
+                                if before[y][c]:
+                                    row[off + x * width + y] += nx * before[y][c]
+                rows.append(row)
+    return rows
 
-    The Euler form gives Ext only over a hereditary algebra, so a module
-    whose algebra has relations is refused; bound.ext1_bqa covers those.
+
+def ext1_dim(m: Representation, n: Representation) -> int:
+    """dim Ext^1(M, N) over the modules' common algebra A = kQ/I.
+
+    The start of the projective bimodule resolution of A (vertices, arrows,
+    relations; Butler-King 1999) turns Hom(-, N) into the complex
+
+        sum_v Hom(M_v, N_v) -d0-> sum_a Hom(M_s(a), N_t(a)) -d1-> sum_r Hom(M_s(r), N_t(r))
+
+    where d0 is the commuting-square system and d1 expands each relation,
+    so dim Ext^1 = sum_a dim M_s(a) dim N_t(a) - rank d1 - rank d0. Any
+    generating set of relations gives the same kernel of d1. Without
+    relations d1 is empty and the value is dim Hom(M, N) - <dim M, dim N>.
     """
-    if m.algebra.relations:
-        raise ValueError("ext1_dim needs a path algebra; use bound.ext1_bqa")
-    value = hom(m, n).dim - euler_data(m.quiver).euler_form(m.dims, n.dims)
+    if m.algebra != n.algebra:
+        raise ValueError("ext needs a common algebra")
+    arrows = m.quiver.arrows
+    value = (
+        sum(m.dims[s - 1] * n.dims[t - 1] for s, t in arrows)
+        - linalg.rank(_relation_rows(m, n))
+        - linalg.rank(_square_rows(arrows, m.dims, m.mats, n.dims, n.mats)[0])
+    )
     if value < 0:
         raise NegativeExtError(f"ext went negative: {value} for {m.dims} -> {n.dims}")
     return value
@@ -332,29 +377,16 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 # projective and injective dimension vectors
 
 
-@lru_cache(maxsize=None)
-def _path_counts(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """paths[i][j] = number of paths from i+1 to j+1 (trivial path included)."""
-    n = q.n
-    order = q.topological_order()
-    counts = [[0] * n for _ in range(n)]
-    for v in reversed(order):
-        counts[v - 1][v - 1] = 1
-        for s, t in q.arrows:
-            if s == v:
-                for j in range(n):
-                    counts[v - 1][j] += counts[t - 1][j]
-    return tuple(tuple(row) for row in counts)
-
-
 def projective_dims(q: Quiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the indecomposable projective at vertex i."""
-    return tuple(_path_counts(q)[i - 1][j] for j in range(q.n))
+    """Dimension vector of the indecomposable projective at vertex i: the
+    number of paths from i to each vertex."""
+    return tuple(map(len, _path_algebra(q).basis_from(i)))
 
 
 def injective_dims(q: Quiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the indecomposable injective at vertex i."""
-    return tuple(_path_counts(q)[j][i - 1] for j in range(q.n))
+    """Dimension vector of the indecomposable injective at vertex i: the
+    number of paths from each vertex to i."""
+    return tuple(len(_path_algebra(q).basis_from(j)[i - 1]) for j in range(1, q.n + 1))
 
 
 # ---------------------------------------------------------------------------

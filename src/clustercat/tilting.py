@@ -14,7 +14,7 @@ hom dimensions are read from the hammocks ``category.GammaC`` knits on ZQ;
 hom bases are solved only for the pairs a swap's approximation uses.  An
 indecomposable is named by its id in that table; tilting modules hold ids, and
 torsion classes, descent summands, the enumeration and each swap's T0' and E
-are lookups.  The module route certifies every swap with one hom solve:
+are lookups.  The module route certifies every swap with one Ext rank:
 the cokernel of the approximation of T0 must be rigid, and so it is fixed by
 its dimension vector.  A swap depends only on the summand set and on T0, so
 each (set, T0) swap is certified once per table and shared by every descent
@@ -35,6 +35,7 @@ from .reps import (
     Representation,
     direct_sum,
     euler_data,
+    ext1_dim,
     hom,
     indecomposable_from_root,
     injective_dims,
@@ -266,12 +267,12 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     cleared (an almost complete tilting module has at most two complements),
     and the minimal middle term E of 0 -> T0 -> E -> T0' -> 0 has the unique
     multiplicities over the remaining summands that add up to dim T0 + dim T0'.
-    The module route certifies it with one solve: the cokernel W of the
+    The module route certifies it with one rank: the cokernel W of the
     approximation, whose dimension vector is then dim T0' plus the surplus
-    copies of the remaining summands, must have dim End(W) = <w, w>, so that
-    W is rigid; a rigid module is fixed by its dimension vector (its orbit
-    is open), so W is T0' plus those copies.  Returns the new tilting module
-    and a step witness dict.
+    copies of the remaining summands, must have Ext^1(W, W) = 0; a rigid
+    module is fixed by its dimension vector (its orbit is open), so W is T0'
+    plus those copies.  Returns the new tilting module and a step witness
+    dict.
     """
     table = _directed_indecomposables(quiver)
     dims = [m.dims for m in table.ordered]
@@ -289,8 +290,7 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     if any(table.hh[t0][j] < x for j, x in zip(rest, mult)):
         raise DescentStepError("approximation misses part of the predicted middle term")
     w = _cokernel(quiver, t, k)
-    # dim End(W) = <w, w> + dim Ext^1(W, W), so one solve certifies W rigid
-    if hom(w, w).dim != euler_data(quiver).euler_form(w.dims, w.dims):
+    if ext1_dim(w, w):
         raise DescentStepError(f"cokernel with dimension vector {w.dims} is not rigid")
 
     new_t = TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:])

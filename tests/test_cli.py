@@ -66,6 +66,20 @@ def test_explore_affine_needs_depth(capsys, tmp_path):
     assert rep["truncated"] is True
 
 
+@pytest.mark.parametrize("command", ["explore", "denominators"])
+def test_unbounded_walk_names_the_depth_option(capsys, tmp_path, command):
+    # the library's keyword is max_depth; the CLI user sets it with --depth
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2], [1, 2]]}))
+    for source in (["--type", "Atilde21"], ["--quiver", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *source])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "shape may be infinite; pass --depth" in err
+        assert "max_depth" not in err
+
+
 def test_denominators_output(capsys):
     code, rep = run_json(capsys, "denominators", "--type", "A2")
     assert code == 0

@@ -91,7 +91,7 @@ def test_every_import_is_used(path):
 ORACLES = {
     "reps.all_indecomposables": "every indecomposable built by reflection "
     "functors; the tilting, bound and acceptance tests check the knitted "
-    "tables and both Ext routes against it",
+    "tables and Ext against it and against the presentation oracle",
     "reps.tau": "the AR translate on modules; the category tests build the "
     "module translate of the knitted quiver from it",
     "reps.tau_inverse": "the AR translate on modules; the category tests "

