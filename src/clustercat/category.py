@@ -42,6 +42,7 @@ __all__ = [
     "initial_seed_c",
     "shifted_initial_seed_c",
     "mutate_tilting",
+    "exchange_data",
     "walk_tilting",
     "is_compatible",
     "lemma6_check",
@@ -123,7 +124,8 @@ class ExchangeData:
 
 
 Position = tuple[int, int]
-Edge = tuple[CategorifiedSeed, int, CategorifiedSeed, ExchangeData]
+# (seed, k, tk_star): a walk's mutation of summand k of seed into vertex tk_star
+Edge = tuple[CategorifiedSeed, int, int]
 
 
 class GammaC:
@@ -364,15 +366,16 @@ def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[Categorif
     if seed.tilting_key.bit_count() != n:
         raise ValueError("seed is not basic")
     masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
-    return _exchange(g, seed, k, reduce(and_, masks, (1 << len(g.vertices)) - 1))
+    tk_star = _partner(g, seed, k, reduce(and_, masks, (1 << len(g.vertices)) - 1))
+    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+    return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
 
 
-def _exchange(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> tuple[CategorifiedSeed, ExchangeData]:
-    """The exchange of summand k of a basic seed, given ``others``, the AND of
-    the other summands' ext_free masks. The new seed's key is one XOR."""
-    key = seed.tilting_key
+def _partner(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> int:
+    """The exchange partner of summand k of a basic seed, given ``others``,
+    the AND of the other summands' ext_free masks."""
     tk = seed.summands[k - 1]
-    mask = others & ~key
+    mask = others & ~seed.tilting_key
     if not mask:
         raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
     if mask & (mask - 1):
@@ -380,23 +383,40 @@ def _exchange(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> tuple[C
     tk_star = mask.bit_length() - 1
     if g.hom_i[tk][g.tau_i[tk_star]] != 1:
         raise AssertionError("exchange pair does not have a one dimensional extension space")
+    return tk_star
+
+
+def _mutated(seed: CategorifiedSeed, k: int, tk_star: int, key: int) -> CategorifiedSeed:
+    """The seed with summand k replaced by its partner ``tk_star``, whose
+    tilting key ``key`` the caller has already derived by XOR."""
+    summands = seed.summands[: k - 1] + (tk_star,) + seed.summands[k:]
+    nxt = CategorifiedSeed(summands, mutate_matrix(seed.b, k))
+    vars(nxt)["tilting_key"] = key  # fills the cached_property
+    return nxt
+
+
+def exchange_data(seed: CategorifiedSeed, k: int, tk_star: int) -> ExchangeData:
+    """The exchange of summand k for its partner ``tk_star``, with the middle
+    terms of its two triangles read off column k of the seed's matrix."""
     col = [row[k - 1] for row in seed.b]
     e = tuple(sorted((x, c) for x, c in zip(seed.summands, col) if c > 0))
     e_prime = tuple(sorted((x, -c) for x, c in zip(seed.summands, col) if c < 0))
-    new_summands = seed.summands[: k - 1] + (tk_star,) + seed.summands[k:]
-    new_seed = CategorifiedSeed(new_summands, mutate_matrix(seed.b, k))
-    vars(new_seed)["tilting_key"] = key ^ (1 << tk) ^ mask  # fills the cached_property
-    return new_seed, ExchangeData(k, tk, tk_star, e, e_prime)
+    return ExchangeData(k, seed.summands[k - 1], tk_star, e, e_prime)
 
 
 def walk_tilting(g: GammaC) -> Iterator[Edge]:
     """Breadth-first walk over every tilting object from the projective
-    generator, yielding each mutation edge ``(seed, k, next_seed, exchange)``.
+    generator, yielding each mutation edge ``(seed, k, tk_star)``: summand k
+    of ``seed`` is exchanged for the vertex ``tk_star``.
 
     Each tilting object is expanded once, as the seed that first reached it,
     and its edges come out for k = 1..n in turn, so ``k == 1`` marks a newly
     expanded seed. The mask of the summands other than k is the AND of a
-    prefix and a suffix of their ext_free masks: 2n ANDs per object.
+    prefix and a suffix of their ext_free masks: 2n ANDs per object. Every
+    edge runs the checks of the partner search and derives the next key by
+    XOR; only a key not seen before gets its seed built, with the mutated
+    matrix. An edge's exchange data is ``exchange_data(seed, k, tk_star)``,
+    for the callers that read it.
     """
     start = initial_seed_c(g)
     seen = {start.tilting_key}
@@ -404,15 +424,17 @@ def walk_tilting(g: GammaC) -> Iterator[Edge]:
     full = (1 << len(g.vertices)) - 1
     while queue:
         seed = queue.popleft()
+        key = seed.tilting_key
         masks = [g.ext_free[x] for x in seed.summands]
         prefix = list(accumulate(masks, and_, initial=full))  # prefix[j]: AND of masks[:j]
         suffix = list(accumulate(reversed(masks), and_, initial=full))[::-1]  # masks[j:]
         for k in range(1, g.quiver.n + 1):
-            nxt, xd = _exchange(g, seed, k, prefix[k - 1] & suffix[k])
-            yield seed, k, nxt, xd
-            if nxt.tilting_key not in seen:
-                seen.add(nxt.tilting_key)
-                queue.append(nxt)
+            tk_star = _partner(g, seed, k, prefix[k - 1] & suffix[k])
+            yield seed, k, tk_star
+            nkey = key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+            if nkey not in seen:
+                seen.add(nkey)
+                queue.append(_mutated(seed, k, tk_star, nkey))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +500,7 @@ def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
     tau_i, hom_i = g.tau_i, g.hom_i
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
-    for seed, k, _, _ in edges:
+    for seed, k, _ in edges:
         if k == 1:
             checked_tiltings += 1
             shifted = {tau_i[t] for t in seed.summands}

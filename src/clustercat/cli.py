@@ -19,6 +19,7 @@ from .category import (
     GammaC,
     _theorem1_report,
     den_vs_hom_crosscheck,
+    exchange_data,
     is_compatible,
     lemma6_check,
     theorem1_injectivity,
@@ -272,8 +273,9 @@ def _verify_lemma67(qtype: str, depth, seed):
     edges = list(walk_tilting(g))
     tilting_objects = compat_cases = 0
     failures: list[dict] = []
-    for cur, k, _nxt, xd in edges:
+    for cur, k, tk_star in edges:
         tilting_objects += k == 1
+        xd = exchange_data(cur, k, tk_star)
         for x, agree in enumerate(lemma6_check(g, xd)):
             compat_cases += 1
             for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):

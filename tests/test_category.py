@@ -22,10 +22,12 @@ import pytest
 from clustercat.category import (
     CategorifiedSeed,
     CVertex,
+    ExchangeData,
     GammaC,
     MultipleComplements,
     NoComplement,
     den_vs_hom_crosscheck,
+    exchange_data,
     initial_seed_c,
     is_compatible,
     lemma6_check,
@@ -35,7 +37,7 @@ from clustercat.category import (
     walk_tilting,
 )
 from clustercat.laurent import explore_exchange_graph
-from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
+from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix, mutate_matrix
 from clustercat.reps import (
     ext1_dim,
     hom,
@@ -196,7 +198,7 @@ def brute_force_tilting_count(g):
 
 def expanded_seeds(g):
     """The seeds walk_tilting expands, one per tilting object."""
-    return [seed for seed, k, _, _ in walk_tilting(g) if k == 1]
+    return [seed for seed, k, _ in walk_tilting(g) if k == 1]
 
 
 @pytest.mark.parametrize("name,count", [("A2", 5), ("A3", 14), ("D4", 50)])
@@ -271,27 +273,65 @@ def brute_force_partner(g, seed, k):
 @pytest.mark.parametrize("name", ["A4", "D4", "D6"])
 def test_mask_partner_matches_brute_force_scan(name):
     g = GammaC(QUIVERS[name])
-    edges = 0
-    for seed, k, nxt, xd in walk_tilting(g):
+    edges = list(walk_tilting(g))
+    # the walker builds a seed only for the edge that first reaches its key,
+    # and expands the seeds in that order
+    expanded = iter([seed for seed, k, _ in edges if k == 1])
+    start = next(expanded)
+    assert start == initial_seed_c(g)
+    seen = {start.tilting_key}
+    for seed, k, tk_star in edges:
         found, e, e_prime = brute_force_partner(g, seed, k)
-        assert found == [xd.tk_star], (seed.summands, k)
-        assert (xd.k, xd.tk, xd.e, xd.e_prime) == (k, seed.summands[k - 1], e, e_prime)
+        assert found == [tk_star], (seed.summands, k)
+        nxt, xd = mutate_tilting(g, seed, k)
+        assert xd == exchange_data(seed, k, tk_star)
+        assert xd == ExchangeData(k, seed.summands[k - 1], tk_star, e, e_prime)
         assert ext_c(g, xd.tk, xd.tk_star) == 1
-        assert nxt.summands[k - 1] == xd.tk_star
+        assert nxt.summands[k - 1] == tk_star
         assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
-        # the walk derives the next key by one XOR; recompute it from the summands
+        # the next key comes from one XOR; recompute it from the summands
         assert "tilting_key" in vars(nxt)
         assert nxt.tilting_key == functools.reduce(operator.or_, (1 << x for x in nxt.summands))
-        edges += 1
+        if nxt.tilting_key not in seen:
+            seen.add(nxt.tilting_key)
+            built = next(expanded)
+            assert (built.summands, built.b, built.tilting_key) == (nxt.summands, nxt.b, nxt.tilting_key)
+            assert built.b == mutate_matrix(seed.b, k)
+    assert next(expanded, None) is None
     # Fomin-Zelevinsky cluster counts
-    assert edges == {"A4": 42, "D4": 50, "D6": 672}[name] * g.quiver.n
+    assert len(seen) == {"A4": 42, "D4": 50, "D6": 672}[name]
+    assert len(edges) == len(seen) * g.quiver.n
+
+
+def test_walk_mutates_matrices_only_for_new_objects(monkeypatch):
+    # D4 has 50 tilting objects and 200 edges: the walk mutates the matrix
+    # once per object beyond the first, and Theorem 1 builds no exchange data
+    from clustercat import category
+
+    calls = {"mutate_matrix": 0, "ExchangeData": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(category, name, wrapper)
+
+    counting("mutate_matrix", category.mutate_matrix)
+    counting("ExchangeData", category.ExchangeData)
+    g = GammaC(builtin_quiver("D4"))
+    assert len(list(walk_tilting(g))) == 200
+    assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
+    calls["mutate_matrix"] = 0
+    assert theorem1_injectivity(builtin_quiver("D4"))["tilting_count"] == 50
+    assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
 
 
 def test_walker_expands_each_tilting_object_once():
     g = GammaC(builtin_quiver("D4"))
     edges = list(walk_tilting(g))
-    expanded = [seed for seed, k, _, _ in edges if k == 1]
-    assert [k for _, k, _, _ in edges] == [1, 2, 3, 4] * len(expanded)
+    expanded = [seed for seed, k, _ in edges if k == 1]
+    assert [k for _, k, _ in edges] == [1, 2, 3, 4] * len(expanded)
     assert expanded[0] == initial_seed_c(g)
     assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
     for s in expanded:
@@ -465,7 +505,6 @@ def test_explore_counts_match_tilting_counts(quiver, clusters, variables):
     assert res.variable_count == rep["vertices"] == variables
 
 
-@pytest.mark.slow
 def test_theorem1_exhaustive_e8():
     rep = theorem1_injectivity(E8)
     assert rep["vertices"] == 128

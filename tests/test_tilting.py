@@ -102,7 +102,7 @@ def test_d4_count_against_cluster_category():
     # module-only tilting objects of the category are the tilting modules
     g = GammaC(D4)
     module_only = [
-        seed for seed, k, _, _ in walk_tilting(g)
+        seed for seed, k, _ in walk_tilting(g)
         if k == 1 and all(g.vertices[x].is_module for x in seed.summands)
     ]
     assert len(module_only) == 20
@@ -441,7 +441,7 @@ def _module_tilting_objects(q):
     # tilting objects of the cluster category with no shifted projective
     g = GammaC(q)
     found = set()
-    for seed, k, _, _ in walk_tilting(g):
+    for seed, k, _ in walk_tilting(g):
         labels = [g.vertices[x] for x in seed.summands]
         if k == 1 and all(v.is_module for v in labels):
             found.add(frozenset(v.dims for v in labels))
