@@ -10,11 +10,13 @@ The exchange relation reads column k of the exchange matrix:
 
     x_k' = (prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}) / x_k
 
-Seeds and polynomials are immutable. A cluster's key is the frozenset of its
-polynomials (hashes cached); strings are rendered only for output. In
-explore_exchange_graph a call-local exchange table maps (x_k, {(x_i, b_ik) :
-b_ik != 0}) to x_k' and (x_k', {(x_i, -b_ik)}) to x_k, exact as x_k * x_k' is
-the binomial above, so each exchange relation is divided out once.
+Seeds and polynomials are immutable; a cluster's key is the frozenset of its
+polynomials. explore_exchange_graph keeps a call-local exchange table, (x_k,
+{(x_i, b_ik) : b_ik != 0}) to x_k' and back, and on a miss reads d(x_k') =
+d(binomial) - d(x_k) without dividing: the variable found so far with that
+denominator vector is taken when x_k times it is the binomial, a proof in the
+domain Z[x^+-1]; else it divides. In finite type, where denominator vectors
+separate variables (Fomin-Zelevinsky), that is one division per new variable.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class LaurentPoly:
         self._terms = {e: c for e, c in clean.items() if c}
         self._key = (nvars, tuple(sorted(self._terms.items())))
         self._hash = None
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "LaurentPoly":
+        """Arithmetic result on checked operands: only zero terms are dropped."""
+        p = cls.__new__(cls)
+        p.nvars, p._terms, p._hash = nvars, {e: c for e, c in terms.items() if c}, None
+        p._key = (nvars, tuple(sorted(p._terms.items())))
+        return p
 
     # construction helpers
 
@@ -113,10 +123,10 @@ class LaurentPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._of(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -128,7 +138,7 @@ class LaurentPoly:
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._of(self.nvars, out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -180,8 +190,8 @@ class LaurentPoly:
         for e, c in quot.items():
             if c.denominator != 1:
                 raise DivisionNotExact("quotient has a non-integer coefficient")
-            out[tuple(a + b for a, b in zip(e, back))] = int(c)
-        return LaurentPoly(n, out)
+            out[tuple(a + b for a, b in zip(e, back))] = c.numerator
+        return LaurentPoly._of(n, out)
 
     # rendering
 
@@ -251,25 +261,28 @@ def initial_seed(b) -> Seed:
     return Seed(bb, tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1)))
 
 
+def _exchange_binomial(s: Seed, k: int) -> LaurentPoly:
+    """prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}, reading column k of B."""
+    # each product starts from its first factor; an empty product is 1
+    plus = minus = None
+    for p, row in zip(s.cluster, s.b):
+        bik = row[k - 1]
+        if bik > 0:
+            f = p ** bik
+            plus = f if plus is None else plus * f
+        elif bik < 0:
+            f = p ** -bik
+            minus = f if minus is None else minus * f
+    one = LaurentPoly.one(len(s.b))
+    return (one if plus is None else plus) + (one if minus is None else minus)
+
+
 def seed_mutate(s: Seed, k: int) -> Seed:
     """Mutate the seed at vertex k (1-based), reading column k of B."""
     n = len(s.b)
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
-    col = [s.b[i][k - 1] for i in range(n)]
-    # each product starts from its first factor; an empty product is 1
-    plus = minus = None
-    for i, bik in enumerate(col):
-        if bik > 0:
-            f = s.cluster[i] ** bik
-            plus = f if plus is None else plus * f
-        elif bik < 0:
-            f = s.cluster[i] ** -bik
-            minus = f if minus is None else minus * f
-    one = LaurentPoly.one(n)
-    plus = one if plus is None else plus
-    minus = one if minus is None else minus
-    new_var = (plus + minus).exact_div(s.cluster[k - 1])
+    new_var = _exchange_binomial(s, k).exact_div(s.cluster[k - 1])
     cluster = tuple(new_var if i == k - 1 else p for i, p in enumerate(s.cluster))
     return Seed(mutate_matrix(s.b, k), cluster)
 
@@ -302,13 +315,24 @@ class ExplorationResult:
         return len(self.variables)
 
 
+def _exchange_quotient(binom: LaurentPoly, old: LaurentPoly, known: dict) -> LaurentPoly:
+    """binom / old: the known variable under d(binom) - d(old) (lowest exponents
+    add under products) if old times it is binom, else divided out and recorded."""
+    d = tuple(a - c for a, c in zip(binom.denominator_vector(), old.denominator_vector()))
+    new = known.get(d)
+    if new is None or old * new != binom:
+        new = known[d] = binom.exact_div(old)
+    return new
+
+
 def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult:
     """Enumerate clusters reachable from the initial seed of ``b``.
 
     max_depth may be omitted only when the quiver of ``b`` has Dynkin shape
     (guaranteed finite); otherwise it is required so the walk cannot run
     forever. When the cutoff hides further clusters the result is flagged
-    truncated (checked by probing one layer past the cutoff).
+    truncated (checked by probing one layer past the cutoff). A Seed is built
+    only for a new cluster; the probe reads cluster keys alone.
     """
     if max_depth is None:
         cls = classify_diagram(quiver_from_matrix(b))
@@ -319,17 +343,17 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     start = initial_seed(b)
     n = len(start.b)
     exchanged: dict[tuple[LaurentPoly, frozenset], LaurentPoly] = {}
+    known = {p.denominator_vector(): p for p in start.cluster}
 
-    def mutate(s: Seed, k: int) -> Seed:
+    def mutate(s: Seed, k: int) -> tuple[LaurentPoly, ...]:
         old = s.cluster[k - 1]
         rel = frozenset((p, row[k - 1]) for p, row in zip(s.cluster, s.b) if row[k - 1])
         new = exchanged.get((old, rel))
-        if new is not None:
-            return Seed(mutate_matrix(s.b, k), s.cluster[: k - 1] + (new,) + s.cluster[k:])
-        t = seed_mutate(s, k)
-        exchanged[old, rel] = new = t.cluster[k - 1]
-        exchanged[new, frozenset((p, -bik) for p, bik in rel)] = old
-        return t
+        if new is None:
+            new = _exchange_quotient(_exchange_binomial(s, k), old, known)
+            exchanged[old, rel] = new
+            exchanged[new, frozenset((p, -bik) for p, bik in rel)] = old
+        return s.cluster[: k - 1] + (new,) + s.cluster[k:]
 
     seeds: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
     variables: set[LaurentPoly] = set(start.cluster)
@@ -340,17 +364,17 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
         if max_depth is not None and depth >= max_depth:
             # probe one layer to see whether the cutoff actually hid anything
             truncated = any(
-                mutate(s, k).cluster_key() not in seeds for s in layer for k in range(1, n + 1)
+                frozenset(mutate(s, k)) not in seeds for s in layer for k in range(1, n + 1)
             )
             break
         next_layer = []
         for s in layer:
             for k in range(1, n + 1):
-                t = mutate(s, k)
-                key = t.cluster_key()
+                cluster = mutate(s, k)
+                key = frozenset(cluster)
                 if key not in seeds:
-                    seeds[key] = t
-                    variables.update(t.cluster)
+                    seeds[key] = t = Seed(mutate_matrix(s.b, k), cluster)
+                    variables.update(cluster)
                     next_layer.append(t)
         if next_layer:
             depth += 1

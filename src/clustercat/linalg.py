@@ -89,14 +89,14 @@ def transpose(a: Matrix, cols: int | None = None) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
+def _echelon(a: Matrix, full: bool = True) -> tuple[list[list[int]], list[int]]:
     """Integer echelon form of ``a`` and its pivot columns.
 
     Rows are scaled to integers, then eliminated fraction-free: under pivot
     p, a row with entry f becomes (p/g)*row - (f/g)*pivot_row, g = gcd(p, f),
     divided by its content; a unit pivot touches only its row's support.
-    Pivot columns are cleared above the pivots too, so pivot row r is a
-    multiple of row r of the reduced form.  Other rows are zero.
+    ``full`` clears pivot columns above the pivots too (a rank needs only
+    forward steps), so pivot row r is a multiple of row r of the reduced form.
     """
     m = []
     for row in a:
@@ -113,7 +113,7 @@ def _echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
         m[r], m[pr] = m[pr], m[r]
         prow = m[r] = m[r] if m[r][c] > 0 else [-x for x in m[r]]
         support = [j for j, y in enumerate(prow) if y]
-        for i in range(len(m)):
+        for i in range(0 if full else r + 1, len(m)):
             f = m[i][c]
             if not f or i == r:
                 continue
@@ -133,7 +133,7 @@ def _echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(a: Matrix) -> int:
-    return len(_echelon(a)[1])
+    return len(_echelon(a, full=False)[1])
 
 
 def nullspace(a: Matrix, cols: int) -> list[list[Fraction]]:

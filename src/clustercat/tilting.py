@@ -239,20 +239,21 @@ def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
     if not blocks:
         raise DescentStepError(f"summand {t0.dims} admits no maps into the rest")
     e_rep = direct_sum(*(s for s, _ in blocks))
-    proj, sect = [], []
+    proj, free = [], []
     for v, ev in enumerate(e_rep.dims):
-        # left-kernel rows of the stacked maps project onto W; a right inverse lifts back
+        # left-kernel rows of the stacked maps project onto W; each is 1 at its own
+        # free column (its last nonzero entry) and 0 at the others, which lift W back
         stacked = linalg.transpose([row for _, f in blocks for row in f[v]], cols=ev)
         proj.append(linalg.nullspace(stacked, ev))
         if len(proj[v]) != ev - t0.dims[v]:
             raise DescentStepError(f"approximation of {t0.dims} is not injective at vertex {v + 1}")
-        sect.append(linalg.solve_matrix(proj[v], linalg.identity(len(proj[v])), ev))
+        free.append([max(c for c, x in enumerate(row) if x) for row in proj[v]])
     w_dims = tuple(map(len, proj))
     w_mats = []
     for idx, (sv, tv) in enumerate(quiver.arrows):
         u, v = sv - 1, tv - 1
         pe = linalg.mat_mul(proj[v], e_rep.mats[idx], e_rep.dims[u])
-        wa = linalg.mat_mul(pe, sect[u], w_dims[u])
+        wa = [[row[c] for c in free[u]] for row in pe]
         if linalg.mat_mul(wa, proj[u], e_rep.dims[u]) != pe:
             raise DescentStepError("cokernel arrow map is not well defined")
         w_mats.append(wa)

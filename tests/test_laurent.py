@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercat import laurent
 from clustercat.laurent import (
     DivisionNotExact,
     LaurentPoly,
@@ -15,6 +16,8 @@ from clustercat.laurent import (
 from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
+E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
 
 
 def x(i, n=2):
@@ -22,7 +25,7 @@ def x(i, n=2):
 
 
 def _quiver(name):
-    return D5 if name == "D5" else builtin_quiver(name)
+    return {"D5": D5, "D6": D6, "E6": E6}.get(name) or builtin_quiver(name)
 
 
 def test_arithmetic_examples():
@@ -32,6 +35,17 @@ def test_arithmetic_examples():
     assert p.exact_div(p) == one
     q = one + x(1) + x(2) + x(1) * x(2)
     assert q.exact_div(one + x(1)) == one + x(2)
+
+
+def test_public_constructor_checks_what_arithmetic_trusts():
+    # arithmetic builds its results unchecked; the constructor casts to int,
+    # drops zero terms and refuses a wrong-length exponent vector
+    p = LaurentPoly(2, {(1.0, 0): 2.0, (0, 1): 0})
+    assert p == LaurentPoly.monomial((1, 0), 2) and p.terms() == {(1, 0): 2}
+    assert all(type(v) is int for e, c in p.terms().items() for v in (*e, c))
+    assert (p - p).terms() == {} and p + LaurentPoly(2, {(1, 0): -2}) == LaurentPoly.zero(2)
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(1, 0, 0): 1})
 
 
 def test_exact_div_raises_on_remainder():
@@ -67,33 +81,63 @@ def test_render_canonical():
 
 def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     # x^5 is x * x^4 after two squarings. A D4 exploration builds each
-    # exchange product from its first factor and solves each exchange
-    # relation once: 32 products and 52 divisions for its 200 mutations
+    # exchange product from its first factor for each of its 52 exchange
+    # relations (32 products) and divides only for the 12 new variables; the
+    # other 40 are found by denominator vector and certified by one product
     calls = []
-    divisions = []
     mul = LaurentPoly.__mul__
-    div = LaurentPoly.exact_div
 
     def counting_mul(a, b):
         calls.append(1)
         return mul(a, b)
 
-    def counting_div(a, b):
-        divisions.append(1)
-        return div(a, b)
-
     p = LaurentPoly.one(2) + x(1) + x(2) * x(2)
     product = p * p * p * p * p
     monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
-    monkeypatch.setattr(LaurentPoly, "exact_div", counting_div)
+    divisions = _counting_divisions(monkeypatch)
     assert p ** 0 == LaurentPoly.one(2)
     assert p ** 1 is p
     assert p ** 5 == product
     assert len(calls) == 3
     calls.clear()
     assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
-    assert len(calls) == 32
-    assert len(divisions) == 52
+    assert len(calls) == 32 + 40
+    assert len(divisions) == 12
+
+
+def _counting_divisions(monkeypatch):
+    divisions = []
+    div = LaurentPoly.exact_div
+
+    def counting_div(a, b):
+        divisions.append(1)
+        return div(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting_div)
+    return divisions
+
+
+@pytest.mark.parametrize("name,varcount", [("A4", 14), ("D5", 25), ("D6", 36), ("E6", 42)])
+def test_explore_divides_once_per_new_variable(monkeypatch, name, varcount):
+    b = exchange_matrix(_quiver(name))
+    divisions = _counting_divisions(monkeypatch)
+    assert explore_exchange_graph(b).variable_count == varcount
+    assert len(divisions) == varcount - len(b)
+
+
+def test_wrong_candidate_under_the_denominator_vector_is_divided_out(monkeypatch):
+    # (1 + x2) / x1 has denominator vector (1, 0); plant (1 + 2*x2) / x1 there
+    binom, true = LaurentPoly.one(2) + x(2), LaurentPoly.monomial((-1, 0)) + LaurentPoly.monomial((-1, 1))
+    wrong = LaurentPoly.monomial((-1, 0)) + LaurentPoly.monomial((-1, 1), 2)
+    assert wrong.denominator_vector() == true.denominator_vector() == (1, 0)
+    assert x(1) * wrong != binom and x(1) * true == binom
+    divisions = _counting_divisions(monkeypatch)
+    known = {(1, 0): wrong}
+    assert laurent._exchange_quotient(binom, x(1), known) == true
+    assert known == {(1, 0): true} and len(divisions) == 1
+    # the true quotient passes the product test without a division
+    assert laurent._exchange_quotient(binom, x(1), known) == true
+    assert len(divisions) == 1
 
 
 def test_denominator_vectors():

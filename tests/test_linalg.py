@@ -127,6 +127,14 @@ def test_rref_equals_fraction_reference(rows):
     assert linalg.solve_matrix(basis, rows, len(pivots)) == ref[:len(pivots)]
 
 
+@settings(max_examples=250, deadline=None)
+@given(oracle_matrices)
+def test_forward_rank_equals_full_elimination(rows):
+    # rank eliminates forward only; the full reduction and the reference agree
+    full = len(linalg._echelon(rows)[1])
+    assert linalg.rank(rows) == linalg.rank(linalg.mat(rows)) == full == len(reference_rref(rows)[1])
+
+
 @settings(max_examples=120, deadline=None)
 @given(oracle_matrices.filter(lambda rows: rows and rows[0]))
 def test_nullspace_and_solve_read_the_reference_form(rows):
