@@ -22,13 +22,9 @@ from .laurent import (
 from .reps import (
     MonomialAlgebra,
     Representation,
-    all_indecomposables,
     ext1_dim,
     hom,
     indecomposable_from_root,
-    is_isomorphic,
-    tau,
-    tau_inverse,
 )
 from .bound import counterexample_report
 from .category import (
@@ -60,13 +56,9 @@ __all__ = [
     "initial_seed",
     "seed_mutate",
     "Representation",
-    "all_indecomposables",
     "ext1_dim",
     "hom",
     "indecomposable_from_root",
-    "is_isomorphic",
-    "tau",
-    "tau_inverse",
     "MonomialAlgebra",
     "counterexample_report",
     "GammaC",

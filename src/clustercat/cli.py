@@ -242,15 +242,9 @@ def _verify_corollary5(qtype: str, depth, seed):
 
 
 def _verify_counterexample(qtype, depth, seed):
-    rep = counterexample_report()
-    ok = (
-        rep["same_dimension_vector"]
-        and rep["ext1_M_M"] == 0
-        and rep["ext1_N_N"] == 0
-        and not rep["isomorphic"]
-        and rep["lift_self_extension"] == 2
-    )
-    return ok, rep, None if ok else rep
+    # the report asserts every claim; a failed one reaches cmd_verify as an
+    # AssertionError
+    return True, counterexample_report(), None
 
 
 def _verify_prop8(qtype: str, depth, seed):

@@ -9,9 +9,8 @@ commuting-square system, which relations do not change. Ext^1 over every
 algebra is the first cohomology of one small complex (vertices -> arrows ->
 relations), whose first map is that same system; without relations it is
 dim Hom minus the Euler form. Indecomposables are built from positive roots
-with reflection functors, never by guessing matrices. Isomorphism has one
-exact route: a hom element invertible at every vertex, looked for on a
-finite lattice of coefficient vectors that holds one whenever one exists.
+with reflection functors, never by guessing matrices; the AR translates and
+the isomorphism test are test oracles and live with the tests.
 
 Modules are immutable once constructed.
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import lcm
 
 from . import linalg
@@ -36,17 +34,12 @@ __all__ = [
     "euler_data",
     "hom",
     "hom_space",
-    "invertible_element_exists",
     "ext1_dim",
     "direct_sum",
     "projective_dims",
     "injective_dims",
     "indecomposable_from_root",
-    "all_indecomposables",
-    "tau",
-    "tau_inverse",
     "is_preinjective",
-    "is_isomorphic",
     "atilde21_tube_modules",
 ]
 
@@ -60,10 +53,6 @@ class PreinjectivityIndeterminate(RuntimeError):
 
 
 Matrix = list[list[Fraction]]
-
-# a basis path longer than this means the relations leave the algebra
-# infinite dimensional
-MAX_PATH_LENGTH = 40
 
 
 @dataclass(frozen=True)
@@ -94,27 +83,30 @@ class MonomialAlgebra:
     @lru_cache(maxsize=None)
     def _all_paths(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         arrows = self.quiver.arrows
+        # whether a path survives one more arrow depends only on its state,
+        # its end and its last keep arrows; a surviving path that returns to
+        # the state of one of its prefixes can pump the cycle between them
+        # forever, and a path that repeats no state is bounded in length
+        keep = max(map(len, self.relations), default=1) - 1
         out: list[tuple[int, tuple[int, ...]]] = []
         for start in range(1, self.quiver.n + 1):
-            layer = [()]
+            layer = [((), frozenset({(start, ())}))]
             out.append((start, ()))
-            length = 0
             while layer:
-                length += 1
-                if length > MAX_PATH_LENGTH:
-                    raise ValueError(
-                        "paths keep growing; the relations do not bound the algebra"
-                    )
                 nxt = []
-                for p in layer:
+                for p, seen in layer:
                     end = start if not p else arrows[p[-1]][1]
-                    for idx, (s, _) in enumerate(arrows):
-                        if s != end:
-                            continue
+                    for idx, (s, t) in enumerate(arrows):
                         cand = p + (idx,)
-                        if not self._dies(cand):
-                            nxt.append(cand)
-                            out.append((start, cand))
+                        if s != end or self._dies(cand):
+                            continue
+                        state = (t, cand[-keep:] if keep else ())
+                        if state in seen:
+                            raise ValueError(
+                                "paths keep growing; the relations do not bound the algebra"
+                            )
+                        nxt.append((cand, seen | {state}))
+                        out.append((start, cand))
                 layer = nxt
         return tuple(out)
 
@@ -377,10 +369,11 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 # projective and injective dimension vectors
 
 
-def projective_dims(q: Quiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the indecomposable projective at vertex i: the
-    number of paths from i to each vertex."""
-    return tuple(map(len, _path_algebra(q).basis_from(i)))
+def projective_dims(over, i: int) -> tuple[int, ...]:
+    """Dimension vector of the indecomposable projective at vertex i over a
+    Quiver's path algebra or a MonomialAlgebra: the number of surviving
+    paths from i to each vertex."""
+    return tuple(map(len, _algebra(over).basis_from(i)))
 
 
 def injective_dims(q: Quiver, i: int) -> tuple[int, ...]:
@@ -475,41 +468,6 @@ def indecomposable_from_root(q: Quiver, d) -> Representation:
     return module
 
 
-def all_indecomposables(q: Quiver) -> list[Representation]:
-    """All indecomposables of a Dynkin quiver, sorted by dimension vector."""
-    return [indecomposable_from_root(q, d) for d in sorted(positive_roots(q))]
-
-
-# ---------------------------------------------------------------------------
-# AR translate
-
-
-def tau(m: Representation) -> Representation | None:
-    """AR translate of an indecomposable; None for projectives."""
-    q = m.quiver
-    if m.dims not in positive_roots(q):
-        raise ValueError("tau is defined here for indecomposables (root dims) only")
-    if any(m.dims == projective_dims(q, i) for i in range(1, q.n + 1)):
-        return None
-    shifted = euler_data(q).coxeter_transform(m.dims)
-    if shifted not in positive_roots(q):
-        raise AssertionError(f"Coxeter image {shifted} of non-projective is not a root")
-    return indecomposable_from_root(q, shifted)
-
-
-def tau_inverse(m: Representation) -> Representation | None:
-    """Inverse AR translate of an indecomposable; None for injectives."""
-    q = m.quiver
-    if m.dims not in positive_roots(q):
-        raise ValueError("tau inverse is defined here for indecomposables only")
-    if any(m.dims == injective_dims(q, i) for i in range(1, q.n + 1)):
-        return None
-    shifted = euler_data(q).inverse_coxeter_transform(m.dims)
-    if shifted not in positive_roots(q):
-        raise AssertionError(f"inverse Coxeter image {shifted} is not a root")
-    return indecomposable_from_root(q, shifted)
-
-
 _PREINJECTIVE_STEPS = 64
 
 
@@ -529,60 +487,6 @@ def is_preinjective(ed: EulerData, d) -> bool:
             return False
         seen.add(cur)
     raise PreinjectivityIndeterminate(f"orbit of {tuple(d)} undecided after {_PREINJECTIVE_STEPS} steps")
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def invertible_element_exists(dims, space: HomSpace) -> bool:
-    """Whether some element of a hom space is invertible at every vertex.
-
-    Exact and finite. At a vertex v with d = dims[v] > 0, keep the m nonzero
-    components B_1..B_m of the basis at v; the answer is True iff at every
-    such vertex sum_t c_t B_t has rank d at some c in N^m with sum c = d.
-    Assumes square components. Proof:
-
-    * P_v(c) = det(sum_t c_t B_t) is zero or homogeneous of degree d.
-    * A nonzero polynomial P of degree <= d in m variables is nonzero at some
-      c in N^m with sum c <= d. By induction on m: write P as a polynomial
-      in c_m of degree e; its top coefficient has degree <= d - e in the
-      other variables and is nonzero at some a with sum a <= d - e, so
-      P(a, c_m) is a nonzero one-variable polynomial of degree e, nonzero at
-      one of c_m = 0..e.
-    * For nonzero homogeneous P of degree d, Q(a) = P(a, d - sum a) on
-      N^(m-1) is nonzero too: P(sc) = s^d P(c), so a P vanishing on the
-      hyperplane sum c = d would vanish wherever sum c != 0. Q has degree
-      <= d, so some a with sum a <= d has Q(a) != 0, and c = (a, d - sum a)
-      lies in N^m with sum c = d exactly.
-    * If every P_v is nonzero so is their product, which has a rational
-      non-root: an element invertible at every vertex. If some P_v is zero,
-      no element is invertible at v.
-
-    A vertex whose components all vanish has no such point, a basis element
-    is a point d*e_t, and a one-dimensional space has the single point (d).
-    """
-    for v, dv in enumerate(dims):
-        comps = [b[v] for b in space.basis if any(map(any, b[v]))]
-        # each multiset of d components is one point c of the lattice
-        if dv and not any(
-            linalg.rank([[sum(xs) for xs in zip(*rows)] for rows in zip(*picks)]) == dv
-            for picks in combinations_with_replacement(comps, dv)
-        ):
-            return False
-    return True
-
-
-def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Exact isomorphism test: equal dimension vectors plus a hom element
-    that is invertible at every vertex."""
-    if m.algebra != n.algebra:
-        raise ValueError("isomorphism test needs a common algebra")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim == 0:
-        return True
-    return invertible_element_exists(m.dims, hom(m, n))
 
 
 # ---------------------------------------------------------------------------

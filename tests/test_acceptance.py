@@ -10,6 +10,7 @@ import random
 import time
 
 from test_category import brute_force_tilting_count, ext_c, oracle_hom_c
+from test_reps import all_indecomposables
 
 from clustercat.bound import counterexample_report
 from clustercat.category import (
@@ -28,7 +29,7 @@ from clustercat.laurent import (
     seed_mutate,
 )
 from clustercat.quivers import builtin_quiver, exchange_matrix, mutate_matrix
-from clustercat.reps import all_indecomposables, direct_sum, euler_data, ext1_dim, hom
+from clustercat.reps import direct_sum, euler_data, ext1_dim, hom
 from clustercat.tilting import (
     complement_and_sequence,
     enumerate_tilting_modules,

@@ -2,25 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_reps import all_indecomposables, is_isomorphic
 
 from clustercat import linalg
 from clustercat.bound import (
     _syzygy_dims,
+    _top_dims,
     build_counterexample_algebra,
     counterexample_modules,
     counterexample_report,
-    projective,
 )
 from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    all_indecomposables,
     direct_sum,
     euler_data,
     ext1_dim,
     hom,
-    is_isomorphic,
+    projective_dims,
 )
 
 # ---------------------------------------------------------------------------
@@ -28,6 +28,26 @@ from clustercat.reps import (
 # Hom(-, N) to 0 -> Omega M -> P0 -> M -> 0 over any algebra gives
 #
 #     dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N)
+
+
+def projective(algebra: MonomialAlgebra, i: int) -> Representation:
+    """Indecomposable projective at vertex i, with path basis; an arrow acts
+    by appending itself when the longer path survives the relations."""
+    q = algebra.quiver
+    basis = algebra.basis_from(i)
+    dims = tuple(len(g) for g in basis)
+    index = {p: (v, k) for v in range(q.n) for k, p in enumerate(basis[v])}
+    entries = {}
+    for idx, (s, t) in enumerate(q.arrows):
+        block = linalg.zeros(dims[t - 1], dims[s - 1])
+        for col, p in enumerate(basis[s - 1]):
+            longer = p + (idx,)
+            if longer in index:
+                v, row = index[longer]
+                assert v == t - 1
+                block[row][col] = Fraction(1)
+        entries[idx] = block
+    return Representation.from_dims(algebra, dims, entries)
 
 
 def apply(a, v):
@@ -154,6 +174,8 @@ def test_hom_from_projective_counts_dimension():
 def test_cover_dimension_bookkeeping():
     alg = build_counterexample_algebra()
     m, n = counterexample_modules(alg)
+    # top M = S1 and top N = S2, which proves them non-isomorphic
+    assert (_top_dims(m), _top_dims(n)) == ([1, 0, 0], [0, 1, 0])
     for x in (m, n, direct_sum(m, n)):
         p0, cover = projective_cover(x)
         omega, p0b = syzygy(x)
@@ -252,6 +274,17 @@ def test_two_cycle_algebra_ext_reads_its_relations():
         exchange_matrix(alg.quiver)
 
 
+def test_paths_stop_exactly_when_the_algebra_is_finite():
+    # finite however long its paths: A41's longest has 40 arrows
+    assert projective_dims(Quiver(41, tuple((i, i + 1) for i in range(1, 41))), 1) == (1,) * 41
+    # a cycle of three arrows with only ca = 0 keeps abc, longer than ca
+    assert MonomialAlgebra(Quiver(3, ((1, 2), (2, 3), (3, 1))), ((2, 0),)).dimension == 9
+    # a cycle with no relations, and ab = ba = 0, which leaves every power of cb
+    for arrows, relations in ((((1, 2), (2, 1)), ()), (((1, 2), (2, 1), (1, 2)), ((0, 1), (1, 0)))):
+        with pytest.raises(ValueError, match="do not bound the algebra"):
+            projective_dims(MonomialAlgebra(Quiver(2, arrows), relations), 1)
+
+
 def test_a_relation_kills_the_extension_it_forbids():
     # over 1 -> 2 -> 3 the only extension of S1 by P2 is P1, uniserial of
     # length three; the relation ab = 0 forbids it
@@ -304,6 +337,8 @@ def oracle_modules(alg, rng, count=6):
     all of them."""
     q = alg.quiver
     mods = [projective(alg, v) for v in range(1, q.n + 1)]
+    # the path counts the report reads are the dimensions of the projectives
+    assert [p.dims for p in mods] == [projective_dims(alg, v) for v in range(1, q.n + 1)]
     mods += [rebased(p, rng) for p in mods]
     mods += [Representation.simple(alg, v) for v in range(1, q.n + 1)]
     while len(mods) < 3 * q.n + count:

@@ -18,6 +18,7 @@ import itertools
 import operator
 
 import pytest
+from test_reps import tau, tau_inverse
 
 from clustercat.category import (
     CategorifiedSeed,
@@ -44,8 +45,6 @@ from clustercat.reps import (
     indecomposable_from_root,
     injective_dims,
     projective_dims,
-    tau,
-    tau_inverse,
 )
 from clustercat.tilting import enumerate_tilting_modules, prop8_descent
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clustercat import cli
+from clustercat import bound, cli
 
 
 def run(capsys, *argv):
@@ -126,6 +126,18 @@ def test_verify_counterexample(capsys):
     assert rep["details"]["algebra_dimension"] == 10
     assert rep["details"]["lift_self_extension"] == 2
     assert rep["witness"] is None
+
+
+def test_counterexample_proves_non_isomorphism_from_the_tops(capsys, monkeypatch):
+    # M against itself passes every other check, so only the tops refuse it
+    m, _ = bound.counterexample_modules(bound.build_counterexample_algebra())
+    monkeypatch.setattr(bound, "counterexample_modules", lambda alg: (m, m))
+    message = "the two modules must have different tops, got [1, 0, 0] and [1, 0, 0]"
+    with pytest.raises(AssertionError) as exc:
+        bound.counterexample_report()
+    assert str(exc.value) == message
+    code, rep = run_json(capsys, "verify", "counterexample")
+    assert (code, rep["pass"], rep["witness"]) == (1, False, {"error": f"AssertionError: {message}"})
 
 
 def test_verify_counterexample_rejects_type(capsys):

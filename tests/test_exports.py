@@ -86,16 +86,8 @@ def test_every_import_is_used(path):
 
 
 # Exports that nothing in src/ or bench/ calls, kept on purpose because the
-# tests use each as an independent oracle. The re-exported ones would pass
-# without an entry; they are listed for their reasons.
+# tests use each as an independent oracle.
 ORACLES = {
-    "reps.all_indecomposables": "every indecomposable built by reflection "
-    "functors; the tilting, bound and acceptance tests check the knitted "
-    "tables and Ext against it and against the presentation oracle",
-    "reps.tau": "the AR translate on modules; the category tests build the "
-    "module translate of the knitted quiver from it",
-    "reps.tau_inverse": "the AR translate on modules; the category tests "
-    "recompute the knitted hom table and the hom columns from it",
     "quivers.quiver_to_json": "writes the format load_quiver_json reads; "
     "the loader's round-trip tests read its output back",
 }
@@ -150,11 +142,10 @@ def _uncalled_exports():
 
 
 def test_every_export_has_a_caller():
-    # a name a submodule exports that the package does not re-export and no
-    # code calls is a test-only wrapper or a second implementation
+    # a name a submodule exports that no code calls is a test-only wrapper or
+    # a second implementation, re-exported by the package or not
     uncalled = _uncalled_exports()
-    public = set(clustercat.__all__)
-    assert sorted(e for e in uncalled - ORACLES.keys() if e.split(".")[1] not in public) == []
+    assert sorted(uncalled - ORACLES.keys()) == []
     # an oracle that gained a caller or left __all__ no longer needs its entry
     assert ORACLES.keys() <= uncalled
 

@@ -2,16 +2,17 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercat import linalg, reps
-from clustercat.quivers import builtin_quiver, positive_roots
+from clustercat import linalg
+from clustercat.quivers import Quiver, builtin_quiver, positive_roots
 from clustercat.reps import (
+    HomSpace,
     Representation,
-    all_indecomposables,
     atilde21_tube_modules,
     direct_sum,
     euler_data,
@@ -19,11 +20,8 @@ from clustercat.reps import (
     hom,
     indecomposable_from_root,
     injective_dims,
-    is_isomorphic,
     is_preinjective,
     projective_dims,
-    tau,
-    tau_inverse,
 )
 
 A2 = builtin_quiver("A2")
@@ -32,6 +30,90 @@ A3 = builtin_quiver("A3")
 
 def M(q, dims, entries=None):
     return Representation.from_dims(q, dims, entries)
+
+
+# test oracles, which the other test modules import too
+
+
+def all_indecomposables(q: Quiver) -> list[Representation]:
+    """All indecomposables of a Dynkin quiver, sorted by dimension vector."""
+    return [indecomposable_from_root(q, d) for d in sorted(positive_roots(q))]
+
+
+def tau(m: Representation) -> Representation | None:
+    """AR translate of an indecomposable; None for projectives."""
+    q = m.quiver
+    if m.dims not in positive_roots(q):
+        raise ValueError("tau is defined here for indecomposables (root dims) only")
+    if any(m.dims == projective_dims(q, i) for i in range(1, q.n + 1)):
+        return None
+    shifted = euler_data(q).coxeter_transform(m.dims)
+    if shifted not in positive_roots(q):
+        raise AssertionError(f"Coxeter image {shifted} of non-projective is not a root")
+    return indecomposable_from_root(q, shifted)
+
+
+def tau_inverse(m: Representation) -> Representation | None:
+    """Inverse AR translate of an indecomposable; None for injectives."""
+    q = m.quiver
+    if m.dims not in positive_roots(q):
+        raise ValueError("tau inverse is defined here for indecomposables only")
+    if any(m.dims == injective_dims(q, i) for i in range(1, q.n + 1)):
+        return None
+    shifted = euler_data(q).inverse_coxeter_transform(m.dims)
+    if shifted not in positive_roots(q):
+        raise AssertionError(f"inverse Coxeter image {shifted} is not a root")
+    return indecomposable_from_root(q, shifted)
+
+
+def invertible_element_exists(dims, space: HomSpace) -> bool:
+    """Whether some element of a hom space is invertible at every vertex.
+
+    Exact and finite. At a vertex v with d = dims[v] > 0, keep the m nonzero
+    components B_1..B_m of the basis at v; the answer is True iff at every
+    such vertex sum_t c_t B_t has rank d at some c in N^m with sum c = d.
+    Assumes square components. Proof:
+
+    * P_v(c) = det(sum_t c_t B_t) is zero or homogeneous of degree d.
+    * A nonzero polynomial P of degree <= d in m variables is nonzero at some
+      c in N^m with sum c <= d. By induction on m: write P as a polynomial
+      in c_m of degree e; its top coefficient has degree <= d - e in the
+      other variables and is nonzero at some a with sum a <= d - e, so
+      P(a, c_m) is a nonzero one-variable polynomial of degree e, nonzero at
+      one of c_m = 0..e.
+    * For nonzero homogeneous P of degree d, Q(a) = P(a, d - sum a) on
+      N^(m-1) is nonzero too: P(sc) = s^d P(c), so a P vanishing on the
+      hyperplane sum c = d would vanish wherever sum c != 0. Q has degree
+      <= d, so some a with sum a <= d has Q(a) != 0, and c = (a, d - sum a)
+      lies in N^m with sum c = d exactly.
+    * If every P_v is nonzero so is their product, which has a rational
+      non-root: an element invertible at every vertex. If some P_v is zero,
+      no element is invertible at v.
+
+    A vertex whose components all vanish has no such point, a basis element
+    is a point d*e_t, and a one-dimensional space has the single point (d).
+    """
+    for v, dv in enumerate(dims):
+        comps = [b[v] for b in space.basis if any(map(any, b[v]))]
+        # each multiset of d components is one point c of the lattice
+        if dv and not any(
+            linalg.rank([[sum(xs) for xs in zip(*rows)] for rows in zip(*picks)]) == dv
+            for picks in combinations_with_replacement(comps, dv)
+        ):
+            return False
+    return True
+
+
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    """Exact isomorphism test: equal dimension vectors plus a hom element
+    that is invertible at every vertex."""
+    if m.algebra != n.algebra:
+        raise ValueError("isomorphism test needs a common algebra")
+    if m.dims != n.dims:
+        return False
+    if m.total_dim == 0:
+        return True
+    return invertible_element_exists(m.dims, hom(m, n))
 
 
 def test_hom_simples_orthogonal():
@@ -214,7 +296,7 @@ def test_isomorphism_ranks_one_lattice_point_at_a_time(monkeypatch):
     ]
     for m, n in vanishing:
         calls.clear()
-        assert reps.invertible_element_exists(m.dims, hom(m, n)) is False
+        assert invertible_element_exists(m.dims, hom(m, n)) is False
         assert calls == []
     cases = [
         (p1, M(A2, (1, 1), {0: [[Fraction(5, 3)]]}), True),
@@ -226,7 +308,7 @@ def test_isomorphism_ranks_one_lattice_point_at_a_time(monkeypatch):
     for m, n, iso in cases:
         space = hom(m, n)
         calls.clear()
-        assert reps.invertible_element_exists(m.dims, space) is iso
+        assert invertible_element_exists(m.dims, space) is iso
         points = []
         for v, d in enumerate(m.dims):
             nonzero = sum(any(map(any, b[v])) for b in space.basis)
@@ -297,7 +379,7 @@ def test_lattice_lemma_on_products_of_linear_forms(forms):
         ([[Fraction(f[t]) if i == j else Fraction(0) for j, f in enumerate(forms)] for i in range(d)],)
         for t in range(m)
     ]
-    assert reps.invertible_element_exists((d,), reps.HomSpace(m, basis)) is nonzero
+    assert invertible_element_exists((d,), HomSpace(m, basis)) is nonzero
 
 
 def test_hom_additive_over_direct_sums():

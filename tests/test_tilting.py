@@ -1,15 +1,15 @@
 import json
 
 import pytest
+from test_bound import projective
+from test_reps import all_indecomposables
 
 from clustercat import reps, tilting
-from clustercat.bound import projective
 from clustercat.category import GammaC, walk_tilting
 from clustercat.quivers import Quiver, builtin_quiver
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    all_indecomposables,
     direct_sum,
     ext1_dim,
     hom,
