@@ -46,7 +46,7 @@ class DivisionNotExact(ArithmeticError):
 class LaurentPoly:
     """Immutable Laurent polynomial in nvars variables over the integers."""
 
-    __slots__ = ("nvars", "_terms", "_key", "_hash")
+    __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -59,7 +59,6 @@ class LaurentPoly:
                     raise ValueError(f"exponent vector {e} has wrong length")
                 clean[e] = clean.get(e, 0) + c
         self._terms = {e: c for e, c in clean.items() if c}
-        self._key = (nvars, tuple(sorted(self._terms.items())))
         self._hash = None
 
     @classmethod
@@ -67,7 +66,6 @@ class LaurentPoly:
         """Arithmetic result on checked operands: only zero terms are dropped."""
         p = cls.__new__(cls)
         p.nvars, p._terms, p._hash = nvars, {e: c for e, c in terms.items() if c}, None
-        p._key = (nvars, tuple(sorted(p._terms.items())))
         return p
 
     # construction helpers
@@ -100,11 +98,12 @@ class LaurentPoly:
         return not self._terms
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self._key == other._key
+        # both constructors drop zero terms, so equal polynomials have equal dicts
+        return isinstance(other, LaurentPoly) and (self.nvars, self._terms) == (other.nvars, other._terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key)
+            self._hash = hash((self.nvars, frozenset(self._terms.items())))
         return self._hash
 
     def __repr__(self):

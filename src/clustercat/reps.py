@@ -8,9 +8,10 @@ MonomialAlgebra with no relations. Hom spaces are computed as kernels of the
 commuting-square system, which relations do not change. Ext^1 over every
 algebra is the first cohomology of one small complex (vertices -> arrows ->
 relations), whose first map is that same system; without relations it is
-dim Hom minus the Euler form. Indecomposables are built from positive roots
-with reflection functors, never by guessing matrices; the AR translates and
-the isomorphism test are test oracles and live with the tests.
+dim Hom minus the Euler form. The indecomposables of a Dynkin quiver are
+built once per quiver, never by guessing matrices: one cached walk of the
+tau^-1-orbits of the projectives with reflection functors. The AR translates
+and the isomorphism test are test oracles and live with the tests.
 
 Modules are immutable once constructed.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots, simple_reflection
+from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots
 
 __all__ = [
     "MonomialAlgebra",
@@ -393,79 +394,65 @@ def _reflect_quiver(q: Quiver, k: int) -> Quiver:
 def _coreflection(n: Representation, k: int, target_quiver: Quiver) -> Representation:
     """Reflection functor at a source k of n.quiver, landing on target_quiver
     (the same quiver with arrows at k reversed)."""
-    q = n.quiver
-    out_arrows = [(idx, a) for idx, a in enumerate(q.arrows) if a[0] == k]
-    stacked: list[list[Fraction]] = []
-    for idx, _ in out_arrows:
-        stacked.extend(list(row) for row in n.mats[idx])
-    total = len(stacked)
+    arrows = n.quiver.arrows
+    if any(t == k for _, t in arrows):
+        raise AssertionError(f"vertex {k} is not a source")
+    out = [idx for idx, (s, _) in enumerate(arrows) if s == k]
+    stacked = [row for idx in out for row in n.mats[idx]]
     dk = n.dims[k - 1]
     # at a source the combined map is injective unless S_k splits off
     if dk and linalg.rank(stacked) != dk:
         raise AssertionError("combined source map not injective; S_k summand present")
-    coker_basis = linalg.nullspace(linalg.transpose(stacked, dk), total)
-    proj = [list(v) for v in coker_basis]
-    new_dim = len(proj)
+    # each arrow out of k reads its block of columns of the cokernel map
+    proj = linalg.nullspace(linalg.transpose(stacked, dk), len(stacked))
+    mats, off = list(n.mats), 0
+    for idx in out:
+        width = n.dims[arrows[idx][1] - 1]
+        mats[idx] = [row[off:off + width] for row in proj]
+        off += width
+    dims = tuple(len(proj) if v == k else d for v, d in enumerate(n.dims, 1))
+    return Representation(target_quiver, dims, mats)
 
-    dims = tuple(new_dim if v == k else n.dims[v - 1] for v in range(1, q.n + 1))
-    entries: dict[int, Matrix] = {}
-    # column offsets of each out-arrow target inside the stacked space
-    offset = 0
-    offsets = {}
-    for idx, (_, t) in out_arrows:
-        offsets[idx] = offset
-        offset += n.dims[t - 1]
-    for idx, (s, t) in enumerate(q.arrows):
-        if s == k:
-            dj = n.dims[t - 1]
-            block = linalg.zeros(new_dim, dj)
-            off = offsets[idx]
-            for r in range(new_dim):
-                for c in range(dj):
-                    block[r][c] = proj[r][off + c]
-            entries[idx] = block
-        elif t == k:
-            raise AssertionError(f"vertex {k} is not a source")
-        else:
-            entries[idx] = n.mat(idx)
-    return Representation(target_quiver, dims, [entries[i] for i in range(len(q.arrows))])
+
+@lru_cache(maxsize=None)
+def _indecomposables(q: Quiver) -> dict[tuple[int, ...], Representation]:
+    """Every indecomposable of a Dynkin quiver by dimension vector: the
+    tau^-1-orbits of the projectives, each walked with the inverse Coxeter
+    functor C^- (Bernstein-Gelfand-Ponomarev 1973) up to an injective. C^-
+    reflects at each vertex in topological order, a source of the quiver as
+    reflected so far. On a tree every path is unique, so P_i has 0/1
+    dimensions and unit maps."""
+    order = q.topological_order()
+    stages = [q]
+    for k in order:
+        stages.append(_reflect_quiver(stages[-1], k))
+    injectives = {injective_dims(q, i) for i in range(1, q.n + 1)}
+    out: dict[tuple[int, ...], Representation] = {}
+    for i in range(1, q.n + 1):
+        dims = projective_dims(q, i)
+        unit = {a: [[1]] for a, (s, t) in enumerate(q.arrows) if dims[s - 1] and dims[t - 1]}
+        m = Representation.from_dims(q, dims, unit)
+        out[m.dims] = m
+        while m.dims not in injectives:
+            for k, target in zip(order, stages[1:]):
+                m = _coreflection(m, k, target)
+            out[m.dims] = m
+    if out.keys() != positive_roots(q):
+        raise AssertionError("the orbit dimension vectors are not the positive roots")
+    if any(hom(m, m).dim != 1 for m in out.values()):
+        raise AssertionError("an orbit module is not a brick")
+    return out
 
 
 def indecomposable_from_root(q: Quiver, d) -> Representation:
-    """Indecomposable representation with dimension vector d (a positive root).
-
-    Reduces d to a simple root by reflecting at sinks in an admissible order
-    and rebuilds the module with the inverse reflection functors; the result
-    is verified to be a brick (one-dimensional endomorphism ring).
-    """
+    """Indecomposable representation with dimension vector d (a positive root),
+    looked up in the quiver's one cached walk of the tau^-1-orbits: callers
+    share the module, which is immutable. Raises ValueError when d is not a
+    positive root, also when q is not Dynkin."""
     d = tuple(int(x) for x in d)
     if d not in positive_roots(q):
         raise ValueError(f"{d} is not a positive root of this quiver")
-    round_order = list(reversed(q.topological_order()))
-    steps: list[tuple[Quiver, int]] = []
-    cur_q, cur_d = q, d
-    simple_at = None
-    cap = 2 * len(positive_roots(q)) * q.n + 4 * q.n
-    while True:
-        if sum(cur_d) == 1:
-            simple_at = cur_d.index(1) + 1
-            break
-        for k in round_order:
-            if sum(cur_d) == 1:
-                break
-            steps.append((cur_q, k))
-            cur_d = simple_reflection(cur_q, cur_d, k)
-            cur_q = _reflect_quiver(cur_q, k)
-            if len(steps) > cap:
-                raise AssertionError("reflection sequence did not terminate")
-    module = Representation.simple(cur_q, simple_at)
-    for back_q, k in reversed(steps):
-        module = _coreflection(module, k, back_q)
-    if module.dims != d:
-        raise AssertionError(f"reflection rebuild produced {module.dims}, wanted {d}")
-    if hom(module, module).dim != 1:
-        raise AssertionError(f"constructed module at {d} is not a brick")
-    return module
+    return _indecomposables(q)[d]
 
 
 _PREINJECTIVE_STEPS = 64

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercat import linalg
+from clustercat import linalg, reps
 from clustercat.quivers import Quiver, builtin_quiver, positive_roots
 from clustercat.reps import (
     HomSpace,
@@ -196,6 +196,32 @@ def test_indecomposables_exhaust_positive_roots():
 def test_indecomposable_from_root_rejects_non_root():
     with pytest.raises(ValueError):
         indecomposable_from_root(A3, (2, 0, 0))
+    # P_1 of the affine triangle is (1, 1, 2) with two paths 1 -> 3, which
+    # the orbit walk's unit-map projectives would get wrong: the error comes
+    # before the cache is touched
+    atilde = builtin_quiver("Atilde21")
+    assert projective_dims(atilde, 1) == (1, 1, 2)
+    misses = reps._indecomposables.cache_info().misses
+    with pytest.raises(ValueError):
+        indecomposable_from_root(atilde, (1, 1, 2))
+    assert reps._indecomposables.cache_info().misses == misses
+    assert indecomposable_from_root(A3, (1, 1, 0)) is indecomposable_from_root(A3, (1, 1, 0))
+
+
+def test_indecomposables_are_built_once_per_quiver(monkeypatch):
+    # one walk of the tau^-1-orbits: C^- (n reflections) once per
+    # non-injective indecomposable, then lookups only
+    e6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+    calls = []
+    reflect = reps._coreflection
+    monkeypatch.setattr(reps, "_coreflection", lambda *a: calls.append(1) or reflect(*a))
+    reps._indecomposables.cache_clear()
+    for d in positive_roots(e6):
+        assert indecomposable_from_root(e6, d).dims == d
+    assert len(calls) == (36 - 6) * 6 == 180
+    for d in positive_roots(e6):
+        indecomposable_from_root(e6, d)
+    assert len(calls) == 180
 
 
 def test_tau_orbit_a2():

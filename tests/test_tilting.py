@@ -255,6 +255,8 @@ def test_table_solves_only_the_bases_a_swap_reads(monkeypatch):
     calls = []
     solve = reps.hom_space
     monkeypatch.setattr(reps, "hom_space", lambda *a: calls.append(1) or solve(*a))
+    # a cold module cache, so the brick checks of the orbit walk are counted
+    reps._indecomposables.cache_clear()
     fresh = _directed_indecomposables.__wrapped__(E6)
     assert fresh[1:] == table[1:]
     # one brick check per indecomposable plus one solve per stored basis
