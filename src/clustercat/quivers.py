@@ -10,6 +10,7 @@ Instances are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,21 +62,22 @@ class Quiver:
             return False
 
     def topological_order(self) -> list[int]:
-        """Vertices ordered so every arrow goes forward; raises on a cycle."""
-        indeg = {v: 0 for v in range(1, self.n + 1)}
-        for _, t in self.arrows:
+        """Vertices ordered so every arrow goes forward, the smallest ready
+        vertex first; raises on a cycle."""
+        indeg = [0] * (self.n + 1)
+        out: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for s, t in self.arrows:
             indeg[t] += 1
-        queue = sorted(v for v, d in indeg.items() if d == 0)
+            out[s].append(t)
+        ready = [v for v in range(1, self.n + 1) if indeg[v] == 0]
         order: list[int] = []
-        while queue:
-            v = queue.pop(0)
+        while ready:
+            v = heapq.heappop(ready)
             order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-            queue.sort()
+            for t in out[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    heapq.heappush(ready, t)
         if len(order) != self.n:
             raise ValueError("quiver has an oriented cycle")
         return order

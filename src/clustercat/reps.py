@@ -10,8 +10,9 @@ algebra is the first cohomology of one small complex (vertices -> arrows ->
 relations), whose first map is that same system; without relations it is
 dim Hom minus the Euler form. The indecomposables of a Dynkin quiver are
 built once per quiver, never by guessing matrices: one cached walk of the
-tau^-1-orbits of the projectives with reflection functors. The AR translates
-and the isomorphism test are test oracles and live with the tests.
+tau^-1-orbits of the projectives with reflection functors, so every one of
+them is preinjective. The AR translates, the preinjectivity search and the
+isomorphism test are test oracles and live with the tests.
 
 Modules are immutable once constructed.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "Representation",
     "HomSpace",
     "NegativeExtError",
-    "PreinjectivityIndeterminate",
     "euler_data",
     "hom",
     "hom_space",
@@ -40,17 +40,12 @@ __all__ = [
     "projective_dims",
     "injective_dims",
     "indecomposable_from_root",
-    "is_preinjective",
     "atilde21_tube_modules",
 ]
 
 
 class NegativeExtError(AssertionError):
     """Internal failure: the Ext formula went negative."""
-
-
-class PreinjectivityIndeterminate(RuntimeError):
-    """Raised when the translate orbit neither exits nor cycles within the cap."""
 
 
 Matrix = list[list[Fraction]]
@@ -453,27 +448,6 @@ def indecomposable_from_root(q: Quiver, d) -> Representation:
     if d not in positive_roots(q):
         raise ValueError(f"{d} is not a positive root of this quiver")
     return _indecomposables(q)[d]
-
-
-_PREINJECTIVE_STEPS = 64
-
-
-def is_preinjective(ed: EulerData, d) -> bool:
-    """Whether iterating the inverse translate drives d out of the orthant.
-
-    Detects periodic orbits (returns False); raises
-    PreinjectivityIndeterminate when the cap is hit with no decision.
-    """
-    cur = tuple(int(x) for x in d)
-    seen = {cur}
-    for _ in range(_PREINJECTIVE_STEPS):
-        cur = ed.inverse_coxeter_transform(cur)
-        if any(x < 0 for x in cur):
-            return True
-        if cur in seen:
-            return False
-        seen.add(cur)
-    raise PreinjectivityIndeterminate(f"orbit of {tuple(d)} undecided after {_PREINJECTIVE_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,16 @@ torsion classes, descent summands, the enumeration and each swap's T0' and E
 are lookups.  The module route certifies every swap with one Ext rank:
 the cokernel of the approximation of T0 must be rigid, and so it is fixed by
 its dimension vector.  A swap depends only on the summand set and on T0, so
-each (set, T0) swap is certified once per table and shared by every descent
-chain through it.  Modules cross in only at ``TiltingModule.of``.
+each (set, T0) swap is certified once per table and its T0' and E ids are
+shared by every descent chain through it; every step is written from the
+table.  Modules cross in only at ``TiltingModule.of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -39,7 +41,6 @@ from .reps import (
     hom,
     indecomposable_from_root,
     injective_dims,
-    is_preinjective,
 )
 
 
@@ -121,7 +122,7 @@ class _ModuleTable(NamedTuple):
     ext_free: tuple[int, ...]
     compat: tuple[int, ...]
     injective: frozenset[int]
-    swaps: dict[tuple[int, int], tuple]
+    swaps: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +140,7 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
     summands of a tilting module can form: i != j, compatible, nonzero hom.
     ``swaps`` starts empty and memoizes ``prop8_descent``'s certified swaps:
-    (summand bitmask, T0 id) -> (T0' id, witness items but replaced_index).
+    (summand bitmask, T0 id) -> (T0' id, ids of E's summands).
     """
     diagram = classify_diagram(q)
     if diagram.kind != "dynkin":
@@ -154,10 +155,12 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     order = [v - 1 for v in Quiver(nn, arrows).topological_order()]
     ordered = tuple(indecomposable_from_root(q, inds[i].dims) for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
-    ed = euler_data(q)
+    # <d_i, d_j> = (d_i E) . d_j, with the integer row d_i E computed once per module
+    cols = tuple(zip(*euler_data(q).euler_matrix))
+    rows = [[sum(map(mul, a.dims, c)) for c in cols] for a in ordered]
     ext = tuple(
-        tuple(h - ed.euler_form(a.dims, b.dims) for h, b in zip(row, ordered))
-        for row, a in zip(hh, ordered)
+        tuple(h - sum(map(mul, r, b.dims)) for h, b in zip(row, ordered))
+        for row, r in zip(hh, rows)
     )
     if min(map(min, ext)) < 0:
         raise NegativeExtError("ext went negative between indecomposables")
@@ -272,8 +275,8 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     approximation, whose dimension vector is then dim T0' plus the surplus
     copies of the remaining summands, must have Ext^1(W, W) = 0; a rigid
     module is fixed by its dimension vector (its orbit is open), so W is T0'
-    plus those copies.  Returns the new tilting module and a step witness
-    dict.
+    plus those copies.  Returns the new tilting module and the ids of E's
+    summands, repeated by multiplicity and sorted by dimension vector.
     """
     table = _directed_indecomposables(quiver)
     dims = [m.dims for m in table.ordered]
@@ -293,27 +296,8 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     w = _cokernel(quiver, t, k)
     if ext1_dim(w, w):
         raise DescentStepError(f"cokernel with dimension vector {w.dims} is not rigid")
-
-    new_t = TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:])
-    witness = {
-        "replaced_index": k,
-        "dim_t0": list(dims[t0]),
-        "dim_e": target,
-        "e_summands": sorted(list(dims[j]) for j, x in zip(rest, mult) for _ in range(int(x))),
-        "dim_t0_prime": list(dims[t0p]),
-        "t0_prime_preinjective": is_preinjective(euler_data(quiver), dims[t0p]),
-        "torsion_before": torsion_class(quiver, t).bit_count(),
-        "torsion_after": torsion_class(quiver, new_t).bit_count(),
-    }
-    return new_t, witness
-
-
-def _freeze(x):
-    return tuple(map(_freeze, x)) if isinstance(x, list) else x
-
-
-def _thaw(x):
-    return list(map(_thaw, x)) if isinstance(x, tuple) else x
+    e = sorted((j for j, x in zip(rest, mult) for _ in range(int(x))), key=dims.__getitem__)
+    return TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:]), tuple(e)
 
 
 def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
@@ -322,40 +306,31 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     A swap depends only on the summand set and on the removed summand T0 (an
     almost complete tilting module has at most two complements), so each
     (set, T0) swap is certified once per module table by
-    ``complement_and_sequence`` and read from the table's ``swaps`` memo by
-    every later chain that passes through it; only ``replaced_index`` is
-    per chain.  Every step, certified or read, must state the torsion sizes
-    of its own masks, shrink the torsion class strictly (its mask loses bits
-    and gains none), change exactly one summand, and expel the removed
-    summand from the new torsion class while the removed summand keeps
-    trivial extensions into it.  An already injective module yields an empty
-    chain.
+    ``complement_and_sequence`` and read from the table's ``swaps`` memo, as
+    T0' and E ids, by every later chain that passes through it.  Every step,
+    certified or read, is written from the table and its two torsion masks;
+    it must shrink the torsion class strictly (its mask loses bits and gains
+    none), change exactly one summand, and expel the removed summand from the
+    new torsion class while the removed summand keeps trivial extensions into
+    it.  An already injective module yields an empty chain.
     """
     table = _directed_indecomposables(quiver)
+    dims = [m.dims for m in table.ordered]
     cur = t
     cur_tc = torsion_class(quiver, cur)
     sizes = [cur_tc.bit_count()]
     steps: list[dict] = []
-    while True:
-        k = find_descent_summand(quiver, cur)
-        if k is None:
-            break
+    while (k := find_descent_summand(quiver, cur)) is not None:
         if len(steps) >= len(table.ordered):
             raise DescentStepError("descent did not terminate within the module count")
         t0 = cur.ids[k]
         key = (sum(1 << i for i in cur.ids), t0)
         if (swap := table.swaps.get(key)) is None:
-            new_t, witness = complement_and_sequence(quiver, cur, k)
-            fields = tuple((f, _freeze(v)) for f, v in witness.items() if f != "replaced_index")
-            table.swaps[key] = (new_t.ids[k], fields)
-        else:
-            t0p, fields = swap
-            new_t = TiltingModule(quiver, cur.ids[:k] + (t0p,) + cur.ids[k + 1:])
-            witness = {"replaced_index": k, **{f: _thaw(v) for f, v in fields}}
+            new_t, e = complement_and_sequence(quiver, cur, k)
+            swap = table.swaps[key] = (new_t.ids[k], e)
+        t0p, e = swap
+        new_t = TiltingModule(quiver, cur.ids[:k] + (t0p,) + cur.ids[k + 1:])
         new_tc = torsion_class(quiver, new_t)
-        stated = witness["torsion_before"], witness["torsion_after"]
-        if stated != (cur_tc.bit_count(), new_tc.bit_count()):
-            raise DescentStepError("step witness disagrees with the torsion classes")
         if new_tc & ~cur_tc or new_tc == cur_tc:
             raise DescentStepError("torsion class did not shrink")
         if len(set(cur.ids) ^ set(new_t.ids)) != 2:
@@ -364,7 +339,17 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
             raise DescentStepError("removed summand stayed in the torsion class")
         if new_tc & ~table.ext_free[t0]:
             raise DescentStepError("extension from the removed summand survived")
-        steps.append(witness)
+        steps.append({
+            "replaced_index": k,
+            "dim_t0": list(dims[t0]),
+            "dim_e": [a + b for a, b in zip(dims[t0], dims[t0p])],
+            "e_summands": [list(dims[j]) for j in e],
+            "dim_t0_prime": list(dims[t0p]),
+            # the orbit walk reaches every table module from a projective and ends at an injective
+            "t0_prime_preinjective": True,
+            "torsion_before": cur_tc.bit_count(),
+            "torsion_after": new_tc.bit_count(),
+        })
         sizes.append(new_tc.bit_count())
         cur, cur_tc = new_t, new_tc
     if set(cur.ids) != table.injective:

@@ -31,6 +31,7 @@ from clustercat.laurent import (
 from clustercat.quivers import builtin_quiver, exchange_matrix, mutate_matrix
 from clustercat.reps import direct_sum, euler_data, ext1_dim, hom
 from clustercat.tilting import (
+    _directed_indecomposables,
     complement_and_sequence,
     enumerate_tilting_modules,
     prop8_descent,
@@ -150,13 +151,15 @@ def test_criterion_6_tilting_descent_terminates():
                 sizes = rep["torsion_sizes"]
                 assert all(a > b for a, b in zip(sizes, sizes[1:]))
                 assert rep["terminal_injectives"] is True
+                ordered = _directed_indecomposables(q).ordered
                 cur = t
                 for step in rep["steps"]:
-                    cur, w = complement_and_sequence(q, cur, step["replaced_index"])
-                    total = [
-                        a + b for a, b in zip(w["dim_t0"], w["dim_t0_prime"])
-                    ]
-                    assert total == w["dim_e"]
+                    k = step["replaced_index"]
+                    t0 = cur.dims[k]
+                    cur, e = complement_and_sequence(q, cur, k)
+                    total = [a + b for a, b in zip(t0, cur.dims[k])]
+                    assert total == [sum(c) for c in zip(*(ordered[j].dims for j in e))]
+                    assert total == step["dim_e"]
 
     run_criterion(
         6, "every linear-A3 and D4 tilting module descends to the injectives "

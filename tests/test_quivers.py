@@ -121,6 +121,38 @@ def test_acyclicity():
     assert not cycle.is_acyclic()
 
 
+def test_topological_order_takes_the_smallest_ready_vertex():
+    # 2 and 3 are ready at the start, and 1 waits for both
+    assert Quiver(3, ((3, 1), (2, 1))).topological_order() == [2, 3, 1]
+    # a vertex freed later goes before a larger one that was ready earlier
+    assert Quiver(4, ((3, 1), (2, 4))).topological_order() == [2, 3, 1, 4]
+    # a parallel pair frees its target once, after both arrows are taken
+    assert Quiver(3, ((2, 1), (2, 1), (3, 2))).topological_order() == [3, 2, 1]
+    with pytest.raises(ValueError, match="oriented cycle"):
+        Quiver(3, ((1, 2), (2, 3), (3, 1))).topological_order()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_topological_order_is_the_least_one(data):
+    # at every position the order takes the smallest vertex whose
+    # predecessors are all placed, so module-table ids do not depend on
+    # how the order is computed
+    n = data.draw(st.integers(1, 7))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    q = Quiver(n, tuple((perm[a], perm[b]) for a, b in pairs if a < b))
+    placed: set[int] = set()
+    for v in q.topological_order():
+        ready = [
+            w for w in range(1, n + 1)
+            if w not in placed and all(s in placed for s, t in q.arrows if t == w)
+        ]
+        assert v == min(ready)
+        placed.add(v)
+    assert len(placed) == n
+
+
 def test_quiver_matrix_roundtrip():
     for name in ("A2", "A3", "A4", "D4", "Atilde21"):
         q = builtin_quiver(name)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercat import linalg, reps
-from clustercat.quivers import Quiver, builtin_quiver, positive_roots
+from clustercat.quivers import EulerData, Quiver, builtin_quiver, positive_roots
 from clustercat.reps import (
     HomSpace,
     Representation,
@@ -20,7 +20,6 @@ from clustercat.reps import (
     hom,
     indecomposable_from_root,
     injective_dims,
-    is_preinjective,
     projective_dims,
 )
 
@@ -64,6 +63,31 @@ def tau_inverse(m: Representation) -> Representation | None:
     if shifted not in positive_roots(q):
         raise AssertionError(f"inverse Coxeter image {shifted} is not a root")
     return indecomposable_from_root(q, shifted)
+
+
+class PreinjectivityIndeterminate(RuntimeError):
+    """Raised when the translate orbit neither exits nor cycles within the cap."""
+
+
+_PREINJECTIVE_STEPS = 64
+
+
+def is_preinjective(ed: EulerData, d) -> bool:
+    """Whether iterating the inverse translate drives d out of the orthant.
+
+    Detects periodic orbits (returns False); raises
+    PreinjectivityIndeterminate when the cap is hit with no decision.
+    """
+    cur = tuple(int(x) for x in d)
+    seen = {cur}
+    for _ in range(_PREINJECTIVE_STEPS):
+        cur = ed.inverse_coxeter_transform(cur)
+        if any(x < 0 for x in cur):
+            return True
+        if cur in seen:
+            return False
+        seen.add(cur)
+    raise PreinjectivityIndeterminate(f"orbit of {tuple(d)} undecided after {_PREINJECTIVE_STEPS} steps")
 
 
 def invertible_element_exists(dims, space: HomSpace) -> bool:
@@ -258,9 +282,11 @@ def test_tau_tau_inverse_roundtrip():
 
 
 def test_preinjectivity():
-    ed3 = euler_data(A3)
-    for m in all_indecomposables(A3):
-        assert is_preinjective(ed3, m.dims)
+    # every root of a Dynkin quiver is preinjective
+    for q in (A3, builtin_quiver("D4"), Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))):
+        ed = euler_data(q)
+        for d in positive_roots(q):
+            assert is_preinjective(ed, d)
     qa = builtin_quiver("Atilde21")
     eda = euler_data(qa)
     assert not is_preinjective(eda, (1, 1, 1))

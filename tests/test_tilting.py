@@ -2,7 +2,7 @@ import json
 
 import pytest
 from test_bound import projective
-from test_reps import all_indecomposables
+from test_reps import all_indecomposables, is_preinjective
 
 from clustercat import reps, tilting
 from clustercat.category import GammaC, walk_tilting
@@ -11,6 +11,7 @@ from clustercat.reps import (
     MonomialAlgebra,
     Representation,
     direct_sum,
+    euler_data,
     ext1_dim,
     hom,
     indecomposable_from_root,
@@ -183,12 +184,18 @@ def test_full_descent_chain_from_projectives():
 
 def test_single_step_witness():
     t = TiltingModule.of(A3, projectives(A3))
-    t2, w = complement_and_sequence(A3, t, 2)
+    t2, e = complement_and_sequence(A3, t, 2)
+    ordered = _directed_indecomposables(A3).ordered
+    assert [ordered[j].dims for j in e] == [(0, 1, 1)]
+    assert t2.dims[2] == (0, 1, 0)
+    assert frozenset(t2.dims) == frozenset({(1, 1, 1), (0, 1, 1), (0, 1, 0)})
+    # the chain's first step is this swap, written from the table
+    w = prop8_descent(A3, t)["steps"][0]
+    assert w["replaced_index"] == 2
     assert w["dim_t0"] == [0, 0, 1]
     assert w["e_summands"] == [[0, 1, 1]]
     assert w["dim_t0_prime"] == [0, 1, 0]
     assert w["torsion_before"] == 6 and w["torsion_after"] == 5
-    assert frozenset(t2.dims) == frozenset({(1, 1, 1), (0, 1, 1), (0, 1, 0)})
 
 
 def test_all_a3_chains():
@@ -201,6 +208,8 @@ def test_all_a3_chains():
 @pytest.mark.parametrize("q,bound", [(A3, 6), (D4, 12)])
 def test_descent_invariants_everywhere(q, bound):
     inj = frozenset(m.dims for m in injectives(q))
+    ordered = _directed_indecomposables(q).ordered
+    ed = euler_data(q)
     for t in enumerate_tilting_modules(q):
         report = prop8_descent(q, t)
         sizes = report["torsion_sizes"]
@@ -211,11 +220,18 @@ def test_descent_invariants_everywhere(q, bound):
         for step in report["steps"]:
             total = [a + b for a, b in zip(step["dim_t0"], step["dim_t0_prime"])]
             assert total == step["dim_e"]
-        # replaying the chain lands on the injective cogenerator
+            assert step["t0_prime_preinjective"] is is_preinjective(ed, step["dim_t0_prime"])
+        # replaying the chain through fresh certificates reproduces every
+        # field of every step and lands on the injective cogenerator
         cur = t
         for step in report["steps"]:
-            cur, w = complement_and_sequence(q, cur, step["replaced_index"])
-            assert w == step
+            k = step["replaced_index"]
+            assert list(cur.dims[k]) == step["dim_t0"]
+            assert torsion_class(q, cur).bit_count() == step["torsion_before"]
+            cur, e = complement_and_sequence(q, cur, k)
+            assert list(cur.dims[k]) == step["dim_t0_prime"]
+            assert [list(ordered[j].dims) for j in e] == step["e_summands"]
+            assert torsion_class(q, cur).bit_count() == step["torsion_after"]
         assert frozenset(cur.dims) == inj
 
 
@@ -381,9 +397,9 @@ def test_table_prediction_matches_cokernel_decomposition(q, total):
                 while s.dims in parts:
                     parts.remove(s.dims)
                     approx.remove(s.dims)
-            new, witness = complement_and_sequence(q, cur, k)
-            assert [tuple(witness["dim_t0_prime"])] == parts, (cur.dims, k)
-            assert witness["e_summands"] == [list(d) for d in approx], (cur.dims, k)
+            new, e = complement_and_sequence(q, cur, k)
+            assert [new.dims[k]] == parts, (cur.dims, k)
+            assert [_directed_indecomposables(q).ordered[j].dims for j in e] == approx, (cur.dims, k)
             assert set(new.dims) - set(cur.dims) == set(parts)
             cur = new
             steps += 1
@@ -559,13 +575,29 @@ def test_witness_lists_are_not_shared_between_chains():
 
 
 def test_a_wrong_memo_entry_fails_loudly():
+    # every wrong T0' id is refused: T0 itself does not shrink the torsion
+    # class, another summand repeats, and any other module has ext with the
+    # rest, since an almost complete tilting module has only two complements
     _cold_sweep(A3)
-    swaps = _directed_indecomposables(A3).swaps
-    key, (t0p, fields) = next(iter(swaps.items()))
-    swaps[key] = (t0p, tuple((f, v + 1 if f == "torsion_after" else v) for f, v in fields))
+    table = _directed_indecomposables(A3)
+    key, (t0p, e) = next(iter(table.swaps.items()))
     try:
-        with pytest.raises(DescentStepError, match="disagrees with the torsion"):
-            for t in enumerate_tilting_modules(A3):
-                prop8_descent(A3, t)
+        for wrong in range(len(table.ordered)):
+            if wrong == t0p:
+                continue
+            table.swaps[key] = (wrong, e)
+            with pytest.raises((NotTilting, DescentStepError)):
+                for t in enumerate_tilting_modules(A3):
+                    prop8_descent(A3, t)
     finally:
         _directed_indecomposables.cache_clear()
+
+
+def test_cold_d4_sweep_reads_each_torsion_class_once(monkeypatch):
+    # one torsion class per chain start and one per step: the certificate
+    # computes none, so certified and memo-read steps cost the same
+    calls = []
+    monkeypatch.setattr(tilting, "torsion_class", lambda q, t: calls.append(t) or torsion_class(q, t))
+    chains = _cold_sweep(D4)
+    assert (len(chains), sum(c["step_count"] for c in chains)) == (20, 75)
+    assert len(calls) == 95
