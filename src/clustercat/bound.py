@@ -10,8 +10,6 @@ their tops, and the syzygies off the projective dimension vectors, which
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .quivers import Quiver
 from .reps import (
@@ -75,7 +73,7 @@ def counterexample_modules(algebra: MonomialAlgebra) -> tuple[Representation, Re
     The first is the string along c then b (1 -> 3 -> 2), the second the
     string along g then c (2 -> 1 -> 3).
     """
-    one = [[Fraction(1)]]
+    one = [[1]]
     m = Representation.from_dims(algebra, (1, 1, 1), {1: one, 3: one})
     n = Representation.from_dims(algebra, (1, 1, 1), {2: one, 3: one})
     return m, n

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are plain lists of lists of ``fractions.Fraction`` (ints are
-accepted as input).  Ranks, kernels and solutions all come from one
-integer elimination kernel: each row is scaled to Python ints and reduced by
-fraction-free Gauss-Jordan steps that keep each row primitive by its gcd,
-and a Fraction is formed only when an answer is read off a pivot row.
-Shapes are carried explicitly because zero-row and zero-column matrices are
-legitimate values here (representations routinely have zero-dimensional
-vertex spaces).
+Matrices are plain lists of lists of ints, with a ``fractions.Fraction``
+only where a value is not integral.  Ranks, kernels and solutions all come
+from one integer elimination kernel: each row is scaled to Python ints (an
+all-int row is copied as it is) and reduced by fraction-free Gauss-Jordan
+steps that keep each row primitive by its gcd; an answer read off a pivot
+row is a Fraction only where the pivot does not divide.  Shapes are carried
+explicitly because zero-row and zero-column matrices are legitimate values
+here (representations routinely have zero-dimensional vertex spaces).
 
 All functions return fresh objects; nothing mutates its arguments.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Row = list[Fraction]
+Row = list[int | Fraction]
 Matrix = list[Row]
 
 __all__ = [
@@ -36,23 +36,25 @@ __all__ = [
 ]
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def frac(x) -> int | Fraction:
+    """``x`` as an int if it is integral, else as a Fraction."""
+    x = x if type(x) is int else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
-    """Copy ``rows`` into a Fraction matrix."""
+    """Copy ``rows`` into an exact matrix."""
     return [[frac(x) for x in row] for row in rows]
 
 
 def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[0] * c for _ in range(r)]
 
 
 def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
@@ -100,8 +102,11 @@ def _echelon(a: Matrix, full: bool = True) -> tuple[list[list[int]], list[int]]:
     """
     m = []
     for row in a:
-        den = 1 if set(map(type, row)) <= {int} else lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+        if set(map(type, row)) <= {int}:
+            m.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[int] = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -136,16 +141,20 @@ def rank(a: Matrix) -> int:
     return len(_echelon(a, full=False)[1])
 
 
-def nullspace(a: Matrix, cols: int) -> list[list[Fraction]]:
+def _quotient(p: int, q: int) -> int | Fraction:
+    return p // q if p % q == 0 else Fraction(p, q)
+
+
+def nullspace(a: Matrix, cols: int) -> Matrix:
     """Basis of the right kernel of ``a`` (a has ``cols`` columns)."""
     m, pivots = _echelon(a)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for row, pc in zip(m, pivots):
             if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
+                v[pc] = _quotient(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -158,13 +167,13 @@ def solve_matrix(a: Matrix, b: Matrix, cols: int) -> Matrix | None:
         return None
     x = zeros(cols, len(b[0]) if b else 0)
     for row, pc in zip(m, pivots):
-        x[pc] = [Fraction(y, row[pc]) for y in row[cols:]]
+        x[pc] = [_quotient(y, row[pc]) for y in row[cols:]]
     return x
 
 
-def solve(a: Matrix, b: Sequence, cols: int) -> list[Fraction] | None:
+def solve(a: Matrix, b: Sequence, cols: int) -> Row | None:
     """One solution of a*x = b, or None if inconsistent."""
     if not a:
-        return [Fraction(0)] * cols if not any(b) else None
+        return [0] * cols if not any(b) else None
     x = solve_matrix(a, [[y] for y in b], cols)
     return None if x is None else [row[0] for row in x]

@@ -2,7 +2,8 @@
 
 A module assigns a finite-dimensional Q-vector space to each vertex and a
 matrix to each arrow; the matrix of an arrow s -> t has shape
-dims[t] x dims[s] and acts on column vectors. One class, Representation,
+dims[t] x dims[s] and acts on column vectors; its entries are ints, with a
+Fraction only where a value is not integral. One class, Representation,
 serves every algebra: a bare Quiver stands for its path algebra, a
 MonomialAlgebra with no relations. Hom spaces are computed as kernels of the
 commuting-square system, which relations do not change. Ext^1 over every
@@ -20,7 +21,6 @@ Modules are immutable once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -48,7 +48,7 @@ class NegativeExtError(AssertionError):
     """Internal failure: the Ext formula went negative."""
 
 
-Matrix = list[list[Fraction]]
+Matrix = linalg.Matrix
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def _algebra(over) -> MonomialAlgebra:
 
 
 class Representation:
-    """Module over a MonomialAlgebra with exact rational arrow matrices.
+    """Module over a MonomialAlgebra with exact arrow matrices, as ``linalg.mat``
+    returns them: int entries, a Fraction only where a value is not integral.
 
     ``algebra`` may be a bare Quiver, meaning its path algebra. Every
     relation path must act by zero.
@@ -156,11 +157,10 @@ class Representation:
             raise ValueError("one matrix per arrow required")
         fixed = []
         for (s, t), m in zip(quiver.arrows, mats):
-            rows, cols = self.dims[t - 1], self.dims[s - 1]
             mm = linalg.mat(m)
-            linalg.shape_of(mm, rows, cols)
-            fixed.append(mm)
-        self.mats = tuple(tuple(tuple(row) for row in m) for m in fixed)
+            linalg.shape_of(mm, self.dims[t - 1], self.dims[s - 1])
+            fixed.append(tuple(map(tuple, mm)))
+        self.mats = tuple(fixed)
         for rel in algebra.relations:
             comp = self.path_action(quiver.arrows[rel[0]][0], rel)
             if any(any(row) for row in comp):
@@ -260,7 +260,9 @@ def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[list[int]
         # one common scale per arrow keeps its square's equations integral
         pair = (mats_m[idx], mats_n[idx])
         den = lcm(*(x.denominator for m in pair for row in m for x in row))
-        ma, na = ([[x.numerator * den // x.denominator for x in row] for row in m] for m in pair)
+        ma, na = pair if den == 1 else (
+            [[x.numerator * den // x.denominator for x in row] for row in m] for m in pair
+        )
         for r in range(dims_n[v]):
             for c in range(dims_m[u]):
                 row = [0] * nvars
@@ -305,7 +307,7 @@ def euler_data(q: Quiver) -> EulerData:
     return EulerData(q)
 
 
-def _relation_rows(m: Representation, n: Representation) -> list[list[Fraction]]:
+def _relation_rows(m: Representation, n: Representation) -> Matrix:
     """The map phi -> sum_i N(a_{i+1}..a_l) phi_{a_i} M(a_1..a_{i-1}) on each
     relation a_1..a_l, one row per entry of Hom_k(M_s, N_t) of the relation,
     over the variables of the arrowwise maps phi_a laid out arrow by arrow,
@@ -314,7 +316,7 @@ def _relation_rows(m: Representation, n: Representation) -> list[list[Fraction]]
     offsets = [0]
     for s, t in arrows:
         offsets.append(offsets[-1] + n.dims[t - 1] * m.dims[s - 1])
-    rows: list[list[Fraction]] = []
+    rows: Matrix = []
     for rel in m.algebra.relations:
         start, end = arrows[rel[0]][0], arrows[rel[-1]][1]
         terms = [
@@ -324,7 +326,7 @@ def _relation_rows(m: Representation, n: Representation) -> list[list[Fraction]]
         ]
         for r in range(n.dims[end - 1]):
             for c in range(m.dims[start - 1]):
-                row = [Fraction(0)] * offsets[-1]
+                row = [0] * offsets[-1]
                 for off, width, before, after in terms:
                     for x, nx in enumerate(after[r]):
                         if nx:
@@ -463,7 +465,7 @@ def atilde21_tube_modules() -> tuple[Representation, Representation, Representat
     length-two module is a brick with a one-dimensional self-extension.
     """
     q = builtin_quiver("Atilde21")
-    one = [[Fraction(1)]]
+    one = [[1]]
     r1 = Representation.simple(q, 2)
     r2 = Representation.from_dims(q, (1, 0, 1), {2: one})
     mt = Representation.from_dims(q, (1, 1, 1), {1: one, 2: one})

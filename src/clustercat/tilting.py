@@ -81,12 +81,11 @@ class TiltingModule:
             raise ValueError(f"summand ids {self.ids} out of range")
         if len(self.ids) != self.quiver.n:
             raise NotTilting(f"need {self.quiver.n} summands, got {len(self.ids)}")
-        dims = self.dims
         if len(set(self.ids)) != len(self.ids):
-            raise NotTilting(f"repeated summand in {dims}")
+            raise NotTilting(f"repeated summand in {self.dims}")
         bits = sum(1 << i for i in self.ids)
         if any(table.compat[a] & bits != bits for a in self.ids):
-            raise NotTilting(f"ext^1 between summands of {dims} is nonzero")
+            raise NotTilting(f"ext^1 between summands of {self.dims} is nonzero")
 
     @classmethod
     def of(cls, quiver: Quiver, summands) -> "TiltingModule":
@@ -328,8 +327,9 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
         if (swap := table.swaps.get(key)) is None:
             new_t, e = complement_and_sequence(quiver, cur, k)
             swap = table.swaps[key] = (new_t.ids[k], e)
+        else:
+            new_t = TiltingModule(quiver, cur.ids[:k] + (swap[0],) + cur.ids[k + 1:])
         t0p, e = swap
-        new_t = TiltingModule(quiver, cur.ids[:k] + (t0p,) + cur.ids[k + 1:])
         new_tc = torsion_class(quiver, new_t)
         if new_tc & ~cur_tc or new_tc == cur_tc:
             raise DescentStepError("torsion class did not shrink")

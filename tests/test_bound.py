@@ -195,6 +195,8 @@ def test_ext_invariant_under_base_change():
     m_conj = Representation.from_dims(
         alg, (1, 1, 1), {1: [[Fraction(7, 2)]], 3: [[Fraction(-3)]]}
     )
+    # the rescaled arrow keeps its true Fraction, the integral one is an int
+    assert [type(m_conj.mats[a][0][0]) for a in (1, 3)] == [Fraction, int]
     assert is_isomorphic(m_conj, m)
     assert ext1_dim(m_conj, m_conj) == 0
     assert hom(m_conj, n).dim == hom(m, n).dim
@@ -314,16 +316,20 @@ ORACLE_ALGEBRAS = {
 
 
 def rebased(m, rng):
-    """m in a random basis: g_t M_a g_s^-1 with g_v a product of random
-    unitriangular matrices, so invertible."""
+    """m in a random basis: g_t M_a g_s^-1 with g_v = L U for a random
+    unitriangular L and a random upper triangular U whose diagonal holds
+    non-integral rationals, so invertible."""
     gs, invs = [], []
     for d in m.dims:
         low, up = linalg.identity(d), linalg.identity(d)
         for r in range(d):
             for c in range(r):
                 low[r][c], up[c][r] = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
+            up[r][r] = Fraction(rng.choice((-2, -1, 1, 2, 4)), rng.choice((3, 5)))
         gs.append(linalg.mat_mul(low, up, d))
         invs.append(linalg.solve_matrix(gs[-1], linalg.identity(d), d))
+    # the base change holds a true Fraction, so the fraction path is exercised
+    assert any(x.denominator > 1 for g in gs for row in g for x in row)
     mats = [
         linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mat(a), m.dims[s - 1]), invs[s - 1], m.dims[s - 1])
         for a, (s, t) in enumerate(m.quiver.arrows)

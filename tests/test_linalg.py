@@ -159,6 +159,31 @@ def test_nullspace_and_solve_read_the_reference_form(rows):
         ]
 
 
+# int input, and Fraction input with integral and non-integral values
+_AS_INTS = _shaped(st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-9, 9), max_rows=6, max_cols=7)
+_AS_FRACTIONS = _shaped(_ENTRIES, max_rows=6, max_cols=7).map(
+    lambda rows: [[Fraction(x) for x in row] for row in rows]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AS_INTS | _AS_FRACTIONS)
+def test_results_are_ints_exactly_where_integral(rows):
+    cols = len(rows[0])
+    a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+    results = [
+        linalg.mat(rows),
+        linalg.nullspace(rows, cols),
+        linalg.solve_matrix(a, [[y] for y in b], cols - 1) or [],
+        linalg.solve_matrix(rows, linalg.identity(len(rows)), cols) or [],
+        [linalg.solve(a, b, cols - 1) or []],
+    ]
+    for m in results:
+        for row in m:
+            for x in row:
+                assert type(x) is (int if x.denominator == 1 else Fraction), (rows, x)
+
+
 def test_empty_shapes():
     assert kernel_form([]) == ([], [])
     assert kernel_form([[], []]) == ([[], []], [])
@@ -169,6 +194,7 @@ def test_empty_shapes():
     assert linalg.nullspace([[0, 0]], 2) == [[1, 0], [0, 1]]
     assert linalg.solve_matrix([], linalg.identity(0), 0) == []
     assert linalg.solve_matrix([], [], 2) == [[], []]
+    assert list(map(type, linalg.solve([], [0, 0], 2))) == [int, int]
 
 
 square = st.integers(1, 5).flatmap(

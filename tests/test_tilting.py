@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -279,6 +280,18 @@ def test_table_solves_only_the_bases_a_swap_reads(monkeypatch):
     assert len(calls) == nn + len(pairs) <= 228
 
 
+def test_e6_table_holds_only_ints():
+    # every value the module layer builds over a Dynkin quiver is integral,
+    # so no arrow matrix or stored hom basis carries a Fraction
+    table = _directed_indecomposables(E6)
+    entries = [x for m in table.ordered for a in m.mats for row in a for x in row]
+    entries += [
+        x for basis in table.hom_basis.values() for f in basis for fv in f for row in fv for x in row
+    ]
+    assert len(table.ordered) == 36 and len(table.hom_basis) == 192
+    assert entries and {type(x) for x in entries} == {int}
+
+
 def _brute_force_torsion(q, t):
     return frozenset(
         m.dims
@@ -538,6 +551,22 @@ def test_prop8_exhaustive_e6():
 @pytest.mark.slow
 def test_prop8_exhaustive_e7():
     _prop8_exhaustive(E7, 2431, 55_970, 3020)
+
+
+@pytest.mark.parametrize(
+    "q,digest",
+    [
+        (A5, "2411eb9ca5d909c9f5fc5c66ab39b47a6aa6682d39f0de87e0552c07da7320d5"),
+        (D5, "7f4206ff0e7c69692d857882778ea010e77c3871c0adb8ef51f18daf96bc7216"),
+        (D6, "3fd04e18a7e2e477541ba34e6e64a48775ed6aaf36197ce125a4708277ef8171"),
+        (E6, "64a899e7eb2724126c722f5553bfa99ff33ac38fef0870acc46e0013289b4bb9"),
+    ],
+    ids=["A5", "D5", "D6", "E6"],
+)
+def test_prop8_chains_are_pinned(q, digest):
+    # every chain of every tilting module, byte for byte
+    chains = [prop8_descent(q, t) for t in enumerate_tilting_modules(q)]
+    assert hashlib.sha256(json.dumps(chains, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
