@@ -1,8 +1,10 @@
 """Integer Laurent polynomials, seeds and exchange graph exploration.
 
-A Laurent polynomial is stored as a map from exponent vectors (one integer
-per variable, negatives allowed) to nonzero integer coefficients. All
-arithmetic is exact with arbitrary-precision integers; division is only
+A Laurent polynomial is stored as a map from monomials to nonzero integer
+coefficients, each monomial one int of packed exponent fields (as in
+Monagan and Pearce), so a monomial product is one integer addition. All
+arithmetic is exact; an exponent of 2^14 or more in magnitude raises
+OverflowError instead of carrying into the next field. Division is only
 available as exact division and raises DivisionNotExact otherwise, which is
 how the Laurent phenomenon is surfaced as a runtime check.
 
@@ -43,29 +45,61 @@ class DivisionNotExact(ArithmeticError):
     """Raised when a Laurent polynomial quotient has a nonzero remainder."""
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial in nvars variables over the integers."""
+# A key has one _W-bit field per variable, variable 1 most significant, each
+# holding e + _HALF, so lex order is integer order. With |e| < _LIMIT the sum
+# or difference of two exponents fits a field too: no arithmetic here carries.
+# The key of x^0 is also the mask of the fields' top bits; a packed difference
+# with fields in (-_HALF, _HALF) has one set exactly when a field is negative.
+_W = 16
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_LIMIT = _HALF >> 1
 
-    __slots__ = ("nvars", "_terms", "_hash")
+
+def _packed(vector) -> int:
+    """The fields of ``vector`` as one int, unbiased and unchecked."""
+    key = 0
+    for e in vector:
+        key = (key << _W) + e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple(((key >> (_W * (n - 1 - i))) & _MASK) - _HALF for i in range(n))
+
+
+class LaurentPoly:
+    """Immutable Laurent polynomial in nvars variables over the integers.
+
+    _bound is at least the largest |exponent|; _box caches the denominator
+    vector and the highest exponent of each variable."""
+
+    __slots__ = ("nvars", "_terms", "_bound", "_hash", "_box")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
+        bound = 0
         for exps, coeff in (terms or {}).items():
             c = int(coeff)
             if c:
                 e = tuple(int(x) for x in exps)
                 if len(e) != nvars:
                     raise ValueError(f"exponent vector {e} has wrong length")
-                clean[e] = clean.get(e, 0) + c
-        self._terms = {e: c for e, c in clean.items() if c}
-        self._hash = None
+                bound = max([bound, *map(abs, e)])
+                if bound >= _LIMIT:
+                    raise OverflowError(f"exponent vector {e} leaves the range |e| < {_LIMIT}")
+                key = _packed(x + _HALF for x in e)
+                clean[key] = clean.get(key, 0) + c
+        self.nvars, self._terms, self._bound = nvars, {k: c for k, c in clean.items() if c}, bound
+        self._hash = self._box = None
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict) -> "LaurentPoly":
+    def _of(cls, nvars: int, terms: dict, bound: int) -> "LaurentPoly":
         """Arithmetic result on checked operands: only zero terms are dropped."""
         p = cls.__new__(cls)
-        p.nvars, p._terms, p._hash = nvars, {e: c for e, c in terms.items() if c}, None
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        p.nvars, p._terms, p._bound, p._hash, p._box = nvars, terms, bound, None, None
         return p
 
     # construction helpers
@@ -92,13 +126,14 @@ class LaurentPoly:
     # inspection
 
     def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
+        return {_unpack(k, self.nvars): c for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def __eq__(self, other):
-        # both constructors drop zero terms, so equal polynomials have equal dicts
+        # monomials have one key each and zero terms are dropped, so equal
+        # polynomials have equal dicts
         return isinstance(other, LaurentPoly) and (self.nvars, self._terms) == (other.nvars, other._terms)
 
     def __hash__(self):
@@ -120,24 +155,29 @@ class LaurentPoly:
     def __add__(self, other):
         self._check(other)
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly._of(self.nvars, out)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return LaurentPoly._of(self.nvars, out, max(self._bound, other._bound))
 
     def __neg__(self):
-        return LaurentPoly._of(self.nvars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._of(self.nvars, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._of(self.nvars, out)
+        bound = self._bound + other._bound
+        if bound >= _LIMIT:
+            raise OverflowError(f"a product exponent could reach {bound}, past |e| < {_LIMIT}")
+        bias = _packed([_HALF] * self.nvars)
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            k1 -= bias
+            for k2, c2 in other._terms.items():
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return LaurentPoly._of(self.nvars, out, bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -152,45 +192,61 @@ class LaurentPoly:
                 base = base * base
         return LaurentPoly.one(self.nvars) if result is None else result
 
+    def _span(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Denominator vector and highest exponent of each variable; not for zero."""
+        if self._box is None:
+            keys, low, high = self._terms.keys(), [], []
+            for s in range(_W * (self.nvars - 1), -1, -_W):
+                field = _MASK << s
+                low.append(_HALF - (min(map(field.__and__, keys)) >> s))
+                high.append((max(map(field.__and__, keys)) >> s) - _HALF)
+            self._box = tuple(low), tuple(high)
+        return self._box
+
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / other.
 
         Raises ZeroDivisionError on a zero divisor and DivisionNotExact when
-        the quotient is not an integer Laurent polynomial.
+        the quotient is not an integer Laurent polynomial. Shifted to least
+        exponents 0, A = Q*B makes Q a polynomial of degree deg_i A - deg_i B
+        in x_i; so a quotient term outside the box lo..hi proves the division
+        inexact, and inside it no remainder exponent leaves A's box.
         """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        n = self.nvars
-        shift_a = tuple(min(e[i] for e in self._terms) for i in range(n))
-        shift_b = tuple(min(e[i] for e in other._terms) for i in range(n))
-        num = {tuple(a - s for a, s in zip(e, shift_a)): Fraction(c) for e, c in self._terms.items()}
-        den = {tuple(a - s for a, s in zip(e, shift_b)): Fraction(c) for e, c in other._terms.items()}
+        (den_a, hi_a), (den_b, hi_b) = self._span(), other._span()
+        lo = [b - a for a, b in zip(den_a, den_b)]
+        hi = [a - b for a, b in zip(hi_a, hi_b)]
+        low, room, bias = _packed(lo), _packed(h - l for h, l in zip(hi, lo)), _packed([_HALF] * len(lo))
+        num = {k: Fraction(c) for k, c in self._terms.items()}
+        den = {k: Fraction(c) for k, c in other._terms.items()}
         lead_b = max(den)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[int, int] = {}
         while num:
             lead_r = max(num)
-            qe = tuple(a - b for a, b in zip(lead_r, lead_b))
-            if any(x < 0 for x in qe):
+            # d is the quotient term's exponent vector; d - low must lie in 0..room
+            d = lead_r - lead_b
+            u = d - low
+            if (u | (room - u)) & bias:
                 raise DivisionNotExact("leading term not divisible")
             qc = num[lead_r] / den[lead_b]
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
-            for e, c in den.items():
-                te = tuple(a + b for a, b in zip(qe, e))
-                val = num.get(te, Fraction(0)) - qc * c
-                if val:
-                    num[te] = val
-                else:
-                    num.pop(te, None)
-        back = tuple(a - b for a, b in zip(shift_a, shift_b))
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
+            if qc.denominator != 1:
                 raise DivisionNotExact("quotient has a non-integer coefficient")
-            out[tuple(a + b for a, b in zip(e, back))] = c.numerator
-        return LaurentPoly._of(n, out)
+            quot[d + bias] = qc.numerator
+            for k, c in den.items():
+                k += d
+                val = num.get(k, 0) - qc * c
+                if val:
+                    num[k] = val
+                else:
+                    num.pop(k, None)
+        bound = max(map(abs, lo + hi), default=0)
+        if bound >= _LIMIT:
+            raise OverflowError(f"a quotient exponent reaches {bound}, past |e| < {_LIMIT}")
+        return LaurentPoly._of(self.nvars, quot, bound)
 
     # rendering
 
@@ -203,10 +259,10 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts = []
-        for exps in sorted(self._terms, reverse=True):
-            coeff = self._terms[exps]
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             factors = []
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key, self.nvars)):
                 if e == 1:
                     factors.append(f"x{i + 1}")
                 elif e:
@@ -230,7 +286,7 @@ class LaurentPoly:
         """d_i = -(minimal exponent of variable i); zero polynomial is invalid."""
         if not self._terms:
             raise ValueError("zero polynomial has no denominator vector")
-        return tuple(-min(e[i] for e in self._terms) for i in range(self.nvars))
+        return self._span()[0]
 
 
 # ---------------------------------------------------------------------------

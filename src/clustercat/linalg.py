@@ -82,7 +82,7 @@ def mat_mul(a: Matrix, b: Matrix, cols: int | None = None) -> Matrix:
                 for j in range(cols):
                     if rb[j]:
                         oi[j] += x * rb[j]
-    return out
+    return [row if set(map(type, row)) <= {int} else [frac(x) for x in row] for row in out]
 
 
 def transpose(a: Matrix, cols: int | None = None) -> Matrix:

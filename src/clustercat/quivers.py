@@ -304,27 +304,30 @@ def simple_reflection(q: Quiver, d, k: int) -> Vector:
 def positive_roots(q: Quiver) -> frozenset[Vector]:
     """Positive roots of the underlying Dynkin diagram.
 
-    Computed as the closure of the simple roots under all simple
-    reflections, then restricted to nonnegative vectors. Raises ValueError
-    when the diagram is not Dynkin ADE.
+    Computed as the closure of the simple roots under simple reflections,
+    taken within the positive roots: s_k(d) is a positive root for every
+    positive root d other than e_k, and by induction on height every
+    positive root is reached this way. Raises ValueError when the diagram is
+    not Dynkin ADE.
     """
     cls = classify_diagram(q)
     if cls.kind != "dynkin":
         raise ValueError(f"positive roots require a Dynkin diagram, got {cls.label}")
     n = q.n
+    neighbours = [[t - 1 if s == k else s - 1 for s, t in q.arrows if k in (s, t)] for k in range(1, n + 1)]
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen: set[Vector] = set(simples)
     frontier = list(simples)
     while frontier:
         d = frontier.pop()
-        for k in range(1, n + 1):
-            r = simple_reflection(q, d, k)
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-        if len(seen) > 4 * n * n + 2 * n:
-            raise ValueError("reflection closure did not stay finite")
-    return frozenset(d for d in seen if all(x >= 0 for x in d) and any(d))
+        for k, nb in enumerate(neighbours):
+            dk = sum(d[j] for j in nb) - d[k]
+            if dk != d[k] and d != simples[k]:
+                r = d[:k] + (dk,) + d[k + 1 :]
+                if r not in seen:
+                    seen.add(r)
+                    frontier.append(r)
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ projectives are handled through ext groups and projective supports.  The
 two routes share no code.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -27,6 +28,7 @@ from clustercat.category import (
     GammaC,
     MultipleComplements,
     NoComplement,
+    _theorem1_report,
     den_vs_hom_crosscheck,
     exchange_data,
     initial_seed_c,
@@ -471,6 +473,26 @@ def test_theorem1_injectivity_reports():
     rep3 = theorem1_injectivity(builtin_quiver("A3"))
     assert rep3["tilting_count"] == 14
     assert rep3["injective_everywhere"] is True
+
+
+def test_theorem1_report_names_two_colliding_columns():
+    # a copy of the A3 tables whose column y repeats column x on every row;
+    # both are modules, so the projective generator, expanded first, admits them
+    g = GammaC(builtin_quiver("A3"))
+    start = initial_seed_c(g)
+    x, y = [m for m, v in enumerate(g.vertices) if v.is_module][:2]
+    assert [g.hom_i[t][x] for t in start.summands] != [g.hom_i[t][y] for t in start.summands]
+    bad = copy.copy(g)
+    bad.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in g.hom_i)
+    rep = _theorem1_report(bad, walk_tilting(g))
+    assert rep["injective_everywhere"] is False
+    assert rep["tilting_count"] == 14
+    assert rep["failures"][0] == {
+        "tilting": [g.vertices[t].render() for t in start.summands],
+        "first": g.vertices[x].render(),
+        "second": g.vertices[y].render(),
+        "vector": [g.hom_i[t][x] for t in start.summands],
+    }
 
 
 @pytest.mark.parametrize(

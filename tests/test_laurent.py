@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
 D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 
 
 def x(i, n=2):
@@ -71,6 +73,125 @@ def test_exact_div_undoes_multiplication(a, b):
     if not unit:
         with pytest.raises(DivisionNotExact):
             (a * b + LaurentPoly.one(2)).exact_div(b)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_div(a, b, n):
+    """a / b by lex division after shifting both to nonnegative exponents, on
+    exponent tuples and Fractions, as LaurentPoly divided before packing."""
+    sa = [min(e[i] for e in a) for i in range(n)]
+    sb = [min(e[i] for e in b) for i in range(n)]
+    num = {tuple(x - s for x, s in zip(e, sa)): Fraction(c) for e, c in a.items()}
+    den = {tuple(x - s for x, s in zip(e, sb)): Fraction(c) for e, c in b.items()}
+    lead_b, quot = max(den), {}
+    while num:
+        lead = max(num)
+        qe = tuple(x - y for x, y in zip(lead, lead_b))
+        if min(qe) < 0:
+            raise DivisionNotExact
+        qc = quot[qe] = num[lead] / den[lead_b]
+        for e, c in den.items():
+            te = tuple(x + y for x, y in zip(qe, e))
+            num[te] = num.get(te, 0) - qc * c
+            if not num[te]:
+                del num[te]
+    if any(c.denominator != 1 for c in quot.values()):
+        raise DivisionNotExact
+    return {tuple(x + s - t for x, s, t in zip(e, sa, sb)): int(c) for e, c in quot.items()}
+
+
+def _ref_render(terms):
+    text = ""
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        mono = "*".join(f"x{i}" + (f"^{x}" if x != 1 else "") for i, x in enumerate(e, 1) if x)
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        text += ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += body
+    return text or "0"
+
+
+def _outcome(f):
+    try:
+        return f()
+    except DivisionNotExact:
+        return DivisionNotExact
+
+
+@st.composite
+def _term_dicts(draw):
+    # 1-4 variables with exponents in +-40, the range the affine walks reach
+    n = draw(st.integers(1, 4))
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(-40, 40)] * n), st.integers(-5, 5).filter(bool), min_size=1, max_size=5
+    )
+    return n, draw(terms), draw(terms), draw(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_dicts())
+def test_packed_monomials_agree_with_exponent_tuples(case):
+    n, ta, tb, tc = case
+    a, b, c = (LaurentPoly(n, t) for t in (ta, tb, tc))
+    ab = _ref_mul(ta, tb)
+    results = {
+        "a": (a, ta),
+        "a*b": (a * b, ab),
+        "a+b": (a + b, _ref_add(ta, tb)),
+        "a-b": (a - b, _ref_add(ta, {e: -v for e, v in tb.items()})),
+        "a*b/b": (_outcome(lambda: (a * b).exact_div(b)), _outcome(lambda: _ref_div(ab, tb, n))),
+        "(a*b+c)/b": (
+            _outcome(lambda: (a * b + c).exact_div(b)),
+            _outcome(lambda: _ref_div(_ref_add(ab, tc), tb, n)),
+        ),
+        "a/b": (_outcome(lambda: a.exact_div(b)), _outcome(lambda: _ref_div(ta, tb, n))),
+    }
+    assert results["a*b/b"][0] == a
+    for name, (p, ref) in results.items():
+        if ref is DivisionNotExact:
+            assert p is DivisionNotExact, name
+            continue
+        same = LaurentPoly(n, ref)
+        assert p.terms() == ref and p.render() == _ref_render(ref), name
+        assert p == same and hash(p) == hash(same), name
+        if ref:
+            assert p.denominator_vector() == tuple(-min(e[i] for e in ref) for i in range(n)), name
+
+
+def test_exponents_stay_inside_their_fields():
+    limit = laurent._LIMIT
+    top = LaurentPoly.monomial((limit - 1, -(limit - 1)))
+    assert top.terms() == {(limit - 1, -(limit - 1)): 1}
+    for e in (limit, -limit):
+        with pytest.raises(OverflowError):
+            LaurentPoly.monomial((0, e))
+    # fields at half the limit, the most a product admits, cancel without a carry
+    h = limit // 2 - 1
+    assert LaurentPoly.monomial((h, -h)) * LaurentPoly.monomial((-h, h)) == LaurentPoly.one(2)
+    assert top.exact_div(LaurentPoly.monomial((limit - 1, 0))) == LaurentPoly.monomial((0, -(limit - 1)))
+    # a product or quotient that would cross a field raises
+    with pytest.raises(OverflowError):
+        top * x(1)
+    with pytest.raises(OverflowError):
+        LaurentPoly.monomial((limit // 2, 0)) ** 2
+    with pytest.raises(OverflowError):
+        top.exact_div(LaurentPoly.monomial((0, 1)))
+    assert (LaurentPoly.monomial((limit // 2 - 1, 0)) ** 2).terms() == {(limit - 2, 0): 1}
 
 
 def test_render_canonical():
@@ -241,6 +362,15 @@ def test_affine_exchange_table_matches_plain_bfs(depth):
     assert list(res.seeds.items()) == list(seeds.items())
     assert res.variables == variables
     assert (res.truncated, res.depth_reached) == (truncated, depth_reached) == (True, depth)
+
+
+@pytest.mark.slow
+def test_explore_e8_exhaustive():
+    # the Fomin-Zelevinsky counts for E8, and denominator vectors separate
+    # all 128 cluster variables
+    res = explore_exchange_graph(exchange_matrix(E8))
+    assert (res.cluster_count, res.variable_count, res.truncated) == (25_080, 128, False)
+    assert den_injectivity_check(res.variables).ok
 
 
 def test_a4_and_d4_counts():

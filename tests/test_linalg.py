@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustercat import linalg
@@ -168,6 +168,7 @@ _AS_FRACTIONS = _shaped(_ENTRIES, max_rows=6, max_cols=7).map(
 
 @settings(max_examples=200, deadline=None)
 @given(_AS_INTS | _AS_FRACTIONS)
+@example([[Fraction(1, 2)] * 4])  # a row times itself is 1
 def test_results_are_ints_exactly_where_integral(rows):
     cols = len(rows[0])
     a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
@@ -177,6 +178,8 @@ def test_results_are_ints_exactly_where_integral(rows):
         linalg.solve_matrix(a, [[y] for y in b], cols - 1) or [],
         linalg.solve_matrix(rows, linalg.identity(len(rows)), cols) or [],
         [linalg.solve(a, b, cols - 1) or []],
+        linalg.mat_mul(rows, linalg.transpose(rows)),
+        linalg.mat_mul(linalg.transpose(rows), rows),
     ]
     for m in results:
         for row in m:

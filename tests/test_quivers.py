@@ -16,6 +16,7 @@ from clustercat.quivers import (
     positive_roots,
     quiver_from_matrix,
     quiver_to_json,
+    simple_reflection,
 )
 from clustercat.reps import MonomialAlgebra
 
@@ -202,6 +203,43 @@ def test_positive_root_counts():
     for n, count in ((6, 36), (7, 63), (8, 120)):
         assert classify_diagram(_branched(n, 3)).label == f"E{n}"
         assert len(positive_roots(_branched(n, 3))) == count
+
+
+def _full_reflection_closure(q):
+    """Positive roots as the closure of the simple roots under every simple
+    reflection, negative roots included, then restricted to the positive."""
+    n = q.n
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        d = frontier.pop()
+        for k in range(1, n + 1):
+            r = simple_reflection(q, d, k)
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return frozenset(d for d in seen if all(x >= 0 for x in d) and any(d))
+
+
+def _dynkin_family():
+    """A1-A8, D4-D8 and E6-E8, each oriented as built and with every arrow reversed."""
+    built = [Quiver(n, tuple((i, i + 1) for i in range(1, n))) for n in range(1, 9)]
+    built += [_branched(n, n - 2) for n in range(4, 9)] + [_branched(n, 3) for n in (6, 7, 8)]
+    for q in built:
+        label = classify_diagram(q).label
+        yield pytest.param(q, id=label)
+        yield pytest.param(Quiver(q.n, tuple((t, s) for s, t in q.arrows)), id=f"{label}-reversed")
+
+
+@pytest.mark.parametrize("q", _dynkin_family())
+def test_positive_roots_equal_the_full_reflection_closure(q):
+    assert positive_roots(q) == _full_reflection_closure(q)
+
+
+def test_positive_roots_refuse_non_dynkin_shapes():
+    for q in (builtin_quiver("Atilde21"), Quiver(2, ((1, 2), (1, 2))), _branched(9, 3)):
+        with pytest.raises(ValueError):
+            positive_roots(q)
 
 
 def test_positive_roots_a2_explicit():
