@@ -13,18 +13,15 @@ The exchange relation reads column k of the exchange matrix:
     x_k' = (prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}) / x_k
 
 Seeds and polynomials are immutable; a cluster's key is the frozenset of its
-polynomials. explore_exchange_graph keeps a call-local exchange table, (x_k,
-{(x_i, b_ik) : b_ik != 0}) to x_k' and back, and on a miss reads d(x_k') =
-d(binomial) - d(x_k) without dividing: the variable found so far with that
-denominator vector is taken when x_k times it is the binomial, a proof in the
-domain Z[x^+-1]; else it divides. In finite type, where denominator vectors
-separate variables (Fomin-Zelevinsky), that is one division per new variable.
+polynomials. explore_exchange_graph's docstring gives its exchange table on
+interned variable ids, the max rule with its certificate and the product memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .quivers import classify_diagram, mutate_matrix, quiver_from_matrix
 
@@ -316,20 +313,18 @@ def initial_seed(b) -> Seed:
     return Seed(bb, tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1)))
 
 
-def _exchange_binomial(s: Seed, k: int) -> LaurentPoly:
-    """prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}, reading column k of B."""
-    # each product starts from its first factor; an empty product is 1
-    plus = minus = None
-    for p, row in zip(s.cluster, s.b):
-        bik = row[k - 1]
-        if bik > 0:
-            f = p ** bik
-            plus = f if plus is None else plus * f
-        elif bik < 0:
-            f = p ** -bik
-            minus = f if minus is None else minus * f
-    one = LaurentPoly.one(len(s.b))
-    return (one if plus is None else plus) + (one if minus is None else minus)
+def _product(side, polys, products) -> LaurentPoly:
+    """prod polys[i]^e over the pairs (i, e) of side, kept in products with its prefixes."""
+    if side not in products:
+        f = polys[side[-1][0]] ** side[-1][1]
+        products[side] = _product(side[:-1], polys, products) * f if len(side) > 1 else f
+    return products[side]
+
+
+def _exchange_binomial(column, polys, products) -> LaurentPoly:
+    """The exchange binomial over the pairs (i, b_ik) of column k, x_i = polys[i]."""
+    plus = _product(tuple((i, b) for i, b in column if b > 0), polys, products)
+    return plus + _product(tuple((i, -b) for i, b in column if b < 0), polys, products)
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
@@ -337,7 +332,8 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     n = len(s.b)
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
-    new_var = _exchange_binomial(s, k).exact_div(s.cluster[k - 1])
+    column = [(i, row[k - 1]) for i, row in enumerate(s.b)]
+    new_var = _exchange_binomial(column, s.cluster, {(): LaurentPoly.one(n)}).exact_div(s.cluster[k - 1])
     cluster = tuple(new_var if i == k - 1 else p for i, p in enumerate(s.cluster))
     return Seed(mutate_matrix(s.b, k), cluster)
 
@@ -370,14 +366,14 @@ class ExplorationResult:
         return len(self.variables)
 
 
-def _exchange_quotient(binom: LaurentPoly, old: LaurentPoly, known: dict) -> LaurentPoly:
-    """binom / old: the known variable under d(binom) - d(old) (lowest exponents
-    add under products) if old times it is binom, else divided out and recorded."""
-    d = tuple(a - c for a, c in zip(binom.denominator_vector(), old.denominator_vector()))
-    new = known.get(d)
-    if new is None or old * new != binom:
-        new = known[d] = binom.exact_div(old)
-    return new
+def _read_off_denominator(old: int, column, dens) -> tuple[int, ...]:
+    """d(x_k') = d(P) - d(x_k) off the vectors dens[i] of P's factors (i, b_ik):
+    lowest exponents add under products, so with no negative coefficient d(P)
+    is the componentwise max of sum_{b>0} b d_i and sum_{b<0} -b d_i."""
+    sums = [[0] * len(dens[old]), [0] * len(dens[old])]
+    for i, b in column:
+        sums[b < 0] = [s + abs(b) * v for s, v in zip(sums[b < 0], dens[i])]
+    return tuple(max(p, m) - o for p, m, o in zip(*sums, dens[old]))
 
 
 def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult:
@@ -387,54 +383,58 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     (guaranteed finite); otherwise it is required so the walk cannot run
     forever. When the cutoff hides further clusters the result is flagged
     truncated (checked by probing one layer past the cutoff). A Seed is built
-    only for a new cluster; the probe reads cluster keys alone.
+    only for a new cluster. Inside, a variable is an id interned by polynomial
+    equality, a cluster's key is the bitmask of its ids, and the exchange table
+    maps (x_k, {(x_i, b_ik) : b_ik != 0}) to x_k' and back. A miss builds the
+    binomial P from products kept for the call with their prefixes and takes
+    the variable found under d(x_k'), read off the factors by the max rule, if
+    x_k times it is P (a proof in Z[x^+-1]), else divides: once per new variable
+    where denominator vectors separate variables (finite type, Fomin-Zelevinsky).
     """
     if max_depth is None:
         cls = classify_diagram(quiver_from_matrix(b))
         if cls.kind != "dynkin":
-            raise ValueError(
-                f"exchange graph of {cls.label} shape may be infinite; pass max_depth"
-            )
+            raise ValueError(f"exchange graph of {cls.label} shape may be infinite; pass max_depth")
     start = initial_seed(b)
     n = len(start.b)
-    exchanged: dict[tuple[LaurentPoly, frozenset], LaurentPoly] = {}
-    known = {p.denominator_vector(): p for p in start.cluster}
+    polys, dens = list(start.cluster), [p.denominator_vector() for p in start.cluster]
+    ids = {p: i for i, p in enumerate(polys)}
+    known = dict(zip(dens, polys))
+    exchanged, products = {}, {(): LaurentPoly.one(n)}
 
-    def mutate(s: Seed, k: int) -> tuple[LaurentPoly, ...]:
-        old = s.cluster[k - 1]
-        rel = frozenset((p, row[k - 1]) for p, row in zip(s.cluster, s.b) if row[k - 1])
-        new = exchanged.get((old, rel))
-        if new is None:
-            new = _exchange_quotient(_exchange_binomial(s, k), old, known)
-            exchanged[old, rel] = new
-            exchanged[new, frozenset((p, -bik) for p, bik in rel)] = old
-        return s.cluster[: k - 1] + (new,) + s.cluster[k:]
+    def exchanges(layer):
+        for s, c, key in layer:
+            for k, col in enumerate(zip(*s.b)):
+                old = c[k]
+                rel = frozenset(filter(itemgetter(1), zip(c, col)))
+                new = exchanged.get((old, rel))
+                if new is None:
+                    column = sorted(rel)
+                    cand = known.get(_read_off_denominator(old, column, dens))
+                    binom = _exchange_binomial(column, polys, products)
+                    q = cand if cand and polys[old] * cand == binom else binom.exact_div(polys[old])
+                    new = ids.setdefault(q, len(polys))
+                    if new == len(polys):
+                        polys.append(q)
+                        dens.append(q.denominator_vector())
+                        known[dens[new]] = q
+                    exchanged[old, rel], exchanged[new, frozenset((i, -bik) for i, bik in rel)] = new, old
+                yield s, c, k, new, key ^ (1 << old) ^ (1 << new)
 
-    seeds: dict[frozenset[LaurentPoly], Seed] = {start.cluster_key(): start}
-    variables: set[LaurentPoly] = set(start.cluster)
-    layer = [start]
-    depth = 0
-    truncated = False
-    while layer:
-        if max_depth is not None and depth >= max_depth:
-            # probe one layer to see whether the cutoff actually hid anything
-            truncated = any(
-                frozenset(mutate(s, k)) not in seeds for s in layer for k in range(1, n + 1)
-            )
-            break
+    seeds, depth = {(1 << n) - 1: start}, 0  # by key, in discovery order
+    layer = [(start, tuple(range(n)), (1 << n) - 1)]
+    while layer and (max_depth is None or depth < max_depth):
         next_layer = []
-        for s in layer:
-            for k in range(1, n + 1):
-                cluster = mutate(s, k)
-                key = frozenset(cluster)
-                if key not in seeds:
-                    seeds[key] = t = Seed(mutate_matrix(s.b, k), cluster)
-                    variables.update(cluster)
-                    next_layer.append(t)
-        if next_layer:
-            depth += 1
+        for s, c, k, new, key in exchanges(layer):
+            if key not in seeds:
+                t_ids = c[:k] + (new,) + c[k + 1 :]
+                seeds[key] = t = Seed(mutate_matrix(s.b, k + 1), tuple(polys[i] for i in t_ids))
+                next_layer.append((t, t_ids, key))
+        depth += bool(next_layer)
         layer = next_layer
-    return ExplorationResult(seeds, variables, truncated, depth)
+    variables = set(polys)  # the probe's new variables lie in no recorded cluster
+    truncated = any(key not in seeds for *_, key in exchanges(layer))
+    return ExplorationResult({frozenset(t.cluster): t for t in seeds.values()}, variables, truncated, depth)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -88,6 +89,49 @@ def test_denominators_output(capsys):
     assert entries["x1^-1*x2 + x1^-1"] == [1, 0]
     assert rep["count"] == 5 and len(entries) == 5
     assert rep["truncated"] is False
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,depth,digest",
+    [
+        ("A2", None, "b684311e1afabde5b8232ecd5d5261c21c2706ffc8204aa79ba8ba5e0c776d14"),
+        ("A3", None, "e77d960550ef660d1f219ea051512ce5c50cc02dfbc70e8f27d5bdbebe1a2cf4"),
+        ("A4", None, "8d47196f07a6963c3ac2eef427aae57e15fb26e07e1c420d1ad2d0aa7091a9ce"),
+        ("D4", None, "3950d4aa3702911e7773895db534e9de08fb3dc26daeaa54d81a8a11bc89e257"),
+        ("D5", None, "bd2dd0d955c8f824f41466fc1d806fed231631cfc0a9a303d8110e2f84e8503c"),
+        ("Atilde21", 2, "50a7164e54f8e43b9b3c765b79a63c223c45ef040d8a9505adc0ef5af93a280b"),
+        ("Atilde21", 4, "9bf4cb596d39e4b415326ce45bd31250ef30e34ffecd1dd27a7535faa6c3162a"),
+        ("Atilde21", 6, "9547f72bb16a521fe6be620497b803a4642751673d736d93c383e1a4c67e1ee9"),
+    ],
+    ids=["A2", "A3", "A4", "D4", "D5", "Atilde21-2", "Atilde21-4", "Atilde21-6"],
+)
+def test_denominators_reports_are_pinned(capsys, tmp_path, monkeypatch, name, depth, digest):
+    # the whole JSON report byte for byte; D5 is read from a file named the
+    # same in every run, since the report echoes its path
+    monkeypatch.chdir(tmp_path)
+    Path("d5.json").write_text(json.dumps({"vertices": 5, "arrows": [[1, 2], [2, 3], [3, 4], [3, 5]]}))
+    source = ["--quiver", "d5.json"] if name == "D5" else ["--type", name]
+    code, out = run(capsys, "denominators", *source, *([] if depth is None else ["--depth", str(depth)]))
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["corollary4", "--type", "D4"], "df8564cbc789f79623c9ba7d86f716ac7e86c64f8f94abb2dd5f4b3ee3e35797"),
+        (["corollary5"], "608abe644d7631537490b20e7df94fcde42fb676b421ab7ad2ddc19663095304"),
+    ],
+    ids=["corollary4-D4", "corollary5"],
+)
+def test_verify_details_are_pinned(capsys, argv, digest):
+    code, rep = run_json(capsys, "verify", *argv)
+    assert code == 0 and rep["pass"] is True
+    assert _sha256(json.dumps(rep["details"], sort_keys=True)) == digest
 
 
 def test_quiver_file_loading(capsys, tmp_path):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustercat import laurent
@@ -94,6 +94,8 @@ def _ref_add(a, b):
 def _ref_div(a, b, n):
     """a / b by lex division after shifting both to nonnegative exponents, on
     exponent tuples and Fractions, as LaurentPoly divided before packing."""
+    if not a:
+        return {}
     sa = [min(e[i] for e in a) for i in range(n)]
     sb = [min(e[i] for e in b) for i in range(n)]
     num = {tuple(x - s for x, s in zip(e, sa)): Fraction(c) for e, c in a.items()}
@@ -145,6 +147,7 @@ def _term_dicts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_term_dicts())
+@example((1, {(0,): -1}, {(1,): 1}, {(1,): 1}))  # a*b + c is zero
 def test_packed_monomials_agree_with_exponent_tuples(case):
     n, ta, tb, tc = case
     a, b, c = (LaurentPoly(n, t) for t in (ta, tb, tc))
@@ -202,9 +205,10 @@ def test_render_canonical():
 
 def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     # x^5 is x * x^4 after two squarings. A D4 exploration builds each
-    # exchange product from its first factor for each of its 52 exchange
-    # relations (32 products) and divides only for the 12 new variables; the
-    # other 40 are found by denominator vector and certified by one product
+    # distinct exchange product, and each of its prefixes, once (16 products
+    # for its 52 exchange relations) and divides only for the 12 new
+    # variables; the other 40 are found by denominator vector and certified by
+    # one product each
     calls = []
     mul = LaurentPoly.__mul__
 
@@ -222,7 +226,7 @@ def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
-    assert len(calls) == 32 + 40
+    assert len(calls) == 16 + 40
     assert len(divisions) == 12
 
 
@@ -246,19 +250,51 @@ def test_explore_divides_once_per_new_variable(monkeypatch, name, varcount):
     assert len(divisions) == varcount - len(b)
 
 
-def test_wrong_candidate_under_the_denominator_vector_is_divided_out(monkeypatch):
-    # (1 + x2) / x1 has denominator vector (1, 0); plant (1 + 2*x2) / x1 there
-    binom, true = LaurentPoly.one(2) + x(2), LaurentPoly.monomial((-1, 0)) + LaurentPoly.monomial((-1, 1))
-    wrong = LaurentPoly.monomial((-1, 0)) + LaurentPoly.monomial((-1, 1), 2)
-    assert wrong.denominator_vector() == true.denominator_vector() == (1, 0)
-    assert x(1) * wrong != binom and x(1) * true == binom
+def _recorded(monkeypatch, name):
+    """Wrap laurent.<name> so that each call's arguments and result are kept."""
+    calls, f = [], getattr(laurent, name)
+
+    def recording(*args):
+        calls.append((args, f(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(laurent, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("name,depth", [("A4", None), ("D4", None), ("Atilde21", 4)])
+def test_wrong_candidates_are_divided_out_and_interned_by_polynomial(monkeypatch, name, depth):
+    # every lookup reads the vector of x_k's first neighbour x_i, so its
+    # candidate is x_i, which stays in the cluster beside x_k' and so is never
+    # x_k'; each one must fail its certificate, and the quotient must get the
+    # id of its polynomial, not of the vector it was looked up under
+    b = exchange_matrix(_quiver(name))
+    expected = explore_exchange_graph(b, max_depth=depth)
+    seeds, variables, truncated, reached = _bfs_explore(b, 99 if depth is None else depth)
+    assert list(expected.seeds.items()) == list(seeds.items())
+    lookups = []
+
+    def neighbours_vector(old, column, dens):
+        lookups.append(old)
+        return dens[column[0][0]]
+
+    monkeypatch.setattr(laurent, "_read_off_denominator", neighbours_vector)
     divisions = _counting_divisions(monkeypatch)
-    known = {(1, 0): wrong}
-    assert laurent._exchange_quotient(binom, x(1), known) == true
-    assert known == {(1, 0): true} and len(divisions) == 1
-    # the true quotient passes the product test without a division
-    assert laurent._exchange_quotient(binom, x(1), known) == true
-    assert len(divisions) == 1
+    res = explore_exchange_graph(b, max_depth=depth)
+    assert len(divisions) == len(lookups) > 0
+    assert list(res.seeds.items()) == list(seeds.items())
+    assert (res.variables, res.truncated, res.depth_reached) == (variables, truncated, reached)
+    assert (res.cluster_count, res.variable_count) == (expected.cluster_count, expected.variable_count)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "D5"])
+def test_denominators_read_off_the_factors_are_the_binomials(monkeypatch, name):
+    read = _recorded(monkeypatch, "_read_off_denominator")
+    binomials = _recorded(monkeypatch, "_exchange_binomial")
+    explore_exchange_graph(exchange_matrix(_quiver(name)))
+    assert len(read) == len(binomials) > 0
+    for ((old, _, dens), d), (_, binom) in zip(read, binomials):
+        assert tuple(a + o for a, o in zip(d, dens[old])) == binom.denominator_vector()
 
 
 def test_denominator_vectors():
