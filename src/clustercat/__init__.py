@@ -30,7 +30,6 @@ from .bound import counterexample_report
 from .category import (
     GammaC,
     den_vs_hom_crosscheck,
-    mutate_tilting,
     theorem1_injectivity,
 )
 from .tilting import (
@@ -63,7 +62,6 @@ __all__ = [
     "counterexample_report",
     "GammaC",
     "den_vs_hom_crosscheck",
-    "mutate_tilting",
     "theorem1_injectivity",
     "TiltingModule",
     "enumerate_tilting_modules",

@@ -23,12 +23,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import and_, or_
-import random
 from typing import Iterable, Iterator
 
-from .laurent import initial_seed, seed_mutate
+from .laurent import LaurentPoly, Seed, seed_mutate
 from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
 from .reps import euler_data, injective_dims, projective_dims
 
@@ -39,9 +38,7 @@ __all__ = [
     "GammaC",
     "NoComplement",
     "MultipleComplements",
-    "initial_seed_c",
     "shifted_initial_seed_c",
-    "mutate_tilting",
     "exchange_data",
     "walk_tilting",
     "is_compatible",
@@ -339,36 +336,11 @@ class GammaC:
 # tilting objects and mutation
 
 
-def initial_seed_c(g: GammaC) -> CategorifiedSeed:
-    """The projective generator with the quiver's own exchange matrix."""
-    return CategorifiedSeed(g.proj_i, exchange_matrix(g.quiver))
-
-
 def shifted_initial_seed_c(g: GammaC) -> CategorifiedSeed:
-    """Shift of the projective generator; same endomorphism quiver, and the
-    seed whose summands track the cluster variables one to one."""
+    """Shift of the projective generator, where every walk starts; same
+    endomorphism quiver, and the seed whose summands track the cluster
+    variables one to one."""
     return CategorifiedSeed(g.shift_i, exchange_matrix(g.quiver))
-
-
-def mutate_tilting(g: GammaC, seed: CategorifiedSeed, k: int) -> tuple[CategorifiedSeed, ExchangeData]:
-    """Replace the k-th summand by its unique exchange partner.
-
-    The partner is the one vertex outside the seed that is ext-free with
-    every other summand (every vertex is rigid, as construction asserts): one
-    AND of ext_free masks, started from all ones so that it is exact when the
-    summand is the only one. Uniqueness is a theorem and is asserted, not
-    assumed. Middle-term multiplicities are read off the pre-mutation matrix
-    column.
-    """
-    n = g.quiver.n
-    if not (1 <= k <= n):
-        raise IndexError(f"mutation index {k} out of range 1..{n}")
-    if seed.tilting_key.bit_count() != n:
-        raise ValueError("seed is not basic")
-    masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
-    tk_star = _partner(g, seed, k, reduce(and_, masks, (1 << len(g.vertices)) - 1))
-    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
-    return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
 
 
 def _partner(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> int:
@@ -405,20 +377,22 @@ def exchange_data(seed: CategorifiedSeed, k: int, tk_star: int) -> ExchangeData:
 
 
 def walk_tilting(g: GammaC) -> Iterator[Edge]:
-    """Breadth-first walk over every tilting object from the projective
-    generator, yielding each mutation edge ``(seed, k, tk_star)``: summand k
-    of ``seed`` is exchanged for the vertex ``tk_star``.
+    """Breadth-first walk over every tilting object from the shifted
+    projective generator P[1], whose summand P_i[1] stands for the initial
+    cluster variable x_i, yielding each mutation edge ``(seed, k, tk_star)``:
+    summand k of ``seed`` is exchanged for the vertex ``tk_star``.
 
     Each tilting object is expanded once, as the seed that first reached it,
     and its edges come out for k = 1..n in turn, so ``k == 1`` marks a newly
-    expanded seed. The mask of the summands other than k is the AND of a
-    prefix and a suffix of their ext_free masks: 2n ANDs per object. Every
-    edge runs the checks of the partner search and derives the next key by
-    XOR; only a key not seen before gets its seed built, with the mutated
-    matrix. An edge's exchange data is ``exchange_data(seed, k, tk_star)``,
-    for the callers that read it.
+    expanded seed; the objects come out in the order in which
+    ``explore_exchange_graph`` discovers their clusters. The mask of the
+    summands other than k is the AND of a prefix and a suffix of their
+    ext_free masks: 2n ANDs per object. Every edge runs the checks of the
+    partner search and derives the next key by XOR; only a key not seen
+    before gets its seed built, with the mutated matrix. An edge's exchange
+    data is ``exchange_data(seed, k, tk_star)``, for the callers that read it.
     """
-    start = initial_seed_c(g)
+    start = shifted_initial_seed_c(g)
     seen = {start.tilting_key}
     queue = deque([start])
     full = (1 << len(g.vertices)) - 1
@@ -536,76 +510,65 @@ def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
 # denominators against hom counts
 
 
-def den_vs_hom_crosscheck(
-    quiver: Quiver,
-    depth: int,
-    samples: int | None = None,
-    rng_seed: int = 0,
-) -> dict:
-    """Run the variable engine and the category in lockstep and compare.
+def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
+    """Pair every vertex with a cluster variable along one walk of the
+    tilting objects, and compare its denominator with its hom counts.
 
-    Starting pair: the initial cluster tracks the shifted projective
-    generator, so variable x_i corresponds to the shifted projective at i.
-    After each mutation step, every current variable's denominator vector
-    must match the hom counts from the projective generator to the tracked
-    summand; variables that are still initial must show den = -e_j. With
-    samples=None every mutation sequence of length <= depth is checked, by a
-    depth-first walk of their prefix tree (one check per nonempty sequence
-    and position); otherwise that many random sequences of length 1..depth,
-    each replayed from the start (one check per step and position). Both
-    depth and samples must be at least 1, so some mutation step is checked.
+    The walk starts at P[1], and P_i[1] is paired with x_i. On each edge the
+    seed's paired variables mutate at k, and the new variable is paired with
+    ``tk_star``; a vertex already paired with another polynomial is a
+    mismatch, since the pairing would depend on the path. The walk takes
+    every edge of the exchange graph, so this covers every mutation sequence
+    of any length. Then every vertex must be paired, and the denominator
+    vector of its variable must be its hom counts (hom(P_p, t))_p from the
+    projectives, or -e_j at P_j[1].
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     g = GammaC(quiver)
     n = quiver.n
-    if samples is None:
-        sequences = sorted(
-            seq for d in range(0, depth + 1) for seq in product(range(1, n + 1), repeat=d)
-        )
-    else:
-        rng = random.Random(rng_seed)
-        sequences = [
-            tuple(rng.randint(1, n) for _ in range(rng.randint(1, depth)))
-            for _ in range(samples)
-        ]
-    checks = 0
+    paired = {t: LaurentPoly.variable(n, i) for i, t in enumerate(g.shift_i, 1)}
+    tilting_objects = edges = 0
     mismatches: list[dict] = []
-    path = [(initial_seed(exchange_matrix(quiver)), shifted_initial_seed_c(g))]
-    for seq in sequences:
-        # path[d] is the pair after d steps; a sorted exhaustive sequence adds one step
-        del path[max(len(seq), 1) if samples is None else 1 :]
-        for k in seq[len(path) - 1 :]:
-            ls, cs = path[-1]
-            ls = seed_mutate(ls, k)
-            cs, _ = mutate_tilting(g, cs, k)
-            if ls.b != cs.b:
-                raise AssertionError("exchange matrices drifted apart")
-            for i, t in enumerate(cs.summands):
-                den = ls.cluster[i].denominator_vector()
-                j = g.vertices[t].shift_vertex
-                if j is None:
-                    want = tuple(g.hom_i[p][t] for p in g.proj_i)
-                else:
-                    want = tuple(-(v == j) for v in range(1, n + 1))
-                checks += 1
-                if den != want:
-                    mismatches.append(
-                        {
-                            "sequence": list(seq),
-                            "position": i + 1,
-                            "denominator": list(den),
-                            "hom_vector": list(want),
-                            "summand": g.vertices[t].render(),
-                        }
-                    )
-            path.append((ls, cs))
+    for seed, k, tk_star in walk_tilting(g):
+        tilting_objects += k == 1
+        edges += 1
+        cluster = tuple(paired[t] for t in seed.summands)
+        x = seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1]
+        first = paired.setdefault(tk_star, x)
+        if first != x:
+            mismatches.append(
+                {
+                    "check": "path",
+                    "summand": g.vertices[tk_star].render(),
+                    "tilting": [g.vertices[t].render() for t in seed.summands],
+                    "k": k,
+                    "paired": first.render(),
+                    "reached": x.render(),
+                }
+            )
+    for t, v in enumerate(g.vertices):
+        if t not in paired:
+            mismatches.append({"check": "unpaired", "summand": v.render()})
+            continue
+        den = paired[t].denominator_vector()
+        if v.is_module:
+            want = tuple(g.hom_i[p][t] for p in g.proj_i)
+        else:
+            want = tuple(-(j == v.shift_vertex) for j in range(1, n + 1))
+        if den != want:
+            mismatches.append(
+                {
+                    "check": "denominator",
+                    "summand": v.render(),
+                    "variable": paired[t].render(),
+                    "denominator": list(den),
+                    "hom_vector": list(want),
+                }
+            )
     return {
         "diagram": g.diagram.label,
-        "sequences": len(sequences),
-        "checks": checks,
+        "tilting_objects": tilting_objects,
+        "edges": edges,
+        "paired": len(paired),
         "ok": not mismatches,
         "mismatches": mismatches,
     }

@@ -48,8 +48,8 @@ VERIFY_TARGETS = (
     "lemma67",
     "denomhom",
 )
-# the only targets that read --depth; both need at least one mutation step
-DEPTH_TARGETS = ("corollary5", "denomhom")
+# the only target that reads --depth; it needs at least one mutation step
+DEPTH_TARGETS = ("corollary5",)
 DYNKIN_TYPES = ("A2", "A3", "A4", "D4")
 
 # cross-checked against the categorical tilting-object count in verify theorem1
@@ -176,7 +176,7 @@ def cmd_denominators(args, parser) -> int:
 # verify targets; each returns (ok, details, witness)
 
 
-def _verify_theorem1(qtype: str, depth, seed):
+def _verify_theorem1(qtype: str, depth):
     q = builtin_quiver(qtype)
     rep = theorem1_injectivity(q)
     res = explore_exchange_graph(exchange_matrix(q))
@@ -199,7 +199,7 @@ def _verify_theorem1(qtype: str, depth, seed):
     return ok, details, witness
 
 
-def _verify_corollary4(qtype: str, depth, seed):
+def _verify_corollary4(qtype: str, depth):
     q = builtin_quiver(qtype)
     base = explore_exchange_graph(exchange_matrix(q))
     matrices = sorted({s.b for s in base.seeds.values()})
@@ -227,7 +227,7 @@ def _verify_corollary4(qtype: str, depth, seed):
     return True, details, None
 
 
-def _verify_corollary5(qtype: str, depth, seed):
+def _verify_corollary5(qtype: str, depth):
     depth = 6 if depth is None else depth
     q = builtin_quiver("Atilde21")
     res = explore_exchange_graph(exchange_matrix(q), max_depth=depth)
@@ -241,13 +241,13 @@ def _verify_corollary5(qtype: str, depth, seed):
     return chk.ok, details, chk.witness
 
 
-def _verify_counterexample(qtype, depth, seed):
+def _verify_counterexample(qtype, depth):
     # the report asserts every claim; a failed one reaches cmd_verify as an
     # AssertionError
     return True, counterexample_report(), None
 
 
-def _verify_prop8(qtype: str, depth, seed):
+def _verify_prop8(qtype: str, depth):
     q = builtin_quiver(qtype)
     tilts = enumerate_tilting_modules(q)
     chains = [prop8_descent(q, t) for t in tilts]
@@ -260,7 +260,7 @@ def _verify_prop8(qtype: str, depth, seed):
     return ok, details, None
 
 
-def _verify_lemma67(qtype: str, depth, seed):
+def _verify_lemma67(qtype: str, depth):
     q = builtin_quiver(qtype)
     g = GammaC(q)
     # one walk serves both lemmas and the Theorem 1 propagation report
@@ -288,16 +288,9 @@ def _verify_lemma67(qtype: str, depth, seed):
     return ok, details, witness
 
 
-def _verify_denomhom(qtype: str, depth, seed):
-    depth = 8 if depth is None else depth
-    q = builtin_quiver(qtype)
-    rep = den_vs_hom_crosscheck(q, depth, samples=120, rng_seed=seed)
-    details = {
-        "diagram": rep["diagram"],
-        "depth": depth,
-        "sequences": rep["sequences"],
-        "checks": rep["checks"],
-    }
+def _verify_denomhom(qtype: str, depth):
+    rep = den_vs_hom_crosscheck(builtin_quiver(qtype))
+    details = {key: rep[key] for key in ("diagram", "tilting_objects", "edges", "paired")}
     return rep["ok"], details, rep["mismatches"][:5] or None
 
 
@@ -336,7 +329,7 @@ def cmd_verify(args, parser) -> int:
         if args.depth == 0:
             parser.error(f"{args.target} needs --depth of at least 1")
     try:
-        ok, details, witness = _VERIFY_DISPATCH[args.target](qtype, args.depth, args.seed)
+        ok, details, witness = _VERIFY_DISPATCH[args.target](qtype, args.depth)
     except (AssertionError, ArithmeticError, RuntimeError) as exc:
         ok = False
         details = {}
@@ -344,7 +337,7 @@ def cmd_verify(args, parser) -> int:
     report = {
         "command": "verify",
         "target": args.target,
-        "parameters": {"type": qtype, "depth": args.depth, "seed": args.seed},
+        "parameters": {"type": qtype, "depth": args.depth},
         "pass": ok,
         "details": details,
         "witness": witness,
@@ -410,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=non_negative_int,
         help=f"mutation depth cutoff, at least 1 (only for {', '.join(DEPTH_TARGETS)})",
     )
-    p_ver.add_argument("--seed", type=int, default=0, help="RNG seed for sampled sweeps")
     p_ver.add_argument("--format", choices=("json", "tsv"), default="json")
 
     p_mut.set_defaults(func=cmd_mutate)

@@ -9,17 +9,22 @@ prints exactly one PASS or FAIL line; run with -s to see the lines live:
 import random
 import time
 
-from test_category import brute_force_tilting_count, ext_c, oracle_hom_c
+from test_category import (
+    brute_force_tilting_count,
+    ext_c,
+    initial_seed_c,
+    mutate_tilting,
+    oracle_hom_c,
+)
 from test_reps import all_indecomposables
 
 from clustercat.bound import counterexample_report
 from clustercat.category import (
     GammaC,
     den_vs_hom_crosscheck,
-    initial_seed_c,
     is_compatible,
     lemma6_check,
-    mutate_tilting,
+    shifted_initial_seed_c,
     theorem1_injectivity,
 )
 from clustercat.laurent import (
@@ -92,16 +97,35 @@ def test_criterion_2_dimension_vectors_determine_objects():
 
 def test_criterion_3_denominators_equal_hom_dimensions():
     def body():
-        rep = den_vs_hom_crosscheck(
-            builtin_quiver("A3"), depth=8, samples=120, rng_seed=0
-        )
-        assert rep["sequences"] >= 100
+        q = builtin_quiver("A3")
+        rep = den_vs_hom_crosscheck(q)
         assert rep["ok"] is True, rep["mismatches"][:3]
-        assert rep["checks"] >= rep["sequences"]
+        assert (rep["tilting_objects"], rep["edges"], rep["paired"]) == (14, 42, 9)
+
+        # the 120 seeded sequences of length 1 to 8 that the sampled check
+        # ran, replayed step by step with the one-step oracle
+        g = GammaC(q)
+        rng = random.Random(0)
+        checks = 0
+        for _ in range(120):
+            seq = [rng.randint(1, 3) for _ in range(rng.randint(1, 8))]
+            ls, cs = initial_seed(exchange_matrix(q)), shifted_initial_seed_c(g)
+            for k in seq:
+                ls, (cs, _) = seed_mutate(ls, k), mutate_tilting(g, cs, k)
+                assert ls.b == cs.b
+                for x, t in zip(ls.cluster, cs.summands, strict=True):
+                    v = g.vertices[t]
+                    if v.is_module:
+                        want = tuple(g.hom_i[p][t] for p in g.proj_i)
+                    else:
+                        want = tuple(-(j == v.shift_vertex) for j in (1, 2, 3))
+                    assert x.denominator_vector() == want, (seq, v.render())
+                    checks += 1
+        assert checks == 1602
 
     run_criterion(
-        3, "den(X) = hom-vector lockstep over 120 random A3 sequences, "
-           "initial variables at -e_j",
+        3, "den(X) = hom-vector over every A3 exchange from P[1], and in "
+           "lockstep over 120 seeded sequences, initial variables at -e_j",
         30.0, body,
     )
 

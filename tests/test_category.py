@@ -15,12 +15,14 @@ two routes share no code.
 import copy
 import dataclasses
 import functools
+import inspect
 import itertools
 import operator
 
 import pytest
 from test_reps import tau, tau_inverse
 
+from clustercat import category
 from clustercat.category import (
     CategorifiedSeed,
     CVertex,
@@ -28,18 +30,18 @@ from clustercat.category import (
     GammaC,
     MultipleComplements,
     NoComplement,
+    _mutated,
+    _partner,
     _theorem1_report,
     den_vs_hom_crosscheck,
     exchange_data,
-    initial_seed_c,
     is_compatible,
     lemma6_check,
-    mutate_tilting,
     shifted_initial_seed_c,
     theorem1_injectivity,
     walk_tilting,
 )
-from clustercat.laurent import explore_exchange_graph
+from clustercat.laurent import LaurentPoly, Seed, explore_exchange_graph, initial_seed, seed_mutate
 from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix, mutate_matrix
 from clustercat.reps import (
     ext1_dim,
@@ -208,13 +210,13 @@ def test_tilting_object_counts_two_routes(name, count):
     reached = expanded_seeds(g)
     assert len(reached) == count
     assert brute_force_tilting_count(g) == count
-    assert reached[0] == initial_seed_c(g)
+    assert reached[0] == shifted_initial_seed_c(g)
 
 
 def test_a1_counts():
     # with one vertex no other summand narrows the partner mask
     g = GammaC(A1)
-    assert [seed.summands for seed in expanded_seeds(g)] == [g.proj_i, g.shift_i]
+    assert [seed.summands for seed in expanded_seeds(g)] == [g.shift_i, g.proj_i]
     assert explore_exchange_graph(exchange_matrix(A1)).cluster_count == 2
     (only,) = enumerate_tilting_modules(A1)
     assert prop8_descent(A1, only)["step_count"] == 0
@@ -271,6 +273,25 @@ def brute_force_partner(g, seed, k):
     return found, middle(1), middle(-1)
 
 
+def initial_seed_c(g):
+    """The projective generator with the quiver's own exchange matrix."""
+    return CategorifiedSeed(g.proj_i, exchange_matrix(g.quiver))
+
+
+def mutate_tilting(g, seed, k):
+    """One-step oracle: replace summand k of any basic seed by its unique
+    exchange partner, with the exchange data of the step. The partner comes
+    from one AND of the other summands' ext_free masks, started from all ones
+    so that it is exact when the summand is the only one; the walker ANDs a
+    prefix and a suffix instead."""
+    if seed.tilting_key.bit_count() != g.quiver.n:
+        raise ValueError("seed is not basic")
+    masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
+    tk_star = _partner(g, seed, k, functools.reduce(operator.and_, masks, (1 << len(g.vertices)) - 1))
+    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+    return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
+
+
 @pytest.mark.parametrize("name", ["A4", "D4", "D6"])
 def test_mask_partner_matches_brute_force_scan(name):
     g = GammaC(QUIVERS[name])
@@ -279,7 +300,7 @@ def test_mask_partner_matches_brute_force_scan(name):
     # and expands the seeds in that order
     expanded = iter([seed for seed, k, _ in edges if k == 1])
     start = next(expanded)
-    assert start == initial_seed_c(g)
+    assert start == shifted_initial_seed_c(g)
     seen = {start.tilting_key}
     for seed, k, tk_star in edges:
         found, e, e_prime = brute_force_partner(g, seed, k)
@@ -333,7 +354,7 @@ def test_walker_expands_each_tilting_object_once():
     edges = list(walk_tilting(g))
     expanded = [seed for seed, k, _ in edges if k == 1]
     assert [k for _, k, _ in edges] == [1, 2, 3, 4] * len(expanded)
-    assert expanded[0] == initial_seed_c(g)
+    assert expanded[0] == shifted_initial_seed_c(g)
     assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
     for s in expanded:
         assert len(set(s.summands)) == 4
@@ -477,10 +498,11 @@ def test_theorem1_injectivity_reports():
 
 def test_theorem1_report_names_two_colliding_columns():
     # a copy of the A3 tables whose column y repeats column x on every row;
-    # both are modules, so the projective generator, expanded first, admits them
+    # neither is in the shift of P[1], expanded first, so P[1] admits them
     g = GammaC(builtin_quiver("A3"))
-    start = initial_seed_c(g)
-    x, y = [m for m, v in enumerate(g.vertices) if v.is_module][:2]
+    start = shifted_initial_seed_c(g)
+    shift = {g.tau_i[t] for t in start.summands}
+    x, y = [m for m in range(len(g.vertices)) if m not in shift][:2]
     assert [g.hom_i[t][x] for t in start.summands] != [g.hom_i[t][y] for t in start.summands]
     bad = copy.copy(g)
     bad.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in g.hom_i)
@@ -534,39 +556,48 @@ def test_theorem1_exhaustive_e8():
     assert rep["propagation_cases"] == 25_080 * 8 * 120
 
 
-def test_den_vs_hom_exhaustive_small_depth():
-    rep = den_vs_hom_crosscheck(builtin_quiver("A2"), depth=4)
+@pytest.mark.parametrize(
+    "quiver,tilting_objects,edges,paired",
+    [
+        (builtin_quiver("A2"), 5, 10, 5),
+        (builtin_quiver("A3"), 14, 42, 9),
+        (builtin_quiver("A4"), 42, 168, 14),
+        (builtin_quiver("D4"), 50, 200, 16),
+        (D5, 182, 910, 25),
+        pytest.param(D6, 672, 4_032, 36, marks=pytest.mark.slow),
+        pytest.param(E6, 833, 4_998, 42, marks=pytest.mark.slow),
+    ],
+    ids=["A2", "A3", "A4", "D4", "D5", "D6", "E6"],
+)
+def test_den_vs_hom_pairs_every_vertex(quiver, tilting_objects, edges, paired):
+    # every edge of the exchange graph pairs its new variable with a vertex,
+    # and every vertex of the category ends up paired, with its hom counts
+    rep = den_vs_hom_crosscheck(quiver)
+    assert rep["ok"] is True, rep["mismatches"][:3]
+    assert (rep["tilting_objects"], rep["edges"], rep["paired"]) == (tilting_objects, edges, paired)
+    assert paired == len(GammaC(quiver).vertices)
+    assert edges == tilting_objects * quiver.n
+
+
+def test_den_vs_hom_mutates_once_per_edge(monkeypatch):
+    # one exchange per edge of one walk, from P[1]; no sequence is replayed
+    calls = []
+    walks = []
+
+    def counting_mutate(s, k, _real=category.seed_mutate):
+        calls.append(k)
+        return _real(s, k)
+
+    def counting_walk(g, _real=category.walk_tilting):
+        walks.append(g)
+        return _real(g)
+
+    monkeypatch.setattr(category, "seed_mutate", counting_mutate)
+    monkeypatch.setattr(category, "walk_tilting", counting_walk)
+    rep = den_vs_hom_crosscheck(builtin_quiver("A3"))
     assert rep["ok"] is True
-    assert rep["mismatches"] == []
-    assert rep["sequences"] == 1 + 2 + 4 + 8 + 16
-
-
-def test_den_vs_hom_exhaustive_walks_the_prefix_tree(monkeypatch):
-    # each of the 3 + 9 + ... + 3^8 nonempty sequences is one mutation of its
-    # parent on both sides: 9,840 steps, where replaying every sequence from
-    # the start takes 73,812
-    import clustercat.category as category
-
-    calls = {"seed_mutate": 0, "mutate_tilting": 0}
-    for name in calls:
-        real = getattr(category, name)
-
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(category, name, counting)
-    rep = den_vs_hom_crosscheck(builtin_quiver("A3"), depth=8)
-    assert rep["ok"] is True
-    assert rep["sequences"] == 9_841
-    assert rep["checks"] == 9_840 * 3
-    assert calls == {"seed_mutate": 9_840, "mutate_tilting": 9_840}
-
-
-def test_den_vs_hom_random_a3():
-    rep = den_vs_hom_crosscheck(builtin_quiver("A3"), depth=6, samples=40, rng_seed=5)
-    assert rep["ok"] is True
-    assert rep["sequences"] == 40
+    assert len(calls) == rep["edges"] == 42
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(
@@ -574,8 +605,86 @@ def test_den_vs_hom_random_a3():
     [(0, 5, "depth"), (-1, None, "depth"), (-1, 5, "depth"), (3, 0, "samples"), (3, -2, "samples")],
 )
 def test_den_vs_hom_rejects_vacuous_sweeps(depth, samples, name):
-    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
-        den_vs_hom_crosscheck(builtin_quiver("A2"), depth=depth, samples=samples)
+    # the check takes only the quiver and walks the whole exchange graph: no
+    # call can ask for a bounded or a sampled sweep, vacuous or not
+    bound = {"depth": depth, "samples": samples}
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        den_vs_hom_crosscheck(builtin_quiver("A2"), **{name: bound[name]})
+    assert list(inspect.signature(den_vs_hom_crosscheck).parameters) == ["quiver"]
+
+
+def crosscheck_mutant(old, new):
+    """A copy of den_vs_hom_crosscheck whose source has ``old`` replaced by
+    ``new``, run in the namespace of the category module."""
+    src = inspect.getsource(category.den_vs_hom_crosscheck)
+    assert src.count(old) == 1
+    namespace = dict(vars(category))
+    exec(compile(src.replace(old, new), category.__file__, "exec"), namespace)
+    return namespace["den_vs_hom_crosscheck"]
+
+
+@pytest.mark.parametrize("name,count", [("A3", 6), ("D4", 12)])
+def test_den_vs_hom_catches_transposed_hom(name, count):
+    # hom(t, P_p) in place of hom(P_p, t): the denominators tell them apart
+    rep = crosscheck_mutant("g.hom_i[p][t]", "g.hom_i[t][p]")(builtin_quiver(name))
+    assert rep["ok"] is False
+    assert len(rep["mismatches"]) == count
+    assert {m["check"] for m in rep["mismatches"]} == {"denominator"}
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4"])
+def test_den_vs_hom_catches_pairing_with_the_removed_summand(name):
+    # the partner is never paired, so the first seed that holds it fails
+    mutant = crosscheck_mutant("paired.setdefault(tk_star, x)", "paired.setdefault(seed.summands[k - 1], x)")
+    with pytest.raises(KeyError):
+        mutant(builtin_quiver(name))
+
+
+@pytest.mark.parametrize("name,edges", [("A3", 42), ("D4", 200)])
+def test_den_vs_hom_catches_a_wrong_exchange_as_a_path_clash(monkeypatch, name, edges):
+    # the last edge of the walk lands on a paired vertex; a wrong polynomial
+    # there disagrees with the one the vertex was paired with on another path
+    quiver = builtin_quiver(name)
+    calls = []
+
+    def tampered(s, k, _real=category.seed_mutate):
+        out = _real(s, k)
+        calls.append(k)
+        if len(calls) < edges:
+            return out
+        wrong = out.cluster[k - 1] + LaurentPoly.one(quiver.n)
+        return Seed(out.b, out.cluster[: k - 1] + (wrong,) + out.cluster[k:])
+
+    monkeypatch.setattr(category, "seed_mutate", tampered)
+    rep = den_vs_hom_crosscheck(quiver)
+    assert len(calls) == edges
+    assert rep["ok"] is False
+    (clash,) = rep["mismatches"]
+    assert clash["check"] == "path"
+    assert clash["reached"] != clash["paired"]
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [builtin_quiver("A3"), builtin_quiver("D4"), D5, pytest.param(E6, marks=pytest.mark.slow)],
+    ids=["A3", "D4", "D5", "E6"],
+)
+def test_walk_expands_in_explore_discovery_order(quiver):
+    # from P[1], the walker expands the tilting objects in the order in which
+    # explore_exchange_graph discovers their clusters: the k-th object's
+    # labelled matrix is the k-th seed's, and its paired variables are the
+    # k-th cluster key
+    b = exchange_matrix(quiver)
+    g = GammaC(quiver)
+    paired = dict(zip(g.shift_i, initial_seed(b).cluster))
+    expanded = []
+    for seed, k, tk_star in walk_tilting(g):
+        cluster = tuple(paired[t] for t in seed.summands)
+        if k == 1:
+            expanded.append((seed.b, frozenset(cluster)))
+        paired.setdefault(tk_star, seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1])
+    res = explore_exchange_graph(b)
+    assert expanded == [(s.b, key) for key, s in res.seeds.items()]
 
 
 def test_rejects_non_dynkin():

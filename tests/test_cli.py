@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from test_category import crosscheck_mutant
+
 from clustercat import bound, cli
 
 
@@ -125,10 +127,30 @@ def test_denominators_reports_are_pinned(capsys, tmp_path, monkeypatch, name, de
     [
         (["corollary4", "--type", "D4"], "df8564cbc789f79623c9ba7d86f716ac7e86c64f8f94abb2dd5f4b3ee3e35797"),
         (["corollary5"], "608abe644d7631537490b20e7df94fcde42fb676b421ab7ad2ddc19663095304"),
+        (["theorem1", "--type", "A2"], "e5c6b54471dd952e185fc2c7ff50e7bb416686a9f7b433ea2236d1ae2179cb74"),
+        (["theorem1", "--type", "A3"], "5b0ef4ccb2c29a7cab0b7e6fd616e91ef9e325d0a05c0a5e141ca45c86bd999f"),
+        (["theorem1", "--type", "A4"], "f46601a1c04ad8654c86fcca71a3351586c7d1454415881a1f26fb28e2c64bef"),
+        (["theorem1", "--type", "D4"], "05ddf1431b2b6c2c842944a0fb46bce0f2271ae909ca39c87f9f00f232b50708"),
+        (["lemma67", "--type", "A2"], "04267c6c4adeaf12302b4a1eeda7f5756f92b554cae5fa346dea713a517e5e31"),
+        (["lemma67", "--type", "A3"], "d0effce1370c1e90331cc8ac821a75ccc93ab8a4d4e5b82602b98bf4286782d5"),
+        (["lemma67", "--type", "A4"], "44956f5199b2a9f52d7eac03da970067e41ae683e88545c6c0f0a3e92305ac99"),
+        (["lemma67", "--type", "D4"], "1277b12a0be63e12a6a7ae96a12520cd649ba63470b83a5dc97627548c03e6cb"),
+        (["prop8", "--type", "A2"], "42ed09c9c8840699c5695bdc62317093de01f695f33b0eb5051eb78f4685dc05"),
+        (["prop8", "--type", "A3"], "5533bcb17e3ec1e42d7bc3b4e22a932926410856d67ce74d75aa9ef007c39e48"),
+        (["prop8", "--type", "A4"], "54569ce79ce3f0ff99364659859c3f05ab0d7012aa74e9be54f2326c59aec568"),
+        (["prop8", "--type", "D4"], "35b6c9678607d742d81d517181bb302c1ad5e0be911b353c545b4ae8957fa88f"),
+        (["counterexample"], "2a0fbc4f72b3a542d00f3a2ed8ed4e655a52ef7a54e85c63b2b5f8013c3191db"),
     ],
-    ids=["corollary4-D4", "corollary5"],
+    ids=[
+        "corollary4-D4",
+        "corollary5",
+        *(f"{target}-{name}" for target in ("theorem1", "lemma67", "prop8") for name in ("A2", "A3", "A4", "D4")),
+        "counterexample",
+    ],
 )
 def test_verify_details_are_pinned(capsys, argv, digest):
+    # digests of the parent of the walker's move to P[1]: only denomhom's
+    # details changed with it
     code, rep = run_json(capsys, "verify", *argv)
     assert code == 0 and rep["pass"] is True
     assert _sha256(json.dumps(rep["details"], sort_keys=True)) == digest
@@ -288,14 +310,33 @@ def test_verify_failure_reported_with_witness(capsys, monkeypatch):
     assert rep["witness"] is not None
 
 
-def test_verify_denomhom_seeded(capsys):
-    code, rep = run_json(
-        capsys, "verify", "denomhom", "--type", "A2", "--depth", "4", "--seed", "1"
-    )
+def test_verify_denomhom_walks_every_edge(capsys):
+    code, rep = run_json(capsys, "verify", "denomhom", "--type", "A3")
     assert code == 0
     assert rep["pass"] is True
-    assert rep["parameters"]["seed"] == 1
-    assert rep["details"]["sequences"] == 120
+    assert rep["parameters"] == {"type": "A3", "depth": None}
+    assert rep["details"] == {"diagram": "A3", "tilting_objects": 14, "edges": 42, "paired": 9}
+    assert rep["witness"] is None
+
+
+def test_verify_denomhom_mismatch_exits_1_with_five_witnesses(capsys, monkeypatch):
+    # the copy that reads hom(t, P_p) misses 12 denominators on D4
+    mutant = crosscheck_mutant("g.hom_i[p][t]", "g.hom_i[t][p]")
+    monkeypatch.setattr(cli, "den_vs_hom_crosscheck", mutant)
+    code, rep = run_json(capsys, "verify", "denomhom", "--type", "D4")
+    assert code == 1
+    assert rep["pass"] is False
+    assert rep["details"] == {"diagram": "D4", "tilting_objects": 50, "edges": 200, "paired": 16}
+    assert len(rep["witness"]) == 5
+    assert {w["check"] for w in rep["witness"]} == {"denominator"}
+
+
+def test_seed_is_usage_error(capsys):
+    # no verify target samples, so there is no seed to pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "theorem1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_module_entry_point_writes_nothing_to_stderr():
@@ -336,7 +377,7 @@ def test_two_cycle_quiver_is_usage_error(capsys, tmp_path, command):
         ["denominators", "--type", "A2", "--depth", "-1"],
         ["verify", "corollary5", "--depth", "-1"],
         ["verify", "theorem1", "--type", "A2", "--depth", "-1"],
-        ["verify", "denomhom", "--type", "A2", "--depth", "0"],
+        ["verify", "denomhom", "--type", "A2", "--depth", "3"],
         ["verify", "corollary5", "--depth", "0"],
     ],
 )
@@ -354,6 +395,7 @@ def test_bad_depth_is_usage_error(capsys, argv):
         ["counterexample"],
         ["prop8", "--type", "A2"],
         ["lemma67", "--type", "A2"],
+        ["denomhom", "--type", "A2"],
     ],
 )
 def test_depth_is_usage_error_where_unread(capsys, argv):
