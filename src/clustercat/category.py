@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import and_, or_
 from typing import Iterable, Iterator
 
-from .laurent import LaurentPoly, Seed, seed_mutate
+from .laurent import explore_exchange_graph
 from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
 from .reps import euler_data, injective_dims, projective_dims
 
@@ -514,37 +514,46 @@ def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
     """Pair every vertex with a cluster variable along one walk of the
     tilting objects, and compare its denominator with its hom counts.
 
-    The walk starts at P[1], and P_i[1] is paired with x_i. On each edge the
-    seed's paired variables mutate at k, and the new variable is paired with
-    ``tk_star``; a vertex already paired with another polynomial is a
-    mismatch, since the pairing would depend on the path. The walk takes
-    every edge of the exchange graph, so this covers every mutation sequence
-    of any length. Then every vertex must be paired, and the denominator
-    vector of its variable must be its hom counts (hom(P_p, t))_p from the
-    projectives, or -e_j at P_j[1].
+    The walk from P[1] expands the objects in the order in which one
+    ``explore_exchange_graph`` finds their seeds; an object whose matrix is
+    not its seed's, or a walk and an exploration of different lengths, is an
+    ``order`` mismatch that ends the walk. Each object pairs its summands with
+    its seed's cluster, and each edge pairs ``tk_star`` with the variable that
+    explore's mutation of that seed at k made; a vertex already paired with
+    another polynomial is a ``path`` mismatch. The walk takes every edge of
+    the exchange graph, so this covers every mutation sequence. Then every
+    vertex must be paired, and the denominator vector of its variable must be
+    its hom counts (hom(P_p, t))_p from the projectives, or -e_j at P_j[1].
     """
     g = GammaC(quiver)
-    n = quiver.n
-    paired = {t: LaurentPoly.variable(n, i) for i, t in enumerate(g.shift_i, 1)}
+    res = explore_exchange_graph(exchange_matrix(quiver))
+    expansions = [*zip(res.seeds.values(), res.mutations), (None, ())]  # the last marks explore's end
+    paired, mismatches = {}, []
     tilting_objects = edges = 0
-    mismatches: list[dict] = []
-    for seed, k, tk_star in walk_tilting(g):
-        tilting_objects += k == 1
-        edges += 1
-        cluster = tuple(paired[t] for t in seed.summands)
-        x = seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1]
-        first = paired.setdefault(tk_star, x)
+
+    def render(seed):
+        return [g.vertices[t].render() for t in seed.summands]
+
+    def pair(t, x, seed, k):
+        first = paired.setdefault(t, x)
         if first != x:
-            mismatches.append(
-                {
-                    "check": "path",
-                    "summand": g.vertices[tk_star].render(),
-                    "tilting": [g.vertices[t].render() for t in seed.summands],
-                    "k": k,
-                    "paired": first.render(),
-                    "reached": x.render(),
-                }
-            )
+            where = {"summand": g.vertices[t].render(), "tilting": render(seed), "k": k}
+            mismatches.append({"check": "path", **where, "paired": first.render(), "reached": x.render()})
+
+    for seed, k, tk_star in walk_tilting(g):
+        if k == 1:
+            s, made = expansions[tilting_objects]
+            if s is None or s.b != seed.b:
+                mismatches.append({"check": "order", "position": tilting_objects, "tilting": render(seed)})
+                break
+            tilting_objects += 1
+            for j, (t, x) in enumerate(zip(seed.summands, s.cluster), 1):
+                pair(t, x, seed, j)
+        edges += 1
+        pair(tk_star, made[k - 1], seed, k)
+    else:
+        if expansions[tilting_objects][0] is not None:  # explore found more seeds than the walk
+            mismatches.append({"check": "order", "position": tilting_objects, "tilting": None})
     for t, v in enumerate(g.vertices):
         if t not in paired:
             mismatches.append({"check": "unpaired", "summand": v.render()})
@@ -553,17 +562,10 @@ def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
         if v.is_module:
             want = tuple(g.hom_i[p][t] for p in g.proj_i)
         else:
-            want = tuple(-(j == v.shift_vertex) for j in range(1, n + 1))
+            want = tuple(-(j == v.shift_vertex) for j in range(1, quiver.n + 1))
         if den != want:
-            mismatches.append(
-                {
-                    "check": "denominator",
-                    "summand": v.render(),
-                    "variable": paired[t].render(),
-                    "denominator": list(den),
-                    "hom_vector": list(want),
-                }
-            )
+            got = {"summand": v.render(), "variable": paired[t].render(), "denominator": list(den)}
+            mismatches.append({"check": "denominator", **got, "hom_vector": list(want)})
     return {
         "diagram": g.diagram.label,
         "tilting_objects": tilting_objects,

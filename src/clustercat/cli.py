@@ -39,15 +39,6 @@ from .quivers import (
 )
 from .tilting import enumerate_tilting_modules, prop8_descent
 
-VERIFY_TARGETS = (
-    "theorem1",
-    "corollary4",
-    "corollary5",
-    "counterexample",
-    "prop8",
-    "lemma67",
-    "denomhom",
-)
 # the only target that reads --depth; it needs at least one mutation step
 DEPTH_TARGETS = ("corollary5",)
 DYNKIN_TYPES = ("A2", "A3", "A4", "D4")
@@ -396,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one named verification sweep",
         epilog=BUILTIN_DOC,
     )
-    p_ver.add_argument("target", choices=VERIFY_TARGETS)
+    p_ver.add_argument("target", choices=_VERIFY_DISPATCH)
     p_ver.add_argument("--type", choices=BUILTIN_QUIVER_NAMES)
     p_ver.add_argument(
         "--depth",

@@ -347,15 +347,18 @@ class ExplorationResult:
     """Breadth-first exploration summary.
 
     seeds maps each cluster key (the frozenset of its polynomials) to the
-    first seed found with that cluster; variables collects every cluster
-    variable expressed in the initial cluster's coordinates. truncated means
-    the depth cutoff hid at least one unvisited cluster.
+    first seed found with that cluster, in discovery order; variables collects
+    every cluster variable expressed in the initial cluster's coordinates.
+    truncated means the depth cutoff hid at least one unvisited cluster.
+    mutations gives each expanded seed, in the order of seeds, the variables
+    its mutations at k = 1..n make; a cutoff leaves the last layer unexpanded.
     """
 
     seeds: dict[frozenset[LaurentPoly], Seed]
     variables: set[LaurentPoly]
     truncated: bool
     depth_reached: int
+    mutations: list[tuple[LaurentPoly, ...]]
 
     @property
     def cluster_count(self) -> int:
@@ -390,6 +393,7 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     the variable found under d(x_k'), read off the factors by the max rule, if
     x_k times it is P (a proof in Z[x^+-1]), else divides: once per new variable
     where denominator vectors separate variables (finite type, Fomin-Zelevinsky).
+    An expanded seed's mutation tuple is read off the ids its exchanges yield.
     """
     if max_depth is None:
         cls = classify_diagram(quiver_from_matrix(b))
@@ -421,11 +425,12 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
                     exchanged[old, rel], exchanged[new, frozenset((i, -bik) for i, bik in rel)] = new, old
                 yield s, c, k, new, key ^ (1 << old) ^ (1 << new)
 
-    seeds, depth = {(1 << n) - 1: start}, 0  # by key, in discovery order
+    seeds, depth, made = {(1 << n) - 1: start}, 0, []  # by key, in discovery order
     layer = [(start, tuple(range(n)), (1 << n) - 1)]
     while layer and (max_depth is None or depth < max_depth):
         next_layer = []
         for s, c, k, new, key in exchanges(layer):
+            made.append(polys[new])
             if key not in seeds:
                 t_ids = c[:k] + (new,) + c[k + 1 :]
                 seeds[key] = t = Seed(mutate_matrix(s.b, k + 1), tuple(polys[i] for i in t_ids))
@@ -434,7 +439,9 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
         layer = next_layer
     variables = set(polys)  # the probe's new variables lie in no recorded cluster
     truncated = any(key not in seeds for *_, key in exchanges(layer))
-    return ExplorationResult({frozenset(t.cluster): t for t in seeds.values()}, variables, truncated, depth)
+    mutations = list(zip(*[iter(made)] * n))  # n variables per expanded seed
+    clusters = {frozenset(t.cluster): t for t in seeds.values()}
+    return ExplorationResult(clusters, variables, truncated, depth, mutations)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import json
 import operator
 
 import pytest
 from test_reps import tau, tau_inverse
 
-from clustercat import category
+from clustercat import category, cli, laurent
 from clustercat.category import (
     CategorifiedSeed,
     CVertex,
@@ -564,10 +565,11 @@ def test_theorem1_exhaustive_e8():
         (builtin_quiver("A4"), 42, 168, 14),
         (builtin_quiver("D4"), 50, 200, 16),
         (D5, 182, 910, 25),
-        pytest.param(D6, 672, 4_032, 36, marks=pytest.mark.slow),
-        pytest.param(E6, 833, 4_998, 42, marks=pytest.mark.slow),
+        (D6, 672, 4_032, 36),
+        (E6, 833, 4_998, 42),
+        (E7, 4_160, 29_120, 70),
     ],
-    ids=["A2", "A3", "A4", "D4", "D5", "D6", "E6"],
+    ids=["A2", "A3", "A4", "D4", "D5", "D6", "E6", "E7"],
 )
 def test_den_vs_hom_pairs_every_vertex(quiver, tilting_objects, edges, paired):
     # every edge of the exchange graph pairs its new variable with a vertex,
@@ -579,25 +581,34 @@ def test_den_vs_hom_pairs_every_vertex(quiver, tilting_objects, edges, paired):
     assert edges == tilting_objects * quiver.n
 
 
-def test_den_vs_hom_mutates_once_per_edge(monkeypatch):
-    # one exchange per edge of one walk, from P[1]; no sequence is replayed
-    calls = []
-    walks = []
+def test_den_vs_hom_reads_one_exploration(monkeypatch):
+    # one exploration and one walk; every variable is explore's, which divides
+    # once per variable outside the initial cluster, and no seed is mutated
+    explorations, walks, divisions = [], [], []
 
-    def counting_mutate(s, k, _real=category.seed_mutate):
-        calls.append(k)
-        return _real(s, k)
+    def counting_explore(b, _real=category.explore_exchange_graph):
+        explorations.append(b)
+        return _real(b)
 
     def counting_walk(g, _real=category.walk_tilting):
         walks.append(g)
         return _real(g)
 
-    monkeypatch.setattr(category, "seed_mutate", counting_mutate)
+    def counting_div(p, q, _real=LaurentPoly.exact_div):
+        divisions.append(q)
+        return _real(p, q)
+
+    def no_mutate(s, k):
+        raise AssertionError("seed_mutate called")
+
+    monkeypatch.setattr(category, "explore_exchange_graph", counting_explore)
     monkeypatch.setattr(category, "walk_tilting", counting_walk)
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting_div)
+    monkeypatch.setattr(laurent, "seed_mutate", no_mutate)
     rep = den_vs_hom_crosscheck(builtin_quiver("A3"))
     assert rep["ok"] is True
-    assert len(calls) == rep["edges"] == 42
-    assert len(walks) == 1
+    assert len(explorations) == len(walks) == 1
+    assert len(divisions) == rep["paired"] - 3 == 6
 
 
 @pytest.mark.parametrize(
@@ -634,10 +645,14 @@ def test_den_vs_hom_catches_transposed_hom(name, count):
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
 def test_den_vs_hom_catches_pairing_with_the_removed_summand(name):
-    # the partner is never paired, so the first seed that holds it fails
-    mutant = crosscheck_mutant("paired.setdefault(tk_star, x)", "paired.setdefault(seed.summands[k - 1], x)")
-    with pytest.raises(KeyError):
-        mutant(builtin_quiver(name))
+    # the removed summand is paired already, with the variable the mutation
+    # removes, so every edge clashes
+    old = "pair(tk_star, made[k - 1], seed, k)"
+    mutant = crosscheck_mutant(old, old.replace("tk_star", "seed.summands[k - 1]"))
+    rep = mutant(builtin_quiver(name))
+    assert rep["ok"] is False
+    assert len(rep["mismatches"]) == rep["edges"]
+    assert {m["check"] for m in rep["mismatches"]} == {"path"}
 
 
 @pytest.mark.parametrize("name,edges", [("A3", 42), ("D4", 200)])
@@ -645,23 +660,50 @@ def test_den_vs_hom_catches_a_wrong_exchange_as_a_path_clash(monkeypatch, name, 
     # the last edge of the walk lands on a paired vertex; a wrong polynomial
     # there disagrees with the one the vertex was paired with on another path
     quiver = builtin_quiver(name)
-    calls = []
 
-    def tampered(s, k, _real=category.seed_mutate):
-        out = _real(s, k)
-        calls.append(k)
-        if len(calls) < edges:
-            return out
-        wrong = out.cluster[k - 1] + LaurentPoly.one(quiver.n)
-        return Seed(out.b, out.cluster[: k - 1] + (wrong,) + out.cluster[k:])
+    def tampered(b, _real=category.explore_exchange_graph):
+        res = _real(b)
+        *made, last = res.mutations[-1]
+        res.mutations[-1] = (*made, last + LaurentPoly.one(quiver.n))
+        return res
 
-    monkeypatch.setattr(category, "seed_mutate", tampered)
+    monkeypatch.setattr(category, "explore_exchange_graph", tampered)
     rep = den_vs_hom_crosscheck(quiver)
-    assert len(calls) == edges
+    assert rep["edges"] == edges
     assert rep["ok"] is False
     (clash,) = rep["mismatches"]
     assert clash["check"] == "path"
     assert clash["reached"] != clash["paired"]
+
+
+@pytest.mark.parametrize(
+    "tamper,position,tilting",
+    [
+        (lambda seeds, made: (seeds[1:], made[1:]), 0, ["SP(1)", "SP(2)", "SP(3)"]),
+        (lambda seeds, made: (seeds[:-1], made[:-1]), 13, ["M(1,1,1)", "M(0,1,1)", "M(0,0,1)"]),
+        (lambda seeds, made: (seeds + [(frozenset(), seeds[0][1])], made + made[:1]), 14, None),
+    ],
+    ids=["out-of-step", "walk-longer", "explore-longer"],
+)
+def test_den_vs_hom_catches_an_exploration_out_of_step(monkeypatch, capsys, tamper, position, tilting):
+    # the walk and the exploration must expand the same matrices in the same
+    # order and end together; the first object where they part is named
+    def tampered(b, _real=category.explore_exchange_graph):
+        res = _real(b)
+        seeds, mutations = tamper(list(res.seeds.items()), res.mutations)
+        return dataclasses.replace(res, seeds=dict(seeds), mutations=mutations)
+
+    monkeypatch.setattr(category, "explore_exchange_graph", tampered)
+    rep = den_vs_hom_crosscheck(builtin_quiver("A3"))
+    assert rep["ok"] is False
+    assert rep["tilting_objects"] == position
+    assert [m for m in rep["mismatches"] if m["check"] != "unpaired"] == [
+        {"check": "order", "position": position, "tilting": tilting}
+    ]
+    code = cli.main(["verify", "denomhom", "--type", "A3"])
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert code == 1
+    assert witness[0] == {"check": "order", "position": position, "tilting": tilting}
 
 
 @pytest.mark.parametrize(

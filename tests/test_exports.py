@@ -150,15 +150,30 @@ def test_every_export_has_a_caller():
     assert ORACLES.keys() <= uncalled
 
 
-@pytest.mark.parametrize("module", ["reps", "bound", "linalg"])
-def test_module_layer_imports_nothing_from_laurent(module):
-    # modules, their bound quotients and the matrix kernel do not depend on
-    # cluster variables
+def _imports(module):
+    """Every module a clustercat module imports, and every name it imports
+    from one, as (module, name) pairs; name is None for a plain import."""
     path = Path(clustercat.__file__).parent / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
-            imported |= {node.module or ""} | {alias.name for alias in node.names}
+            imported |= {(node.module or "", alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-    assert [name for name in imported if name.rpartition(".")[2] == "laurent"] == []
+            imported |= {(alias.name, None) for alias in node.names}
+    return imported
+
+
+@pytest.mark.parametrize("module", ["reps", "bound", "linalg"])
+def test_module_layer_imports_nothing_from_laurent(module):
+    # modules, their bound quotients and the matrix kernel do not depend on
+    # cluster variables
+    names = {name for pair in _imports(module) for name in pair if name}
+    assert [name for name in names if name.rpartition(".")[2] == "laurent"] == []
+
+
+def test_category_layer_reads_laurent_only_through_explore():
+    # the category compares its pairing with explore's variables and does no
+    # Laurent arithmetic of its own
+    imported = _imports("category")
+    from_laurent = {(mod, name) for mod, name in imported if "laurent" in (mod.rpartition(".")[2], name)}
+    assert from_laurent == {("laurent", "explore_exchange_graph")}

@@ -400,6 +400,18 @@ def test_affine_exchange_table_matches_plain_bfs(depth):
     assert (res.truncated, res.depth_reached) == (truncated, depth_reached) == (True, depth)
 
 
+@pytest.mark.parametrize("name,depth", [("A3", None), ("D4", None), ("Atilde21", 3)])
+def test_mutations_are_seed_mutate_of_each_expanded_seed(name, depth):
+    # explore's tuple for each expanded seed holds seed_mutate's variables at
+    # k = 1..n; a cutoff leaves the seeds found at the last depth without one
+    b = exchange_matrix(builtin_quiver(name))
+    res = explore_exchange_graph(b, max_depth=depth)
+    inner = res if depth is None else explore_exchange_graph(b, max_depth=depth - 1)
+    assert len(res.mutations) == inner.cluster_count
+    for s, made in zip(res.seeds.values(), res.mutations):
+        assert made == tuple(seed_mutate(s, k).cluster[k - 1] for k in range(1, len(b) + 1))
+
+
 @pytest.mark.slow
 def test_explore_e8_exhaustive():
     # the Fomin-Zelevinsky counts for E8, and denominator vectors separate
