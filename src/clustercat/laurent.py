@@ -314,11 +314,15 @@ def initial_seed(b) -> Seed:
 
 
 def _product(side, polys, products) -> LaurentPoly:
-    """prod polys[i]^e over the pairs (i, e) of side, kept in products with its prefixes."""
-    if side not in products:
-        f = polys[side[-1][0]] ** side[-1][1]
-        products[side] = _product(side[:-1], polys, products) * f if len(side) > 1 else f
-    return products[side]
+    """prod polys[i]^e over the pairs (i, e) of side, kept in products if it
+    has one or two factors: a longer side is never met twice."""
+    if side in products:
+        return products[side]
+    f = polys[side[-1][0]] ** side[-1][1]
+    p = _product(side[:-1], polys, products) * f if len(side) > 1 else f
+    if len(side) < 3:
+        products[side] = p
+    return p
 
 
 def _exchange_binomial(column, polys, products) -> LaurentPoly:
@@ -389,7 +393,7 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     only for a new cluster. Inside, a variable is an id interned by polynomial
     equality, a cluster's key is the bitmask of its ids, and the exchange table
     maps (x_k, {(x_i, b_ik) : b_ik != 0}) to x_k' and back. A miss builds the
-    binomial P from products kept for the call with their prefixes and takes
+    binomial P, keeping its sides of one or two factors for the call, and takes
     the variable found under d(x_k'), read off the factors by the max rule, if
     x_k times it is P (a proof in Z[x^+-1]), else divides: once per new variable
     where denominator vectors separate variables (finite type, Fomin-Zelevinsky).

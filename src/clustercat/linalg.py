@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ints, with a ``fractions.Fraction``
 only where a value is not integral.  Ranks, kernels and solutions all come
-from one integer elimination kernel: each row is scaled to Python ints (an
-all-int row is copied as it is) and reduced by fraction-free Gauss-Jordan
-steps that keep each row primitive by its gcd; an answer read off a pivot
-row is a Fraction only where the pivot does not divide.  Shapes are carried
+from one forward elimination over sparse integer rows: each row, dense or a
+``{column: value}`` dict, is scaled to Python ints once and cleared at its
+leading column by the pivot row stored there, fraction-free and divided by
+its content.  ``rank`` counts the pivot rows; ``nullspace`` and
+``solve_matrix`` back-substitute on them, and an answer read off a pivot row
+is a Fraction only where the pivot does not divide.  Shapes are carried
 explicitly because zero-row and zero-column matrices are legitimate values
 here (representations routinely have zero-dimensional vertex spaces).
 
@@ -20,6 +22,7 @@ from typing import Iterable, Sequence
 
 Row = list[int | Fraction]
 Matrix = list[Row]
+SparseRow = dict[int, int | Fraction]
 
 __all__ = [
     "frac",
@@ -52,10 +55,7 @@ def zeros(r: int, c: int) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def shape_of(m: Matrix, rows: int, cols: int) -> tuple[int, int]:
@@ -91,87 +91,86 @@ def transpose(a: Matrix, cols: int | None = None) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _echelon(a: Matrix, full: bool = True) -> tuple[list[list[int]], list[int]]:
-    """Integer echelon form of ``a`` and its pivot columns.
-
-    Rows are scaled to integers, then eliminated fraction-free: under pivot
-    p, a row with entry f becomes (p/g)*row - (f/g)*pivot_row, g = gcd(p, f),
-    divided by its content; a unit pivot touches only its row's support.
-    ``full`` clears pivot columns above the pivots too (a rank needs only
-    forward steps), so pivot row r is a multiple of row r of the reduced form.
-    """
-    m = []
-    for row in a:
-        if set(map(type, row)) <= {int}:
-            m.append(list(row))
+def _clear(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """``row`` with its entry f at c cleared by the pivot row with entry p > 0
+    there: (p/g)*row - (f/g)*prow, g = gcd(p, f), divided by its content,
+    which is row - (f/p)*prow in place when p divides f."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    if a > 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        if x := row.get(j, 0) - b * y:
+            row[j] = x
         else:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
-    pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        # the smallest pivot keeps the entries small
-        col = [(abs(row[c]), i) for i, row in enumerate(m[r:], r) if row[c]]
-        if not col:
-            continue
-        best, pr = min(col)
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r] = m[r] if m[r][c] > 0 else [-x for x in m[r]]
-        support = [j for j, y in enumerate(prow) if y]
-        for i in range(0 if full else r + 1, len(m)):
-            f = m[i][c]
-            if not f or i == r:
-                continue
-            if best == 1:
-                row = m[i]
-                for j in support:
-                    row[j] -= f * prow[j]
-            else:
-                g = gcd(best, f)
-                row = [best // g * x - f // g * y for x, y in zip(m[i], prow)]
-                g = gcd(*row) or 1
-                m[i] = [x // g for x in row]
-        pivots.append(c)
-        if len(pivots) == len(m):
-            break
-    return m, pivots
+            del row[j]
+    if a > 1 and (g := gcd(*row.values())) > 1:
+        row = {j: x // g for j, x in row.items()}
+    return row
 
 
-def rank(a: Matrix) -> int:
-    return len(_echelon(a, full=False)[1])
+def _echelon(a: Iterable[Row | SparseRow]) -> dict[int, dict[int, int]]:
+    """The pivot rows of ``a`` by pivot column, each positive at its pivot:
+    each row, scaled to integers once, is cleared at its leading column by the
+    pivot row stored there until it is zero or becomes that column's pivot row."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in a:
+        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        if not set(map(type, row.values())) <= {int}:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+                break
+            row = _clear(row, pivots[c], c)
+    return pivots
+
+
+def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Back-substitute, last pivot first: each pivot row becomes a multiple of the reduced form's."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            row = _clear(row, pivots[j], j)
+        pivots[c] = row
+    return pivots
+
+
+def rank(a: Matrix | list[SparseRow]) -> int:
+    return len(_echelon(a))
 
 
 def _quotient(p: int, q: int) -> int | Fraction:
     return p // q if p % q == 0 else Fraction(p, q)
 
 
-def nullspace(a: Matrix, cols: int) -> Matrix:
+def nullspace(a: Matrix | list[SparseRow], cols: int) -> Matrix:
     """Basis of the right kernel of ``a`` (a has ``cols`` columns)."""
-    m, pivots = _echelon(a)
-    basis = []
-    for fc in sorted(set(range(cols)) - set(pivots)):
-        v = [0] * cols
-        v[fc] = 1
-        for row, pc in zip(m, pivots):
-            if row[fc]:
-                v[pc] = _quotient(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    pivots = _reduced(_echelon(a))
+    basis = {fc: [int(j == fc) for j in range(cols)] for fc in range(cols) if fc not in pivots}
+    for pc, row in pivots.items():
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = _quotient(-x, row[pc])
+    return list(basis.values())
 
 
-def solve_matrix(a: Matrix, b: Matrix, cols: int) -> Matrix | None:
+def solve_matrix(a: Matrix | list[SparseRow], b: Matrix, cols: int) -> Matrix | None:
     """The solution X of a*X = b (``cols`` columns in a) that is zero on every
     free variable, or None if the system is inconsistent."""
-    m, pivots = _echelon([list(row) + list(rhs) for row, rhs in zip(a, b)])
-    if pivots and pivots[-1] >= cols:
+    rows = (row if isinstance(row, dict) else dict(enumerate(row)) for row in a)
+    pivots = _echelon([row | dict(enumerate(rhs, cols)) for row, rhs in zip(rows, b)])
+    if any(c >= cols for c in pivots):
         return None
     x = zeros(cols, len(b[0]) if b else 0)
-    for row, pc in zip(m, pivots):
-        x[pc] = [_quotient(y, row[pc]) for y in row[cols:]]
+    for pc, row in _reduced(pivots).items():
+        x[pc] = [_quotient(row.get(j, 0), row[pc]) for j in range(cols, cols + len(x[pc]))]
     return x
 
 
-def solve(a: Matrix, b: Sequence, cols: int) -> Row | None:
+def solve(a: Matrix | list[SparseRow], b: Sequence, cols: int) -> Row | None:
     """One solution of a*x = b, or None if inconsistent."""
     if not a:
         return [0] * cols if not any(b) else None

@@ -241,20 +241,15 @@ class HomSpace:
     basis: list[tuple[Matrix, ...]]
 
 
-def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[list[int]], list[int]]:
-    """The commuting-square system f -> (N_a f_s - f_t M_a)_a, one integer
-    row per nonzero equation, over the variables of the vertexwise maps f_v
-    laid out vertex by vertex, each row-major; also the offset of each
-    vertex's block and, last, the variable count."""
+def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[dict[int, int]], list[int]]:
+    """The commuting-square system f -> (N_a f_s - f_t M_a)_a, one sparse
+    integer row per nonzero equation, over the variables of the vertexwise
+    maps f_v laid out vertex by vertex, each row-major; also the offset of
+    each vertex's block and, last, the variable count."""
     offsets = [0]
     for v in range(len(dims_m)):
         offsets.append(offsets[-1] + dims_n[v] * dims_m[v])
-    nvars = offsets[-1]
-
-    def var(v, r, c):
-        return offsets[v] + r * dims_m[v] + c
-
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for idx, (s, t) in enumerate(arrows):
         u, v = s - 1, t - 1
         # one common scale per arrow keeps its square's equations integral
@@ -263,16 +258,13 @@ def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[list[int]
         ma, na = pair if den == 1 else (
             [[x.numerator * den // x.denominator for x in row] for row in m] for m in pair
         )
+        # with no loops the f_t and f_s terms share no variable
         for r in range(dims_n[v]):
+            ft = offsets[v] + r * dims_m[v]
             for c in range(dims_m[u]):
-                row = [0] * nvars
-                for k in range(dims_m[v]):
-                    if ma[k][c]:
-                        row[var(v, r, k)] -= ma[k][c]
-                for k in range(dims_n[u]):
-                    if na[r][k]:
-                        row[var(u, k, c)] += na[r][k]
-                if any(row):
+                row = {ft + k: -ma[k][c] for k in range(dims_m[v]) if ma[k][c]}
+                row.update((offsets[u] + k * dims_m[u] + c, x) for k, x in enumerate(na[r]) if x)
+                if row:
                     rows.append(row)
     return rows, offsets
 
@@ -307,16 +299,16 @@ def euler_data(q: Quiver) -> EulerData:
     return EulerData(q)
 
 
-def _relation_rows(m: Representation, n: Representation) -> Matrix:
+def _relation_rows(m: Representation, n: Representation) -> list[linalg.SparseRow]:
     """The map phi -> sum_i N(a_{i+1}..a_l) phi_{a_i} M(a_1..a_{i-1}) on each
-    relation a_1..a_l, one row per entry of Hom_k(M_s, N_t) of the relation,
-    over the variables of the arrowwise maps phi_a laid out arrow by arrow,
-    each row-major."""
+    relation a_1..a_l, one sparse row per entry of Hom_k(M_s, N_t) of the
+    relation, over the variables of the arrowwise maps phi_a laid out arrow
+    by arrow, each row-major."""
     arrows = m.quiver.arrows
     offsets = [0]
     for s, t in arrows:
         offsets.append(offsets[-1] + n.dims[t - 1] * m.dims[s - 1])
-    rows: Matrix = []
+    rows: list[linalg.SparseRow] = []
     for rel in m.algebra.relations:
         start, end = arrows[rel[0]][0], arrows[rel[-1]][1]
         terms = [
@@ -326,13 +318,14 @@ def _relation_rows(m: Representation, n: Representation) -> Matrix:
         ]
         for r in range(n.dims[end - 1]):
             for c in range(m.dims[start - 1]):
-                row = [0] * offsets[-1]
+                row: linalg.SparseRow = {}
                 for off, width, before, after in terms:
                     for x, nx in enumerate(after[r]):
                         if nx:
                             for y in range(width):
                                 if before[y][c]:
-                                    row[off + x * width + y] += nx * before[y][c]
+                                    j = off + x * width + y
+                                    row[j] = row.get(j, 0) + nx * before[y][c]
                 rows.append(row)
     return rows
 

@@ -106,10 +106,12 @@ def oracle_tau(quiver, v: CVertex) -> CVertex:
         builtin_quiver("D4"),
         builtin_quiver("A4"),
         D5,
-        pytest.param(D6, marks=pytest.mark.slow),
-        pytest.param(E6, marks=pytest.mark.slow),
+        D6,
+        E6,
+        E7,
+        pytest.param(E8, marks=pytest.mark.slow),
     ],
-    ids=["A2", "A3", "D4", "A4", "D5", "D6", "E6"],
+    ids=["A2", "A3", "D4", "A4", "D5", "D6", "E6", "E7", "E8"],
 )
 def test_hom_table_matches_module_oracle(q):
     g = GammaC(q)

@@ -205,10 +205,11 @@ def test_render_canonical():
 
 def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     # x^5 is x * x^4 after two squarings. A D4 exploration builds each
-    # distinct exchange product, and each of its prefixes, once (16 products
-    # for its 52 exchange relations) and divides only for the 12 new
-    # variables; the other 40 are found by denominator vector and certified by
-    # one product each
+    # distinct exchange product once (16 products for its 52 exchange
+    # relations), from a kept side of one or two factors, and divides only for
+    # the 12 new variables; the other 40 are found by denominator vector and
+    # certified by one product each. A side of three factors is never met
+    # twice, so keeping only the shorter sides costs no product on D6 or E6
     calls = []
     mul = LaurentPoly.__mul__
 
@@ -228,6 +229,10 @@ def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
     assert len(calls) == 16 + 40
     assert len(divisions) == 12
+    for name, clusters, products in [("D6", 672, 399), ("E6", 833, 566)]:
+        calls.clear()
+        assert explore_exchange_graph(exchange_matrix(_quiver(name))).cluster_count == clusters
+        assert len(calls) == products
 
 
 def _counting_divisions(monkeypatch):

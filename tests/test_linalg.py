@@ -127,12 +127,47 @@ def test_rref_equals_fraction_reference(rows):
     assert linalg.solve_matrix(basis, rows, len(pivots)) == ref[:len(pivots)]
 
 
+def as_dicts(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=250, deadline=None)
 @given(oracle_matrices)
 def test_forward_rank_equals_full_elimination(rows):
-    # rank eliminates forward only; the full reduction and the reference agree
-    full = len(linalg._echelon(rows)[1])
-    assert linalg.rank(rows) == linalg.rank(linalg.mat(rows)) == full == len(reference_rref(rows)[1])
+    # rank eliminates forward only, on dense rows or sparse ones; the
+    # reference reduces fully
+    full = len(reference_rref(rows)[1])
+    assert linalg.rank(rows) == linalg.rank(linalg.mat(rows)) == linalg.rank(as_dicts(rows)) == full
+
+
+# up to 20 x 30 and mostly zeros, like the hom systems, empty shapes included,
+# with a right-hand side of the same sparsity: one entry in six is drawn from
+# -9..9, the rest are 0
+_SPARSE_ENTRIES = st.integers(0, 5).flatmap(lambda k: st.integers(-9, 9) if k == 0 else st.just(0))
+sparse_systems = _shaped(_SPARSE_ENTRIES, min_rows=0, min_cols=0, max_rows=20, max_cols=30).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.lists(_SPARSE_ENTRIES, min_size=len(rows), max_size=len(rows)))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems)
+def test_sparse_rows_read_the_reference_form(system):
+    rows, b = system
+    cols = len(rows[0]) if rows else 0
+    ref, pivots = reference_rref(rows)
+    kernel = [
+        [-ref[pivots.index(c)][fc] if c in pivots else int(c == fc) for c in range(cols)]
+        for fc in range(cols) if fc not in pivots
+    ]
+    # the reference solution is zero on every free variable
+    aug, aug_pivots = reference_rref([row + [y] for row, y in zip(rows, b)])
+    x = None if cols in aug_pivots else [
+        aug[aug_pivots.index(c)][cols] if c in aug_pivots else 0 for c in range(cols)
+    ]
+    for a in (rows, as_dicts(rows)):
+        assert linalg.rank(a) == len(pivots)
+        assert linalg.nullspace(a, cols) == kernel
+        assert linalg.solve(a, b, cols) == x
 
 
 @settings(max_examples=120, deadline=None)

@@ -548,9 +548,13 @@ def test_prop8_exhaustive_e6():
     _prop8_exhaustive(E6, 418, 5217, 499)
 
 
-@pytest.mark.slow
 def test_prop8_exhaustive_e7():
     _prop8_exhaustive(E7, 2431, 55_970, 3020)
+
+
+@pytest.mark.slow
+def test_prop8_exhaustive_e8():
+    _prop8_exhaustive(E8, 17_342, 800_834, 21_869)
 
 
 @pytest.mark.parametrize(
