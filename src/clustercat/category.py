@@ -527,7 +527,7 @@ def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
     """
     g = GammaC(quiver)
     res = explore_exchange_graph(exchange_matrix(quiver))
-    expansions = [*zip(res.seeds.values(), res.mutations), (None, ())]  # the last marks explore's end
+    expansions = [*zip(res.seeds, res.mutations), (None, ())]  # the last marks explore's end
     paired, mismatches = {}, []
     tilting_objects = edges = 0
 

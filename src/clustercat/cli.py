@@ -110,7 +110,7 @@ def cmd_mutate(args, parser) -> int:
     for k in args.sequence:
         try:
             seed = seed_mutate(seed, k)
-        except IndexError as exc:
+        except (IndexError, OverflowError) as exc:
             parser.error(str(exc))
     report = {
         "command": "mutate",
@@ -126,7 +126,7 @@ def _explored(args, parser):
     b, source = _resolve_matrix(args, parser)
     try:
         res = explore_exchange_graph(b, max_depth=args.depth)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # the library's max_depth is this command's --depth
         parser.error(str(exc).replace("max_depth", "--depth"))
     return res, source
@@ -193,7 +193,7 @@ def _verify_theorem1(qtype: str, depth):
 def _verify_corollary4(qtype: str, depth):
     q = builtin_quiver(qtype)
     base = explore_exchange_graph(exchange_matrix(q))
-    matrices = sorted({s.b for s in base.seeds.values()})
+    matrices = sorted({s.b for s in base.seeds})
     for bmat in matrices:
         # mutation may reorient the diagram into a cycle, so the shape test
         # cannot prove finiteness here; the base cluster count bounds the

@@ -12,16 +12,17 @@ The exchange relation reads column k of the exchange matrix:
 
     x_k' = (prod_i x_i^{[b_ik]_+} + prod_i x_i^{[-b_ik]_+}) / x_k
 
-Seeds and polynomials are immutable; a cluster's key is the frozenset of its
-polynomials. explore_exchange_graph's docstring gives its exchange table on
-interned variable ids, the max rule with its certificate and the product memo.
+Seeds and polynomials are immutable. explore_exchange_graph's docstring gives
+its exchange table on interned variable ids and the max rule with its
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, mul
 
 from .quivers import classify_diagram, mutate_matrix, quiver_from_matrix
 
@@ -118,7 +119,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exps, coeff: int = 1) -> "LaurentPoly":
-        return cls(len(tuple(exps)), {tuple(exps): coeff})
+        exps = tuple(exps)
+        return cls(len(exps), {exps: coeff})
 
     # inspection
 
@@ -302,10 +304,6 @@ class Seed:
         if len(self.cluster) != n:
             raise ValueError("cluster size does not match matrix size")
 
-    def cluster_key(self) -> frozenset[LaurentPoly]:
-        """Unordered-cluster key: the frozenset of the cluster's polynomials."""
-        return frozenset(self.cluster)
-
 
 def initial_seed(b) -> Seed:
     n = len(b)
@@ -313,22 +311,13 @@ def initial_seed(b) -> Seed:
     return Seed(bb, tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1)))
 
 
-def _product(side, polys, products) -> LaurentPoly:
-    """prod polys[i]^e over the pairs (i, e) of side, kept in products if it
-    has one or two factors: a longer side is never met twice."""
-    if side in products:
-        return products[side]
-    f = polys[side[-1][0]] ** side[-1][1]
-    p = _product(side[:-1], polys, products) * f if len(side) > 1 else f
-    if len(side) < 3:
-        products[side] = p
-    return p
-
-
-def _exchange_binomial(column, polys, products) -> LaurentPoly:
-    """The exchange binomial over the pairs (i, b_ik) of column k, x_i = polys[i]."""
-    plus = _product(tuple((i, b) for i, b in column if b > 0), polys, products)
-    return plus + _product(tuple((i, -b) for i, b in column if b < 0), polys, products)
+def _exchange_binomial(column, polys) -> LaurentPoly:
+    """The exchange binomial over the pairs (i, b_ik) of column k, x_i = polys[i]:
+    a side multiplies its factors x_i^|b_ik| left to right in column order, and
+    an empty side is 1."""
+    plus = [polys[i] ** b for i, b in column if b > 0] or [LaurentPoly.one(polys[0].nvars)]
+    minus = [polys[i] ** -b for i, b in column if b < 0] or [LaurentPoly.one(polys[0].nvars)]
+    return reduce(mul, plus) + reduce(mul, minus)
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
@@ -337,7 +326,7 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
     column = [(i, row[k - 1]) for i, row in enumerate(s.b)]
-    new_var = _exchange_binomial(column, s.cluster, {(): LaurentPoly.one(n)}).exact_div(s.cluster[k - 1])
+    new_var = _exchange_binomial(column, s.cluster).exact_div(s.cluster[k - 1])
     cluster = tuple(new_var if i == k - 1 else p for i, p in enumerate(s.cluster))
     return Seed(mutate_matrix(s.b, k), cluster)
 
@@ -350,15 +339,15 @@ def seed_mutate(s: Seed, k: int) -> Seed:
 class ExplorationResult:
     """Breadth-first exploration summary.
 
-    seeds maps each cluster key (the frozenset of its polynomials) to the
-    first seed found with that cluster, in discovery order; variables collects
-    every cluster variable expressed in the initial cluster's coordinates.
+    seeds lists the first seed found with each cluster, in discovery order;
+    variables collects every cluster variable expressed in the initial
+    cluster's coordinates.
     truncated means the depth cutoff hid at least one unvisited cluster.
     mutations gives each expanded seed, in the order of seeds, the variables
     its mutations at k = 1..n make; a cutoff leaves the last layer unexpanded.
     """
 
-    seeds: dict[frozenset[LaurentPoly], Seed]
+    seeds: list[Seed]
     variables: set[LaurentPoly]
     truncated: bool
     depth_reached: int
@@ -393,11 +382,11 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     only for a new cluster. Inside, a variable is an id interned by polynomial
     equality, a cluster's key is the bitmask of its ids, and the exchange table
     maps (x_k, {(x_i, b_ik) : b_ik != 0}) to x_k' and back. A miss builds the
-    binomial P, keeping its sides of one or two factors for the call, and takes
-    the variable found under d(x_k'), read off the factors by the max rule, if
-    x_k times it is P (a proof in Z[x^+-1]), else divides: once per new variable
-    where denominator vectors separate variables (finite type, Fomin-Zelevinsky).
-    An expanded seed's mutation tuple is read off the ids its exchanges yield.
+    binomial P and takes the variable found under d(x_k'), read off the factors
+    by the max rule, if x_k times it is P (a proof in Z[x^+-1]), else divides:
+    once per new variable where denominator vectors separate variables (finite
+    type, Fomin-Zelevinsky). An expanded seed's mutation tuple is read off the
+    ids its exchanges yield.
     """
     if max_depth is None:
         cls = classify_diagram(quiver_from_matrix(b))
@@ -408,7 +397,7 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     polys, dens = list(start.cluster), [p.denominator_vector() for p in start.cluster]
     ids = {p: i for i, p in enumerate(polys)}
     known = dict(zip(dens, polys))
-    exchanged, products = {}, {(): LaurentPoly.one(n)}
+    exchanged = {}
 
     def exchanges(layer):
         for s, c, key in layer:
@@ -419,7 +408,7 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
                 if new is None:
                     column = sorted(rel)
                     cand = known.get(_read_off_denominator(old, column, dens))
-                    binom = _exchange_binomial(column, polys, products)
+                    binom = _exchange_binomial(column, polys)
                     q = cand if cand and polys[old] * cand == binom else binom.exact_div(polys[old])
                     new = ids.setdefault(q, len(polys))
                     if new == len(polys):
@@ -444,8 +433,7 @@ def explore_exchange_graph(b, max_depth: int | None = None) -> ExplorationResult
     variables = set(polys)  # the probe's new variables lie in no recorded cluster
     truncated = any(key not in seeds for *_, key in exchanges(layer))
     mutations = list(zip(*[iter(made)] * n))  # n variables per expanded seed
-    clusters = {frozenset(t.cluster): t for t in seeds.values()}
-    return ExplorationResult(clusters, variables, truncated, depth, mutations)
+    return ExplorationResult(list(seeds.values()), variables, truncated, depth, mutations)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def test_criterion_4_denominators_distinct_in_finite_type():
         for name in ("A2", "A3", "A4", "D4"):
             q = builtin_quiver(name)
             base = explore_exchange_graph(exchange_matrix(q))
-            for bmat in sorted({s.b for s in base.seeds.values()}):
+            for bmat in sorted({s.b for s in base.seeds}):
                 res = explore_exchange_graph(bmat, max_depth=base.cluster_count)
                 assert not res.truncated, name
                 assert res.cluster_count == base.cluster_count, name

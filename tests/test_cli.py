@@ -457,3 +457,19 @@ def test_quiver_file_relations_are_not_dropped(capsys, tmp_path, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "has relations [[0, 1]]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [("mutate", ["1", "2"]), ("explore", ["--depth", "2"]), ("denominators", ["--depth", "2"])],
+)
+def test_exponent_overflow_from_a_quiver_file_is_usage_error(capsys, tmp_path, command, args):
+    # 200 parallel arrows make the second exchange raise an exponent past the
+    # packed range: out-of-scope input, not a failed check
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[1, 2]] * 200}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--quiver", str(path), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "a product exponent could reach 25600, past |e| < 16384" in err and "Traceback" not in err

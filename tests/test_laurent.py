@@ -19,6 +19,7 @@ from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 D5 = Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
 D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
+E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 
 
@@ -27,7 +28,7 @@ def x(i, n=2):
 
 
 def _quiver(name):
-    return {"D5": D5, "D6": D6, "E6": E6}.get(name) or builtin_quiver(name)
+    return {"D5": D5, "D6": D6, "E6": E6, "E7": E7}.get(name) or builtin_quiver(name)
 
 
 def test_arithmetic_examples():
@@ -48,6 +49,11 @@ def test_public_constructor_checks_what_arithmetic_trusts():
     assert (p - p).terms() == {} and p + LaurentPoly(2, {(1, 0): -2}) == LaurentPoly.zero(2)
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1, 0, 0): 1})
+
+
+def test_monomial_reads_its_exponents_once():
+    assert LaurentPoly.monomial(iter((1, 2))).terms() == {(1, 2): 1}
+    assert LaurentPoly.monomial((e for e in (-1, 0, 3)), 5) == LaurentPoly(3, {(-1, 0, 3): 5})
 
 
 def test_exact_div_raises_on_remainder():
@@ -204,12 +210,11 @@ def test_render_canonical():
 
 
 def test_powers_and_products_skip_needless_multiplications(monkeypatch):
-    # x^5 is x * x^4 after two squarings. A D4 exploration builds each
-    # distinct exchange product once (16 products for its 52 exchange
-    # relations), from a kept side of one or two factors, and divides only for
-    # the 12 new variables; the other 40 are found by denominator vector and
-    # certified by one product each. A side of three factors is never met
-    # twice, so keeping only the shorter sides costs no product on D6 or E6
+    # x^5 is x * x^4 after two squarings. A D4 exploration builds the
+    # binomial of each of its 52 exchange relations, one product for each
+    # factor of a side past the first (32 in all), and divides only for the
+    # 12 new variables; the other 40 are found by denominator vector and
+    # certified by one product each. D6, E6 and E7 pin their products too
     calls = []
     mul = LaurentPoly.__mul__
 
@@ -227,9 +232,9 @@ def test_powers_and_products_skip_needless_multiplications(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     assert explore_exchange_graph(exchange_matrix(builtin_quiver("D4"))).cluster_count == 50
-    assert len(calls) == 16 + 40
+    assert len(calls) == 32 + 40
     assert len(divisions) == 12
-    for name, clusters, products in [("D6", 672, 399), ("E6", 833, 566)]:
+    for name, clusters, products in [("D6", 672, 528), ("E6", 833, 818), ("E7", 4160, 2527)]:
         calls.clear()
         assert explore_exchange_graph(exchange_matrix(_quiver(name))).cluster_count == clusters
         assert len(calls) == products
@@ -276,7 +281,8 @@ def test_wrong_candidates_are_divided_out_and_interned_by_polynomial(monkeypatch
     b = exchange_matrix(_quiver(name))
     expected = explore_exchange_graph(b, max_depth=depth)
     seeds, variables, truncated, reached = _bfs_explore(b, 99 if depth is None else depth)
-    assert list(expected.seeds.items()) == list(seeds.items())
+    assert [frozenset(s.cluster) for s in expected.seeds] == list(seeds)
+    assert expected.seeds == list(seeds.values())
     lookups = []
 
     def neighbours_vector(old, column, dens):
@@ -287,7 +293,8 @@ def test_wrong_candidates_are_divided_out_and_interned_by_polynomial(monkeypatch
     divisions = _counting_divisions(monkeypatch)
     res = explore_exchange_graph(b, max_depth=depth)
     assert len(divisions) == len(lookups) > 0
-    assert list(res.seeds.items()) == list(seeds.items())
+    assert [frozenset(s.cluster) for s in res.seeds] == list(seeds)
+    assert res.seeds == list(seeds.values())
     assert (res.variables, res.truncated, res.depth_reached) == (variables, truncated, reached)
     assert (res.cluster_count, res.variable_count) == (expected.cluster_count, expected.variable_count)
 
@@ -334,13 +341,13 @@ def _bfs_explore(b, max_depth):
     """Breadth-first exploration that solves every mutation with seed_mutate,
     truncation probe included."""
     start = initial_seed(b)
-    seeds = {start.cluster_key(): start}
+    seeds = {frozenset(start.cluster): start}
     variables = set(start.cluster)
     layer, depth, truncated = [start], 0, False
     while layer:
         if depth >= max_depth:
             truncated = any(
-                seed_mutate(s, k).cluster_key() not in seeds
+                frozenset(seed_mutate(s, k).cluster) not in seeds
                 for s in layer
                 for k in range(1, len(b) + 1)
             )
@@ -349,8 +356,8 @@ def _bfs_explore(b, max_depth):
         for s in layer:
             for k in range(1, len(b) + 1):
                 t = seed_mutate(s, k)
-                if t.cluster_key() not in seeds:
-                    seeds[t.cluster_key()] = t
+                if frozenset(t.cluster) not in seeds:
+                    seeds[frozenset(t.cluster)] = t
                     variables.update(t.cluster)
                     next_layer.append(t)
         depth += bool(next_layer)
@@ -361,14 +368,14 @@ def _bfs_explore(b, max_depth):
 def _dfs_explore(b):
     """Independent depth-first re-enumeration of seeds and variables."""
     start = initial_seed(b)
-    seen = {start.cluster_key(): start}
+    seen = {frozenset(start.cluster): start}
     variables = set(start.cluster)
     stack = [start]
     while stack:
         s = stack.pop()
         for k in range(1, len(b) + 1):
             t = seed_mutate(s, k)
-            key = t.cluster_key()
+            key = frozenset(t.cluster)
             if key not in seen:
                 seen[key] = t
                 variables.update(t.cluster)
@@ -387,12 +394,14 @@ def test_finite_type_counts_with_dfs_oracle(name, clusters, varcount):
     assert res.cluster_count == clusters
     assert res.variable_count == varcount
     seen, variables = _dfs_explore(b)
-    assert set(seen) == set(res.seeds)
+    keys = [frozenset(s.cluster) for s in res.seeds]
+    assert len(keys) == len(set(keys)) == len(seen)
+    assert set(keys) == set(seen)
     assert variables == res.variables
     # every exchange the table answered is also reached by plain seed_mutate
-    for s in res.seeds.values():
+    for s in res.seeds:
         for k in range(1, len(b) + 1):
-            assert seed_mutate(s, k).cluster_key() in res.seeds
+            assert frozenset(seed_mutate(s, k).cluster) in seen
 
 
 @pytest.mark.parametrize("depth", [2, 4, 6])
@@ -400,7 +409,8 @@ def test_affine_exchange_table_matches_plain_bfs(depth):
     b = exchange_matrix(builtin_quiver("Atilde21"))
     res = explore_exchange_graph(b, max_depth=depth)
     seeds, variables, truncated, depth_reached = _bfs_explore(b, depth)
-    assert list(res.seeds.items()) == list(seeds.items())
+    assert [frozenset(s.cluster) for s in res.seeds] == list(seeds)
+    assert res.seeds == list(seeds.values())
     assert res.variables == variables
     assert (res.truncated, res.depth_reached) == (truncated, depth_reached) == (True, depth)
 
@@ -413,7 +423,7 @@ def test_mutations_are_seed_mutate_of_each_expanded_seed(name, depth):
     res = explore_exchange_graph(b, max_depth=depth)
     inner = res if depth is None else explore_exchange_graph(b, max_depth=depth - 1)
     assert len(res.mutations) == inner.cluster_count
-    for s, made in zip(res.seeds.values(), res.mutations):
+    for s, made in zip(res.seeds, res.mutations):
         assert made == tuple(seed_mutate(s, k).cluster[k - 1] for k in range(1, len(b) + 1))
 
 
