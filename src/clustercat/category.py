@@ -308,20 +308,10 @@ class GammaC:
     def _knit_row(self, x: CVertex) -> tuple[int, ...]:
         """The hammock of x folded over the glide; the row of hom dimensions
         from x to every vertex."""
-        h = self.hammock(x)
-        k0, i0 = self.pos_of[x]
-        end = k0 + self._row_shift[i0] - 1
-        row = []
-        for y in self.vertices:
-            cur = self.pos_of[y]
-            while cur[0] >= k0:
-                cur = self._glide_inv(cur)
-            cur = self._glide(cur)
-            total = 0
-            while cur[0] <= end:
-                total += h.get(cur, 0)
-                cur = self._glide(cur)
-            row.append(total)
+        row = [0] * len(self.vertices)
+        for pos, h in self.hammock(x).items():
+            if h:
+                row[self._id_at(pos)] += h
         return tuple(row)
 
     def _check_rigidity(self):

@@ -14,6 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 __all__ = [
@@ -379,10 +380,10 @@ class EulerData:
         return total
 
     def coxeter_transform(self, d) -> Vector:
-        return tuple(sum(row[j] * d[j] for j in range(len(d))) for row in self.matrix)
+        return tuple(sum(map(mul, row, d)) for row in self.matrix)
 
     def inverse_coxeter_transform(self, d) -> Vector:
-        return tuple(sum(row[j] * d[j] for j in range(len(d))) for row in self.inverse_matrix)
+        return tuple(sum(map(mul, row, d)) for row in self.inverse_matrix)
 
 
 # ---------------------------------------------------------------------------

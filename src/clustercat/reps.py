@@ -36,7 +36,6 @@ __all__ = [
     "hom",
     "hom_space",
     "ext1_dim",
-    "direct_sum",
     "projective_dims",
     "injective_dims",
     "indecomposable_from_root",
@@ -166,6 +165,16 @@ class Representation:
             if any(any(row) for row in comp):
                 raise ValueError(f"relation {rel} does not act by zero")
 
+    @classmethod
+    def _of(cls, algebra, dims: tuple[int, ...], mats) -> "Representation":
+        """Module built by the engine, whose shapes, entry types and
+        relations hold by construction: nothing is checked again."""
+        m = cls.__new__(cls)
+        m.algebra = _algebra(algebra)
+        m.quiver, m.dims = m.algebra.quiver, dims
+        m.mats = tuple(tuple(map(tuple, a)) for a in mats)
+        return m
+
     def mat(self, arrow_index: int) -> Matrix:
         return [list(row) for row in self.mats[arrow_index]]
 
@@ -205,25 +214,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
-
-
-def direct_sum(m: Representation, *more: Representation) -> Representation:
-    """Block-diagonal sum of one or more modules over a common algebra,
-    in argument order."""
-    parts = (m,) + more
-    if any(p.algebra != m.algebra for p in more):
-        raise ValueError("direct sum needs a common algebra")
-    dims = tuple(map(sum, zip(*(p.dims for p in parts))))
-    mats = []
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        block = linalg.zeros(dims[t - 1], dims[s - 1])
-        ro = co = 0
-        for p in parts:
-            for r, row in enumerate(p.mats[idx]):
-                block[ro + r][co:co + len(row)] = row
-            ro, co = ro + p.dims[t - 1], co + p.dims[s - 1]
-        mats.append(block)
-    return Representation(m.algebra, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +391,7 @@ def _coreflection(n: Representation, k: int, target_quiver: Quiver) -> Represent
         mats[idx] = [row[off:off + width] for row in proj]
         off += width
     dims = tuple(len(proj) if v == k else d for v, d in enumerate(n.dims, 1))
-    return Representation(target_quiver, dims, mats)
+    return Representation._of(target_quiver, dims, mats)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from . import linalg
@@ -35,7 +35,6 @@ from .quivers import Quiver, classify_diagram
 from .reps import (
     NegativeExtError,
     Representation,
-    direct_sum,
     euler_data,
     ext1_dim,
     hom,
@@ -122,6 +121,7 @@ class _ModuleTable(NamedTuple):
     compat: tuple[int, ...]
     injective: frozenset[int]
     swaps: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
+    label: str
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +139,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
     summands of a tilting module can form: i != j, compatible, nonzero hom.
     ``swaps`` starts empty and memoizes ``prop8_descent``'s certified swaps:
-    (summand bitmask, T0 id) -> (T0' id, ids of E's summands).
+    (summand bitmask, T0 id) -> (T0' id, ids of E's summands).  ``label``
+    names the Dynkin diagram for the descent reports.
     """
     diagram = classify_diagram(q)
     if diagram.kind != "dynkin":
@@ -177,7 +178,7 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
                     raise AssertionError("hammock and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
-    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective, {})
+    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective, {}, diagram.label)
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
@@ -232,7 +233,8 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
 
 def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
     """Cokernel W of the left approximation of summand ``k`` by the table's
-    hom bases into the others; it must be injective at every vertex."""
+    hom bases into the others; it must be injective at every vertex.  E, one
+    summand per basis map, is never formed: W reads the summands' matrices."""
     table, i0 = _directed_indecomposables(quiver), t.ids[k]
     t0 = table.ordered[i0]
     blocks = [
@@ -240,9 +242,13 @@ def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
     ]
     if not blocks:
         raise DescentStepError(f"summand {t0.dims} admits no maps into the rest")
-    e_rep = direct_sum(*(s for s, _ in blocks))
+    # block b of E_v begins at index starts[b][v]
+    starts, e_dims = [], (0,) * quiver.n
+    for s, _ in blocks:
+        starts.append(e_dims)
+        e_dims = tuple(map(add, e_dims, s.dims))
     proj, free = [], []
-    for v, ev in enumerate(e_rep.dims):
+    for v, ev in enumerate(e_dims):
         # left-kernel rows of the stacked maps project onto W; each is 1 at its own
         # free column (its last nonzero entry) and 0 at the others, which lift W back
         stacked = linalg.transpose([row for _, f in blocks for row in f[v]], cols=ev)
@@ -250,16 +256,28 @@ def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
         if len(proj[v]) != ev - t0.dims[v]:
             raise DescentStepError(f"approximation of {t0.dims} is not injective at vertex {v + 1}")
         free.append([max(c for c, x in enumerate(row) if x) for row in proj[v]])
-    w_dims = tuple(map(len, proj))
     w_mats = []
     for idx, (sv, tv) in enumerate(quiver.arrows):
         u, v = sv - 1, tv - 1
-        pe = linalg.mat_mul(proj[v], e_rep.mats[idx], e_rep.dims[u])
+        # E_a as the nonzero entries of each row, read off the arrow matrix of
+        # the row's own summand, so the zero blocks off the diagonal never exist
+        e_a = [
+            [(at[u] + c, x) for c, x in enumerate(row) if x]
+            for (s, _), at in zip(blocks, starts) for row in s.mats[idx]
+        ]
+        pe = []
+        for prow in proj[v]:
+            out = [0] * e_dims[u]
+            for r, x in enumerate(prow):
+                if x:
+                    for c, y in e_a[r]:
+                        out[c] += x * y
+            pe.append(out if set(map(type, out)) <= {int} else list(map(linalg.frac, out)))
         wa = [[row[c] for c in free[u]] for row in pe]
-        if linalg.mat_mul(wa, proj[u], e_rep.dims[u]) != pe:
+        if linalg.mat_mul(wa, proj[u], e_dims[u]) != pe:
             raise DescentStepError("cokernel arrow map is not well defined")
         w_mats.append(wa)
-    return Representation(quiver, w_dims, w_mats)
+    return Representation._of(quiver, tuple(map(len, proj)), w_mats)
 
 
 def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
@@ -355,7 +373,7 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     if set(cur.ids) != table.injective:
         raise DescentStepError("chain terminated away from the injectives")
     return {
-        "diagram": classify_diagram(quiver).label,
+        "diagram": table.label,
         "start_summands": [list(d) for d in t.dims],
         "steps": steps,
         "step_count": len(steps),

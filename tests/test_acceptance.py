@@ -16,7 +16,7 @@ from test_category import (
     mutate_tilting,
     oracle_hom_c,
 )
-from test_reps import all_indecomposables
+from test_reps import all_indecomposables, direct_sum
 
 from clustercat.bound import counterexample_report
 from clustercat.category import (
@@ -34,7 +34,7 @@ from clustercat.laurent import (
     seed_mutate,
 )
 from clustercat.quivers import builtin_quiver, exchange_matrix, mutate_matrix
-from clustercat.reps import direct_sum, euler_data, ext1_dim, hom
+from clustercat.reps import euler_data, ext1_dim, hom
 from clustercat.tilting import (
     _directed_indecomposables,
     complement_and_sequence,

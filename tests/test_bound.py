@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_reps import all_indecomposables, is_isomorphic
+from test_reps import all_indecomposables, direct_sum, is_isomorphic
 
 from clustercat import linalg
 from clustercat.bound import (
@@ -16,7 +16,6 @@ from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    direct_sum,
     euler_data,
     ext1_dim,
     hom,

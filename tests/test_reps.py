@@ -14,7 +14,6 @@ from clustercat.reps import (
     HomSpace,
     Representation,
     atilde21_tube_modules,
-    direct_sum,
     euler_data,
     ext1_dim,
     hom,
@@ -37,6 +36,25 @@ def M(q, dims, entries=None):
 def all_indecomposables(q: Quiver) -> list[Representation]:
     """All indecomposables of a Dynkin quiver, sorted by dimension vector."""
     return [indecomposable_from_root(q, d) for d in sorted(positive_roots(q))]
+
+
+def direct_sum(m: Representation, *more: Representation) -> Representation:
+    """Block-diagonal sum of one or more modules over a common algebra,
+    in argument order."""
+    parts = (m,) + more
+    if any(p.algebra != m.algebra for p in more):
+        raise ValueError("direct sum needs a common algebra")
+    dims = tuple(map(sum, zip(*(p.dims for p in parts))))
+    mats = []
+    for idx, (s, t) in enumerate(m.quiver.arrows):
+        block = linalg.zeros(dims[t - 1], dims[s - 1])
+        ro = co = 0
+        for p in parts:
+            for r, row in enumerate(p.mats[idx]):
+                block[ro + r][co:co + len(row)] = row
+            ro, co = ro + p.dims[t - 1], co + p.dims[s - 1]
+        mats.append(block)
+    return Representation(m.algebra, dims, mats)
 
 
 def tau(m: Representation) -> Representation | None:

@@ -3,15 +3,14 @@ import json
 
 import pytest
 from test_bound import projective
-from test_reps import all_indecomposables, is_preinjective
+from test_reps import all_indecomposables, direct_sum, is_preinjective
 
-from clustercat import reps, tilting
+from clustercat import category, linalg, quivers, reps, tilting
 from clustercat.category import GammaC, walk_tilting
 from clustercat.quivers import Quiver, builtin_quiver
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    direct_sum,
     euler_data,
     ext1_dim,
     hom,
@@ -438,6 +437,59 @@ def test_certificate_refuses_a_non_rigid_cokernel(monkeypatch):
     with pytest.raises(DescentStepError, match="is not rigid"):
         prop8_descent(A3, t)
     assert not _directed_indecomposables(A3).swaps
+
+
+def _cokernel_oracle(q, t, k):
+    """The cokernel W of the approximation of summand k, read off the whole
+    block-diagonal middle module E as ``direct_sum`` builds it."""
+    table, i0 = _directed_indecomposables(q), t.ids[k]
+    blocks = [
+        (table.ordered[j], f) for j in t.ids if j != i0 for f in table.hom_basis.get((i0, j), ())
+    ]
+    e_rep = direct_sum(*(s for s, _ in blocks))
+    proj, free = [], []
+    for v, ev in enumerate(e_rep.dims):
+        stacked = linalg.transpose([row for _, f in blocks for row in f[v]], cols=ev)
+        proj.append(linalg.nullspace(stacked, ev))
+        free.append([max(c for c, x in enumerate(row) if x) for row in proj[v]])
+    w_mats = []
+    for idx, (sv, tv) in enumerate(q.arrows):
+        pe = linalg.mat_mul(proj[tv - 1], e_rep.mats[idx], e_rep.dims[sv - 1])
+        w_mats.append([[row[c] for c in free[sv - 1]] for row in pe])
+    return Representation(q, tuple(map(len, proj)), w_mats)
+
+
+@pytest.mark.parametrize("q,swaps", [(D5, 82), (E6, 499)], ids=["D5", "E6"])
+def test_cokernel_blocks_match_the_direct_sum_oracle(monkeypatch, q, swaps):
+    # the block-by-block cokernel of every certified swap equals the one read
+    # off the whole E, and passes every check of the public constructor
+    seen = []
+    cokernel = tilting._cokernel
+    monkeypatch.setattr(
+        tilting, "_cokernel", lambda q, t, k: seen.append((t, k, cokernel(q, t, k))) or seen[-1][2]
+    )
+    _cold_sweep(q)
+    assert len(seen) == len(_directed_indecomposables(q).swaps) == swaps
+    for t, k, w in seen:
+        oracle = _cokernel_oracle(q, t, k)
+        assert (w.dims, w.mats) == (oracle.dims, oracle.mats), (t.ids, k)
+        assert Representation(w.algebra, w.dims, w.mats).mats == w.mats
+    # the orbit walk builds every indecomposable through the same trusted path
+    for m in _directed_indecomposables(q).ordered:
+        assert Representation(m.algebra, m.dims, m.mats).mats == m.mats
+
+
+def test_cold_d4_sweep_classifies_the_diagram_once_per_table(monkeypatch):
+    # the module table, its GammaC and the root closure each classify D4
+    # once; every chain reads the label from the table
+    calls = []
+    classify = quivers.classify_diagram
+    for mod in (quivers, category, tilting):
+        monkeypatch.setattr(mod, "classify_diagram", lambda q: calls.append(q) or classify(q))
+    quivers.positive_roots.cache_clear()
+    chains = _cold_sweep(D4)
+    assert len(chains) == 20 and {c["diagram"] for c in chains} == {"D4"}
+    assert len(calls) == 3
 
 
 # Coxeter number and exponents: the tilting modules are counted by the
