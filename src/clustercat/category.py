@@ -20,11 +20,13 @@ back through ``g.vertices`` when a report is written.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate
-from operator import and_, or_
+from operator import and_, getitem, or_
 from typing import Iterable, Iterator
 
 from .laurent import explore_exchange_graph
@@ -94,18 +96,36 @@ class CVertex:
         return self.render()
 
 
-@dataclass(frozen=True)
 class CategorifiedSeed:
-    """Ordered tilting object, as vertex ids, with the exchange matrix of its
-    endomorphism algebra; the two mutate in lockstep."""
+    """Ordered tilting object, as vertex ids, with the exchange matrix ``b``
+    of its endomorphism algebra; the two mutate in lockstep. Bit x of
+    ``tilting_key`` is set iff vertex x is a summand. A seed made by
+    ``_mutated`` holds (parent, k) in ``_from`` until ``b`` is first read."""
 
-    summands: tuple[int, ...]
-    b: tuple[tuple[int, ...], ...]
+    __slots__ = ("summands", "tilting_key", "_b", "_from")
 
-    @cached_property
-    def tilting_key(self) -> int:
-        """Bitmask with bit x set iff vertex x is a summand."""
-        return reduce(or_, (1 << x for x in self.summands), 0)
+    def __init__(self, summands: tuple[int, ...], b, tilting_key: int | None = None):
+        self.summands, self._b, self._from = summands, b, None
+        self.tilting_key = reduce(or_, (1 << x for x in summands), 0) if tilting_key is None else tilting_key
+
+    @property
+    def b(self) -> tuple[tuple[int, ...], ...]:
+        chain, s = [], self  # the unread ancestors, resolved oldest first
+        while s._from:
+            chain.append(s)
+            s = s._from[0]
+        for s in reversed(chain):
+            s._b, s._from = mutate_matrix(s._from[0]._b, s._from[1]), None
+        return self._b
+
+    def __eq__(self, other):
+        return isinstance(other, CategorifiedSeed) and (self.summands, self.b) == (other.summands, other.b)
+
+    def __hash__(self):
+        return hash((self.summands, self.b))
+
+    def __repr__(self):
+        return f"CategorifiedSeed(summands={self.summands!r}, b={self.b!r})"
 
 
 @dataclass(frozen=True)
@@ -125,11 +145,16 @@ Position = tuple[int, int]
 Edge = tuple[CategorifiedSeed, int, int]
 
 
+def zero_mask(row: bytes) -> int:
+    """Bitmask with bit j set iff ``row[j]`` is 0."""
+    return int(row.translate(b"1" + b"0" * 255)[::-1], 2)
+
+
 class GammaC:
     """Translation quiver of the cluster category, with a full hom table on
     vertex ids (``index[v]`` is v's position in ``vertices``, which follow
     ``CVertex.sort_key``): ``hom_i[x][y]``, the translation ``tau_i``, and
-    ``ext_free[x]``, whose bit y is set iff ext1(x, y) = ext1(y, x) = 0.
+    ``ext_free[x]``, bit y set iff ext1(x, y) = ext1(y, x) = 0, from byte rows.
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
@@ -202,18 +227,17 @@ class GammaC:
         self._check_translation(inj_pos)
 
         # Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
-        ids = range(len(self.vertices))
         knitted = {i: self._knit_row(self.obj_at[0, i]) for i in rows}
-        tau_k = [tuple(ids)]
+        tau_k = [tuple(range(len(self.vertices)))]
         while len(tau_k) <= self.max_slice:
             tau_k.append(tuple(self.tau_i[y] for y in tau_k[-1]))
         self.hom_i: tuple[tuple[int, ...], ...] = tuple(
             tuple(map(knitted[i].__getitem__, tau_k[k])) for k, i in map(self.pos_of.get, self.vertices)
         )
-        ext = [[self.hom_i[x][self.tau_i[y]] for y in ids] for x in ids]
-        self.ext_free: tuple[int, ...] = tuple(
-            sum(1 << y for y in ids if not ext[x][y] and not ext[y][x]) for x in ids
-        )
+        # ext1(x, y) = hom(x, tau y), as byte rows and their transpose
+        ext_rows = [bytes(map(row.__getitem__, self.tau_i)) for row in self.hom_i]
+        ext_cols = map(zero_mask, map(bytes, zip(*ext_rows)))
+        self.ext_free: tuple[int, ...] = tuple(map(and_, map(zero_mask, ext_rows), ext_cols))
         self._check_rigidity()
 
     # -- construction helpers ------------------------------------------------
@@ -350,10 +374,9 @@ def _partner(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> int:
 
 def _mutated(seed: CategorifiedSeed, k: int, tk_star: int, key: int) -> CategorifiedSeed:
     """The seed with summand k replaced by its partner ``tk_star``, whose
-    tilting key ``key`` the caller has already derived by XOR."""
-    summands = seed.summands[: k - 1] + (tk_star,) + seed.summands[k:]
-    nxt = CategorifiedSeed(summands, mutate_matrix(seed.b, k))
-    vars(nxt)["tilting_key"] = key  # fills the cached_property
+    tilting key ``key`` the caller derived by XOR; ``b`` mutates on first read."""
+    nxt = CategorifiedSeed(seed.summands[: k - 1] + (tk_star,) + seed.summands[k:], None, key)
+    nxt._from = (seed, k)
     return nxt
 
 
@@ -379,8 +402,8 @@ def walk_tilting(g: GammaC) -> Iterator[Edge]:
     summands other than k is the AND of a prefix and a suffix of their
     ext_free masks: 2n ANDs per object. Every edge runs the checks of the
     partner search and derives the next key by XOR; only a key not seen
-    before gets its seed built, with the mutated matrix. An edge's exchange
-    data is ``exchange_data(seed, k, tk_star)``, for the callers that read it.
+    before gets its seed built, its matrix mutated on first read. An edge's
+    exchange data is ``exchange_data(seed, k, tk_star)``, for its readers.
     """
     start = shifted_initial_seed_c(g)
     seen = {start.tilting_key}
@@ -460,32 +483,42 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
 
 def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
     """The report of ``theorem1_injectivity`` over the edges of a walk of g,
-    for callers that walk g for checks of their own as well."""
-    tau_i, hom_i = g.tau_i, g.hom_i
+    for callers that walk g for checks of their own as well. Column m is m's
+    dimension vector, packed with the others in 64-bit fields of one int. The
+    V columns take V - |shifted| + |{columns at shifted}| values iff the
+    admissible ones are distinct and unlike those; else the tuples decide."""
+    tau_i, hom_i, n, size = g.tau_i, g.hom_i, g.quiver.n, len(g.vertices)
+    width = max(map(max, hom_i)).bit_length()
+    placed: list[list[int]] = []  # placed[j][t]: row t packed, moved to summand j's bits
+    if n * width <= 64:  # else every packed column is 0, one value: the tuples decide
+        packed = [int.from_bytes(array("Q", row).tobytes(), sys.byteorder) for row in hom_i]
+        placed = [[p << (width * j) for p in packed] for j in range(n)]
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
     for seed, k, _ in edges:
         if k == 1:
             checked_tiltings += 1
             shifted = {tau_i[t] for t in seed.summands}
-            admissible = [m for m in range(len(g.vertices)) if m not in shifted]
-            # column m of the summands' hom rows is m's dimension vector
-            columns = list(zip(*(hom_i[t] for t in seed.summands)))
-            first: dict[tuple[int, ...], int] = {}
-            for m in admissible:
-                vec = columns[m]
-                if first.setdefault(vec, m) != m:
-                    failures.append(
-                        {
-                            "tilting": [g.vertices[t].render() for t in seed.summands],
-                            "first": g.vertices[first[vec]].render(),
-                            "second": g.vertices[m].render(),
-                            "vector": list(vec),
-                        }
-                    )
+            s = sum(map(getitem, placed, seed.summands))
+            cols = memoryview(s.to_bytes(8 * size, sys.byteorder)).cast("Q")
+            if len(set(cols)) != size - len(shifted) + len({cols[x] for x in shifted}):
+                admissible = [m for m in range(size) if m not in shifted]
+                columns = list(zip(*(hom_i[t] for t in seed.summands)))
+                first: dict[tuple[int, ...], int] = {}
+                for m in admissible:
+                    vec = columns[m]
+                    if first.setdefault(vec, m) != m:
+                        failures.append(
+                            {
+                                "tilting": [g.vertices[t].render() for t in seed.summands],
+                                "first": g.vertices[first[vec]].render(),
+                                "second": g.vertices[m].render(),
+                                "vector": list(vec),
+                            }
+                        )
         # the next seed differs only by tk -> tk_star and tau is a bijection,
         # so only tau(tk_star) can enter the shifted summands: nothing to check
-        lemma7_cases += len(admissible)
+        lemma7_cases += size - len(shifted)
     return {
         "diagram": g.diagram.label,
         "vertices": len(g.vertices),

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul
+from operator import add, and_, mul
 from typing import NamedTuple
 
 from . import linalg
-from .category import GammaC
+from .category import GammaC, zero_mask
 from .quivers import Quiver, classify_diagram
 from .reps import (
     NegativeExtError,
@@ -164,11 +164,8 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     )
     if min(map(min, ext)) < 0:
         raise NegativeExtError("ext went negative between indecomposables")
-    ext_free = tuple(sum(1 << j for j, e in enumerate(row) if e == 0) for row in ext)
-    compat = tuple(
-        sum(1 << j for j, e in enumerate(row) if e == ext[j][i] == 0)
-        for i, row in enumerate(ext)
-    )
+    ext_free = tuple(map(zero_mask, map(bytes, ext)))
+    compat = tuple(map(and_, ext_free, map(zero_mask, map(bytes, zip(*ext)))))
     hom_basis = {}
     for i, row in enumerate(hh):
         for j, h in enumerate(row):

@@ -60,7 +60,7 @@ D6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)))
 E6 = Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))
 E7 = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 E8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
-QUIVERS = {"A4": builtin_quiver("A4"), "D4": builtin_quiver("D4"), "D6": D6, "E6": E6}
+QUIVERS = {"A4": builtin_quiver("A4"), "D4": builtin_quiver("D4"), "D6": D6, "E6": E6, "E7": E7, "E8": E8}
 
 
 def oracle_hom_c(quiver, x: CVertex, y: CVertex) -> int:
@@ -240,7 +240,7 @@ def test_walk_hashes_no_vertex_label(monkeypatch):
     assert hashed == []
 
 
-@pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6"])
+@pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6", "E7", "E8"])
 def test_int_tables_match_vertex_queries(name):
     g = GammaC(QUIVERS[name])
     assert [g.index[v] for v in g.vertices] == list(range(len(g.vertices)))
@@ -296,14 +296,21 @@ def mutate_tilting(g, seed, k):
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D6"])
-def test_mask_partner_matches_brute_force_scan(name):
+def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
     g = GammaC(QUIVERS[name])
+    reduced = []
+    real_reduce = category.reduce
+    monkeypatch.setattr(category, "reduce", lambda *args: reduced.append(args) or real_reduce(*args))
     edges = list(walk_tilting(g))
+    # only the start's key is read off its summands; every other key is the
+    # walk's XOR, passed in as it is
+    assert len(reduced) == 1
     # the walker builds a seed only for the edge that first reaches its key,
     # and expands the seeds in that order
     expanded = iter([seed for seed, k, _ in edges if k == 1])
     start = next(expanded)
     assert start == shifted_initial_seed_c(g)
+    reduced.clear()
     seen = {start.tilting_key}
     for seed, k, tk_star in edges:
         found, e, e_prime = brute_force_partner(g, seed, k)
@@ -315,8 +322,9 @@ def test_mask_partner_matches_brute_force_scan(name):
         assert nxt.summands[k - 1] == tk_star
         assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
         # the next key comes from one XOR; recompute it from the summands
-        assert "tilting_key" in vars(nxt)
-        assert nxt.tilting_key == functools.reduce(operator.or_, (1 << x for x in nxt.summands))
+        key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+        assert nxt.tilting_key == key == functools.reduce(operator.or_, (1 << x for x in nxt.summands))
+        assert reduced == []
         if nxt.tilting_key not in seen:
             seen.add(nxt.tilting_key)
             built = next(expanded)
@@ -328,11 +336,10 @@ def test_mask_partner_matches_brute_force_scan(name):
     assert len(edges) == len(seen) * g.quiver.n
 
 
-def test_walk_mutates_matrices_only_for_new_objects(monkeypatch):
-    # D4 has 50 tilting objects and 200 edges: the walk mutates the matrix
-    # once per object beyond the first, and Theorem 1 builds no exchange data
-    from clustercat import category
-
+def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
+    # D4 has 50 tilting objects and 200 edges: neither the walk nor Theorem 1
+    # mutates a matrix or builds exchange data; reading every expanded seed's
+    # matrix mutates once per object beyond the first, and so does lemma67
     calls = {"mutate_matrix": 0, "ExchangeData": 0}
 
     def counting(name, real):
@@ -345,11 +352,39 @@ def test_walk_mutates_matrices_only_for_new_objects(monkeypatch):
     counting("mutate_matrix", category.mutate_matrix)
     counting("ExchangeData", category.ExchangeData)
     g = GammaC(builtin_quiver("D4"))
-    assert len(list(walk_tilting(g))) == 200
+    edges = list(walk_tilting(g))
+    assert len(edges) == 200
+    assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
+    assert theorem1_injectivity(builtin_quiver("D4"))["tilting_count"] == 50
+    assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
+    assert len([seed.b for seed, k, _ in edges if k == 1]) == 50
     assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
     calls["mutate_matrix"] = 0
-    assert theorem1_injectivity(builtin_quiver("D4"))["tilting_count"] == 50
-    assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
+    assert cli.main(["verify", "lemma67", "--type", "D4"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"]["tilting_objects"] == 50
+    # one exchange per edge, and lemma6_check's double shift of it
+    assert calls == {"mutate_matrix": 49, "ExchangeData": 400}
+
+
+def test_matrices_read_backwards_match_forward_mutation(monkeypatch):
+    # reading the last seed's matrix first resolves its chain of ancestors
+    # in one go; each matrix is still one mutation of its parent's, each is
+    # mutated once, and no seed holds on to its parent once it is read
+    g = GammaC(E6)
+    backwards = expanded_seeds(g)
+    origins = [seed._from for seed in backwards]
+    assert origins[0] is None and None not in origins[1:]
+    calls = []
+    monkeypatch.setattr(category, "mutate_matrix", lambda b, k: calls.append(k) or mutate_matrix(b, k))
+    read_back = [seed.b for seed in reversed(backwards)][::-1]
+    assert len(calls) == 832
+    assert all(seed._from is None for seed in backwards)
+    forward = [seed.b for seed in expanded_seeds(g)]
+    assert read_back == forward
+    assert forward[0] == exchange_matrix(E6)
+    position = {id(seed): i for i, seed in enumerate(backwards)}
+    for (parent, k), b in zip(origins[1:], forward[1:]):
+        assert b == mutate_matrix(forward[position[id(parent)]], k)
 
 
 def test_walker_expands_each_tilting_object_once():
@@ -499,16 +534,39 @@ def test_theorem1_injectivity_reports():
     assert rep3["injective_everywhere"] is True
 
 
-def test_theorem1_report_names_two_colliding_columns():
+def widened(g, bits):
+    """A copy of g whose hom entries are all shifted left by ``bits``: the
+    same columns, equal and distinct alike, in wider fields."""
+    wide = copy.copy(g)
+    wide.hom_i = tuple(tuple(h << bits for h in row) for row in g.hom_i)
+    return wide
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_theorem1_report_falls_back_on_wide_tables(name):
+    # 21 more bits per entry leave n columns no room in a 64-bit field, so
+    # every object is judged by its tuple columns alone
+    g = GammaC(builtin_quiver(name))
+    wide = widened(g, 21)
+    assert g.quiver.n * max(map(max, wide.hom_i)).bit_length() > 64
+    keys = ("tilting_count", "propagation_cases", "injective_everywhere")
+    rep, wide_rep = _theorem1_report(g, walk_tilting(g)), _theorem1_report(wide, walk_tilting(g))
+    assert [wide_rep[key] for key in keys] == [rep[key] for key in keys]
+    assert rep["injective_everywhere"] is True
+
+
+@pytest.mark.parametrize("bits", [0, 21], ids=["packed", "wide"])
+def test_theorem1_report_names_two_colliding_columns(bits):
     # a copy of the A3 tables whose column y repeats column x on every row;
-    # neither is in the shift of P[1], expanded first, so P[1] admits them
+    # neither is in the shift of P[1], expanded first, so P[1] admits them;
+    # the wide copy takes the tuple route for every object
     g = GammaC(builtin_quiver("A3"))
     start = shifted_initial_seed_c(g)
     shift = {g.tau_i[t] for t in start.summands}
     x, y = [m for m in range(len(g.vertices)) if m not in shift][:2]
     assert [g.hom_i[t][x] for t in start.summands] != [g.hom_i[t][y] for t in start.summands]
-    bad = copy.copy(g)
-    bad.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in g.hom_i)
+    bad = widened(g, bits)
+    bad.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in bad.hom_i)
     rep = _theorem1_report(bad, walk_tilting(g))
     assert rep["injective_everywhere"] is False
     assert rep["tilting_count"] == 14
@@ -516,7 +574,7 @@ def test_theorem1_report_names_two_colliding_columns():
         "tilting": [g.vertices[t].render() for t in start.summands],
         "first": g.vertices[x].render(),
         "second": g.vertices[y].render(),
-        "vector": [g.hom_i[t][x] for t in start.summands],
+        "vector": [g.hom_i[t][x] << bits for t in start.summands],
     }
 
 
