@@ -5,8 +5,10 @@ shifted projective per vertex. They tile the stable translation quiver ZQ:
 module positions come from walking inverse-translate orbits rightward from
 the projective slice, and the glide that folds ZQ onto the category moves a
 position (k, i) to (k + k_i + 2, c_i), where (k_i, c_i) is the position of
-the injective at vertex i. Hom dimensions are knitted as hammocks on ZQ and
-summed over the finitely many glide translates of the target.
+the injective at vertex i. Every vertex is a translate of a projective, and
+Hom(P_i, Y) is entry i of dim Y at a module Y and 0 at a shifted projective
+(Buan-Marsh-Reineke-Reiten-Todorov 2006), so no hom dimension is knitted;
+ext1 is checked symmetric, as the category is 2-Calabi-Yau (Keller 2005).
 
 Everything here is exact integer combinatorics; the representation-theoretic
 formulas for the same numbers live in the test suite as an independent check
@@ -26,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import and_, getitem, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .laurent import explore_exchange_graph
@@ -141,8 +143,9 @@ class ExchangeData:
 
 
 Position = tuple[int, int]
-# (seed, k, tk_star): a walk's mutation of summand k of seed into vertex tk_star
-Edge = tuple[CategorifiedSeed, int, int]
+# (seed, partners): a tilting object as the walk expands it, with the vertex
+# that replaces its summand k at partners[k - 1]
+Expansion = tuple[CategorifiedSeed, tuple[int, ...]]
 
 
 def zero_mask(row: bytes) -> int:
@@ -158,11 +161,12 @@ class GammaC:
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
-    ``hammock(x)`` is the one knitting of hom dimensions: the module table of
-    ``tilting`` reads it unfolded at module positions, and ``hom_i`` takes n
-    knittings, one per projective folded over the glide, translated by tau:
-    the vertex at (k, i) is tau^-k P_i, so its row is P_i's row read at tau^k
-    of each target."""
+    P_i's row holds entry i of every module's dimension vector and 0 at the
+    shifted projectives; the vertex at (k, i) is tau^-k P_i, so its row is
+    P_i's row read at tau^k of each target. Building the table knits nothing
+    and checks that ext1(x, y) = hom(x, tau y) equals ext1(y, x) for every
+    pair. ``hammock(x)`` knits hom dimensions on ZQ, for the module table of
+    ``tilting``, which reads it unfolded at module positions."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -226,18 +230,24 @@ class GammaC:
             raise AssertionError("translation is not a bijection")
         self._check_translation(inj_pos)
 
-        # Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
-        knitted = {i: self._knit_row(self.obj_at[0, i]) for i in rows}
+        # Hom(P_i, y) is entry i of dim y at a module y and 0 at a shifted
+        # projective; Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
+        at_tau = itemgetter(*self.tau_i)
         tau_k = [tuple(range(len(self.vertices)))]
         while len(tau_k) <= self.max_slice:
-            tau_k.append(tuple(self.tau_i[y] for y in tau_k[-1]))
+            tau_k.append(at_tau(tau_k[-1]))
+        at_tau_k = [itemgetter(*t) for t in tau_k]
+        proj_rows = {i: tuple(v.dims[i - 1] if v.is_module else 0 for v in self.vertices) for i in rows}
         self.hom_i: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(knitted[i].__getitem__, tau_k[k])) for k, i in map(self.pos_of.get, self.vertices)
+            at_tau_k[k](proj_rows[i]) for k, i in map(self.pos_of.get, self.vertices)
         )
-        # ext1(x, y) = hom(x, tau y), as byte rows and their transpose
-        ext_rows = [bytes(map(row.__getitem__, self.tau_i)) for row in self.hom_i]
-        ext_cols = map(zero_mask, map(bytes, zip(*ext_rows)))
-        self.ext_free: tuple[int, ...] = tuple(map(and_, map(zero_mask, ext_rows), ext_cols))
+        # ext1(x, y) = hom(x, tau y) = ext1(y, x) by 2-Calabi-Yau duality
+        ext = list(map(at_tau, self.hom_i))
+        if ext != list(zip(*ext)):
+            x, y = next((x, y) for x, row in enumerate(ext) for y, e in enumerate(row) if e != ext[y][x])
+            pair = f"{self.vertices[x].render()}, {self.vertices[y].render()}"
+            raise AssertionError(f"ext1 is not symmetric at ({pair}): {ext[x][y]} against {ext[y][x]}")
+        self.ext_free: tuple[int, ...] = tuple(zero_mask(bytes(row)) for row in ext)
         self._check_rigidity()
 
     # -- construction helpers ------------------------------------------------
@@ -329,15 +339,6 @@ class GammaC:
             raise AssertionError("hammock does not vanish past the suspended source")
         return h
 
-    def _knit_row(self, x: CVertex) -> tuple[int, ...]:
-        """The hammock of x folded over the glide; the row of hom dimensions
-        from x to every vertex."""
-        row = [0] * len(self.vertices)
-        for pos, h in self.hammock(x).items():
-            if h:
-                row[self._id_at(pos)] += h
-        return tuple(row)
-
     def _check_rigidity(self):
         for x, v in enumerate(self.vertices):
             if self.hom_i[x][x] != 1:
@@ -357,21 +358,6 @@ def shifted_initial_seed_c(g: GammaC) -> CategorifiedSeed:
     return CategorifiedSeed(g.shift_i, exchange_matrix(g.quiver))
 
 
-def _partner(g: GammaC, seed: CategorifiedSeed, k: int, others: int) -> int:
-    """The exchange partner of summand k of a basic seed, given ``others``,
-    the AND of the other summands' ext_free masks."""
-    tk = seed.summands[k - 1]
-    mask = others & ~seed.tilting_key
-    if not mask:
-        raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
-    if mask & (mask - 1):
-        raise MultipleComplements(f"{mask.bit_count()} partners for {g.vertices[tk].render()}")
-    tk_star = mask.bit_length() - 1
-    if g.hom_i[tk][g.tau_i[tk_star]] != 1:
-        raise AssertionError("exchange pair does not have a one dimensional extension space")
-    return tk_star
-
-
 def _mutated(seed: CategorifiedSeed, k: int, tk_star: int, key: int) -> CategorifiedSeed:
     """The seed with summand k replaced by its partner ``tk_star``, whose
     tilting key ``key`` the caller derived by XOR; ``b`` mutates on first read."""
@@ -389,39 +375,49 @@ def exchange_data(seed: CategorifiedSeed, k: int, tk_star: int) -> ExchangeData:
     return ExchangeData(k, seed.summands[k - 1], tk_star, e, e_prime)
 
 
-def walk_tilting(g: GammaC) -> Iterator[Edge]:
+def walk_tilting(g: GammaC) -> Iterator[Expansion]:
     """Breadth-first walk over every tilting object from the shifted
     projective generator P[1], whose summand P_i[1] stands for the initial
-    cluster variable x_i, yielding each mutation edge ``(seed, k, tk_star)``:
-    summand k of ``seed`` is exchanged for the vertex ``tk_star``.
+    cluster variable x_i, yielding each object once as ``(seed, partners)``:
+    the seed that first reached it, and the exchange partner of its summand k
+    at ``partners[k - 1]``, so its mutation edges are ``enumerate(partners, 1)``.
 
-    Each tilting object is expanded once, as the seed that first reached it,
-    and its edges come out for k = 1..n in turn, so ``k == 1`` marks a newly
-    expanded seed; the objects come out in the order in which
-    ``explore_exchange_graph`` discovers their clusters. The mask of the
-    summands other than k is the AND of a prefix and a suffix of their
-    ext_free masks: 2n ANDs per object. Every edge runs the checks of the
-    partner search and derives the next key by XOR; only a key not seen
-    before gets its seed built, its matrix mutated on first read. An edge's
-    exchange data is ``exchange_data(seed, k, tk_star)``, for its readers.
+    The objects come out in the order in which ``explore_exchange_graph``
+    discovers their clusters. The mask of the summands other than k is the
+    AND of a prefix and a suffix of their ext_free masks: 2n ANDs per object.
+    Every edge checks that its partner is unique and has a one dimensional
+    extension space with the summand, and derives the next key by XOR; only a
+    key not seen before gets its seed built, its matrix mutated on first
+    read. An edge's exchange data is ``exchange_data(seed, k, tk_star)``, for
+    its readers.
     """
     start = shifted_initial_seed_c(g)
     seen = {start.tilting_key}
     queue = deque([start])
     full = (1 << len(g.vertices)) - 1
+    hom_i, tau_i = g.hom_i, g.tau_i
     while queue:
         seed = queue.popleft()
-        key = seed.tilting_key
-        masks = [g.ext_free[x] for x in seed.summands]
-        prefix = list(accumulate(masks, and_, initial=full))  # prefix[j]: AND of masks[:j]
-        suffix = list(accumulate(reversed(masks), and_, initial=full))[::-1]  # masks[j:]
-        for k in range(1, g.quiver.n + 1):
-            tk_star = _partner(g, seed, k, prefix[k - 1] & suffix[k])
-            yield seed, k, tk_star
-            nkey = key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+        key, summands = seed.tilting_key, seed.summands
+        masks = [g.ext_free[x] for x in summands]
+        prefix = accumulate(masks, and_, initial=full)  # AND of masks[:k - 1], for k = 1..n
+        suffix = list(accumulate(reversed(masks), and_, initial=full))[-2::-1]  # masks[k:]
+        partners = []
+        for k, (tk, before, after) in enumerate(zip(summands, prefix, suffix), 1):
+            mask = before & after & ~key
+            if not mask:
+                raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
+            if mask & (mask - 1):
+                raise MultipleComplements(f"{mask.bit_count()} partners for {g.vertices[tk].render()}")
+            tk_star = mask.bit_length() - 1
+            if hom_i[tk][tau_i[tk_star]] != 1:
+                raise AssertionError("exchange pair does not have a one dimensional extension space")
+            partners.append(tk_star)
+            nkey = key ^ (1 << tk) ^ mask
             if nkey not in seen:
                 seen.add(nkey)
                 queue.append(_mutated(seed, k, tk_star, nkey))
+        yield seed, tuple(partners)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +477,10 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
     return _theorem1_report(g, walk_tilting(g))
 
 
-def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
-    """The report of ``theorem1_injectivity`` over the edges of a walk of g,
-    for callers that walk g for checks of their own as well. Column m is m's
+def _theorem1_report(g: GammaC, objects: Iterable[Expansion]) -> dict:
+    """The report of ``theorem1_injectivity`` over the tilting objects of a
+    walk of g, for callers that walk g for checks of their own as well; each
+    object stands for its n mutations. Column m is m's
     dimension vector, packed with the others in 64-bit fields of one int. The
     V columns take V - |shifted| + |{columns at shifted}| values iff the
     admissible ones are distinct and unlike those; else the tuples decide."""
@@ -495,30 +492,30 @@ def _theorem1_report(g: GammaC, edges: Iterable[Edge]) -> dict:
         placed = [[p << (width * j) for p in packed] for j in range(n)]
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
-    for seed, k, _ in edges:
-        if k == 1:
-            checked_tiltings += 1
-            shifted = {tau_i[t] for t in seed.summands}
-            s = sum(map(getitem, placed, seed.summands))
-            cols = memoryview(s.to_bytes(8 * size, sys.byteorder)).cast("Q")
-            if len(set(cols)) != size - len(shifted) + len({cols[x] for x in shifted}):
-                admissible = [m for m in range(size) if m not in shifted]
-                columns = list(zip(*(hom_i[t] for t in seed.summands)))
-                first: dict[tuple[int, ...], int] = {}
-                for m in admissible:
-                    vec = columns[m]
-                    if first.setdefault(vec, m) != m:
-                        failures.append(
-                            {
-                                "tilting": [g.vertices[t].render() for t in seed.summands],
-                                "first": g.vertices[first[vec]].render(),
-                                "second": g.vertices[m].render(),
-                                "vector": list(vec),
-                            }
-                        )
-        # the next seed differs only by tk -> tk_star and tau is a bijection,
-        # so only tau(tk_star) can enter the shifted summands: nothing to check
-        lemma7_cases += size - len(shifted)
+    for seed, _ in objects:
+        checked_tiltings += 1
+        shifted = {tau_i[t] for t in seed.summands}
+        s = sum(map(getitem, placed, seed.summands))
+        cols = memoryview(s.to_bytes(8 * size, sys.byteorder)).cast("Q")
+        if len(set(cols)) != size - len(shifted) + len({cols[x] for x in shifted}):
+            admissible = [m for m in range(size) if m not in shifted]
+            columns = list(zip(*(hom_i[t] for t in seed.summands)))
+            first: dict[tuple[int, ...], int] = {}
+            for m in admissible:
+                vec = columns[m]
+                if first.setdefault(vec, m) != m:
+                    failures.append(
+                        {
+                            "tilting": [g.vertices[t].render() for t in seed.summands],
+                            "first": g.vertices[first[vec]].render(),
+                            "second": g.vertices[m].render(),
+                            "vector": list(vec),
+                        }
+                    )
+        # each mutation changes one summand tk -> tk_star and tau is a
+        # bijection, so only tau(tk_star) can enter the shifted summands:
+        # nothing to check
+        lemma7_cases += n * (size - len(shifted))
     return {
         "diagram": g.diagram.label,
         "vertices": len(g.vertices),
@@ -563,17 +560,17 @@ def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
             where = {"summand": g.vertices[t].render(), "tilting": render(seed), "k": k}
             mismatches.append({"check": "path", **where, "paired": first.render(), "reached": x.render()})
 
-    for seed, k, tk_star in walk_tilting(g):
-        if k == 1:
-            s, made = expansions[tilting_objects]
-            if s is None or s.b != seed.b:
-                mismatches.append({"check": "order", "position": tilting_objects, "tilting": render(seed)})
-                break
-            tilting_objects += 1
-            for j, (t, x) in enumerate(zip(seed.summands, s.cluster), 1):
-                pair(t, x, seed, j)
-        edges += 1
-        pair(tk_star, made[k - 1], seed, k)
+    for seed, partners in walk_tilting(g):
+        s, made = expansions[tilting_objects]
+        if s is None or s.b != seed.b:
+            mismatches.append({"check": "order", "position": tilting_objects, "tilting": render(seed)})
+            break
+        tilting_objects += 1
+        for j, (t, x) in enumerate(zip(seed.summands, s.cluster), 1):
+            pair(t, x, seed, j)
+        for k, tk_star in enumerate(partners, 1):
+            edges += 1
+            pair(tk_star, made[k - 1], seed, k)
     else:
         if expansions[tilting_objects][0] is not None:  # explore found more seeds than the walk
             mismatches.append({"check": "order", "position": tilting_objects, "tilting": None})

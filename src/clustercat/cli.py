@@ -255,23 +255,23 @@ def _verify_lemma67(qtype: str, depth):
     q = builtin_quiver(qtype)
     g = GammaC(q)
     # one walk serves both lemmas and the Theorem 1 propagation report
-    edges = list(walk_tilting(g))
-    tilting_objects = compat_cases = 0
+    objects = list(walk_tilting(g))
+    compat_cases = 0
     failures: list[dict] = []
-    for cur, k, tk_star in edges:
-        tilting_objects += k == 1
-        xd = exchange_data(cur, k, tk_star)
-        for x, agree in enumerate(lemma6_check(g, xd)):
-            compat_cases += 1
-            for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):
-                if not holds:
-                    tilting = [g.vertices[t].render() for t in cur.summands]
-                    obj = g.vertices[x].render()
-                    failures.append({"tilting": tilting, "k": k, "object": obj, "check": check})
-    prop = _theorem1_report(g, edges)
+    for cur, partners in objects:
+        for k, tk_star in enumerate(partners, 1):
+            xd = exchange_data(cur, k, tk_star)
+            for x, agree in enumerate(lemma6_check(g, xd)):
+                compat_cases += 1
+                for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):
+                    if not holds:
+                        tilting = [g.vertices[t].render() for t in cur.summands]
+                        obj = g.vertices[x].render()
+                        failures.append({"tilting": tilting, "k": k, "object": obj, "check": check})
+    prop = _theorem1_report(g, objects)
     ok = not failures and prop["injective_everywhere"]
     details = {
-        "tilting_objects": tilting_objects,
+        "tilting_objects": len(objects),
         "compatibility_cases": compat_cases,
         "propagation_cases": prop["propagation_cases"],
     }

@@ -10,8 +10,9 @@ shrinking the torsion class at every step.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
 dimension vectors, so hom and ext between them are one table per quiver.  Its
-hom dimensions are read from the hammocks ``category.GammaC`` knits on ZQ;
-hom bases are solved only for the pairs a swap's approximation uses.  An
+hom dimensions are read from the hammocks ``category.GammaC.hammock`` knits on
+ZQ, one per module; hom bases are solved only for the pairs a swap's
+approximation uses.  An
 indecomposable is named by its id in that table; tilting modules hold ids, and
 torsion classes, descent summands, the enumeration and each swap's T0' and E
 are lookups.  The module route certifies every swap with one Ext rank:

@@ -221,7 +221,7 @@ def test_criterion_7_exchange_compatibility_suite():
 
 def test_criterion_8_oracle_equivalence_suite():
     def body():
-        # hammock table vs module-theoretic recomputation
+        # the category's hom table vs module-theoretic recomputation
         q3 = builtin_quiver("A3")
         g3 = GammaC(q3)
         for x, vx in enumerate(g3.vertices):
@@ -269,7 +269,7 @@ def test_criterion_8_oracle_equivalence_suite():
                 walk = seed_mutate(walk, rng.randint(1, len(bq)))
 
     run_criterion(
-        8, "hammock homs match module theory, ext stays Euler-consistent and "
+        8, "category homs match module theory, ext stays Euler-consistent and "
            "symmetric, mutation involutive, 1000 walks divide exactly",
         60.0, body,
     )

@@ -1,6 +1,6 @@
 """Checks for the cluster category tables.
 
-The hom table inside GammaC is produced by mesh knitting.  The oracle
+The hom table inside GammaC is read off dimension vectors.  The oracle
 below recomputes every hom dimension from plain module theory through the
 orbit construction: maps X -> Y come from module maps together with maps
 into the translate of the shift, so for modules
@@ -19,11 +19,12 @@ import inspect
 import itertools
 import json
 import operator
+import re
 
 import pytest
 from test_reps import tau, tau_inverse
 
-from clustercat import category, cli, laurent
+from clustercat import category, cli, laurent, tilting
 from clustercat.category import (
     CategorifiedSeed,
     CVertex,
@@ -32,7 +33,6 @@ from clustercat.category import (
     MultipleComplements,
     NoComplement,
     _mutated,
-    _partner,
     _theorem1_report,
     den_vs_hom_crosscheck,
     exchange_data,
@@ -124,19 +124,42 @@ def linear(n):
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
 
 
+def orientations(q):
+    """Every quiver on q's underlying graph, one per choice of arrow directions."""
+    for flips in itertools.product((False, True), repeat=len(q.arrows)):
+        yield Quiver(q.n, tuple((t, s) if flip else (s, t) for (s, t), flip in zip(q.arrows, flips)))
+
+
+def knit_row(g, x):
+    """The hammock of vertex x folded over the glide: the row of hom
+    dimensions from x to every vertex, knitted on ZQ."""
+    row = [0] * len(g.vertices)
+    for pos, h in g.hammock(x).items():
+        if h:
+            row[g._id_at(pos)] += h
+    return tuple(row)
+
+
+ORIENTED = {
+    f"{name}-{j}": q
+    for name, base in (("A4", builtin_quiver("A4")), ("D4", builtin_quiver("D4")), ("D5", D5))
+    for j, q in enumerate(orientations(base))
+}
+
+
 @pytest.mark.parametrize(
     "q",
-    [A1, *map(linear, range(2, 7)), builtin_quiver("D4"), D5, D6, E6, E7, E8],
-    ids=["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"],
+    [A1, *map(linear, range(2, 7)), builtin_quiver("D4"), D5, D6, E6, E7, E8, *ORIENTED.values()],
+    ids=["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8", *ORIENTED],
 )
 def test_hom_rows_are_translated_projective_rows(q):
-    # each row is knitted from P_i and read at tau^k; the per-vertex
-    # knitting it replaced is the reference
+    # each row is P_i's row of dimension vector entries, read at tau^k; the
+    # folded hammock of every vertex is the reference
     g = GammaC(q)
-    assert g.hom_i == tuple(g._knit_row(v) for v in g.vertices)
+    assert g.hom_i == tuple(knit_row(g, v) for v in g.vertices)
 
 
-def test_gammac_knits_one_hammock_per_projective(monkeypatch):
+def counting_hammocks(monkeypatch):
     calls = []
     real = GammaC.hammock
 
@@ -145,9 +168,62 @@ def test_gammac_knits_one_hammock_per_projective(monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(GammaC, "hammock", counting)
+    return calls
+
+
+def test_gammac_knits_no_hammock(monkeypatch):
+    calls = counting_hammocks(monkeypatch)
     g = GammaC(E8)
     assert len(g.vertices) == 128
-    assert calls == [g.vertices[p] for p in g.proj_i]
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,modules", [(linear(5), 15), (E6, 36)], ids=["A5", "E6"])
+def test_module_table_knits_one_hammock_per_module(monkeypatch, q, modules):
+    # the module table reads its homs off the hammocks, whose checks run once
+    # for every module vertex
+    tilting._directed_indecomposables.cache_clear()
+    calls = counting_hammocks(monkeypatch)
+    g = GammaC(q)
+    tilting._directed_indecomposables(q)
+    assert calls == [v for v in g.vertices if v.is_module]
+    assert len(calls) == modules
+
+
+def ext_free_pair(hom, tau):
+    """The first x != y with no extension either way and tau y != x, so
+    that raising hom(x, tau y) leaves x's brick check alone."""
+    return next(
+        (x, y)
+        for x, y in itertools.permutations(range(len(hom)), 2)
+        if hom[x][tau[y]] == hom[y][tau[x]] == 0 and tau[y] != x
+    )
+
+
+class PlantedExt(GammaC):
+    """GammaC whose hom table, once built, gets one entry raised by 1, at
+    (x, tau y) for the ``ext_free_pair`` (x, y): ext1(x, y) = 1 against
+    ext1(y, x) = 0."""
+
+    @property
+    def hom_i(self):
+        return self._planted
+
+    @hom_i.setter
+    def hom_i(self, rows):
+        x, y = ext_free_pair(rows, self.tau_i)
+        ty = self.tau_i[y]
+        self._planted = tuple(row[:ty] + (row[ty] + 1,) + row[ty + 1 :] if r == x else row for r, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_asymmetric_ext_is_caught(name):
+    # 2-Calabi-Yau duality: ext1(x, y) = ext1(y, x) for every pair
+    g = GammaC(builtin_quiver(name))
+    x, y = ext_free_pair(g.hom_i, g.tau_i)
+    pair = f"{g.vertices[x].render()}, {g.vertices[y].render()}"
+    with pytest.raises(AssertionError, match=rf"ext1 is not symmetric at \({re.escape(pair)}\): 1 against 0"):
+        PlantedExt(builtin_quiver(name))
 
 
 @pytest.mark.parametrize("name,count", [("A2", 5), ("A3", 9), ("A4", 14), ("D4", 16)])
@@ -204,7 +280,7 @@ def brute_force_tilting_count(g):
 
 def expanded_seeds(g):
     """The seeds walk_tilting expands, one per tilting object."""
-    return [seed for seed, k, _ in walk_tilting(g) if k == 1]
+    return [seed for seed, _ in walk_tilting(g)]
 
 
 @pytest.mark.parametrize("name,count", [("A2", 5), ("A3", 14), ("D4", 50)])
@@ -236,7 +312,7 @@ def test_walk_hashes_no_vertex_label(monkeypatch):
         return label_hash(v)
 
     monkeypatch.setattr(CVertex, "__hash__", counting_hash)
-    assert len([edge for edge in walk_tilting(g) if edge[1] == 1]) == 833
+    assert len(list(walk_tilting(g))) == 833
     assert hashed == []
 
 
@@ -282,16 +358,16 @@ def initial_seed_c(g):
 
 
 def mutate_tilting(g, seed, k):
-    """One-step oracle: replace summand k of any basic seed by its unique
-    exchange partner, with the exchange data of the step. The partner comes
-    from one AND of the other summands' ext_free masks, started from all ones
-    so that it is exact when the summand is the only one; the walker ANDs a
-    prefix and a suffix instead."""
-    if seed.tilting_key.bit_count() != g.quiver.n:
-        raise ValueError("seed is not basic")
+    """One-step oracle: replace summand k of a tilting object by its unique
+    exchange partner, with the exchange data of the step. The partner is the
+    one vertex outside the seed in the AND of the other summands' ext_free
+    masks, started from all ones so that it is exact when the summand is the
+    only one; the walker ANDs a prefix and a suffix instead."""
     masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
-    tk_star = _partner(g, seed, k, functools.reduce(operator.and_, masks, (1 << len(g.vertices)) - 1))
-    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
+    mask = functools.reduce(operator.and_, masks, (1 << len(g.vertices)) - 1) & ~seed.tilting_key
+    assert mask.bit_count() == 1
+    tk_star = mask.bit_length() - 1
+    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ mask
     return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
 
 
@@ -301,17 +377,18 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
     reduced = []
     real_reduce = category.reduce
     monkeypatch.setattr(category, "reduce", lambda *args: reduced.append(args) or real_reduce(*args))
-    edges = list(walk_tilting(g))
+    objects = list(walk_tilting(g))
     # only the start's key is read off its summands; every other key is the
     # walk's XOR, passed in as it is
     assert len(reduced) == 1
     # the walker builds a seed only for the edge that first reaches its key,
     # and expands the seeds in that order
-    expanded = iter([seed for seed, k, _ in edges if k == 1])
+    expanded = iter([seed for seed, _ in objects])
     start = next(expanded)
     assert start == shifted_initial_seed_c(g)
     reduced.clear()
     seen = {start.tilting_key}
+    edges = [(seed, k, tk_star) for seed, partners in objects for k, tk_star in enumerate(partners, 1)]
     for seed, k, tk_star in edges:
         found, e, e_prime = brute_force_partner(g, seed, k)
         assert found == [tk_star], (seed.summands, k)
@@ -352,12 +429,12 @@ def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
     counting("mutate_matrix", category.mutate_matrix)
     counting("ExchangeData", category.ExchangeData)
     g = GammaC(builtin_quiver("D4"))
-    edges = list(walk_tilting(g))
-    assert len(edges) == 200
+    objects = list(walk_tilting(g))
+    assert sum(len(partners) for _, partners in objects) == 200
     assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
     assert theorem1_injectivity(builtin_quiver("D4"))["tilting_count"] == 50
     assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
-    assert len([seed.b for seed, k, _ in edges if k == 1]) == 50
+    assert len([seed.b for seed, _ in objects]) == 50
     assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
     calls["mutate_matrix"] = 0
     assert cli.main(["verify", "lemma67", "--type", "D4"]) == 0
@@ -389,9 +466,9 @@ def test_matrices_read_backwards_match_forward_mutation(monkeypatch):
 
 def test_walker_expands_each_tilting_object_once():
     g = GammaC(builtin_quiver("D4"))
-    edges = list(walk_tilting(g))
-    expanded = [seed for seed, k, _ in edges if k == 1]
-    assert [k for _, k, _ in edges] == [1, 2, 3, 4] * len(expanded)
+    objects = list(walk_tilting(g))
+    expanded = [seed for seed, _ in objects]
+    assert [len(partners) for _, partners in objects] == [4] * len(expanded)
     assert expanded[0] == shifted_initial_seed_c(g)
     assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
     for s in expanded:
@@ -399,31 +476,38 @@ def test_walker_expands_each_tilting_object_once():
         assert all(ext_c(g, a, b) == 0 for a in s.summands for b in s.summands)
 
 
-def test_non_tilting_seeds_raise():
-    # on seeds that are not tilting objects, the checks that guard the mask
-    # route fire exactly where the brute-force scan says they must
+def test_non_tilting_seeds_raise(monkeypatch):
+    # a walk started from four vertices that are not a tilting object runs
+    # its partner checks on them: they fire at the first summand where the
+    # brute-force scan finds no partner, two, or one whose extension space is
+    # not one dimensional, and where every summand has one partner the walk
+    # yields those
     g = GammaC(builtin_quiver("D4"))
     b = initial_seed_c(g).b
     raised = set()
     for combo in itertools.combinations(range(len(g.vertices)), 4):
         seed = CategorifiedSeed(combo, b)
-        found, _, _ = brute_force_partner(g, seed, 4)
-        if not found:
-            error = NoComplement
-        elif len(found) > 1:
-            error = MultipleComplements
-        elif ext_c(g, combo[3], found[0]) != 1:
-            error = AssertionError
-        else:
-            assert mutate_tilting(g, seed, 4)[1].tk_star == found[0]
+        monkeypatch.setattr(category, "shifted_initial_seed_c", lambda g: seed)
+        error, partners = None, []
+        for k, tk in enumerate(combo, 1):
+            found, _, _ = brute_force_partner(g, seed, k)
+            if not found:
+                error = NoComplement
+            elif len(found) > 1:
+                error = MultipleComplements
+            elif ext_c(g, tk, found[0]) != 1:
+                error = AssertionError
+            else:
+                partners.append(found[0])
+                continue
+            break
+        if error is None:
+            assert next(walk_tilting(g)) == (seed, tuple(partners))
             continue
         with pytest.raises(error):
-            mutate_tilting(g, seed, 4)
+            next(walk_tilting(g))
         raised.add(error)
     assert raised == {NoComplement, MultipleComplements, AssertionError}
-    p1, _, p3, p4 = g.proj_i
-    with pytest.raises(ValueError):
-        mutate_tilting(g, CategorifiedSeed((p1, p1, p3, p4), b), 2)
 
 
 def test_mutation_exchange_a2():
@@ -781,11 +865,11 @@ def test_walk_expands_in_explore_discovery_order(quiver):
     g = GammaC(quiver)
     paired = dict(zip(g.shift_i, initial_seed(b).cluster))
     expanded = []
-    for seed, k, tk_star in walk_tilting(g):
+    for seed, partners in walk_tilting(g):
         cluster = tuple(paired[t] for t in seed.summands)
-        if k == 1:
-            expanded.append((seed.b, frozenset(cluster)))
-        paired.setdefault(tk_star, seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1])
+        expanded.append((seed.b, frozenset(cluster)))
+        for k, tk_star in enumerate(partners, 1):
+            paired.setdefault(tk_star, seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1])
     res = explore_exchange_graph(b)
     assert expanded == [(s.b, frozenset(s.cluster)) for s in res.seeds]
 

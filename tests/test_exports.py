@@ -57,6 +57,29 @@ def test_every_definition_is_used():
     assert dead == []
 
 
+def test_private_helpers_have_a_src_caller():
+    # a private def or method that only the tests name is a test oracle, and
+    # belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in ("src", "bench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    used = Counter(n for tree in trees.values() for n in _names(tree))
+    test_only = [
+        f"{path.relative_to(root)}::{node.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(root / "src")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and used[node.name] == sum(n == node.name for n in _names(node))
+    ]
+    assert test_only == []
+
+
 def _exports(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
