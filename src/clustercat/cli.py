@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bound import counterexample_report
 from .category import (
@@ -57,11 +58,61 @@ BUILTIN_DOC = (
 
 
 def render_report(report: dict, fmt: str) -> str:
+    """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
+    it, or as TSV rows of dotted key paths and compact JSON leaves.  The JSON
+    is written by ``_write_json``, since an ``indent`` sends ``json.dumps``
+    to its pure-Python encoder."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2)
+        out: list[str] = []
+        _write_json(report, "\n", out)
+        return "".join(out)
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
     return "\n".join(f"{key}\t{value}" for key, value in rows)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True, indent=2)`` to ``out``,
+    with ``newline`` (a line break and the current indent) at each line
+    break.  Dicts with str keys and lists or tuples are written here, a list
+    of scalars (strs, exact ints, None and bools) in one join, and strings
+    by the C escaper of ``json``; any other value, such as a float or a dict
+    with a non-str key, goes to ``json.dumps`` and is re-indented."""
+    kind = type(value)
+    if kind in _SCALARS:
+        out.append(_scalar(value))
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            text = map(int.__repr__ if kinds == {int} else _scalar, value)
+            out.append("[" + inner + ("," + inner).join(text))
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and value and set(map(type, value)) == {str}:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+
+
+_SCALARS = {str, int, bool, type(None)}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value) -> str:
+    kind = type(value)
+    return _quote(value) if kind is str else int.__repr__(value) if kind is int else _CONSTANTS[value]
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:

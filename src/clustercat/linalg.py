@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ints, with a ``fractions.Fraction``
-only where a value is not integral.  Ranks, kernels and solutions all come
-from one forward elimination over sparse integer rows: each row, dense or a
+only where a value is not integral.  Ranks and kernels both come from one
+forward elimination over sparse integer rows: each row, dense or a
 ``{column: value}`` dict, is scaled to Python ints once and cleared at its
 leading column by the pivot row stored there, fraction-free and divided by
-its content.  ``rank`` counts the pivot rows; ``nullspace`` and
-``solve_matrix`` back-substitute on them, and an answer read off a pivot row
-is a Fraction only where the pivot does not divide.  Shapes are carried
-explicitly because zero-row and zero-column matrices are legitimate values
-here (representations routinely have zero-dimensional vertex spaces).
+its content.  ``rank`` counts the pivot rows; ``nullspace`` back-substitutes
+on them, and an entry read off a pivot row is a Fraction only where the pivot
+does not divide.  Shapes are carried explicitly because zero-row and
+zero-column matrices are legitimate values here (representations routinely
+have zero-dimensional vertex spaces).
 
 All functions return fresh objects; nothing mutates its arguments.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Row = list[int | Fraction]
 Matrix = list[Row]
@@ -34,8 +34,6 @@ __all__ = [
     "transpose",
     "rank",
     "nullspace",
-    "solve",
-    "solve_matrix",
 ]
 
 
@@ -155,24 +153,3 @@ def nullspace(a: Matrix | list[SparseRow], cols: int) -> Matrix:
             if fc != pc:
                 basis[fc][pc] = _quotient(-x, row[pc])
     return list(basis.values())
-
-
-def solve_matrix(a: Matrix | list[SparseRow], b: Matrix, cols: int) -> Matrix | None:
-    """The solution X of a*X = b (``cols`` columns in a) that is zero on every
-    free variable, or None if the system is inconsistent."""
-    rows = (row if isinstance(row, dict) else dict(enumerate(row)) for row in a)
-    pivots = _echelon([row | dict(enumerate(rhs, cols)) for row, rhs in zip(rows, b)])
-    if any(c >= cols for c in pivots):
-        return None
-    x = zeros(cols, len(b[0]) if b else 0)
-    for pc, row in _reduced(pivots).items():
-        x[pc] = [_quotient(row.get(j, 0), row[pc]) for j in range(cols, cols + len(x[pc]))]
-    return x
-
-
-def solve(a: Matrix | list[SparseRow], b: Sequence, cols: int) -> Row | None:
-    """One solution of a*x = b, or None if inconsistent."""
-    if not a:
-        return [0] * cols if not any(b) else None
-    x = solve_matrix(a, [[y] for y in b], cols)
-    return None if x is None else [row[0] for row in x]

@@ -12,15 +12,18 @@ Everything here needs a Dynkin quiver: its indecomposables are fixed by their
 dimension vectors, so hom and ext between them are one table per quiver.  Its
 hom dimensions are read from the hammocks ``category.GammaC.hammock`` knits on
 ZQ, one per module; hom bases are solved only for the pairs a swap's
-approximation uses.  An
-indecomposable is named by its id in that table; tilting modules hold ids, and
-torsion classes, descent summands, the enumeration and each swap's T0' and E
-are lookups.  The module route certifies every swap with one Ext rank:
-the cokernel of the approximation of T0 must be rigid, and so it is fixed by
-its dimension vector.  A swap depends only on the summand set and on T0, so
-each (set, T0) swap is certified once per table and its T0' and E ids are
-shared by every descent chain through it; every step is written from the
-table.  Modules cross in only at ``TiltingModule.of``.
+approximation uses.  An indecomposable is named by its id in that table;
+tilting modules hold ids, and torsion classes, descent summands, the
+enumeration and each swap's T0' and E are lookups.  Restricted to a tilting
+module's ids in increasing order the hom table is upper unitriangular (the
+ids extend nonzero hom, and every indecomposable is a brick), so E's
+multiplicities are one integer back-substitution on hom counts.  The module
+route certifies every swap with one Ext rank: the cokernel of the
+approximation of T0 must be rigid, and so it is fixed by its dimension
+vector.  A swap depends only on the summand set and on T0, so each (set, T0)
+swap is certified once per table and its T0' and E ids are shared by every
+descent chain through it; every step is written from the table.  Modules
+cross in only at ``TiltingModule.of``.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ class _ModuleTable(NamedTuple):
     hom_basis: dict[tuple[int, int], list]
     index: dict[tuple[int, ...], int]
     ext: tuple[tuple[int, ...], ...]
+    hom_into: tuple[int, ...]
     ext_free: tuple[int, ...]
     compat: tuple[int, ...]
     injective: frozenset[int]
@@ -130,10 +134,12 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     """One hom/ext table over the indecomposables of a Dynkin quiver.
 
     ``hh[i][j]`` is dim Hom(X_i, X_j), read from ``GammaC.hammock`` of X_i at
-    X_j's position in ZQ.  ``ordered`` is a linear extension of the
-    nonzero-hom relation, a partial order as Dynkin module categories are
-    directed, ties broken by dimension vector; ``index`` maps a dimension
-    vector to its id.  ``ext[i][j]`` is hh[i][j] - <d_i, d_j> =
+    X_j's position in ZQ; every X_i is a brick, hh[i][i] = 1.  ``ordered`` is
+    a linear extension of the nonzero-hom relation, a partial order as Dynkin
+    module categories are directed, ties broken by dimension vector; so
+    hh[i][j] = 0 for i > j.  ``index`` maps a dimension vector to its id, and
+    bit i of ``hom_into[j]`` is set iff i != j and hh[i][j] != 0.
+    ``ext[i][j]`` is hh[i][j] - <d_i, d_j> =
     dim Ext^1(X_i, X_j), bit j of ``ext_free[i]`` is set iff ext[i][j] = 0,
     bit j of ``compat[i]`` is set iff ext vanishes both ways between X_i and
     X_j, and ``injective`` holds the ids of the indecomposable injectives.
@@ -156,6 +162,11 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     order = [v - 1 for v in Quiver(nn, arrows).topological_order()]
     ordered = tuple(indecomposable_from_root(q, inds[i].dims) for i in order)
     hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
+    if any(row[i] != 1 for i, row in enumerate(hh)):
+        raise AssertionError("an indecomposable has a nontrivial endomorphism ring")
+    hom_into = tuple(
+        ~zero_mask(bytes(col)) & ((1 << nn) - 1) & ~(1 << j) for j, col in enumerate(zip(*hh))
+    )
     # <d_i, d_j> = (d_i E) . d_j, with the integer row d_i E computed once per module
     cols = tuple(zip(*euler_data(q).euler_matrix))
     rows = [[sum(map(mul, a.dims, c)) for c in cols] for a in ordered]
@@ -176,7 +187,9 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
                     raise AssertionError("hammock and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
-    return _ModuleTable(ordered, hh, hom_basis, index, ext, ext_free, compat, injective, {}, diagram.label)
+    return _ModuleTable(
+        ordered, hh, hom_basis, index, ext, hom_into, ext_free, compat, injective, {}, diagram.label
+    )
 
 
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
@@ -215,16 +228,17 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     """Index of the next summand to swap, or None when all are injective.
 
     The summand must be non-injective and receive no maps from the other
-    summands, so the full hom space from T onto it is the one-dimensional
-    endomorphism ring.
+    summands (its ``hom_into`` mask misses T's), so the full hom space from T
+    onto it is the one-dimensional endomorphism ring.
     """
     if t.quiver != quiver:
         raise ValueError("tilting module lives on a different quiver")
     table = _directed_indecomposables(quiver)
     if table.injective.issuperset(t.ids):
         return None
+    key = sum(1 << i for i in t.ids)
     for k, j in enumerate(t.ids):
-        if j not in table.injective and sum(table.hh[i][j] for i in t.ids) == 1:
+        if j not in table.injective and not table.hom_into[j] & key:
             return k
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
 
@@ -283,10 +297,15 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
 
     The table predicts the swap: T0' is the one id left in the AND of the
     remaining summands' compatibility masks once their bits and T0's are
-    cleared (an almost complete tilting module has at most two complements),
-    and the minimal middle term E of 0 -> T0 -> E -> T0' -> 0 has the unique
-    multiplicities over the remaining summands that add up to dim T0 + dim T0'.
-    The module route certifies it with one rank: the cokernel W of the
+    cleared (an almost complete tilting module has at most two complements).
+    Hom(T_i, -) is exact on 0 -> T0 -> E -> T0' -> 0, as Ext^1(T_i, T0) = 0,
+    so E's multiplicities m solve sum_j m_j hh[i][j] = hh[i][T0] + hh[i][T0']
+    over T's summands i: an upper unitriangular system on T's ids in
+    increasing order, so m is one integer back-substitution from the largest
+    id down, and m at T0 must come out 0.  The remaining summands' dimension
+    vectors are independent, so the checked sum_j m_j dim T_j = dim T0 +
+    dim T0' leaves m no freedom.
+    The module route certifies the swap with one rank: the cokernel W of the
     approximation, whose dimension vector is then dim T0' plus the surplus
     copies of the remaining summands, must have Ext^1(W, W) = 0; a rigid
     module is fixed by its dimension vector (its orbit is open), so W is T0'
@@ -294,7 +313,7 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     summands, repeated by multiplicity and sorted by dimension vector.
     """
     table = _directed_indecomposables(quiver)
-    dims = [m.dims for m in table.ordered]
+    dims, hh = [m.dims for m in table.ordered], table.hh
     t0, rest = t.ids[k], t.ids[:k] + t.ids[k + 1:]
     cand = ~(1 << t0)
     for j in rest:
@@ -303,15 +322,20 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
         raise DescentStepError(f"{t.dims} without summand {k} has no single second complement")
     t0p = cand.bit_length() - 1
     target = [a + b for a, b in zip(dims[t0], dims[t0p])]
-    mult = linalg.solve([[dims[j][v] for j in rest] for v in range(quiver.n)], target, len(rest))
-    if mult is None or any(x.denominator != 1 or x < 0 for x in mult):
+    # from the largest id down: hh[i][j] = 0 for j < i, so row i needs only the m_j already found
+    mult: dict[int, int] = {}
+    for i in sorted(t.ids, reverse=True):
+        row = hh[i]
+        mult[i] = row[t0] + row[t0p] - sum(row[j] * x for j, x in mult.items())
+    sums = [sum(x * dims[j][v] for j, x in mult.items()) for v in range(quiver.n)]
+    if mult.pop(t0) or any(x < 0 for x in mult.values()) or sums != target:
         raise DescentStepError(f"no middle term over the rest adds up to {target}")
-    if any(table.hh[t0][j] < x for j, x in zip(rest, mult)):
+    if any(hh[t0][j] < x for j, x in mult.items()):
         raise DescentStepError("approximation misses part of the predicted middle term")
     w = _cokernel(quiver, t, k)
     if ext1_dim(w, w):
         raise DescentStepError(f"cokernel with dimension vector {w.dims} is not rigid")
-    e = sorted((j for j, x in zip(rest, mult) for _ in range(int(x))), key=dims.__getitem__)
+    e = sorted((j for j, x in mult.items() for _ in range(x)), key=dims.__getitem__)
     return TiltingModule(quiver, t.ids[:k] + (t0p,) + t.ids[k + 1:]), tuple(e)
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_linalg import solve_matrix
 from test_reps import all_indecomposables, direct_sum, is_isomorphic
 
 from clustercat import linalg
@@ -104,7 +105,7 @@ def syzygy(m):
     for idx, (s, t) in enumerate(q.arrows):
         src, dst = kernels[s - 1], kernels[t - 1]
         images = linalg.transpose([apply(p0.mats[idx], vec) for vec in src], p0.dims[t - 1])
-        coords = linalg.solve_matrix(linalg.transpose(dst, p0.dims[t - 1]), images, len(dst))
+        coords = solve_matrix(linalg.transpose(dst, p0.dims[t - 1]), images, len(dst))
         assert coords is not None, "kernel is not arrow-stable"
         mats.append(coords)
     return Representation(m.algebra, tuple(map(len, kernels)), mats), p0
@@ -326,7 +327,7 @@ def rebased(m, rng):
                 low[r][c], up[c][r] = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
             up[r][r] = Fraction(rng.choice((-2, -1, 1, 2, 4)), rng.choice((3, 5)))
         gs.append(linalg.mat_mul(low, up, d))
-        invs.append(linalg.solve_matrix(gs[-1], linalg.identity(d), d))
+        invs.append(solve_matrix(gs[-1], linalg.identity(d), d))
     # the base change holds a true Fraction, so the fraction path is exercised
     assert any(x.denominator > 1 for g in gs for row in g for x in row)
     mats = [

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_category import crosscheck_mutant
 
@@ -154,6 +156,83 @@ def test_verify_details_are_pinned(capsys, argv, digest):
     code, rep = run_json(capsys, "verify", *argv)
     assert code == 0 and rep["pass"] is True
     assert _sha256(json.dumps(rep["details"], sort_keys=True)) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,json_digest,tsv_digest",
+    [
+        (
+            ["prop8", "--type", "A2"],
+            "c22a2b85a165ce688b324cfa020a4cb547b9bc68324aa2e99e2eda7b7030fd24",
+            "7bad1a46bc1731e4b06b85faf07382baa49a5bb75fc11a2eb603af0ed851562e",
+        ),
+        (
+            ["prop8", "--type", "A3"],
+            "861752f0caeba7e4367574e78ebfda75f93b1c794638b9fbbcf2819fadbe6a63",
+            "e186a20977e5523a903e7cc14515afc9a51d3882f40230276d5211c2b8d6468b",
+        ),
+        (
+            ["prop8", "--type", "A4"],
+            "36c68f03385de369315fc8eac64b686d2669cc2071379c0ef5c4fc0e0b260e65",
+            "eb33efc0fef9ca30ce17987deb12d7c2f1c5d2d9e0e6fd6139b4e2f32991f4a1",
+        ),
+        (
+            ["prop8", "--type", "D4"],
+            "151ec97072fda942e119c54b5cd72e2de65a35feaf77d8b69c413447f06f33c0",
+            "79fe53a78fbabda111324ce5658c5fba39771da2003cc271ba44ff0eeda3ab00",
+        ),
+        (
+            ["theorem1", "--type", "D4"],
+            "dfb6a56d6af7be90a4a95851c16e0f67d0934f3156f0aa245ca73ac27506e9be",
+            "156fcc4850e9f3c5f9c8fdeb2f763b147031fa9398cd1d249061c4cb71ddfce4",
+        ),
+        (
+            ["lemma67", "--type", "D4"],
+            "f8d2512407034606d13d9d8bc8546bf4ef00a14146fbe6f25fa1fbff0240b022",
+            "509564064ffc3a470be46396884255b654a595430305d1cd740c595042f7e967",
+        ),
+        (
+            ["counterexample"],
+            "a9887756913b505bef2fbfc9f948d7182ca9d8bc7751fde13b995da51a24ecb4",
+            "514e1e5666961ace859ed64c6dbfa16eaa6b48edba814f3db831a118d962bb3d",
+        ),
+    ],
+    ids=["prop8-A2", "prop8-A3", "prop8-A4", "prop8-D4", "theorem1-D4", "lemma67-D4", "counterexample"],
+)
+def test_verify_stdout_is_pinned(capsys, argv, json_digest, tsv_digest):
+    # the whole of stdout, indentation and key order included, in both formats
+    for fmt, digest in (("json", json_digest), ("tsv", tsv_digest)):
+        code, out = run(capsys, "verify", *argv, "--format", fmt)
+        assert code == 0
+        assert _sha256(out) == digest, fmt
+
+
+_TEXT = st.text() | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600", "\ud800"])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _TEXT
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5)
+    | st.dictionaries(st.integers(-50, 50), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _TREES, max_size=6))
+@example({"flags": [True, 1, False, 0, None], "mixed": [1, 1.5, "1", [], {}], "nested": [[], [[]], {"": {}}]})
+@example({"ints": {10: "a", 2: [float("nan"), float("inf"), float("-inf")]}, "big": [-(2**70), 2**70]})
+@example({"inner": ({"b": (1, 2), "a": ()},), "keys": {"\u00e9": 1, "e": 2, "\"": 3}})
+def test_json_writer_matches_the_standard_encoder(report):
+    assert cli.render_report(report, "json") == json.dumps(report, sort_keys=True, indent=2)
 
 
 def test_quiver_file_loading(capsys, tmp_path):

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import solve_matrix
 
 from clustercat import linalg, reps
 from clustercat.quivers import EulerData, Quiver, builtin_quiver, positive_roots
@@ -397,7 +398,7 @@ def _conjugate(m, rng):
         while linalg.rank(g) != d:
             g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
         gs.append(g)
-    inverses = [linalg.solve_matrix(g, linalg.identity(d), d) for g, d in zip(gs, m.dims)]
+    inverses = [solve_matrix(g, linalg.identity(d), d) for g, d in zip(gs, m.dims)]
     mats = [
         linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mat(i), m.dims[s - 1]), inverses[s - 1], m.dims[s - 1])
         for i, (s, t) in enumerate(m.quiver.arrows)

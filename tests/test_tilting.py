@@ -3,6 +3,7 @@ import json
 
 import pytest
 from test_bound import projective
+from test_linalg import solve
 from test_reps import all_indecomposables, direct_sum, is_preinjective
 
 from clustercat import category, linalg, quivers, reps, tilting
@@ -255,6 +256,31 @@ def test_ext_table_matches_hom_solve(q):
             assert (table.ext_free[i] >> j & 1) == (e == 0)
 
 
+@pytest.mark.parametrize("q", [A3, A5, D5, E6, E7], ids=["A3", "A5", "D5", "E6", "E7"])
+def test_hom_table_is_unitriangular_and_masked(q):
+    # bricks on the diagonal and no maps from a later id to an earlier one,
+    # which the middle-term back-substitution reads; hom_into[j] holds the
+    # other ids that map to j, which the descent summand search reads
+    table = _directed_indecomposables(q)
+    hh, hom_into = table.hh, table.hom_into
+    nn = len(hh)
+    for j in range(nn):
+        assert hh[j][j] == 1
+        assert not any(hh[i][j] for i in range(j + 1, nn))
+        assert hom_into[j] == sum(1 << i for i in range(nn) if i != j and hh[i][j])
+
+
+def test_table_refuses_a_non_brick(monkeypatch):
+    knit = GammaC.hammock
+    monkeypatch.setattr(GammaC, "hammock", lambda g, v: {p: 2 * h for p, h in knit(g, v).items()})
+    _directed_indecomposables.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="nontrivial endomorphism ring"):
+            _directed_indecomposables(A3)
+    finally:
+        _directed_indecomposables.cache_clear()
+
+
 def test_table_solves_only_the_bases_a_swap_reads(monkeypatch):
     # hom dimensions come from the knitting; a basis is solved only for a
     # compatible pair with nonzero hom, the pairs _cokernel can look up
@@ -477,6 +503,21 @@ def test_cokernel_blocks_match_the_direct_sum_oracle(monkeypatch, q, swaps):
     # the orbit walk builds every indecomposable through the same trusted path
     for m in _directed_indecomposables(q).ordered:
         assert Representation(m.algebra, m.dims, m.mats).mats == m.mats
+
+
+@pytest.mark.parametrize("q,swaps", [(D5, 82), (E6, 499)], ids=["D5", "E6"])
+def test_middle_term_is_the_dimension_solve(q, swaps):
+    # every certified swap's E against a rational solve of the dimension
+    # identity over the remaining summands, independent of the hom counts
+    _cold_sweep(q)
+    table = _directed_indecomposables(q)
+    dims = [m.dims for m in table.ordered]
+    assert len(table.swaps) == swaps
+    for (mask, t0), (t0p, e) in table.swaps.items():
+        rest = [j for j in range(len(dims)) if mask >> j & 1 and j != t0]
+        target = [a + b for a, b in zip(dims[t0], dims[t0p])]
+        mult = solve([[dims[j][v] for j in rest] for v in range(q.n)], target, len(rest))
+        assert sorted(e) == [j for j, x in zip(rest, mult) for _ in range(x)], (mask, t0)
 
 
 def test_cold_d4_sweep_classifies_the_diagram_once_per_table(monkeypatch):
