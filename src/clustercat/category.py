@@ -1,12 +1,11 @@
 """The cluster category of a Dynkin quiver as a finite translation quiver.
 
 Indecomposables are the quiver's indecomposable modules together with one
-shifted projective per vertex. They tile the stable translation quiver ZQ:
-module positions come from walking inverse-translate orbits rightward from
-the projective slice, and the glide that folds ZQ onto the category moves a
-position (k, i) to (k + k_i + 2, c_i), where (k_i, c_i) is the position of
-the injective at vertex i. Every vertex is a translate of a projective, and
-Hom(P_i, Y) is entry i of dim Y at a module Y and 0 at a shifted projective
+shifted projective per vertex. Walking the inverse-translate orbit of each
+projective P_i up to an injective I_j, and one step on to P_j[1] =
+tau^-1 I_j, meets every vertex once; tau is the step back, with tau P_i =
+P_i[1]. Every vertex is a translate of a projective, and Hom(P_i, Y) is
+entry i of dim Y at a module Y and 0 at a shifted projective
 (Buan-Marsh-Reineke-Reiten-Todorov 2006), so no hom dimension is knitted;
 ext1 is checked symmetric, as the category is 2-Calabi-Yau (Keller 2005).
 
@@ -142,7 +141,6 @@ class ExchangeData:
     e_prime: tuple[tuple[int, int], ...]
 
 
-Position = tuple[int, int]
 # (seed, partners): a tilting object as the walk expands it, with the vertex
 # that replaces its summand k at partners[k - 1]
 Expansion = tuple[CategorifiedSeed, tuple[int, ...]]
@@ -161,12 +159,13 @@ class GammaC:
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
-    P_i's row holds entry i of every module's dimension vector and 0 at the
-    shifted projectives; the vertex at (k, i) is tau^-k P_i, so its row is
-    P_i's row read at tau^k of each target. Building the table knits nothing
-    and checks that ext1(x, y) = hom(x, tau y) equals ext1(y, x) for every
-    pair. ``hammock(x)`` knits hom dimensions on ZQ, for the module table of
-    ``tilting``, which reads it unfolded at module positions."""
+    Orbit row i runs P_i, tau^-1 P_i, ... up to an injective I_j and ends at
+    P_j[1] = tau^-1 I_j; its vertex k steps along is tau^-k P_i, and tau is
+    the step back, with tau P_i = P_i[1]. P_i's row holds entry i of every
+    module's dimension vector and 0 at the shifted projectives, so the row of
+    tau^-k P_i is P_i's row read at tau^k of each target. Building the table
+    knits nothing and checks that ext1(x, y) = hom(x, tau y) equals ext1(y, x)
+    for every pair."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -179,67 +178,50 @@ class GammaC:
 
         inj_lookup = {injective_dims(quiver, j): j for j in range(1, n + 1)}
         roots = positive_roots(quiver)
-        self.pos_of: dict[CVertex, Position] = {}
-        self.obj_at: dict[Position, CVertex] = {}
-        inj_pos: dict[int, Position] = {}
+        orbit: dict[CVertex, tuple[int, int]] = {}  # v -> (k, i) with v = tau^-k P_i
+        tau: dict[CVertex, CVertex] = {}
+        walked = 0
         for i in range(1, n + 1):
             d = projective_dims(quiver, i)
-            k = 0
-            while True:
-                self._place(CVertex.module(d), (k, i))
-                if d in inj_lookup:
-                    j = inj_lookup[d]
-                    if j in inj_pos:
-                        raise AssertionError("two orbits claim the same injective")
-                    inj_pos[j] = (k, i)
-                    break
+            row = [CVertex.module(d)]
+            while d not in inj_lookup:
                 d = ed.inverse_coxeter_transform(d)
                 if d not in roots:
                     raise AssertionError("orbit walk left the root system")
-                k += 1
-        if len(self.pos_of) != len(roots):
+                row.append(CVertex.module(d))
+            row.append(CVertex.shifted_projective(inj_lookup[d]))
+            orbit.update((v, (k, i)) for k, v in enumerate(row))
+            tau.update(zip(row, [CVertex.shifted_projective(i), *row]))
+            walked += len(row)
+        if len(orbit) != walked:
+            raise AssertionError("orbit walk met a vertex twice")
+        if len(orbit) != len(roots) + n:
             raise AssertionError("orbit walk missed some modules")
-        if len(inj_pos) != n:
-            raise AssertionError("orbit walk missed some injectives")
 
-        # glide data: row i shifts by k_i + 2 and lands on row c_i
-        self._row_shift = {i: inj_pos[i][0] + 2 for i in range(1, n + 1)}
-        self._row_image = {i: inj_pos[i][1] for i in range(1, n + 1)}
-        self._row_preimage = {c: i for i, c in self._row_image.items()}
-        if len(self._row_preimage) != n:
-            raise AssertionError("the glide row map must be a permutation")
-
-        for i in range(1, n + 1):
-            ki, ci = inj_pos[i]
-            self._place(CVertex.shifted_projective(i), (ki + 1, ci))
-        self.vertices: tuple[CVertex, ...] = tuple(sorted(self.pos_of, key=CVertex.sort_key))
+        self.vertices: tuple[CVertex, ...] = tuple(sorted(orbit, key=CVertex.sort_key))
         self.index: dict[CVertex, int] = {v: x for x, v in enumerate(self.vertices)}
         rows = range(1, n + 1)
-        self.proj_i: tuple[int, ...] = tuple(self.index[self.obj_at[0, i]] for i in rows)
-        self.shift_i: tuple[int, ...] = tuple(self.index[CVertex.shifted_projective(i)] for i in rows)
-        self.max_slice = max(k for k, _ in self.obj_at)
-
-        self._out_nb = {v: [t for s, t in quiver.arrows if s == v] for v in range(1, n + 1)}
-        self._in_nb = {v: [s for s, t in quiver.arrows if t == v] for v in range(1, n + 1)}
-        self._slice_order = list(reversed(quiver.topological_order()))
-
-        self.tau_i: tuple[int, ...] = tuple(
-            self._id_at((k - 1, i)) for k, i in map(self.pos_of.get, self.vertices)
+        self.proj_i: tuple[int, ...] = tuple(
+            self.index[CVertex.module(projective_dims(quiver, i))] for i in rows
         )
+        self.shift_i: tuple[int, ...] = tuple(self.index[CVertex.shifted_projective(i)] for i in rows)
+        self.tau_i: tuple[int, ...] = tuple(self.index[tau[v]] for v in self.vertices)
         if len(set(self.tau_i)) != len(self.tau_i):
             raise AssertionError("translation is not a bijection")
-        self._check_translation(inj_pos)
+        for v in self.vertices:
+            if v.is_module and tau[v].is_module and tau[v].dims != ed.coxeter_transform(v.dims):
+                raise AssertionError("translate disagrees with the matrix transform")
 
         # Hom(P_i, y) is entry i of dim y at a module y and 0 at a shifted
         # projective; Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
         at_tau = itemgetter(*self.tau_i)
         tau_k = [tuple(range(len(self.vertices)))]
-        while len(tau_k) <= self.max_slice:
+        while len(tau_k) <= max(k for k, _ in orbit.values()):
             tau_k.append(at_tau(tau_k[-1]))
         at_tau_k = [itemgetter(*t) for t in tau_k]
         proj_rows = {i: tuple(v.dims[i - 1] if v.is_module else 0 for v in self.vertices) for i in rows}
         self.hom_i: tuple[tuple[int, ...], ...] = tuple(
-            at_tau_k[k](proj_rows[i]) for k, i in map(self.pos_of.get, self.vertices)
+            at_tau_k[k](proj_rows[i]) for k, i in map(orbit.get, self.vertices)
         )
         # ext1(x, y) = hom(x, tau y) = ext1(y, x) by 2-Calabi-Yau duality
         ext = list(map(at_tau, self.hom_i))
@@ -249,95 +231,6 @@ class GammaC:
             raise AssertionError(f"ext1 is not symmetric at ({pair}): {ext[x][y]} against {ext[y][x]}")
         self.ext_free: tuple[int, ...] = tuple(zero_mask(bytes(row)) for row in ext)
         self._check_rigidity()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _place(self, v: CVertex, pos: Position):
-        if v in self.pos_of or pos in self.obj_at:
-            raise AssertionError(f"position clash at {pos}")
-        self.pos_of[v] = pos
-        self.obj_at[pos] = v
-
-    def _glide(self, pos: Position) -> Position:
-        k, i = pos
-        return (k + self._row_shift[i], self._row_image[i])
-
-    def _glide_inv(self, pos: Position) -> Position:
-        k, j = pos
-        i = self._row_preimage[j]
-        return (k - self._row_shift[i], i)
-
-    def _suspend_pos(self, pos: Position) -> Position:
-        # suspension on ZQ: one translate short of the glide
-        k, i = pos
-        return (k + self._row_shift[i] - 1, self._row_image[i])
-
-    def _reduce(self, pos: Position) -> Position:
-        cur = pos
-        guard = 0
-        while cur[0] >= 0:
-            if cur in self.obj_at:
-                return cur
-            cur = self._glide_inv(cur)
-            guard += 1
-            if guard > 512:
-                raise AssertionError("glide reduction ran away")
-        while cur[0] <= self.max_slice:
-            if cur in self.obj_at:
-                return cur
-            cur = self._glide(cur)
-            guard += 1
-            if guard > 512:
-                raise AssertionError("glide reduction ran away")
-        raise AssertionError(f"orbit of {pos} misses the fundamental domain")
-
-    def _id_at(self, pos: Position) -> int:
-        """Id of the vertex that the glide orbit of a ZQ position meets."""
-        return self.index[self.obj_at[self._reduce(pos)]]
-
-    def _check_translation(self, inj_pos: dict[int, Position]):
-        # suspension equals translation on the quotient, and tau cross-checks
-        # against the module-level facts
-        ed = euler_data(self.quiver)
-        shift_of = dict(zip(self.proj_i, self.shift_i))
-        for x, v in enumerate(self.vertices):
-            t = self.tau_i[x]
-            if self._id_at(self._suspend_pos(self.pos_of[v])) != t:
-                raise AssertionError(f"suspension and translation disagree at {v.render()}")
-            if x in shift_of:
-                if t != shift_of[x]:
-                    raise AssertionError("translate of a projective is not its shift")
-            elif v.is_module:
-                if self.vertices[t].dims != ed.coxeter_transform(v.dims):
-                    raise AssertionError("translate disagrees with the matrix transform")
-            elif t != self._id_at(inj_pos[v.shift_vertex]):
-                raise AssertionError("translate of a shifted projective is not the injective")
-
-    def hammock(self, x: CVertex) -> dict[Position, int]:
-        """Hammock of maps out of x on ZQ: dim Hom(x, -) in D^b(kQ) at every
-        position from x's slice through the slice of its suspension.  For
-        modules x and y this is dim Hom_kQ(x, y) at y's position (Happel:
-        D^b(kQ) is the mesh category of ZQ)."""
-        k0, i0 = self.pos_of[x]
-        end = k0 + self._row_shift[i0] - 1  # slice of the suspended source
-        sx = self._suspend_pos((k0, i0))
-        h: dict[Position, int] = {}
-        for k in range(k0, end + 1):
-            for v in self._slice_order:
-                raw = (
-                    sum(h.get((k, m), 0) for m in self._out_nb[v])
-                    + sum(h.get((k - 1, j), 0) for j in self._in_nb[v])
-                    - h.get((k - 1, v), 0)
-                )
-                val = raw + ((k, v) == (k0, i0)) + ((k, v) == sx)
-                if val < 0 or (raw < 0 and (k, v) != sx):
-                    raise AssertionError(f"mesh count went negative at {(k, v)}")
-                h[(k, v)] = val
-        if h[(k0, i0)] != 1:
-            raise AssertionError("hammock source is not one dimensional")
-        if any(h[(end, v)] for v in self._slice_order):
-            raise AssertionError("hammock does not vanish past the suspended source")
-        return h
 
     def _check_rigidity(self):
         for x, v in enumerate(self.vertices):

@@ -9,21 +9,21 @@ tilting module down to the direct sum of the indecomposable injectives,
 shrinking the torsion class at every step.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
-dimension vectors, so hom and ext between them are one table per quiver.  Its
-hom dimensions are read from the hammocks ``category.GammaC.hammock`` knits on
-ZQ, one per module; hom bases are solved only for the pairs a swap's
-approximation uses.  An indecomposable is named by its id in that table;
-tilting modules hold ids, and torsion classes, descent summands, the
-enumeration and each swap's T0' and E are lookups.  Restricted to a tilting
-module's ids in increasing order the hom table is upper unitriangular (the
-ids extend nonzero hom, and every indecomposable is a brick), so E's
-multiplicities are one integer back-substitution on hom counts.  The module
-route certifies every swap with one Ext rank: the cokernel of the
-approximation of T0 must be rigid, and so it is fixed by its dimension
-vector.  A swap depends only on the summand set and on T0, so each (set, T0)
-swap is certified once per table and its T0' and E ids are shared by every
-descent chain through it; every step is written from the table.  Modules
-cross in only at ``TiltingModule.of``.
+dimension vectors, so hom and ext between them are one table per quiver.  The
+category is directed, so the table is the positive and the negative part of
+the Euler form, checked against ``category.GammaC``'s hom rows; hom bases
+are solved only for the pairs a swap's approximation uses.  An
+indecomposable is named by its id in that table; tilting modules hold ids,
+and torsion classes, descent summands, the enumeration and each swap's T0'
+and E are lookups.  Restricted to a tilting module's ids in increasing order
+the hom table is upper unitriangular (the ids extend nonzero hom, and every
+indecomposable is a brick), so E's multiplicities are one integer
+back-substitution on hom counts.  The module route certifies every swap with
+one Ext rank: the cokernel of the approximation of T0 must be rigid, and so
+it is fixed by its dimension vector.  A swap depends only on the summand set
+and on T0, so each (set, T0) swap is certified once per table and its T0' and
+E ids are shared by every descent chain through it; every step is written
+from the table.  Modules cross in only at ``TiltingModule.of``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from . import linalg
 from .category import GammaC, zero_mask
 from .quivers import Quiver, classify_diagram
 from .reps import (
-    NegativeExtError,
     Representation,
     euler_data,
     ext1_dim,
@@ -133,16 +132,19 @@ class _ModuleTable(NamedTuple):
 def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     """One hom/ext table over the indecomposables of a Dynkin quiver.
 
-    ``hh[i][j]`` is dim Hom(X_i, X_j), read from ``GammaC.hammock`` of X_i at
-    X_j's position in ZQ; every X_i is a brick, hh[i][i] = 1.  ``ordered`` is
-    a linear extension of the nonzero-hom relation, a partial order as Dynkin
-    module categories are directed, ties broken by dimension vector; so
-    hh[i][j] = 0 for i > j.  ``index`` maps a dimension vector to its id, and
-    bit i of ``hom_into[j]`` is set iff i != j and hh[i][j] != 0.
-    ``ext[i][j]`` is hh[i][j] - <d_i, d_j> =
-    dim Ext^1(X_i, X_j), bit j of ``ext_free[i]`` is set iff ext[i][j] = 0,
-    bit j of ``compat[i]`` is set iff ext vanishes both ways between X_i and
-    X_j, and ``injective`` holds the ids of the indecomposable injectives.
+    The module category is directed, so hom and ext1 between two
+    indecomposables are never both nonzero, and the Euler form <d_i, d_j> =
+    dim Hom - dim Ext^1 splits: ``hh[i][j]`` = dim Hom(X_i, X_j) is its
+    positive part and ``ext[i][j]`` = dim Ext^1(X_i, X_j) its negative part
+    (Ringel 1984); every X_i is a brick, hh[i][i] = 1.  ``ordered`` is a
+    linear extension of the nonzero-hom relation, ties broken by dimension
+    vector; so hh[i][j] = 0 for i > j.  ``index`` maps a dimension vector to
+    its id, and bit i of ``hom_into[j]`` is set iff i != j and hh[i][j] != 0.
+    Bit j of ``ext_free[i]`` is set iff ext[i][j] = 0, bit j of
+    ``compat[i]`` is set iff ext vanishes both ways between X_i and X_j, and
+    ``injective`` holds the ids of the indecomposable injectives.  At every
+    module pair the table must give ``GammaC``'s Hom_C(X, Y) = hh[X][Y] +
+    ext[X][tau^-1 Y], the last term 0 at an injective Y.
     ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
     summands of a tilting module can form: i != j, compatible, nonzero hom.
     ``swaps`` starts empty and memoizes ``prop8_descent``'s certified swaps:
@@ -153,29 +155,35 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     if diagram.kind != "dynkin":
         raise ValueError(f"tilting modules need a Dynkin quiver, got {diagram.label}")
     g = GammaC(q)
-    inds = [v for v in g.vertices if v.is_module]
+    inds = [x for x, v in enumerate(g.vertices) if v.is_module]
     nn = len(inds)
-    hmat = [[h.get(g.pos_of[y], 0) for y in inds] for h in map(g.hammock, inds)]
+    # <d_i, d_j> = (d_i E) . d_j, with the integer row d_i E computed once per module
+    dims = [g.vertices[x].dims for x in inds]
+    cols = tuple(zip(*euler_data(q).euler_matrix))
+    rows = [[sum(map(mul, d, c)) for c in cols] for d in dims]
+    form = [[sum(map(mul, r, d)) for d in dims] for r in rows]
     # an arrow i -> j per nonzero Hom(X_i, X_j), i != j; the topological
     # order raises ValueError on a cycle
-    arrows = [(i + 1, j + 1) for i, row in enumerate(hmat) for j, h in enumerate(row) if i != j and h]
+    arrows = [(i + 1, j + 1) for i, row in enumerate(form) for j, f in enumerate(row) if i != j and f > 0]
     order = [v - 1 for v in Quiver(nn, arrows).topological_order()]
-    ordered = tuple(indecomposable_from_root(q, inds[i].dims) for i in order)
-    hh = tuple(tuple(hmat[a][b] for b in order) for a in order)
+    ordered = tuple(indecomposable_from_root(q, dims[i]) for i in order)
+    hh = tuple(tuple(max(form[a][b], 0) for b in order) for a in order)
     if any(row[i] != 1 for i, row in enumerate(hh)):
         raise AssertionError("an indecomposable has a nontrivial endomorphism ring")
+    ext = tuple(tuple(max(-form[a][b], 0) for b in order) for a in order)
+    # the second route: GammaC's rows, read off dimension vectors along the
+    # tau-orbits, hold Hom_C(X, Y) = hom(X, Y) + ext1(X, tau^-1 Y)
+    gid = [inds[a] for a in order]  # GammaC id of each table id
+    tid = dict(zip(gid, range(nn)))
+    untau = dict(zip(g.tau_i, range(len(g.tau_i))))
+    inv = [tid.get(untau[y], nn) for y in gid]  # nn past an injective, whose tau^-1 is no module
+    for x, h_row, e_row in zip(gid, hh, ext):
+        e_row += (0,)
+        if [g.hom_i[x][y] for y in gid] != [h + e_row[z] for h, z in zip(h_row, inv)]:
+            raise AssertionError("Euler form and GammaC hom rows disagree")
     hom_into = tuple(
         ~zero_mask(bytes(col)) & ((1 << nn) - 1) & ~(1 << j) for j, col in enumerate(zip(*hh))
     )
-    # <d_i, d_j> = (d_i E) . d_j, with the integer row d_i E computed once per module
-    cols = tuple(zip(*euler_data(q).euler_matrix))
-    rows = [[sum(map(mul, a.dims, c)) for c in cols] for a in ordered]
-    ext = tuple(
-        tuple(h - sum(map(mul, r, b.dims)) for h, b in zip(row, ordered))
-        for row, r in zip(hh, rows)
-    )
-    if min(map(min, ext)) < 0:
-        raise NegativeExtError("ext went negative between indecomposables")
     ext_free = tuple(map(zero_mask, map(bytes, ext)))
     compat = tuple(map(and_, ext_free, map(zero_mask, map(bytes, zip(*ext)))))
     hom_basis = {}
@@ -184,7 +192,7 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
             if i != j and h and compat[i] >> j & 1:
                 hom_basis[i, j] = hom(ordered[i], ordered[j]).basis
                 if len(hom_basis[i, j]) != h:
-                    raise AssertionError("hammock and hom solve disagree")
+                    raise AssertionError("Euler form and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
     injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
     return _ModuleTable(

@@ -10,6 +10,11 @@ into the translate of the shift, so for modules
 with the correction dropped when Y is injective, and the shifted
 projectives are handled through ext groups and projective supports.  The
 two routes share no code.
+
+A second oracle knits hom dimensions on ZQ by the mesh relations (``ZQ``
+below, with an orbit walk of its own) and folds them onto the category by
+the glide: every row of GammaC's table, and the module table's hom at the
+module positions, must be the knitted one.
 """
 
 import copy
@@ -45,6 +50,7 @@ from clustercat.category import (
 from clustercat.laurent import LaurentPoly, Seed, explore_exchange_graph, initial_seed, seed_mutate
 from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix, mutate_matrix
 from clustercat.reps import (
+    euler_data,
     ext1_dim,
     hom,
     indecomposable_from_root,
@@ -130,13 +136,95 @@ def orientations(q):
         yield Quiver(q.n, tuple((t, s) if flip else (s, t) for (s, t), flip in zip(q.arrows, flips)))
 
 
-def knit_row(g, x):
+class ZQ:
+    """The vertices of the cluster category placed on the stable translation
+    quiver ZQ by an orbit walk of its own: tau^-k P_i at (k, i) up to the
+    injective I_j on row i, and P_j[1] one step past it.  The glide that
+    folds ZQ onto the category moves (k, i) to (k + k_i + 2, c_i), where
+    (k_i, c_i) is the position of I_i, and the suspension stops one translate
+    short of it."""
+
+    def __init__(self, q):
+        ed = euler_data(q)
+        inj = {injective_dims(q, j): j for j in range(1, q.n + 1)}
+        self.pos, inj_pos = {}, {}
+        for i in range(1, q.n + 1):
+            d, k = projective_dims(q, i), 0
+            self.pos[CVertex.module(d)] = (0, i)
+            while d not in inj:
+                d, k = ed.inverse_coxeter_transform(d), k + 1
+                self.pos[CVertex.module(d)] = (k, i)
+            inj_pos[inj[d]] = (k, i)
+            self.pos[CVertex.shifted_projective(inj[d])] = (k + 1, i)
+        self.at = {p: v for v, p in self.pos.items()}
+        assert len(self.at) == len(self.pos)
+        self.last = max(k for k, _ in self.at)
+        self.row_shift = {i: k + 2 for i, (k, _) in inj_pos.items()}
+        self.row_image = {i: c for i, (_, c) in inj_pos.items()}
+        self.row_preimage = {c: i for i, c in self.row_image.items()}
+        assert len(self.row_preimage) == q.n
+        self.out_nb = {v: [t for s, t in q.arrows if s == v] for v in range(1, q.n + 1)}
+        self.in_nb = {v: [s for s, t in q.arrows if t == v] for v in range(1, q.n + 1)}
+        self.slice_order = list(reversed(q.topological_order()))
+
+    def glide(self, pos):
+        k, i = pos
+        return (k + self.row_shift[i], self.row_image[i])
+
+    def glide_inv(self, pos):
+        k, j = pos
+        i = self.row_preimage[j]
+        return (k - self.row_shift[i], i)
+
+    def suspend(self, pos):
+        k, i = self.glide(pos)
+        return (k - 1, i)
+
+    def reduce(self, pos):
+        """The vertex that the glide orbit of a ZQ position meets: back
+        through the slices left of it, then forward through the rest (the
+        glide moves at least two slices, so both loops end)."""
+        cur = pos
+        while cur[0] >= 0:
+            if cur in self.at:
+                return self.at[cur]
+            cur = self.glide_inv(cur)
+        while cur[0] <= self.last:
+            if cur in self.at:
+                return self.at[cur]
+            cur = self.glide(cur)
+        raise AssertionError(f"the glide orbit of {pos} misses every vertex")
+
+    def hammock(self, x):
+        """Hammock of maps out of x on ZQ: dim Hom(x, -) in D^b(kQ) at every
+        position from x's slice through the slice of its suspension, knitted
+        by the mesh relations.  For modules x and y this is dim Hom_kQ(x, y)
+        at y's position (Happel: D^b(kQ) is the mesh category of ZQ)."""
+        k0, i0 = self.pos[x]
+        sx = self.suspend((k0, i0))
+        h = {}
+        for k in range(k0, sx[0] + 1):
+            for v in self.slice_order:
+                raw = (
+                    sum(h.get((k, m), 0) for m in self.out_nb[v])
+                    + sum(h.get((k - 1, j), 0) for j in self.in_nb[v])
+                    - h.get((k - 1, v), 0)
+                )
+                val = raw + ((k, v) == (k0, i0)) + ((k, v) == sx)
+                assert val >= 0 and (raw >= 0 or (k, v) == sx), f"mesh count went negative at {(k, v)}"
+                h[(k, v)] = val
+        assert h[(k0, i0)] == 1
+        assert not any(h[(sx[0], v)] for v in self.slice_order)
+        return h
+
+
+def knit_row(zq, g, x):
     """The hammock of vertex x folded over the glide: the row of hom
-    dimensions from x to every vertex, knitted on ZQ."""
+    dimensions from x to every vertex of g, knitted on ZQ."""
     row = [0] * len(g.vertices)
-    for pos, h in g.hammock(x).items():
+    for pos, h in zq.hammock(x).items():
         if h:
-            row[g._id_at(pos)] += h
+            row[g.index[zq.reduce(pos)]] += h
     return tuple(row)
 
 
@@ -154,40 +242,28 @@ ORIENTED = {
 )
 def test_hom_rows_are_translated_projective_rows(q):
     # each row is P_i's row of dimension vector entries, read at tau^k; the
-    # folded hammock of every vertex is the reference
+    # folded hammock of every vertex is the reference, and on ZQ tau is the
+    # suspension, modulo the glide
     g = GammaC(q)
-    assert g.hom_i == tuple(knit_row(g, v) for v in g.vertices)
+    zq = ZQ(q)
+    assert g.hom_i == tuple(knit_row(zq, g, v) for v in g.vertices)
+    assert [g.vertices[t] for t in g.tau_i] == [zq.reduce(zq.suspend(zq.pos[v])) for v in g.vertices]
 
 
-def counting_hammocks(monkeypatch):
-    calls = []
-    real = GammaC.hammock
-
-    def counting(self, x):
-        calls.append(x)
-        return real(self, x)
-
-    monkeypatch.setattr(GammaC, "hammock", counting)
-    return calls
-
-
-def test_gammac_knits_no_hammock(monkeypatch):
-    calls = counting_hammocks(monkeypatch)
-    g = GammaC(E8)
-    assert len(g.vertices) == 128
-    assert calls == []
-
-
-@pytest.mark.parametrize("q,modules", [(linear(5), 15), (E6, 36)], ids=["A5", "E6"])
-def test_module_table_knits_one_hammock_per_module(monkeypatch, q, modules):
-    # the module table reads its homs off the hammocks, whose checks run once
-    # for every module vertex
-    tilting._directed_indecomposables.cache_clear()
-    calls = counting_hammocks(monkeypatch)
-    g = GammaC(q)
-    tilting._directed_indecomposables(q)
-    assert calls == [v for v in g.vertices if v.is_module]
-    assert len(calls) == modules
+@pytest.mark.parametrize(
+    "q",
+    [A1, *map(linear, range(2, 7)), builtin_quiver("D4"), D5, D6, E6, E7, E8],
+    ids=["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"],
+)
+def test_module_table_hom_is_the_knitted_hammock(q):
+    # the module table's hom is the Euler form's positive part; the hammock of
+    # each module, read at the module positions, is the reference
+    table = tilting._directed_indecomposables(q)
+    zq = ZQ(q)
+    at = [zq.pos[CVertex.module(m.dims)] for m in table.ordered]
+    for m, row in zip(table.ordered, table.hh):
+        h = zq.hammock(CVertex.module(m.dims))
+        assert row == tuple(h.get(p, 0) for p in at), m.dims
 
 
 def ext_free_pair(hom, tau):

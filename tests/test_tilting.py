@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from test_bound import projective
@@ -243,7 +244,7 @@ def test_descent_invariants_everywhere(q, bound):
     ids=["A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"],
 )
 def test_ext_table_matches_hom_solve(q):
-    # the knitted table against the hom_space oracle, pair by pair
+    # the Euler-form table against the hom_space oracle, pair by pair
     table = _directed_indecomposables(q)
     assert [m.dims for m in table.ordered] == sorted(
         table.index, key=table.index.__getitem__
@@ -271,8 +272,9 @@ def test_hom_table_is_unitriangular_and_masked(q):
 
 
 def test_table_refuses_a_non_brick(monkeypatch):
-    knit = GammaC.hammock
-    monkeypatch.setattr(GammaC, "hammock", lambda g, v: {p: 2 * h for p, h in knit(g, v).items()})
+    # a doubled Euler form gives every module a two dimensional endomorphism ring
+    doubled = [[2 * x for x in row] for row in euler_data(A3).euler_matrix]
+    monkeypatch.setattr(tilting, "euler_data", lambda q: SimpleNamespace(euler_matrix=doubled))
     _directed_indecomposables.cache_clear()
     try:
         with pytest.raises(AssertionError, match="nontrivial endomorphism ring"):
@@ -281,8 +283,28 @@ def test_table_refuses_a_non_brick(monkeypatch):
         _directed_indecomposables.cache_clear()
 
 
+def test_table_refuses_a_gammac_hom_disagreement(monkeypatch):
+    # GammaC's hom from P_1 to another module raised by 1, after GammaC's own
+    # checks have run: the Euler-form table no longer matches it
+    def planted(q):
+        g = GammaC(q)
+        x = g.proj_i[0]
+        y = next(y for y, v in enumerate(g.vertices) if v.is_module and y != x)
+        row = g.hom_i[x][:y] + (g.hom_i[x][y] + 1,) + g.hom_i[x][y + 1 :]
+        g.hom_i = g.hom_i[:x] + (row,) + g.hom_i[x + 1 :]
+        return g
+
+    monkeypatch.setattr(tilting, "GammaC", planted)
+    _directed_indecomposables.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="Euler form and GammaC hom rows disagree"):
+            _directed_indecomposables(A3)
+    finally:
+        _directed_indecomposables.cache_clear()
+
+
 def test_table_solves_only_the_bases_a_swap_reads(monkeypatch):
-    # hom dimensions come from the knitting; a basis is solved only for a
+    # hom dimensions come from the Euler form; a basis is solved only for a
     # compatible pair with nonzero hom, the pairs _cokernel can look up
     table = _directed_indecomposables(E6)
     nn = len(table.ordered)
