@@ -31,8 +31,8 @@ from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .laurent import explore_exchange_graph
-from .quivers import Quiver, classify_diagram, exchange_matrix, mutate_matrix, positive_roots
-from .reps import euler_data, injective_dims, projective_dims
+from .quivers import Quiver, classify_diagram, coxeter_number, exchange_matrix, mutate_matrix
+from .reps import euler_data
 
 __all__ = [
     "CVertex",
@@ -159,13 +159,15 @@ class GammaC:
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
-    Orbit row i runs P_i, tau^-1 P_i, ... up to an injective I_j and ends at
-    P_j[1] = tau^-1 I_j; its vertex k steps along is tau^-k P_i, and tau is
-    the step back, with tau P_i = P_i[1]. P_i's row holds entry i of every
+    Orbit row i steps from dim P_i by Phi^-1 through vectors of Tits form 1 up
+    to an injective I_j, whose Phi^-1 image must be -dim P_j, and ends at
+    P_j[1] = tau^-1 I_j; its vertex k steps along is tau^-k P_i, and tau is the
+    step back, with tau P_i = P_i[1]. The rows meet n h / 2 modules once each
+    (h the Coxeter number), and Phi Phi^-1 = 1 (so Phi steps back along every
+    orbit, whose vectors span Z^n). P_i's hom row holds entry i of every
     module's dimension vector and 0 at the shifted projectives, so the row of
-    tau^-k P_i is P_i's row read at tau^k of each target. Building the table
-    knits nothing and checks that ext1(x, y) = hom(x, tau y) equals ext1(y, x)
-    for every pair."""
+    tau^-k P_i is P_i's row read at tau^k of each target. The build also checks
+    that ext1(x, y) = hom(x, tau y) equals ext1(y, x) for every pair."""
 
     def __init__(self, quiver: Quiver):
         diagram = classify_diagram(quiver)
@@ -175,53 +177,54 @@ class GammaC:
         self.diagram = diagram
         n = quiver.n
         ed = euler_data(quiver)
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if list(map(ed.coxeter_transform, zip(*ed.inverse_matrix))) != unit:
+            raise AssertionError("translate disagrees with the matrix transform")
 
-        inj_lookup = {injective_dims(quiver, j): j for j in range(1, n + 1)}
-        roots = positive_roots(quiver)
-        orbit: dict[CVertex, tuple[int, int]] = {}  # v -> (k, i) with v = tau^-k P_i
-        tau: dict[CVertex, CVertex] = {}
+        proj_of = {p: j for j, p in enumerate(ed.projectives, 1)}
+        orbit: dict = {}  # key -> (k, i): tau^-k P_i, keyed by its dimension vector, or -j for P_j[1]
+        tau: dict = {}  # key -> key of its translate
         walked = 0
-        for i in range(1, n + 1):
-            d = projective_dims(quiver, i)
-            row = [CVertex.module(d)]
-            while d not in inj_lookup:
-                d = ed.inverse_coxeter_transform(d)
-                if d not in roots:
+        for i, d in enumerate(ed.projectives, 1):
+            row = [d]
+            while min(d) >= 0:
+                if ed.euler_form(d, d) != 1:
                     raise AssertionError("orbit walk left the root system")
-                row.append(CVertex.module(d))
-            row.append(CVertex.shifted_projective(inj_lookup[d]))
+                row.append(d := ed.inverse_coxeter_transform(d))
+            if (j := proj_of.get(tuple(-x for x in row.pop()))) is None:
+                raise AssertionError("orbit walk ended off the projectives")
+            row.append(-j)
             orbit.update((v, (k, i)) for k, v in enumerate(row))
-            tau.update(zip(row, [CVertex.shifted_projective(i), *row]))
+            tau.update(zip(row, [-i, *row]))
             walked += len(row)
         if len(orbit) != walked:
             raise AssertionError("orbit walk met a vertex twice")
-        if len(orbit) != len(roots) + n:
+        modules = sorted(v for v in orbit if isinstance(v, tuple))
+        if len(modules) != n * coxeter_number(diagram) // 2:
             raise AssertionError("orbit walk missed some modules")
 
-        self.vertices: tuple[CVertex, ...] = tuple(sorted(orbit, key=CVertex.sort_key))
-        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(self.vertices)}
-        rows = range(1, n + 1)
-        self.proj_i: tuple[int, ...] = tuple(
-            self.index[CVertex.module(projective_dims(quiver, i))] for i in rows
-        )
-        self.shift_i: tuple[int, ...] = tuple(self.index[CVertex.shifted_projective(i)] for i in rows)
-        self.tau_i: tuple[int, ...] = tuple(self.index[tau[v]] for v in self.vertices)
+        keys = modules + list(range(-1, -n - 1, -1))
+        at = {v: x for x, v in enumerate(keys)}
+        labels = [CVertex(d, None) for d in modules] + [CVertex(None, j) for j in range(1, n + 1)]
+        self.vertices: tuple[CVertex, ...] = tuple(labels)
+        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(labels)}
+        self.proj_i: tuple[int, ...] = tuple(at[p] for p in ed.projectives)
+        self.shift_i: tuple[int, ...] = tuple(range(len(modules), len(keys)))
+        self.tau_i: tuple[int, ...] = tuple(at[tau[v]] for v in keys)
         if len(set(self.tau_i)) != len(self.tau_i):
             raise AssertionError("translation is not a bijection")
-        for v in self.vertices:
-            if v.is_module and tau[v].is_module and tau[v].dims != ed.coxeter_transform(v.dims):
-                raise AssertionError("translate disagrees with the matrix transform")
 
         # Hom(P_i, y) is entry i of dim y at a module y and 0 at a shifted
         # projective; Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
         at_tau = itemgetter(*self.tau_i)
         tau_k = [tuple(range(len(self.vertices)))]
-        while len(tau_k) <= max(k for k, _ in orbit.values()):
+        depth = max(k for k, _ in orbit.values())
+        while len(tau_k) <= depth:
             tau_k.append(at_tau(tau_k[-1]))
         at_tau_k = [itemgetter(*t) for t in tau_k]
-        proj_rows = {i: tuple(v.dims[i - 1] if v.is_module else 0 for v in self.vertices) for i in rows}
+        proj_rows = [(), *(col + (0,) * n for col in zip(*modules))]
         self.hom_i: tuple[tuple[int, ...], ...] = tuple(
-            at_tau_k[k](proj_rows[i]) for k, i in map(orbit.get, self.vertices)
+            at_tau_k[k](proj_rows[i]) for k, i in map(orbit.get, keys)
         )
         # ext1(x, y) = hom(x, tau y) = ext1(y, x) by 2-Calabi-Yau duality
         ext = list(map(at_tau, self.hom_i))

@@ -26,7 +26,7 @@ __all__ = [
     "mutate_matrix",
     "classify_diagram",
     "positive_roots",
-    "simple_reflection",
+    "coxeter_number",
     "builtin_quiver",
     "BUILTIN_QUIVER_NAMES",
     "load_quiver_json",
@@ -293,14 +293,6 @@ def classify_diagram(q: Quiver) -> DiagramClass:
 # root system
 
 
-def simple_reflection(q: Quiver, d, k: int) -> Vector:
-    """Simple reflection s_k of the Weyl group of the underlying graph:
-    d_k becomes the sum of d_j over the edges k - j, minus d_k."""
-    neighbours = [t if s == k else s for s, t in q.arrows if k in (s, t)]
-    dk = sum(d[j - 1] for j in neighbours) - d[k - 1]
-    return tuple(dk if j == k - 1 else x for j, x in enumerate(d))
-
-
 @lru_cache(maxsize=None)
 def positive_roots(q: Quiver) -> frozenset[Vector]:
     """Positive roots of the underlying Dynkin diagram.
@@ -331,53 +323,62 @@ def positive_roots(q: Quiver) -> frozenset[Vector]:
     return frozenset(seen)
 
 
+def coxeter_number(diagram: DiagramClass) -> int:
+    """Coxeter number h of a Dynkin diagram of rank n, which has nh/2 positive roots."""
+    if diagram.kind != "dynkin":
+        raise ValueError(f"Coxeter number needs a Dynkin diagram, got {diagram.label}")
+    n = diagram.rank
+    return {"A": n + 1, "D": 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get(n)}[diagram.label[0]]
+
+
 # ---------------------------------------------------------------------------
 # Euler form and Coxeter transformation
 
 
 class EulerData:
-    """Euler form and Coxeter transformation of an acyclic quiver.
+    """Euler form, Coxeter transformation and projectives of an acyclic quiver.
 
-    The form is <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j, which
-    equals dim Hom(M, N) - dim Ext^1(M, N) for representations with
-    dim M = d, dim N = e. The Coxeter matrix Phi = -E^{-1} E^T is the
-    product of the simple reflections taken sinks first (Bernstein-Gelfand-
-    Ponomarev) and the dimension shadow of the AR translate: Phi dim M =
-    dim tau M for non-projective indecomposables and Phi dim P_i = -dim I_i;
-    Phi^-1, the reflections taken sources first, plays the same role for
-    the inverse translate.
-    """
+    The form is <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j, which is
+    dim Hom(M, N) - dim Ext^1(M, N) for dim M = d, dim N = e; <d, d> is the
+    Tits form. The Coxeter matrix Phi = -E^{-1} E^T is the product of the
+    simple reflections (s_k sets d_k to the sum of d_j over the edges k - j,
+    minus d_k) taken sinks first (Bernstein-Gelfand-Ponomarev) and the
+    dimension shadow of the AR translate: Phi dim M = dim tau M for
+    non-projective indecomposables and Phi dim P_i = -dim I_i; Phi^-1, the
+    reflections taken sources first, does the same for tau^-1.
+    ``projectives[i - 1]`` is dim P_i."""
 
     def __init__(self, q: Quiver):
         if not q.is_acyclic():
             raise ValueError("Euler data requires an acyclic quiver")
-        self.quiver = q
         n = q.n
+        self._arrows = [(s - 1, t - 1) for s, t in q.arrows]
         e = [[int(i == j) for j in range(n)] for i in range(n)]
-        for s, t in q.arrows:
-            e[s - 1][t - 1] -= 1
+        for s, t in self._arrows:
+            e[s][t] -= 1
         self.euler_matrix = tuple(map(tuple, e))
+        neighbours = [[t if s == k else s for s, t in self._arrows if k in (s, t)] for k in range(n)]
 
         def product(order) -> IntMatrix:
             # the unit vectors as columns, reflected at order[0] first
-            columns = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            columns = [[int(i == j) for i in range(n)] for j in range(n)]
             for k in order:
-                columns = [simple_reflection(q, d, k) for d in columns]
+                for d in columns:
+                    d[k] = sum(d[j] for j in neighbours[k]) - d[k]
             return tuple(zip(*columns))
 
-        order = q.topological_order()
+        order = [v - 1 for v in q.topological_order()]
         self.matrix = product(order[::-1])
         self.inverse_matrix = product(order)
+        # P_i has the trivial path at i and a path from j for each arrow i -> j
+        proj: list[Vector] = [()] * n
+        for i in reversed(order):
+            heads = [proj[t] for s, t in self._arrows if s == i]
+            proj[i] = tuple(map(sum, zip(*heads, [int(i == j) for j in range(n)])))
+        self.projectives = tuple(proj)
 
     def euler_form(self, d, e) -> int:
-        total = 0
-        em = self.euler_matrix
-        for i, di in enumerate(d):
-            if di:
-                for j, ej in enumerate(e):
-                    if ej and em[i][j]:
-                        total += di * em[i][j] * ej
-        return total
+        return sum(map(mul, d, e)) - sum(d[s] * e[t] for s, t in self._arrows)
 
     def coxeter_transform(self, d) -> Vector:
         return tuple(sum(map(mul, row, d)) for row in self.matrix)

@@ -28,7 +28,8 @@ from the table.  Modules cross in only at ``TiltingModule.of``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, and_, mul
 from typing import NamedTuple
@@ -68,14 +69,15 @@ class TiltingModule:
     in the quiver's module table.
 
     Construction checks the id range, the summand count, distinctness and
-    vanishing of ext in both directions including self, all by table lookup.
-    Modules enter only through ``of``, which checks that each is a brick (over
-    a Dynkin quiver, an indecomposable) and maps it to its id: by Gabriel's
-    theorem its dimension vector fixes it up to isomorphism.
-    """
+    vanishing of ext in both directions including self, all by table lookup;
+    bit i of ``key`` is set iff id i is a summand. Modules enter only through
+    ``of``, which checks that each is a brick (over a Dynkin quiver, an
+    indecomposable) and maps it to its id: by Gabriel's theorem its dimension
+    vector fixes it up to isomorphism."""
 
     quiver: Quiver
     ids: tuple[int, ...]
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = _directed_indecomposables(self.quiver)
@@ -85,9 +87,15 @@ class TiltingModule:
             raise NotTilting(f"need {self.quiver.n} summands, got {len(self.ids)}")
         if len(set(self.ids)) != len(self.ids):
             raise NotTilting(f"repeated summand in {self.dims}")
-        bits = sum(1 << i for i in self.ids)
+        object.__setattr__(self, "key", bits := sum(1 << i for i in self.ids))
         if any(table.compat[a] & bits != bits for a in self.ids):
             raise NotTilting(f"ext^1 between summands of {self.dims} is nonzero")
+
+    def _swapped(self, k: int, t0p: int) -> "TiltingModule":
+        """Summand k replaced by ``t0p``, unchecked: for a swap certified on the same summand set."""
+        new, ids = copy(self), self.ids[:k] + (t0p,) + self.ids[k + 1:]
+        new.__dict__.update(ids=ids, key=self.key ^ (1 << self.ids[k]) ^ (1 << t0p))
+        return new
 
     @classmethod
     def of(cls, quiver: Quiver, summands) -> "TiltingModule":
@@ -244,9 +252,8 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     table = _directed_indecomposables(quiver)
     if table.injective.issuperset(t.ids):
         return None
-    key = sum(1 << i for i in t.ids)
     for k, j in enumerate(t.ids):
-        if j not in table.injective and not table.hom_into[j] & key:
+        if j not in table.injective and not table.hom_into[j] & t.key:
             return k
     raise NoDescentSummand(f"no swappable summand in {t.dims}")
 
@@ -354,13 +361,13 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
     almost complete tilting module has at most two complements), so each
     (set, T0) swap is certified once per module table by
     ``complement_and_sequence`` and read from the table's ``swaps`` memo, as
-    T0' and E ids, by every later chain that passes through it.  Every step,
-    certified or read, is written from the table and its two torsion masks;
-    it must shrink the torsion class strictly (its mask loses bits and gains
-    none), change exactly one summand, and expel the removed summand from the
-    new torsion class while the removed summand keeps trivial extensions into
-    it.  An already injective module yields an empty chain.
-    """
+    T0' and E ids, by every later chain that passes through it; a read step's
+    module has the summand set of a checked one and is not checked again.
+    Every step is written from the table and its two torsion masks; it must
+    shrink the torsion class strictly (its mask loses bits and gains none),
+    change exactly one summand, and expel the removed summand from the new
+    torsion class while the removed summand keeps trivial extensions into it.
+    An already injective module yields an empty chain."""
     table = _directed_indecomposables(quiver)
     dims = [m.dims for m in table.ordered]
     cur = t
@@ -371,12 +378,11 @@ def prop8_descent(quiver: Quiver, t: TiltingModule) -> dict:
         if len(steps) >= len(table.ordered):
             raise DescentStepError("descent did not terminate within the module count")
         t0 = cur.ids[k]
-        key = (sum(1 << i for i in cur.ids), t0)
-        if (swap := table.swaps.get(key)) is None:
+        if (swap := table.swaps.get((cur.key, t0))) is None:
             new_t, e = complement_and_sequence(quiver, cur, k)
-            swap = table.swaps[key] = (new_t.ids[k], e)
+            swap = table.swaps[cur.key, t0] = (new_t.ids[k], e)
         else:
-            new_t = TiltingModule(quiver, cur.ids[:k] + (swap[0],) + cur.ids[k + 1:])
+            new_t = cur._swapped(k, swap[0])
         t0p, e = swap
         new_tc = torsion_class(quiver, new_t)
         if new_tc & ~cur_tc or new_tc == cur_tc:

@@ -20,6 +20,7 @@ module positions, must be the knitted one.
 import copy
 import dataclasses
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -29,7 +30,7 @@ import re
 import pytest
 from test_reps import tau, tau_inverse
 
-from clustercat import category, cli, laurent, tilting
+from clustercat import category, cli, laurent, quivers, reps, tilting
 from clustercat.category import (
     CategorifiedSeed,
     CVertex,
@@ -48,7 +49,15 @@ from clustercat.category import (
     walk_tilting,
 )
 from clustercat.laurent import LaurentPoly, Seed, explore_exchange_graph, initial_seed, seed_mutate
-from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix, mutate_matrix
+from clustercat.quivers import (
+    EulerData,
+    Quiver,
+    builtin_quiver,
+    coxeter_number,
+    exchange_matrix,
+    mutate_matrix,
+    positive_roots,
+)
 from clustercat.reps import (
     euler_data,
     ext1_dim,
@@ -290,6 +299,107 @@ class PlantedExt(GammaC):
         x, y = ext_free_pair(rows, self.tau_i)
         ty = self.tau_i[y]
         self._planted = tuple(row[:ty] + (row[ty] + 1,) + row[ty + 1 :] if r == x else row for r, row in enumerate(rows))
+
+
+GAMMAC_DIGESTS = {
+    "D4": "0093a16734b267b728309028bd6286cec8ab309922a26e12bb59113f2abfe926",
+    "D6": "ad886228b0fe6fc73697d7217c962319107275ddb17a6157a31b814c5aa34372",
+    "E6": "cde5d45e8492de9a5bd6178a5668f96321eba04ae05a7c99ef67dafc277c6a0d",
+    "E7": "e7ad665d98f3d8b5145d2e5024ac39a7a081906a575ab7dfcb975c01ee278aa7",
+    "E8": "e46cb4e70c099d9902d6a595fc0ccb637e6317a5fa7a71484f3e031ee8dfa711",
+    "E8-reversed": "8239d5029d50a644a210b8ebeafeea4f949fda321fd0926cd6ca38bc65161042",
+}
+
+
+@pytest.mark.parametrize("name", GAMMAC_DIGESTS)
+def test_gammac_tables_are_pinned(name):
+    # sha256 of every table GammaC builds: another route to them must give
+    # the same tables
+    q = {**QUIVERS, "E8-reversed": Quiver(8, tuple((t, s) for s, t in E8.arrows))}[name]
+    g = GammaC(q)
+    fields = {"vertices": [v.render() for v in g.vertices], "tau_i": g.tau_i, "hom_i": g.hom_i,
+              "ext_free": g.ext_free, "proj_i": g.proj_i, "shift_i": g.shift_i}
+    assert hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest() == GAMMAC_DIGESTS[name]
+
+
+def branched(n, b):
+    """The path 1 -> ... -> n-1 with a leaf b -> n: D_n for b = n-2, E_n for b = 3."""
+    return Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((b, n),))
+
+
+DYNKIN = {
+    **{f"A{n}": linear(n) for n in range(1, 9)},
+    **{f"D{n}": branched(n, n - 2) for n in range(4, 9)},
+    **{f"E{n}": branched(n, 3) for n in (6, 7, 8)},
+    **ORIENTED,
+}
+
+
+@pytest.mark.parametrize("q", DYNKIN.values(), ids=DYNKIN)
+def test_orbit_modules_are_the_positive_roots(q):
+    # the Tits form and the count n h / 2 against the reflection closure
+    g = GammaC(q)
+    modules = [v.dims for v in g.vertices if v.is_module]
+    assert set(modules) == positive_roots(q)
+    assert len(modules) == q.n * coxeter_number(g.diagram) // 2
+
+
+def test_gammac_reads_no_root_closure_or_path_algebra(monkeypatch):
+    # the orbit walk runs on dimension vectors; CVertex labels are hashed
+    # only to build the index
+    def refuse(*args):
+        raise AssertionError("GammaC must not call this")
+
+    for mod in (quivers, reps, category):
+        for name in ("positive_roots", "injective_dims", "projective_dims"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    monkeypatch.setattr(reps.MonomialAlgebra, "_all_paths", refuse)
+    hashed = []
+    label_hash = CVertex.__hash__
+    monkeypatch.setattr(CVertex, "__hash__", lambda v: hashed.append(v) or label_hash(v))
+    g = GammaC(E8)
+    assert hashed == list(g.vertices)
+
+
+def tampered(monkeypatch, q, **fields):
+    """GammaC's Euler data for q with the given attributes replaced."""
+    ed = EulerData(q)
+    for name, value in fields.items():
+        setattr(ed, name, value)
+    monkeypatch.setattr(category, "euler_data", lambda _: ed)
+    return ed
+
+
+@pytest.mark.parametrize("i,j", itertools.product(range(4), repeat=2))
+def test_a_changed_inverse_coxeter_entry_is_caught(monkeypatch, i, j):
+    inv = [list(row) for row in EulerData(builtin_quiver("D4")).inverse_matrix]
+    inv[i][j] += 1
+    tampered(monkeypatch, builtin_quiver("D4"), inverse_matrix=tuple(map(tuple, inv)))
+    with pytest.raises(AssertionError, match="translate disagrees with the matrix transform"):
+        GammaC(builtin_quiver("D4"))
+
+
+def test_an_orbit_ending_off_the_projectives_is_caught(monkeypatch):
+    # the Coxeter matrices of 1 -> 2 <- 3 keep the Tits form of A3 and are
+    # inverse to each other, but tau^-1 of the last module of an orbit of
+    # 1 -> 2 -> 3 is then not a shifted projective
+    other = EulerData(Quiver(3, ((1, 2), (3, 2))))
+    tampered(monkeypatch, builtin_quiver("A3"), matrix=other.matrix, inverse_matrix=other.inverse_matrix)
+    with pytest.raises(AssertionError, match="orbit walk ended off the projectives"):
+        GammaC(builtin_quiver("A3"))
+
+
+def test_a_tits_form_missing_an_edge_is_caught(monkeypatch):
+    ed = tampered(monkeypatch, builtin_quiver("A3"))
+    monkeypatch.setattr(ed, "_arrows", ed._arrows[:-1])
+    with pytest.raises(AssertionError, match="orbit walk left the root system"):
+        GammaC(builtin_quiver("A3"))
+
+
+def test_a_short_orbit_count_is_caught(monkeypatch):
+    monkeypatch.setattr(category, "coxeter_number", lambda diagram: quivers.coxeter_number(diagram) + 2)
+    with pytest.raises(AssertionError, match="orbit walk missed some modules"):
+        GammaC(builtin_quiver("D4"))
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])

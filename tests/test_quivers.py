@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_category import ORIENTED
 
 from clustercat.quivers import (
     BUILTIN_QUIVER_NAMES,
@@ -10,15 +11,15 @@ from clustercat.quivers import (
     Quiver,
     builtin_quiver,
     classify_diagram,
+    coxeter_number,
     exchange_matrix,
     load_quiver_json,
     mutate_matrix,
     positive_roots,
     quiver_from_matrix,
     quiver_to_json,
-    simple_reflection,
 )
-from clustercat.reps import MonomialAlgebra
+from clustercat.reps import MonomialAlgebra, projective_dims
 
 
 def test_mutation_negates_incident_row_and_column():
@@ -205,6 +206,14 @@ def test_positive_root_counts():
         assert len(positive_roots(_branched(n, 3))) == count
 
 
+def simple_reflection(q: Quiver, d, k: int) -> tuple[int, ...]:
+    """Simple reflection s_k of the Weyl group of the underlying graph:
+    d_k becomes the sum of d_j over the edges k - j, minus d_k."""
+    neighbours = [t if s == k else s for s, t in q.arrows if k in (s, t)]
+    dk = sum(d[j - 1] for j in neighbours) - d[k - 1]
+    return tuple(dk if j == k - 1 else x for j, x in enumerate(d))
+
+
 def _full_reflection_closure(q):
     """Positive roots as the closure of the simple roots under every simple
     reflection, negative roots included, then restricted to the positive."""
@@ -234,6 +243,48 @@ def _dynkin_family():
 @pytest.mark.parametrize("q", _dynkin_family())
 def test_positive_roots_equal_the_full_reflection_closure(q):
     assert positive_roots(q) == _full_reflection_closure(q)
+
+
+@pytest.mark.parametrize("q", _dynkin_family())
+def test_coxeter_number_counts_the_positive_roots(q):
+    assert len(positive_roots(q)) * 2 == q.n * coxeter_number(classify_diagram(q))
+
+
+def test_coxeter_number_refuses_non_dynkin_shapes():
+    for q in (builtin_quiver("Atilde21"), Quiver(2, ((1, 2), (1, 2)))):
+        with pytest.raises(ValueError):
+            coxeter_number(classify_diagram(q))
+
+
+def _reflection_product(q, order):
+    """The matrix whose column j is e_j reflected at order[0] first."""
+    columns = []
+    for j in range(q.n):
+        d = tuple(int(i == j) for i in range(q.n))
+        for k in order:
+            d = simple_reflection(q, d, k)
+        columns.append(d)
+    return tuple(zip(*columns))
+
+
+ORIENTATIONS = [pytest.param(q, id=name) for name, q in ORIENTED.items()]
+
+
+@pytest.mark.parametrize("q", [*_dynkin_family(), *ORIENTATIONS])
+def test_coxeter_matrices_are_reflection_products(q):
+    # Phi is the product of the simple reflections sinks first, Phi^-1
+    # sources first (Bernstein-Gelfand-Ponomarev)
+    ed = EulerData(q)
+    order = q.topological_order()
+    assert ed.matrix == _reflection_product(q, order[::-1])
+    assert ed.inverse_matrix == _reflection_product(q, order)
+
+
+@pytest.mark.parametrize(
+    "q", [*_dynkin_family(), *ORIENTATIONS, pytest.param(builtin_quiver("Atilde21"), id="Atilde21")]
+)
+def test_projectives_count_paths(q):
+    assert EulerData(q).projectives == tuple(projective_dims(q, i) for i in range(1, q.n + 1))
 
 
 def test_positive_roots_refuse_non_dynkin_shapes():

@@ -741,6 +741,34 @@ def test_a_wrong_memo_entry_fails_loudly():
         _directed_indecomposables.cache_clear()
 
 
+def test_cold_a5_sweep_checks_one_module_per_certified_swap(monkeypatch):
+    # the enumeration checks its 42 modules and each of the 41 certified
+    # swaps its new one; the other 135 steps read the memo and build their
+    # module from the certified summand set unchecked
+    calls = []
+    check = TiltingModule.__post_init__
+    monkeypatch.setattr(TiltingModule, "__post_init__", lambda t: calls.append(t) or check(t))
+    chains = _cold_sweep(A5)
+    assert sum(c["step_count"] for c in chains) == 176
+    assert len(calls) == 42 + 41
+
+
+def test_memo_read_modules_equal_checked_modules(monkeypatch):
+    built = []
+    swapped = TiltingModule._swapped
+
+    def recorded(t, k, t0p):
+        built.append(swapped(t, k, t0p))
+        return built[-1]
+
+    monkeypatch.setattr(TiltingModule, "_swapped", recorded)
+    _cold_sweep(A5)
+    assert len(built) == 176 - 41
+    for m in built:
+        checked = TiltingModule(A5, m.ids)
+        assert (m, m.key, repr(m)) == (checked, checked.key, repr(checked))
+
+
 def test_cold_d4_sweep_reads_each_torsion_class_once(monkeypatch):
     # one torsion class per chain start and one per step: the certificate
     # computes none, so certified and memo-read steps cost the same
