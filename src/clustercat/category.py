@@ -1,17 +1,17 @@
 """The cluster category of a Dynkin quiver as a finite translation quiver.
 
 Indecomposables are the quiver's indecomposable modules together with one
-shifted projective per vertex. Walking the inverse-translate orbit of each
-projective P_i up to an injective I_j, and one step on to P_j[1] =
-tau^-1 I_j, meets every vertex once; tau is the step back, with tau P_i =
-P_i[1]. Every vertex is a translate of a projective, and Hom(P_i, Y) is
-entry i of dim Y at a module Y and 0 at a shifted projective
+shifted projective per vertex. The inverse-translate orbit of each projective
+P_i up to an injective I_j (a row of ``quivers.tau_orbits``), and one step on
+to P_j[1] = tau^-1 I_j, meets every vertex once; tau is the step back, with
+tau P_i = P_i[1]. Every vertex is a translate of a projective, and Hom(P_i, Y)
+is entry i of dim Y at a module Y and 0 at a shifted projective
 (Buan-Marsh-Reineke-Reiten-Todorov 2006), so no hom dimension is knitted;
 ext1 is checked symmetric, as the category is 2-Calabi-Yau (Keller 2005).
 
-Everything here is exact integer combinatorics; the representation-theoretic
-formulas for the same numbers live in the test suite as an independent check
-and are deliberately not imported.
+Everything here is exact integer combinatorics on dimension vectors, and
+nothing is imported from the module layer (``reps``): the representation
+theory of the same numbers lives in the test suite as an independent check.
 
 Once ``GammaC`` is built, vertex ids are the only currency: seeds hold
 summand ids, a tilting key is an int bitmask of them, and exchange data
@@ -31,8 +31,7 @@ from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .laurent import explore_exchange_graph
-from .quivers import Quiver, classify_diagram, coxeter_number, exchange_matrix, mutate_matrix
-from .reps import euler_data
+from .quivers import Quiver, exchange_matrix, mutate_matrix, tau_orbits
 
 __all__ = [
     "CVertex",
@@ -159,56 +158,30 @@ class GammaC:
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
-    Orbit row i steps from dim P_i by Phi^-1 through vectors of Tits form 1 up
-    to an injective I_j, whose Phi^-1 image must be -dim P_j, and ends at
-    P_j[1] = tau^-1 I_j; its vertex k steps along is tau^-k P_i, and tau is the
-    step back, with tau P_i = P_i[1]. The rows meet n h / 2 modules once each
-    (h the Coxeter number), and Phi Phi^-1 = 1 (so Phi steps back along every
-    orbit, whose vectors span Z^n). P_i's hom row holds entry i of every
-    module's dimension vector and 0 at the shifted projectives, so the row of
-    tau^-k P_i is P_i's row read at tau^k of each target. The build also checks
-    that ext1(x, y) = hom(x, tau y) equals ext1(y, x) for every pair."""
+    The vertices are read off the rows of ``quivers.tau_orbits``: row i runs
+    from P_i up to an injective I_j and goes on to P_j[1] = tau^-1 I_j; its
+    vertex k steps along is tau^-k P_i, and tau is the step back, with tau P_i
+    = P_i[1]. P_i's hom row holds entry i of every module's dimension vector
+    and 0 at the shifted projectives, so the row of tau^-k P_i is P_i's row
+    read at tau^k of each target. The build also checks that ext1(x, y) =
+    hom(x, tau y) equals ext1(y, x) for every pair."""
 
     def __init__(self, quiver: Quiver):
-        diagram = classify_diagram(quiver)
-        if diagram.kind != "dynkin":
-            raise ValueError(f"cluster category tables need Dynkin type, got {diagram.label}")
-        self.quiver = quiver
-        self.diagram = diagram
-        n = quiver.n
-        ed = euler_data(quiver)
-        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        if list(map(ed.coxeter_transform, zip(*ed.inverse_matrix))) != unit:
-            raise AssertionError("translate disagrees with the matrix transform")
-
-        proj_of = {p: j for j, p in enumerate(ed.projectives, 1)}
+        orbits = tau_orbits(quiver)
+        self.quiver, self.diagram, n = quiver, orbits.diagram, quiver.n
         orbit: dict = {}  # key -> (k, i): tau^-k P_i, keyed by its dimension vector, or -j for P_j[1]
         tau: dict = {}  # key -> key of its translate
-        walked = 0
-        for i, d in enumerate(ed.projectives, 1):
-            row = [d]
-            while min(d) >= 0:
-                if ed.euler_form(d, d) != 1:
-                    raise AssertionError("orbit walk left the root system")
-                row.append(d := ed.inverse_coxeter_transform(d))
-            if (j := proj_of.get(tuple(-x for x in row.pop()))) is None:
-                raise AssertionError("orbit walk ended off the projectives")
-            row.append(-j)
+        for i, (row, j) in enumerate(zip(orbits.rows, orbits.ends), 1):
+            row = [*row, -j]
             orbit.update((v, (k, i)) for k, v in enumerate(row))
             tau.update(zip(row, [-i, *row]))
-            walked += len(row)
-        if len(orbit) != walked:
-            raise AssertionError("orbit walk met a vertex twice")
         modules = sorted(v for v in orbit if isinstance(v, tuple))
-        if len(modules) != n * coxeter_number(diagram) // 2:
-            raise AssertionError("orbit walk missed some modules")
-
         keys = modules + list(range(-1, -n - 1, -1))
         at = {v: x for x, v in enumerate(keys)}
         labels = [CVertex(d, None) for d in modules] + [CVertex(None, j) for j in range(1, n + 1)]
         self.vertices: tuple[CVertex, ...] = tuple(labels)
         self.index: dict[CVertex, int] = {v: x for x, v in enumerate(labels)}
-        self.proj_i: tuple[int, ...] = tuple(at[p] for p in ed.projectives)
+        self.proj_i: tuple[int, ...] = tuple(at[row[0]] for row in orbits.rows)
         self.shift_i: tuple[int, ...] = tuple(range(len(modules), len(keys)))
         self.tau_i: tuple[int, ...] = tuple(at[tau[v]] for v in keys)
         if len(set(self.tau_i)) != len(self.tau_i):
@@ -218,8 +191,7 @@ class GammaC:
         # projective; Hom(tau^-k P_i, y) = Hom(P_i, tau^k y)
         at_tau = itemgetter(*self.tau_i)
         tau_k = [tuple(range(len(self.vertices)))]
-        depth = max(k for k, _ in orbit.values())
-        while len(tau_k) <= depth:
+        for _ in range(max(map(len, orbits.rows))):  # the deepest k in any orbit
             tau_k.append(at_tau(tau_k[-1]))
         at_tau_k = [itemgetter(*t) for t in tau_k]
         proj_rows = [(), *(col + (0,) * n for col in zip(*modules))]

@@ -1,5 +1,8 @@
 """Quivers, exchange matrices, diagram classification and root systems.
 
+Every Dynkin table reads one walk, ``tau_orbits``, which is also the one place
+those tables classify the diagram; the positive roots are the vectors it meets.
+
 Vertices are numbered 1..n in every public interface. Arrows are ordered
 pairs (source, target); parallel arrows are allowed, loops are not. The
 exchange matrix convention is b_ij = #arrows(i -> j) - #arrows(j -> i), so
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "Quiver",
@@ -27,6 +31,8 @@ __all__ = [
     "classify_diagram",
     "positive_roots",
     "coxeter_number",
+    "euler_data",
+    "tau_orbits",
     "builtin_quiver",
     "BUILTIN_QUIVER_NAMES",
     "load_quiver_json",
@@ -290,37 +296,7 @@ def classify_diagram(q: Quiver) -> DiagramClass:
 
 
 # ---------------------------------------------------------------------------
-# root system
-
-
-@lru_cache(maxsize=None)
-def positive_roots(q: Quiver) -> frozenset[Vector]:
-    """Positive roots of the underlying Dynkin diagram.
-
-    Computed as the closure of the simple roots under simple reflections,
-    taken within the positive roots: s_k(d) is a positive root for every
-    positive root d other than e_k, and by induction on height every
-    positive root is reached this way. Raises ValueError when the diagram is
-    not Dynkin ADE.
-    """
-    cls = classify_diagram(q)
-    if cls.kind != "dynkin":
-        raise ValueError(f"positive roots require a Dynkin diagram, got {cls.label}")
-    n = q.n
-    neighbours = [[t - 1 if s == k else s - 1 for s, t in q.arrows if k in (s, t)] for k in range(1, n + 1)]
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen: set[Vector] = set(simples)
-    frontier = list(simples)
-    while frontier:
-        d = frontier.pop()
-        for k, nb in enumerate(neighbours):
-            dk = sum(d[j] for j in nb) - d[k]
-            if dk != d[k] and d != simples[k]:
-                r = d[:k] + (dk,) + d[k + 1 :]
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-    return frozenset(seen)
+# Euler form, Coxeter transformation and the tau-orbits
 
 
 def coxeter_number(diagram: DiagramClass) -> int:
@@ -329,10 +305,6 @@ def coxeter_number(diagram: DiagramClass) -> int:
         raise ValueError(f"Coxeter number needs a Dynkin diagram, got {diagram.label}")
     n = diagram.rank
     return {"A": n + 1, "D": 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get(n)}[diagram.label[0]]
-
-
-# ---------------------------------------------------------------------------
-# Euler form and Coxeter transformation
 
 
 class EulerData:
@@ -387,6 +359,62 @@ class EulerData:
         return tuple(sum(map(mul, row, d)) for row in self.inverse_matrix)
 
 
+euler_data = lru_cache(maxsize=None)(EulerData)  # one EulerData per quiver
+
+
+class TauOrbits(NamedTuple):
+    """``rows[i - 1]`` holds dim tau^-k P_i for k = 0, 1, ... up to an
+    injective I_j, and ``ends[i - 1]`` is that j."""
+
+    diagram: DiagramClass
+    rows: tuple[tuple[Vector, ...], ...]
+    ends: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def tau_orbits(q: Quiver) -> TauOrbits:
+    """The indecomposables of a Dynkin quiver as the tau^-1-orbits of its
+    projectives, each fixed by a positive root as its dimension vector
+    (Gabriel 1972; Bernstein-Gelfand-Ponomarev 1973). Row i steps from dim P_i
+    by Phi^-1 through vectors of Tits form 1 up to an injective I_j, whose
+    Phi^-1 image must be -dim P_j (tau^-1 I_j = P_j[1] in the cluster
+    category). The rows meet n h / 2 modules once each (h the Coxeter number),
+    and Phi Phi^-1 = 1 (so Phi steps back along every orbit, whose vectors
+    span Z^n). Raises ValueError unless q is Dynkin ADE."""
+    diagram = classify_diagram(q)
+    if diagram.kind != "dynkin":
+        raise ValueError(f"tau-orbits need a Dynkin quiver, got {diagram.label}")
+    n, ed = q.n, euler_data(q)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if list(map(ed.coxeter_transform, zip(*ed.inverse_matrix))) != unit:
+        raise AssertionError("translate disagrees with the matrix transform")
+    proj_of = {p: j for j, p in enumerate(ed.projectives, 1)}
+    rows, ends = [], []
+    for d in ed.projectives:
+        row = [d]
+        while min(d) >= 0:
+            if ed.euler_form(d, d) != 1:
+                raise AssertionError("orbit walk left the root system")
+            row.append(d := ed.inverse_coxeter_transform(d))
+        if (j := proj_of.get(tuple(-x for x in row.pop()))) is None:
+            raise AssertionError("orbit walk ended off the projectives")
+        rows.append(tuple(row))
+        ends.append(j)
+    modules = {d for row in rows for d in row}
+    if len(modules) != sum(map(len, rows)) or len(set(ends)) != n:
+        raise AssertionError("orbit walk met a vertex twice")
+    if len(modules) != n * coxeter_number(diagram) // 2:
+        raise AssertionError("orbit walk missed some modules")
+    return TauOrbits(diagram, tuple(rows), tuple(ends))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(q: Quiver) -> frozenset[Vector]:
+    """Positive roots of a Dynkin quiver: the dimension vectors on its
+    tau-orbits. Raises ValueError when the diagram is not Dynkin ADE."""
+    return frozenset(d for row in tau_orbits(q).rows for d in row)
+
+
 # ---------------------------------------------------------------------------
 # named quivers and file formats
 
@@ -426,7 +454,10 @@ def load_quiver_json(source) -> tuple[Quiver, tuple[tuple[int, ...], ...]]:
     a path. Returns (quiver, relations).
     """
     if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text())
+        try:
+            data = json.loads(Path(source).read_text())
+        except RecursionError:
+            raise ValueError("quiver JSON is nested too deeply") from None
     else:
         data = source
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:

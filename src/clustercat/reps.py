@@ -10,10 +10,10 @@ commuting-square system, which relations do not change. Ext^1 over every
 algebra is the first cohomology of one small complex (vertices -> arrows ->
 relations), whose first map is that same system; without relations it is
 dim Hom minus the Euler form. The indecomposables of a Dynkin quiver are
-built once per quiver, never by guessing matrices: one cached walk of the
-tau^-1-orbits of the projectives with reflection functors, so every one of
-them is preinjective. The AR translates, the preinjectivity search and the
-isomorphism test are test oracles and live with the tests.
+built once per quiver, never by guessing matrices: the rows of
+``quivers.tau_orbits`` walked with reflection functors, each step checked
+against its row, so every one of them is preinjective. The AR translates,
+the preinjectivity search and the isomorphism test live with the tests.
 
 Modules are immutable once constructed.
 """
@@ -22,22 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from . import linalg
-from .quivers import EulerData, Quiver, builtin_quiver, check_relations, positive_roots
+from .quivers import Quiver, builtin_quiver, check_relations, euler_data, positive_roots, tau_orbits
 
 __all__ = [
     "MonomialAlgebra",
     "Representation",
     "HomSpace",
     "NegativeExtError",
-    "euler_data",
     "hom",
     "hom_space",
     "ext1_dim",
     "projective_dims",
-    "injective_dims",
     "indecomposable_from_root",
     "atilde21_tube_modules",
 ]
@@ -284,11 +283,6 @@ def hom(m: Representation, n: Representation) -> HomSpace:
     return hom_space(m.quiver.arrows, m.dims, m.mats, n.dims, n.mats)
 
 
-@lru_cache(maxsize=None)
-def euler_data(q: Quiver) -> EulerData:
-    return EulerData(q)
-
-
 def _relation_rows(m: Representation, n: Representation) -> list[linalg.SparseRow]:
     """The map phi -> sum_i N(a_{i+1}..a_l) phi_{a_i} M(a_1..a_{i-1}) on each
     relation a_1..a_l, one sparse row per entry of Hom_k(M_s, N_t) of the
@@ -347,7 +341,7 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# projective and injective dimension vectors
+# projectives, reflection functors and indecomposables
 
 
 def projective_dims(over, i: int) -> tuple[int, ...]:
@@ -355,16 +349,6 @@ def projective_dims(over, i: int) -> tuple[int, ...]:
     Quiver's path algebra or a MonomialAlgebra: the number of surviving
     paths from i to each vertex."""
     return tuple(map(len, _algebra(over).basis_from(i)))
-
-
-def injective_dims(q: Quiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the indecomposable injective at vertex i: the
-    number of paths from each vertex to i."""
-    return tuple(len(_path_algebra(q).basis_from(j)[i - 1]) for j in range(1, q.n + 1))
-
-
-# ---------------------------------------------------------------------------
-# reflection functors and indecomposables
 
 
 def _reflect_quiver(q: Quiver, k: int) -> Quiver:
@@ -396,29 +380,25 @@ def _coreflection(n: Representation, k: int, target_quiver: Quiver) -> Represent
 
 @lru_cache(maxsize=None)
 def _indecomposables(q: Quiver) -> dict[tuple[int, ...], Representation]:
-    """Every indecomposable of a Dynkin quiver by dimension vector: the
-    tau^-1-orbits of the projectives, each walked with the inverse Coxeter
-    functor C^- (Bernstein-Gelfand-Ponomarev 1973) up to an injective. C^-
-    reflects at each vertex in topological order, a source of the quiver as
-    reflected so far. On a tree every path is unique, so P_i has 0/1
+    """Every indecomposable of a Dynkin quiver by dimension vector: each row
+    of ``tau_orbits`` walked with the inverse Coxeter functor C^-
+    (Bernstein-Gelfand-Ponomarev 1973) from the projective of its first
+    vector, and dim C^-M checked against the row's next vector at every step.
+    C^- reflects at each vertex in topological order, a source of the quiver
+    as reflected so far. On a tree every path is unique, so P_i has 0/1
     dimensions and unit maps."""
     order = q.topological_order()
-    stages = [q]
-    for k in order:
-        stages.append(_reflect_quiver(stages[-1], k))
-    injectives = {injective_dims(q, i) for i in range(1, q.n + 1)}
+    stages = list(accumulate(order, _reflect_quiver, initial=q))
     out: dict[tuple[int, ...], Representation] = {}
-    for i in range(1, q.n + 1):
-        dims = projective_dims(q, i)
+    for dims, *later in tau_orbits(q).rows:
         unit = {a: [[1]] for a, (s, t) in enumerate(q.arrows) if dims[s - 1] and dims[t - 1]}
-        m = Representation.from_dims(q, dims, unit)
-        out[m.dims] = m
-        while m.dims not in injectives:
+        m = out[dims] = Representation.from_dims(q, dims, unit)
+        for d in later:
             for k, target in zip(order, stages[1:]):
                 m = _coreflection(m, k, target)
-            out[m.dims] = m
-    if out.keys() != positive_roots(q):
-        raise AssertionError("the orbit dimension vectors are not the positive roots")
+            if m.dims != d:
+                raise AssertionError(f"C^- steps off the orbit: {m.dims} where the row has {d}")
+            out[d] = m
     if any(hom(m, m).dim != 1 for m in out.values()):
         raise AssertionError("an orbit module is not a brick")
     return out

@@ -9,7 +9,8 @@ tilting module down to the direct sum of the indecomposable injectives,
 shrinking the torsion class at every step.
 
 Everything here needs a Dynkin quiver: its indecomposables are fixed by their
-dimension vectors, so hom and ext between them are one table per quiver.  The
+dimension vectors, so hom and ext between them are one table per quiver, over
+the modules that ``reps`` walks along the rows of ``quivers.tau_orbits``.  The
 category is directed, so the table is the positive and the negative part of
 the Euler form, checked against ``category.GammaC``'s hom rows; hom bases
 are solved only for the pairs a swap's approximation uses.  An
@@ -36,15 +37,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .category import GammaC, zero_mask
-from .quivers import Quiver, classify_diagram
-from .reps import (
-    Representation,
-    euler_data,
-    ext1_dim,
-    hom,
-    indecomposable_from_root,
-    injective_dims,
-)
+from .quivers import Quiver, euler_data, tau_orbits
+from .reps import Representation, ext1_dim, hom, indecomposable_from_root
 
 
 class DecomposableSummand(ValueError):
@@ -150,18 +144,16 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     its id, and bit i of ``hom_into[j]`` is set iff i != j and hh[i][j] != 0.
     Bit j of ``ext_free[i]`` is set iff ext[i][j] = 0, bit j of
     ``compat[i]`` is set iff ext vanishes both ways between X_i and X_j, and
-    ``injective`` holds the ids of the indecomposable injectives.  At every
+    ``injective`` holds the ids of the indecomposable injectives, the last
+    module of each row of ``quivers.tau_orbits``.  At every
     module pair the table must give ``GammaC``'s Hom_C(X, Y) = hh[X][Y] +
     ext[X][tau^-1 Y], the last term 0 at an injective Y.
     ``hom_basis[i, j]`` is a solved basis of Hom(X_i, X_j) for the pairs two
     summands of a tilting module can form: i != j, compatible, nonzero hom.
     ``swaps`` starts empty and memoizes ``prop8_descent``'s certified swaps:
     (summand bitmask, T0 id) -> (T0' id, ids of E's summands).  ``label``
-    names the Dynkin diagram for the descent reports.
+    names the rows' Dynkin diagram for the descent reports.
     """
-    diagram = classify_diagram(q)
-    if diagram.kind != "dynkin":
-        raise ValueError(f"tilting modules need a Dynkin quiver, got {diagram.label}")
     g = GammaC(q)
     inds = [x for x, v in enumerate(g.vertices) if v.is_module]
     nn = len(inds)
@@ -202,9 +194,9 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
                 if len(hom_basis[i, j]) != h:
                     raise AssertionError("Euler form and hom solve disagree")
     index = {m.dims: i for i, m in enumerate(ordered)}
-    injective = frozenset(index[injective_dims(q, v)] for v in range(1, q.n + 1))
+    injective = frozenset(index[row[-1]] for row in tau_orbits(q).rows)
     return _ModuleTable(
-        ordered, hh, hom_basis, index, ext, hom_into, ext_free, compat, injective, {}, diagram.label
+        ordered, hh, hom_basis, index, ext, hom_into, ext_free, compat, injective, {}, g.diagram.label
     )
 
 

@@ -33,8 +33,8 @@ from clustercat.laurent import (
     initial_seed,
     seed_mutate,
 )
-from clustercat.quivers import builtin_quiver, exchange_matrix, mutate_matrix
-from clustercat.reps import euler_data, ext1_dim, hom
+from clustercat.quivers import builtin_quiver, euler_data, exchange_matrix, mutate_matrix
+from clustercat.reps import ext1_dim, hom
 from clustercat.tilting import (
     _directed_indecomposables,
     complement_and_sequence,

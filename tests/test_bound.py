@@ -13,11 +13,10 @@ from clustercat.bound import (
     counterexample_modules,
     counterexample_report,
 )
-from clustercat.quivers import Quiver, builtin_quiver, exchange_matrix
+from clustercat.quivers import Quiver, builtin_quiver, euler_data, exchange_matrix
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    euler_data,
     ext1_dim,
     hom,
     projective_dims,

@@ -28,7 +28,7 @@ import operator
 import re
 
 import pytest
-from test_reps import tau, tau_inverse
+from test_reps import injective_dims, tau, tau_inverse
 
 from clustercat import category, cli, laurent, quivers, reps, tilting
 from clustercat.category import (
@@ -54,18 +54,12 @@ from clustercat.quivers import (
     Quiver,
     builtin_quiver,
     coxeter_number,
+    euler_data,
     exchange_matrix,
     mutate_matrix,
     positive_roots,
 )
-from clustercat.reps import (
-    euler_data,
-    ext1_dim,
-    hom,
-    indecomposable_from_root,
-    injective_dims,
-    projective_dims,
-)
+from clustercat.reps import ext1_dim, hom, indecomposable_from_root, projective_dims
 from clustercat.tilting import enumerate_tilting_modules, prop8_descent
 
 
@@ -338,9 +332,11 @@ DYNKIN = {
 @pytest.mark.parametrize("q", DYNKIN.values(), ids=DYNKIN)
 def test_orbit_modules_are_the_positive_roots(q):
     # the Tits form and the count n h / 2 against the reflection closure
+    from test_quivers import _full_reflection_closure  # test_quivers imports this module
+
     g = GammaC(q)
     modules = [v.dims for v in g.vertices if v.is_module]
-    assert set(modules) == positive_roots(q)
+    assert set(modules) == positive_roots(q) == _full_reflection_closure(q)
     assert len(modules) == q.n * coxeter_number(g.diagram) // 2
 
 
@@ -350,7 +346,9 @@ def test_gammac_reads_no_root_closure_or_path_algebra(monkeypatch):
     def refuse(*args):
         raise AssertionError("GammaC must not call this")
 
-    for mod in (quivers, reps, category):
+    rows_roots = quivers.positive_roots
+    quivers.tau_orbits.cache_clear()
+    for mod in (quivers, reps, category, tilting):
         for name in ("positive_roots", "injective_dims", "projective_dims"):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     monkeypatch.setattr(reps.MonomialAlgebra, "_all_paths", refuse)
@@ -359,17 +357,40 @@ def test_gammac_reads_no_root_closure_or_path_algebra(monkeypatch):
     monkeypatch.setattr(CVertex, "__hash__", lambda v: hashed.append(v) or label_hash(v))
     g = GammaC(E8)
     assert hashed == list(g.vertices)
+    # the module walk and the module table read the same rows and count no
+    # paths; the table's lookups by root check membership in the rows, as
+    # positive_roots is their set of vectors
+    monkeypatch.setattr(reps, "positive_roots", rows_roots)
+    reps._indecomposables.cache_clear()
+    tilting._directed_indecomposables.cache_clear()
+    try:
+        table = tilting._directed_indecomposables(E8)
+    finally:
+        reps._indecomposables.cache_clear()
+        tilting._directed_indecomposables.cache_clear()
+    assert {m.dims for m in table.ordered} == {v.dims for v in g.vertices if v.is_module}
+    assert len(table.injective) == E8.n
+
+
+@pytest.fixture
+def cold_orbits():
+    """An empty orbit cache before and after the test, so that the walk reads
+    tampered data and no tampered rows outlive the test."""
+    quivers.tau_orbits.cache_clear()
+    yield
+    quivers.tau_orbits.cache_clear()
 
 
 def tampered(monkeypatch, q, **fields):
-    """GammaC's Euler data for q with the given attributes replaced."""
+    """The orbit walk's Euler data for q with the given attributes replaced."""
     ed = EulerData(q)
     for name, value in fields.items():
         setattr(ed, name, value)
-    monkeypatch.setattr(category, "euler_data", lambda _: ed)
+    monkeypatch.setattr(quivers, "euler_data", lambda _: ed)
     return ed
 
 
+@pytest.mark.usefixtures("cold_orbits")
 @pytest.mark.parametrize("i,j", itertools.product(range(4), repeat=2))
 def test_a_changed_inverse_coxeter_entry_is_caught(monkeypatch, i, j):
     inv = [list(row) for row in EulerData(builtin_quiver("D4")).inverse_matrix]
@@ -379,6 +400,7 @@ def test_a_changed_inverse_coxeter_entry_is_caught(monkeypatch, i, j):
         GammaC(builtin_quiver("D4"))
 
 
+@pytest.mark.usefixtures("cold_orbits")
 def test_an_orbit_ending_off_the_projectives_is_caught(monkeypatch):
     # the Coxeter matrices of 1 -> 2 <- 3 keep the Tits form of A3 and are
     # inverse to each other, but tau^-1 of the last module of an orbit of
@@ -389,6 +411,7 @@ def test_an_orbit_ending_off_the_projectives_is_caught(monkeypatch):
         GammaC(builtin_quiver("A3"))
 
 
+@pytest.mark.usefixtures("cold_orbits")
 def test_a_tits_form_missing_an_edge_is_caught(monkeypatch):
     ed = tampered(monkeypatch, builtin_quiver("A3"))
     monkeypatch.setattr(ed, "_arrows", ed._arrows[:-1])
@@ -396,8 +419,9 @@ def test_a_tits_form_missing_an_edge_is_caught(monkeypatch):
         GammaC(builtin_quiver("A3"))
 
 
+@pytest.mark.usefixtures("cold_orbits")
 def test_a_short_orbit_count_is_caught(monkeypatch):
-    monkeypatch.setattr(category, "coxeter_number", lambda diagram: quivers.coxeter_number(diagram) + 2)
+    monkeypatch.setattr(quivers, "coxeter_number", lambda diagram, h=quivers.coxeter_number: h(diagram) + 2)
     with pytest.raises(AssertionError, match="orbit walk missed some modules"):
         GammaC(builtin_quiver("D4"))
 

@@ -509,6 +509,24 @@ def test_mistyped_quiver_file_is_usage_error(capsys, tmp_path, data):
     assert "cannot read quiver file" in err and "Traceback" not in err
 
 
+def test_deeply_nested_quiver_file_is_usage_error(tmp_path):
+    # the JSON parser gives up on arrows nested 200,000 deep; the command
+    # exits 2 with a message, as for any other unreadable quiver file
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": 2, "arrows": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustercat.cli", "explore", "--quiver", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "cannot read quiver file: quiver JSON is nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "relations",
     [[[0]], [[0, 1]], [[0, 2]], [[1, 2], [1, 2]]],

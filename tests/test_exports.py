@@ -194,6 +194,13 @@ def test_module_layer_imports_nothing_from_laurent(module):
     assert [name for name in names if name.rpartition(".")[2] == "laurent"] == []
 
 
+def test_category_layer_imports_nothing_from_reps():
+    # the cluster category is read off dimension vectors; module theory
+    # checks it from the tests
+    names = {name for pair in _imports("category") for name in pair if name}
+    assert [name for name in names if name.rpartition(".")[2] == "reps"] == []
+
+
 def test_category_layer_reads_laurent_only_through_explore():
     # the category compares its pairing with explore's variables and does no
     # Laurent arithmetic of its own

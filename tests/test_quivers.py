@@ -380,6 +380,13 @@ def test_quiver_json_roundtrip(tmp_path):
     assert rels == ((0, 1),)
 
 
+def test_deeply_nested_quiver_json_raises_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": 2, "arrows": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_quiver_json(path)
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()

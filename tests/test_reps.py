@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from test_linalg import solve_matrix
 
 from clustercat import linalg, reps
-from clustercat.quivers import EulerData, Quiver, builtin_quiver, positive_roots
+from clustercat.quivers import EulerData, Quiver, builtin_quiver, euler_data, positive_roots
 from clustercat.reps import (
     HomSpace,
     Representation,
     atilde21_tube_modules,
-    euler_data,
     ext1_dim,
     hom,
     indecomposable_from_root,
-    injective_dims,
     projective_dims,
 )
 
@@ -37,6 +35,12 @@ def M(q, dims, entries=None):
 def all_indecomposables(q: Quiver) -> list[Representation]:
     """All indecomposables of a Dynkin quiver, sorted by dimension vector."""
     return [indecomposable_from_root(q, d) for d in sorted(positive_roots(q))]
+
+
+def injective_dims(q: Quiver, i: int) -> tuple[int, ...]:
+    """Dimension vector of the indecomposable injective at vertex i: the
+    number of paths from each vertex to i."""
+    return tuple(projective_dims(q, j)[i - 1] for j in range(1, q.n + 1))
 
 
 def direct_sum(m: Representation, *more: Representation) -> Representation:
@@ -265,6 +269,30 @@ def test_indecomposables_are_built_once_per_quiver(monkeypatch):
     for d in positive_roots(e6):
         indecomposable_from_root(e6, d)
     assert len(calls) == 180
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_a_coxeter_functor_skipping_a_vertex_leaves_the_orbit(monkeypatch, name):
+    # C^- without its last reflection: the arrows at that vertex turn round
+    # with their maps transposed, and its space stays as it was
+    q = builtin_quiver(name)
+    skip = q.topological_order()[-1]
+    reflect = reps._coreflection
+
+    def skipping(m, k, target):
+        if k != skip:
+            return reflect(m, k, target)
+        arrows = m.quiver.arrows
+        mats = [[list(c) for c in zip(*a)] if k in arrow else a for arrow, a in zip(arrows, m.mats)]
+        return Representation._of(target, m.dims, mats)
+
+    monkeypatch.setattr(reps, "_coreflection", skipping)
+    reps._indecomposables.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"C\^- steps off the orbit: \(.*\) where the row has"):
+            reps._indecomposables(q)
+    finally:
+        reps._indecomposables.cache_clear()
 
 
 def test_tau_orbit_a2():

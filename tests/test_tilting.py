@@ -5,19 +5,17 @@ from types import SimpleNamespace
 import pytest
 from test_bound import projective
 from test_linalg import solve
-from test_reps import all_indecomposables, direct_sum, is_preinjective
+from test_reps import all_indecomposables, direct_sum, injective_dims, is_preinjective
 
-from clustercat import category, linalg, quivers, reps, tilting
+from clustercat import linalg, quivers, reps, tilting
 from clustercat.category import GammaC, walk_tilting
-from clustercat.quivers import Quiver, builtin_quiver
+from clustercat.quivers import Quiver, builtin_quiver, euler_data
 from clustercat.reps import (
     MonomialAlgebra,
     Representation,
-    euler_data,
     ext1_dim,
     hom,
     indecomposable_from_root,
-    injective_dims,
     projective_dims,
 )
 from clustercat.tilting import (
@@ -543,16 +541,16 @@ def test_middle_term_is_the_dimension_solve(q, swaps):
 
 
 def test_cold_d4_sweep_classifies_the_diagram_once_per_table(monkeypatch):
-    # the module table, its GammaC and the root closure each classify D4
-    # once; every chain reads the label from the table
+    # the orbit walk classifies D4 once; GammaC, the module walk, the table
+    # and every chain read the diagram from its rows
     calls = []
     classify = quivers.classify_diagram
-    for mod in (quivers, category, tilting):
-        monkeypatch.setattr(mod, "classify_diagram", lambda q: calls.append(q) or classify(q))
-    quivers.positive_roots.cache_clear()
+    monkeypatch.setattr(quivers, "classify_diagram", lambda q: calls.append(q) or classify(q))
+    for cached in (quivers.tau_orbits, quivers.positive_roots, reps._indecomposables):
+        cached.cache_clear()
     chains = _cold_sweep(D4)
     assert len(chains) == 20 and {c["diagram"] for c in chains} == {"D4"}
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 # Coxeter number and exponents: the tilting modules are counted by the
@@ -686,6 +684,31 @@ def test_prop8_chains_are_pinned(q, digest):
     # every chain of every tilting module, byte for byte
     chains = [prop8_descent(q, t) for t in enumerate_tilting_modules(q)]
     assert hashlib.sha256(json.dumps(chains, sort_keys=True).encode()).hexdigest() == digest
+
+
+MODULE_ROUTE_DIGESTS = {
+    "D4": "962d2898ed834588f53a38336e75d97151c9d594d6b8034327d9e2a1064b7563",
+    "E6": "0d693038696a818af47f6f318e9ef8ac72c2a32e6bd7434db2bd1d1210ea37eb",
+    "E8": "afa8a485814b132065d971376a7114d3ec376ba0170a155312e7db9ceecbb1cf",
+    "E8-reversed": "87c43601af74da3ebb9c99f1acb2de457f4e2b7c21c4debe392bf708e0a11936",
+}
+
+
+@pytest.mark.parametrize("name", MODULE_ROUTE_DIGESTS)
+def test_module_route_is_pinned(name):
+    # sha256 of the orbit modules, in walk order, and of the module table
+    # built on them: another route to them must give the same modules
+    q = {"D4": D4, "E6": E6, "E8": E8, "E8-reversed": Quiver(8, tuple((t, s) for s, t in E8.arrows))}[name]
+    table = _directed_indecomposables(q)
+    fields = {
+        "indecomposables": [[m.dims, m.mats] for m in reps._indecomposables(q).values()],
+        "ordered": [[m.dims, m.mats] for m in table.ordered],
+        "hh": table.hh, "ext": table.ext, "compat": table.compat, "hom_into": table.hom_into,
+        "hom_basis": [[i, j, b] for (i, j), b in table.hom_basis.items()],
+        "injective": sorted(table.injective),
+    }
+    text = json.dumps(fields, sort_keys=True, default=str)  # a Fraction entry as "p/q"
+    assert hashlib.sha256(text.encode()).hexdigest() == MODULE_ROUTE_DIGESTS[name]
 
 
 @pytest.mark.parametrize(
