@@ -152,7 +152,7 @@ def zero_mask(row: bytes) -> int:
 
 class GammaC:
     """Translation quiver of the cluster category, with a full hom table on
-    vertex ids (``index[v]`` is v's position in ``vertices``, which follow
+    vertex ids (a vertex's id is its position in ``vertices``, which follow
     ``CVertex.sort_key``): ``hom_i[x][y]``, the translation ``tau_i``, and
     ``ext_free[x]``, bit y set iff ext1(x, y) = ext1(y, x) = 0, from byte rows.
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
@@ -180,7 +180,6 @@ class GammaC:
         at = {v: x for x, v in enumerate(keys)}
         labels = [CVertex(d, None) for d in modules] + [CVertex(None, j) for j in range(1, n + 1)]
         self.vertices: tuple[CVertex, ...] = tuple(labels)
-        self.index: dict[CVertex, int] = {v: x for x, v in enumerate(labels)}
         self.proj_i: tuple[int, ...] = tuple(at[row[0]] for row in orbits.rows)
         self.shift_i: tuple[int, ...] = tuple(range(len(modules), len(keys)))
         self.tau_i: tuple[int, ...] = tuple(at[tau[v]] for v in keys)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .bound import counterexample_report
@@ -399,7 +400,10 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="clustercat",
         description="exact cluster-algebra and cluster-category verification",

@@ -1,5 +1,8 @@
 """Quivers, exchange matrices, diagram classification and root systems.
 
+A diagram is named by its Tits form alone: ``classify_diagram`` reads the
+leading principal minors of the symmetric Tits matrix, positive definite on
+Dynkin diagrams and positive semidefinite of corank one on affine ones.
 Every Dynkin table reads one walk, ``tau_orbits``, which is also the one place
 those tables classify the diagram; the positive roots are the vectors it meets.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -172,38 +176,16 @@ def mutate_matrix(b, k: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class DiagramClass:
-    """Shape of the underlying undirected diagram.
+    """Type of the underlying undirected diagram, read off its Tits form.
 
-    kind is "dynkin", "affine" or "other"; label is a human-readable name
-    like "A3", "D4", "E6", "A~(2,1)", "D~4".
+    kind is "dynkin" (positive definite), "affine" (positive semidefinite of
+    corank one) or "other"; label is a human-readable name like "A3", "D4",
+    "E6", "A~(2,1)", "D~4"; rank is n, or n - 1 for an affine diagram.
     """
 
     kind: str
     label: str
     rank: int
-
-
-def _edge_multiplicities(q: Quiver) -> dict[tuple[int, int], int]:
-    edges: dict[tuple[int, int], int] = {}
-    for s, t in q.arrows:
-        key = (min(s, t), max(s, t))
-        edges[key] = edges.get(key, 0) + 1
-    return edges
-
-
-def _branch_lengths(adj: dict[int, list[int]], center: int) -> list[int]:
-    lengths = []
-    for start in adj[center]:
-        ln = 1
-        prev, cur = center, start
-        while len(adj[cur]) == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            ln += 1
-        if len(adj[cur]) > 2:
-            raise ValueError("not a simple branch")
-        lengths.append(ln)
-    return sorted(lengths)
 
 
 def _cycle_orientation_split(q: Quiver) -> tuple[int, int]:
@@ -224,75 +206,45 @@ def _cycle_orientation_split(q: Quiver) -> tuple[int, int]:
 def classify_diagram(q: Quiver) -> DiagramClass:
     """Classify the underlying diagram as Dynkin ADE, affine, or other.
 
-    Raises ValueError on a disconnected quiver.
+    The symmetric Tits matrix C = 2I - A, with A_ij the number of arrows
+    between i and j, is positive definite exactly on the Dynkin diagrams and
+    positive semidefinite of corank one exactly on the affine ones, whose
+    proper subdiagrams are Dynkin (Gabriel 1972). One fraction-free (Bareiss)
+    pass reads C's leading principal minors and stops at the first that is
+    not positive. det C names a Dynkin diagram: n + 1 for A_n, 4 for D_n and
+    9 - n for E_n. An affine one is A~ when it has as many arrows as
+    vertices, E~ when it is a tree on 7 or more vertices with one branch
+    vertex, and D~ otherwise. Raises ValueError on a disconnected quiver.
     """
     if not q.is_connected():
         raise ValueError("diagram is disconnected")
     n = q.n
-    edges = _edge_multiplicities(q)
-    if n == 1 and not edges:
-        return DiagramClass("dynkin", "A1", 1)
-    multi = [e for e, m in edges.items() if m > 1]
-    if multi:
-        if n == 2 and len(edges) == 1 and edges[multi[0]] == 2:
-            p, qq = _cycle_orientation_split(q)
-            return DiagramClass("affine", f"A~({p},{qq})", 1)
-        return DiagramClass("other", "other", n)
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for s, t in edges:
-        adj[s].append(t)
-        adj[t].append(s)
-    degs = sorted((len(adj[v]) for v in adj), reverse=True)
-    num_edges = len(edges)
-    if num_edges == n:
-        # connected with |E| = |V| and all degrees 2: a single cycle
-        if all(len(adj[v]) == 2 for v in adj):
-            p, qq = _cycle_orientation_split(q)
-            return DiagramClass("affine", f"A~({p},{qq})", n - 1)
-        return DiagramClass("other", "other", n)
-    if num_edges != n - 1:
-        return DiagramClass("other", "other", n)
-    # tree from here on
-    big = [v for v in adj if len(adj[v]) >= 3]
-    if not big:
-        return DiagramClass("dynkin", f"A{n}", n)
-    if len(big) == 1:
-        center = big[0]
-        if len(adj[center]) == 4:
-            if n == 5 and all(len(adj[v]) == 1 for v in adj if v != center):
-                return DiagramClass("affine", "D~4", 4)
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for s, t in q.arrows:
+        c[s - 1][t - 1] -= 1
+        c[t - 1][s - 1] -= 1
+    prev = 1
+    for k in range(n - 1):
+        pivot = c[k][k]  # the leading principal minor of order k + 1
+        if pivot <= 0:
             return DiagramClass("other", "other", n)
-        if len(adj[center]) > 4:
-            return DiagramClass("other", "other", n)
-        try:
-            branches = tuple(_branch_lengths(adj, center))
-        except ValueError:
-            return DiagramClass("other", "other", n)
-        if branches[0] == 1 and branches[1] == 1:
-            return DiagramClass("dynkin", f"D{n}", n)
-        table = {
-            (1, 2, 2): ("dynkin", "E6"),
-            (1, 2, 3): ("dynkin", "E7"),
-            (1, 2, 4): ("dynkin", "E8"),
-            (2, 2, 2): ("affine", "E~6"),
-            (1, 3, 3): ("affine", "E~7"),
-            (1, 2, 5): ("affine", "E~8"),
-        }
-        if branches in table:
-            kind, label = table[branches]
-            return DiagramClass(kind, label, n if kind == "dynkin" else n - 1)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                c[i][j] = (c[i][j] * pivot - c[i][k] * c[k][j]) // prev
+        prev = pivot
+    det = c[-1][-1]
+    if det > 0:
+        label = f"A{n}" if det == n + 1 else f"D{n}" if det == 4 else f"E{n}"
+        return DiagramClass("dynkin", label, n)
+    if det < 0:
         return DiagramClass("other", "other", n)
-    if len(big) == 2 and all(len(adj[v]) == 3 for v in big):
-        # affine D~: both branch vertices carry two leaf branches of length 1
-        ok = True
-        for center in big:
-            leaf_nbrs = [w for w in adj[center] if len(adj[w]) == 1]
-            if len(leaf_nbrs) < 2:
-                ok = False
-        if ok and n >= 6:
-            return DiagramClass("affine", f"D~{n - 1}", n - 1)
-        return DiagramClass("other", "other", n)
-    return DiagramClass("other", "other", n)
+    if len(q.arrows) == n:
+        p, qq = _cycle_orientation_split(q)
+        return DiagramClass("affine", f"A~({p},{qq})", n - 1)
+    degrees = Counter(v for arrow in q.arrows for v in arrow)
+    branch_vertices = sum(d >= 3 for d in degrees.values())
+    label = f"E~{n - 1}" if n >= 7 and branch_vertices == 1 else f"D~{n - 1}"
+    return DiagramClass("affine", label, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -23,6 +24,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "explore", "--type", "A2")[0] == 0
+    assert built.count("clustercat") == 1
+    first = len(built)
+    assert run(capsys, "verify", "theorem1", "--type", "A2")[0] == 0
+    assert len(built) == first
 
 
 def test_mutate_pentagon(capsys):

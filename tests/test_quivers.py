@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from test_category import ORIENTED
 
 from clustercat.quivers import (
     BUILTIN_QUIVER_NAMES,
+    DiagramClass,
     EulerData,
     Quiver,
+    _cycle_orientation_split,
     builtin_quiver,
     classify_diagram,
     coxeter_number,
@@ -187,6 +191,238 @@ def test_classify_diagram():
 def _branched(n, b):
     """The path 1 -> ... -> n-1 with a leaf b -> n: D_n for b = n-2, E_n for b = 3."""
     return Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((b, n),))
+
+
+def _arms(*lengths):
+    """The star with centre 1 and one arm of each given length, arrows outward."""
+    arrows, n = [], 1
+    for length in lengths:
+        arrows += [(1 if k == 0 else n + k, n + k + 1) for k in range(length)]
+        n += length
+    return Quiver(n, tuple(arrows))
+
+
+def _dtilde(m):
+    """D~m on m + 1 vertices: the path 1 -> ... -> m-1 with leaves 2 -> m and
+    m-2 -> m+1 (for m = 4 both at 2, the star with four leaves)."""
+    return Quiver(m + 1, tuple((i, i + 1) for i in range(1, m - 1)) + ((2, m), (m - 2, m + 1)))
+
+
+def _reversed(q):
+    return Quiver(q.n, tuple((t, s) for s, t in q.arrows))
+
+
+def _class_of(q):
+    c = classify_diagram(q)
+    return c.kind, c.label, c.rank
+
+
+# The shape classifier that classify_diagram replaced, kept unchanged as the
+# oracle: edge multiplicities, branch lengths and a table of arms.
+
+
+def _edge_multiplicities(q: Quiver) -> dict[tuple[int, int], int]:
+    edges: dict[tuple[int, int], int] = {}
+    for s, t in q.arrows:
+        key = (min(s, t), max(s, t))
+        edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+def _branch_lengths(adj: dict[int, list[int]], center: int) -> list[int]:
+    lengths = []
+    for start in adj[center]:
+        ln = 1
+        prev, cur = center, start
+        while len(adj[cur]) == 2:
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+            ln += 1
+        if len(adj[cur]) > 2:
+            raise ValueError("not a simple branch")
+        lengths.append(ln)
+    return sorted(lengths)
+
+
+def _shape_classifier(q: Quiver) -> DiagramClass:
+    """Classify the underlying diagram as Dynkin ADE, affine, or other.
+
+    Raises ValueError on a disconnected quiver.
+    """
+    if not q.is_connected():
+        raise ValueError("diagram is disconnected")
+    n = q.n
+    edges = _edge_multiplicities(q)
+    if n == 1 and not edges:
+        return DiagramClass("dynkin", "A1", 1)
+    multi = [e for e, m in edges.items() if m > 1]
+    if multi:
+        if n == 2 and len(edges) == 1 and edges[multi[0]] == 2:
+            p, qq = _cycle_orientation_split(q)
+            return DiagramClass("affine", f"A~({p},{qq})", 1)
+        return DiagramClass("other", "other", n)
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for s, t in edges:
+        adj[s].append(t)
+        adj[t].append(s)
+    num_edges = len(edges)
+    if num_edges == n:
+        # connected with |E| = |V| and all degrees 2: a single cycle
+        if all(len(adj[v]) == 2 for v in adj):
+            p, qq = _cycle_orientation_split(q)
+            return DiagramClass("affine", f"A~({p},{qq})", n - 1)
+        return DiagramClass("other", "other", n)
+    if num_edges != n - 1:
+        return DiagramClass("other", "other", n)
+    # tree from here on
+    big = [v for v in adj if len(adj[v]) >= 3]
+    if not big:
+        return DiagramClass("dynkin", f"A{n}", n)
+    if len(big) == 1:
+        center = big[0]
+        if len(adj[center]) == 4:
+            if n == 5 and all(len(adj[v]) == 1 for v in adj if v != center):
+                return DiagramClass("affine", "D~4", 4)
+            return DiagramClass("other", "other", n)
+        if len(adj[center]) > 4:
+            return DiagramClass("other", "other", n)
+        try:
+            branches = tuple(_branch_lengths(adj, center))
+        except ValueError:
+            return DiagramClass("other", "other", n)
+        if branches[0] == 1 and branches[1] == 1:
+            return DiagramClass("dynkin", f"D{n}", n)
+        table = {
+            (1, 2, 2): ("dynkin", "E6"),
+            (1, 2, 3): ("dynkin", "E7"),
+            (1, 2, 4): ("dynkin", "E8"),
+            (2, 2, 2): ("affine", "E~6"),
+            (1, 3, 3): ("affine", "E~7"),
+            (1, 2, 5): ("affine", "E~8"),
+        }
+        if branches in table:
+            kind, label = table[branches]
+            return DiagramClass(kind, label, n if kind == "dynkin" else n - 1)
+        return DiagramClass("other", "other", n)
+    if len(big) == 2 and all(len(adj[v]) == 3 for v in big):
+        # affine D~: both branch vertices carry two leaf branches of length 1
+        ok = True
+        for center in big:
+            leaf_nbrs = [w for w in adj[center] if len(adj[w]) == 1]
+            if len(leaf_nbrs) < 2:
+                ok = False
+        if ok and n >= 6:
+            return DiagramClass("affine", f"D~{n - 1}", n - 1)
+        return DiagramClass("other", "other", n)
+    return DiagramClass("other", "other", n)
+
+
+def _assert_shape_oracle_agrees(q):
+    oracle = _shape_classifier(q)
+    assert _class_of(q) == (oracle.kind, oracle.label, oracle.rank), q
+
+
+def _connected_graphs(n, multiplicities):
+    """Every connected multigraph on vertices 1..n whose edge i < j has one
+    of the given multiplicities, as arrows i -> j."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for counts in itertools.product(multiplicities, repeat=len(pairs)):
+        q = Quiver(n, tuple(pair for pair, m in zip(pairs, counts) for _ in range(m)))
+        if q.is_connected():
+            yield q
+
+
+def test_tits_form_agrees_with_the_shape_oracle_on_small_multigraphs():
+    for n in range(1, 5):
+        for q in _connected_graphs(n, range(4)):
+            _assert_shape_oracle_agrees(q)
+            _assert_shape_oracle_agrees(_reversed(q))
+
+
+def test_tits_form_agrees_with_the_shape_oracle_on_simple_graphs():
+    rng = random.Random(5)
+    for n in (5, 6):
+        for q in _connected_graphs(n, range(2)):
+            _assert_shape_oracle_agrees(Quiver(n, tuple(a[:: rng.choice((1, -1))] for a in q.arrows)))
+
+
+def test_tits_form_agrees_with_the_shape_oracle_on_every_oriented_cycle():
+    for n in range(2, 7):
+        edges = [(i, i % n + 1) for i in range(1, n + 1)]
+        for flips in itertools.product((1, -1), repeat=n):
+            _assert_shape_oracle_agrees(Quiver(n, tuple(e[::f] for e, f in zip(edges, flips))))
+
+
+def _named_families():
+    """A, D and E-series trees, D~ trees, stars, T(3,3,k) and linearly
+    oriented cycles, up to 12 vertices."""
+    for n in range(1, 13):
+        yield Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+        yield _arms(*[1] * (n - 1))
+        if n >= 2:
+            yield Quiver(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+        if n >= 4:
+            yield _branched(n, n - 2)
+        if n >= 5:
+            yield _dtilde(n - 1)
+        if n >= 6:
+            yield _branched(n, 3)
+        if n >= 7:
+            yield _arms(2, 2, n - 5)
+
+
+def test_tits_form_agrees_with_the_shape_oracle_on_named_families():
+    for q in _named_families():
+        _assert_shape_oracle_agrees(q)
+        _assert_shape_oracle_agrees(_reversed(q))
+
+
+AFFINE_TREES = [pytest.param(_dtilde(m), f"D~{m}", id=f"D~{m}") for m in range(4, 10)] + [
+    pytest.param(_arms(2, 2, 2), "E~6", id="E~6"),
+    pytest.param(_arms(1, 3, 3), "E~7", id="E~7"),
+    pytest.param(_arms(1, 2, 5), "E~8", id="E~8"),
+]
+
+
+@pytest.mark.parametrize("q,label", AFFINE_TREES)
+def test_affine_trees_are_named(q, label):
+    for oriented in (q, _reversed(q)):
+        assert _class_of(oriented) == ("affine", label, q.n - 1)
+
+
+WILD = {
+    "3-Kronecker": Quiver(2, ((1, 2),) * 3),
+    "star-5": _arms(1, 1, 1, 1, 1),
+    "T(2,3,7)": _arms(1, 2, 6),
+    # det C = 21 > 0, yet the minor on vertices 1-3 is -10
+    "det-21": Quiver(4, ((1, 4),) * 3 + ((2, 3),) * 3 + ((3, 4),)),
+}
+
+
+@pytest.mark.parametrize("q", WILD.values(), ids=WILD)
+def test_wild_shapes_are_other(q):
+    assert _class_of(q) == ("other", "other", q.n)
+
+
+@st.composite
+def connected_quivers(draw):
+    # a random spanning tree, each vertex v > 1 joined to an earlier one, plus
+    # extra arrows (a repeated pair is a parallel arrow), randomly oriented
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    if n > 1:
+        vertex = st.integers(1, n)
+        extra = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(extra, max_size=3))
+    return Quiver(n, tuple(e[:: draw(st.sampled_from((1, -1)))] for e in edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_quivers(), st.data())
+def test_classification_is_invariant_under_relabelling(q, data):
+    perm = data.draw(st.permutations(range(1, q.n + 1)))
+    relabelled = Quiver(q.n, tuple((perm[s - 1], perm[t - 1]) for s, t in q.arrows))
+    assert _class_of(relabelled) == _class_of(q)
 
 
 def test_positive_root_counts():
