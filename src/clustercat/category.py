@@ -26,7 +26,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Iterator
 
@@ -251,27 +251,30 @@ def walk_tilting(g: GammaC) -> Iterator[Expansion]:
 
     The objects come out in the order in which ``explore_exchange_graph``
     discovers their clusters. The mask of the summands other than k is the
-    AND of a prefix and a suffix of their ext_free masks: 2n ANDs per object.
-    Every edge checks that its partner is unique and has a one dimensional
-    extension space with the summand, and derives the next key by XOR; only a
-    key not seen before gets its seed built, its matrix mutated on first
-    read. An edge's exchange data is ``exchange_data(seed, k, tk_star)``, for
-    its readers.
+    AND of a prefix and a suffix of their ext_free masks: one reversed pass
+    takes the suffixes, started from the vertices outside the object, and the
+    loop carries the prefix, so 3n ANDs per object. Every edge checks that its
+    partner is unique and has a one dimensional extension space with the
+    summand, and derives the next key by XOR; only a key not seen before gets
+    its seed built, its matrix mutated on first read. An edge's exchange data
+    is ``exchange_data(seed, k, tk_star)``, for its readers.
     """
     start = shifted_initial_seed_c(g)
     seen = {start.tilting_key}
     queue = deque([start])
     full = (1 << len(g.vertices)) - 1
-    hom_i, tau_i = g.hom_i, g.tau_i
+    ext_free, hom_i, tau_i = g.ext_free.__getitem__, g.hom_i, g.tau_i
     while queue:
         seed = queue.popleft()
         key, summands = seed.tilting_key, seed.summands
-        masks = [g.ext_free[x] for x in summands]
-        prefix = accumulate(masks, and_, initial=full)  # AND of masks[:k - 1], for k = 1..n
-        suffix = list(accumulate(reversed(masks), and_, initial=full))[-2::-1]  # masks[k:]
+        masks = list(map(ext_free, summands))
+        suffix = list(accumulate(reversed(masks[1:]), and_, initial=full & ~key))
+        suffix.reverse()  # suffix[k - 1]: AND of masks[k:], outside the object
+        before = full  # AND of masks[:k - 1]
         partners = []
-        for k, (tk, before, after) in enumerate(zip(summands, prefix, suffix), 1):
-            mask = before & after & ~key
+        for k, tk, own, after in zip(count(1), summands, masks, suffix):
+            mask = before & after
+            before &= own
             if not mask:
                 raise NoComplement(f"no exchange partner for {g.vertices[tk].render()}")
             if mask & (mask - 1):
@@ -347,38 +350,31 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
 def _theorem1_report(g: GammaC, objects: Iterable[Expansion]) -> dict:
     """The report of ``theorem1_injectivity`` over the tilting objects of a
     walk of g, for callers that walk g for checks of their own as well; each
-    object stands for its n mutations. Column m is m's
-    dimension vector, packed with the others in 64-bit fields of one int. The
-    V columns take V - |shifted| + |{columns at shifted}| values iff the
-    admissible ones are distinct and unlike those; else the tuples decide."""
+    object stands for its n mutations. Column m is m's dimension vector,
+    packed with the others in fields of one int, each field the narrowest
+    ``array`` item that holds n entries. The V columns take
+    V - |shifted| + |{columns at shifted}| values iff the admissible ones are
+    distinct and unlike those; else, or with no field wide enough, the tuples
+    decide."""
     tau_i, hom_i, n, size = g.tau_i, g.hom_i, g.quiver.n, len(g.vertices)
     width = max(map(max, hom_i)).bit_length()
-    placed: list[list[int]] = []  # placed[j][t]: row t packed, moved to summand j's bits
-    if n * width <= 64:  # else every packed column is 0, one value: the tuples decide
-        packed = [int.from_bytes(array("Q", row).tobytes(), sys.byteorder) for row in hom_i]
+    code, byteorder = _column_code(n * width), sys.byteorder
+    if code:
+        packed = [int.from_bytes(array(code, row).tobytes(), byteorder) for row in hom_i]
+        # placed[j][t]: row t packed, moved to summand j's bits
         placed = [[p << (width * j) for p in packed] for j in range(n)]
+        nbytes = size * array(code).itemsize
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
     for seed, _ in objects:
         checked_tiltings += 1
-        shifted = {tau_i[t] for t in seed.summands}
-        s = sum(map(getitem, placed, seed.summands))
-        cols = memoryview(s.to_bytes(8 * size, sys.byteorder)).cast("Q")
-        if len(set(cols)) != size - len(shifted) + len({cols[x] for x in shifted}):
-            admissible = [m for m in range(size) if m not in shifted]
-            columns = list(zip(*(hom_i[t] for t in seed.summands)))
-            first: dict[tuple[int, ...], int] = {}
-            for m in admissible:
-                vec = columns[m]
-                if first.setdefault(vec, m) != m:
-                    failures.append(
-                        {
-                            "tilting": [g.vertices[t].render() for t in seed.summands],
-                            "first": g.vertices[first[vec]].render(),
-                            "second": g.vertices[m].render(),
-                            "vector": list(vec),
-                        }
-                    )
+        summands = seed.summands
+        shifted = {tau_i[t] for t in summands}
+        if code:
+            cols = memoryview(sum(map(getitem, placed, summands)).to_bytes(nbytes, byteorder)).cast(code)
+            distinct = len(set(cols)) == size - len(shifted) + len(set(map(cols.__getitem__, shifted)))
+        if not code or not distinct:
+            failures += _colliding_columns(g, summands, shifted)
         # each mutation changes one summand tk -> tk_star and tau is a
         # bijection, so only tau(tk_star) can enter the shifted summands:
         # nothing to check
@@ -391,6 +387,34 @@ def _theorem1_report(g: GammaC, objects: Iterable[Expansion]) -> dict:
         "propagation_cases": lemma7_cases,
         "failures": failures,
     }
+
+
+def _column_code(bits: int) -> str | None:
+    """The narrowest ``array`` code whose items hold ``bits`` bits; None
+    past 64."""
+    return next((code for code in "BHIQ" if bits <= 8 * array(code).itemsize), None)
+
+
+def _colliding_columns(g: GammaC, summands: tuple[int, ...], shifted: set[int]) -> list[dict]:
+    """Theorem 1 on one tilting object by its tuple columns: a failure for
+    each admissible vertex whose column repeats an earlier admissible one."""
+    columns = list(zip(*(g.hom_i[t] for t in summands)))
+    first: dict[tuple[int, ...], int] = {}
+    failures = []
+    for m in range(len(g.vertices)):
+        if m in shifted:
+            continue
+        vec = columns[m]
+        if first.setdefault(vec, m) != m:
+            failures.append(
+                {
+                    "tilting": [g.vertices[t].render() for t in summands],
+                    "first": g.vertices[first[vec]].render(),
+                    "second": g.vertices[m].render(),
+                    "vector": list(vec),
+                }
+            )
+    return failures
 
 
 # ---------------------------------------------------------------------------

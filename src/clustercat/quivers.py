@@ -146,10 +146,11 @@ def mutate_matrix(b, k: int) -> IntMatrix:
 
     b'_ij = -b_ij when i = k or j = k, otherwise
     b'_ij = b_ij + [b_ik]_+ [b_kj]_+ - [-b_ik]_+ [-b_kj]_+.
-    A row i != k with b_ik = 0 is unchanged and is shared with the input
-    when that row is a tuple.
+    b is m x n with m >= n: rows past n are coefficient rows, so k ranges
+    over the n columns. A row i != k with b_ik = 0 is unchanged and is
+    shared with the input when that row is a tuple.
     """
-    n = len(b)
+    n = len(b[0]) if b else 0
     if not (1 <= k <= n):
         raise IndexError(f"mutation vertex {k} out of range 1..{n}")
     kk = k - 1

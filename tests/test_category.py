@@ -26,6 +26,7 @@ import itertools
 import json
 import operator
 import re
+from array import array
 
 import pytest
 from test_reps import injective_dims, tau, tau_inverse
@@ -580,7 +581,7 @@ def mutate_tilting(g, seed, k):
     return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
 
 
-@pytest.mark.parametrize("name", ["A4", "D4", "D6"])
+@pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6"])
 def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
     g = GammaC(QUIVERS[name])
     reduced = []
@@ -618,7 +619,7 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
             assert built.b == mutate_matrix(seed.b, k)
     assert next(expanded, None) is None
     # Fomin-Zelevinsky cluster counts
-    assert len(seen) == {"A4": 42, "D4": 50, "D6": 672}[name]
+    assert len(seen) == {"A4": 42, "D4": 50, "D6": 672, "E6": 833}[name]
     assert len(edges) == len(seen) * g.quiver.n
 
 
@@ -835,32 +836,68 @@ def widened(g, bits):
     return wide
 
 
-@pytest.mark.parametrize("name", ["A3", "D4"])
-def test_theorem1_report_falls_back_on_wide_tables(name):
-    # 21 more bits per entry leave n columns no room in a 64-bit field, so
-    # every object is judged by its tuple columns alone
+ROUTES = ["B", "H", "I", "Q", "tuple"]
+
+
+def widened_for(g, route):
+    """widened(g, bits) with its n entries per column filling as much of the
+    array code ``route``'s field as whole entries can, or for "tuple" just
+    too wide for a 64-bit field; checked against the report's own choice."""
+    n, width = g.quiver.n, max(map(max, g.hom_i)).bit_length()
+    bits = 64 // n + 1 - width if route == "tuple" else 8 * array(route).itemsize // n - width
+    assert bits >= 0
+    assert category._column_code(n * (width + bits)) == (None if route == "tuple" else route)
+    return widened(g, bits), bits
+
+
+def count_tuple_route(monkeypatch):
+    """The objects the report hands to its tuple route, as a growing list."""
+    calls = []
+    real = category._colliding_columns
+    monkeypatch.setattr(category, "_colliding_columns", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,route",
+    [
+        pytest.param(name, route, id=name if route == "tuple" else f"{name}-{route}")
+        for name in ("A3", "D4")
+        for route in ROUTES
+    ],
+)
+def test_theorem1_report_falls_back_on_wide_tables(monkeypatch, name, route):
+    # the same columns in every field width give the same report; past 64
+    # bits every object is judged by its tuple columns alone
     g = GammaC(builtin_quiver(name))
-    wide = widened(g, 21)
-    assert g.quiver.n * max(map(max, wide.hom_i)).bit_length() > 64
-    keys = ("tilting_count", "propagation_cases", "injective_everywhere")
-    rep, wide_rep = _theorem1_report(g, walk_tilting(g)), _theorem1_report(wide, walk_tilting(g))
-    assert [wide_rep[key] for key in keys] == [rep[key] for key in keys]
+    wide, _ = widened_for(g, route)
+    rep = _theorem1_report(g, walk_tilting(g))
+    calls = count_tuple_route(monkeypatch)
+    wide_rep = _theorem1_report(wide, walk_tilting(g))
+    assert wide_rep == rep
     assert rep["injective_everywhere"] is True
+    assert len(calls) == (rep["tilting_count"] if route == "tuple" else 0)
 
 
-@pytest.mark.parametrize("bits", [0, 21], ids=["packed", "wide"])
-def test_theorem1_report_names_two_colliding_columns(bits):
+@pytest.mark.parametrize("route", ROUTES, ids=["packed", "packed-H", "packed-I", "packed-Q", "wide"])
+def test_theorem1_report_names_two_colliding_columns(monkeypatch, route):
     # a copy of the A3 tables whose column y repeats column x on every row;
     # neither is in the shift of P[1], expanded first, so P[1] admits them;
-    # the wide copy takes the tuple route for every object
+    # every field width names the same collisions as the tuples do
     g = GammaC(builtin_quiver("A3"))
     start = shifted_initial_seed_c(g)
     shift = {g.tau_i[t] for t in start.summands}
     x, y = [m for m in range(len(g.vertices)) if m not in shift][:2]
     assert [g.hom_i[t][x] for t in start.summands] != [g.hom_i[t][y] for t in start.summands]
-    bad = widened(g, bits)
-    bad.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in bad.hom_i)
-    rep = _theorem1_report(bad, walk_tilting(g))
+
+    def planted(h):
+        h.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in h.hom_i)
+        return h
+
+    bad, bits = widened_for(g, route)
+    base = _theorem1_report(planted(widened(g, 0)), walk_tilting(g))
+    calls = count_tuple_route(monkeypatch)
+    rep = _theorem1_report(planted(bad), walk_tilting(g))
     assert rep["injective_everywhere"] is False
     assert rep["tilting_count"] == 14
     assert rep["failures"][0] == {
@@ -869,6 +906,22 @@ def test_theorem1_report_names_two_colliding_columns(bits):
         "second": g.vertices[y].render(),
         "vector": [g.hom_i[t][x] << bits for t in start.summands],
     }
+    unshifted = [{**f, "vector": [v >> bits for v in f["vector"]]} for f in rep["failures"]]
+    assert {**rep, "failures": unshifted} == base
+    if route == "tuple":
+        assert len(calls) == 14
+
+
+@pytest.mark.parametrize("name,code", [("D6", "H"), ("E6", "H"), ("E7", "I"), ("E8", "I")])
+def test_theorem1_never_takes_the_tuple_route_on_d_and_e(monkeypatch, name, code):
+    # the narrowest field that holds n entries of the widest hom count; a
+    # field choice that fell back to the tuples would be slow, not wrong
+    g = GammaC(QUIVERS[name])
+    assert category._column_code(g.quiver.n * max(map(max, g.hom_i)).bit_length()) == code
+    calls = count_tuple_route(monkeypatch)
+    rep = _theorem1_report(g, walk_tilting(g))
+    assert rep["injective_everywhere"] is True
+    assert calls == []
 
 
 @pytest.mark.parametrize(

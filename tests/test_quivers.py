@@ -55,6 +55,17 @@ def test_mutation_rejects_bad_index():
         mutate_matrix(b, 3)
 
 
+def test_mutation_ranges_over_columns_of_an_extended_matrix():
+    # A2 over principal coefficients: 2n x n, so only the n columns are
+    # mutable, and the coefficient rows mutate with them
+    b = ((0, 1), (-1, 0), (1, 0), (0, 1))
+    assert mutate_matrix(b, 1) == ((0, -1), (1, 0), (-1, 1), (0, 1))
+    assert mutate_matrix(mutate_matrix(b, 2), 2) == b
+    for k in (0, 3, 4):
+        with pytest.raises(IndexError, match=rf"^mutation vertex {k} out of range 1\.\.2$"):
+            mutate_matrix(b, k)
+
+
 skew = st.integers(2, 4).flatmap(
     lambda n: st.lists(
         st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
