@@ -13,10 +13,12 @@ Everything here is exact integer combinatorics on dimension vectors, and
 nothing is imported from the module layer (``reps``): the representation
 theory of the same numbers lives in the test suite as an independent check.
 
-Once ``GammaC`` is built, vertex ids are the only currency: seeds hold
-summand ids, a tilting key is an int bitmask of them, and exchange data
-hold ids with multiplicities. ``CVertex`` is the label of a vertex, read
-back through ``g.vertices`` when a report is written.
+Once ``GammaC`` is built, vertex ids are the only currency: a tilting
+object is a tuple of summand ids, its key an int bitmask of them, and
+exchange data hold ids with multiplicities. The walk keeps no objects and
+no exchange matrices; a reader that needs an object's matrix mutates its
+origin's once. ``CVertex`` is the label of a vertex, read back through
+``g.vertices`` when a report is written.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .quivers import Quiver, exchange_matrix, mutate_matrix, tau_orbits
 
 __all__ = [
     "CVertex",
-    "CategorifiedSeed",
     "ExchangeData",
     "GammaC",
     "NoComplement",
     "MultipleComplements",
-    "shifted_initial_seed_c",
     "exchange_data",
     "walk_tilting",
     "is_compatible",
@@ -70,19 +70,6 @@ class CVertex:
         if (self.dims is None) == (self.shift_vertex is None):
             raise ValueError("exactly one of dims and shift_vertex must be set")
 
-    def sort_key(self) -> tuple:
-        if self.dims is not None:
-            return (0, self.dims)
-        return (1, (self.shift_vertex,))
-
-    @classmethod
-    def module(cls, dims) -> "CVertex":
-        return cls(tuple(int(x) for x in dims), None)
-
-    @classmethod
-    def shifted_projective(cls, i: int) -> "CVertex":
-        return cls(None, int(i))
-
     @property
     def is_module(self) -> bool:
         return self.dims is not None
@@ -94,38 +81,6 @@ class CVertex:
 
     def __repr__(self):
         return self.render()
-
-
-class CategorifiedSeed:
-    """Ordered tilting object, as vertex ids, with the exchange matrix ``b``
-    of its endomorphism algebra; the two mutate in lockstep. Bit x of
-    ``tilting_key`` is set iff vertex x is a summand. A seed made by
-    ``_mutated`` holds (parent, k) in ``_from`` until ``b`` is first read."""
-
-    __slots__ = ("summands", "tilting_key", "_b", "_from")
-
-    def __init__(self, summands: tuple[int, ...], b, tilting_key: int | None = None):
-        self.summands, self._b, self._from = summands, b, None
-        self.tilting_key = reduce(or_, (1 << x for x in summands), 0) if tilting_key is None else tilting_key
-
-    @property
-    def b(self) -> tuple[tuple[int, ...], ...]:
-        chain, s = [], self  # the unread ancestors, resolved oldest first
-        while s._from:
-            chain.append(s)
-            s = s._from[0]
-        for s in reversed(chain):
-            s._b, s._from = mutate_matrix(s._from[0]._b, s._from[1]), None
-        return self._b
-
-    def __eq__(self, other):
-        return isinstance(other, CategorifiedSeed) and (self.summands, self.b) == (other.summands, other.b)
-
-    def __hash__(self):
-        return hash((self.summands, self.b))
-
-    def __repr__(self):
-        return f"CategorifiedSeed(summands={self.summands!r}, b={self.b!r})"
 
 
 @dataclass(frozen=True)
@@ -140,11 +95,6 @@ class ExchangeData:
     e_prime: tuple[tuple[int, int], ...]
 
 
-# (seed, partners): a tilting object as the walk expands it, with the vertex
-# that replaces its summand k at partners[k - 1]
-Expansion = tuple[CategorifiedSeed, tuple[int, ...]]
-
-
 def zero_mask(row: bytes) -> int:
     """Bitmask with bit j set iff ``row[j]`` is 0."""
     return int(row.translate(b"1" + b"0" * 255)[::-1], 2)
@@ -152,9 +102,10 @@ def zero_mask(row: bytes) -> int:
 
 class GammaC:
     """Translation quiver of the cluster category, with a full hom table on
-    vertex ids (a vertex's id is its position in ``vertices``, which follow
-    ``CVertex.sort_key``): ``hom_i[x][y]``, the translation ``tau_i``, and
-    ``ext_free[x]``, bit y set iff ext1(x, y) = ext1(y, x) = 0, from byte rows.
+    vertex ids (a vertex's id is its position in ``vertices``: the modules by
+    dimension vector, then P_1[1]..P_n[1]): ``hom_i[x][y]``, the translation
+    ``tau_i``, and ``ext_free[x]``, bit y set iff ext1(x, y) = ext1(y, x) = 0,
+    from byte rows.
     ``proj_i[i - 1]`` and ``shift_i[i - 1]`` are the ids of the projective at
     quiver vertex i and of its shift.
 
@@ -218,36 +169,23 @@ class GammaC:
 # tilting objects and mutation
 
 
-def shifted_initial_seed_c(g: GammaC) -> CategorifiedSeed:
-    """Shift of the projective generator, where every walk starts; same
-    endomorphism quiver, and the seed whose summands track the cluster
-    variables one to one."""
-    return CategorifiedSeed(g.shift_i, exchange_matrix(g.quiver))
-
-
-def _mutated(seed: CategorifiedSeed, k: int, tk_star: int, key: int) -> CategorifiedSeed:
-    """The seed with summand k replaced by its partner ``tk_star``, whose
-    tilting key ``key`` the caller derived by XOR; ``b`` mutates on first read."""
-    nxt = CategorifiedSeed(seed.summands[: k - 1] + (tk_star,) + seed.summands[k:], None, key)
-    nxt._from = (seed, k)
-    return nxt
-
-
-def exchange_data(seed: CategorifiedSeed, k: int, tk_star: int) -> ExchangeData:
+def exchange_data(summands: tuple[int, ...], b, k: int, tk_star: int) -> ExchangeData:
     """The exchange of summand k for its partner ``tk_star``, with the middle
-    terms of its two triangles read off column k of the seed's matrix."""
-    col = [row[k - 1] for row in seed.b]
-    e = tuple(sorted((x, c) for x, c in zip(seed.summands, col) if c > 0))
-    e_prime = tuple(sorted((x, -c) for x, c in zip(seed.summands, col) if c < 0))
-    return ExchangeData(k, seed.summands[k - 1], tk_star, e, e_prime)
+    terms of its two triangles read off column k of the object's matrix b."""
+    col = [row[k - 1] for row in b]
+    e = tuple(sorted((x, c) for x, c in zip(summands, col) if c > 0))
+    e_prime = tuple(sorted((x, -c) for x, c in zip(summands, col) if c < 0))
+    return ExchangeData(k, summands[k - 1], tk_star, e, e_prime)
 
 
-def walk_tilting(g: GammaC) -> Iterator[Expansion]:
+def walk_tilting(g: GammaC) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int] | None]]:
     """Breadth-first walk over every tilting object from the shifted
-    projective generator P[1], whose summand P_i[1] stands for the initial
-    cluster variable x_i, yielding each object once as ``(seed, partners)``:
-    the seed that first reached it, and the exchange partner of its summand k
-    at ``partners[k - 1]``, so its mutation edges are ``enumerate(partners, 1)``.
+    projective generator P[1] = ``g.shift_i``, whose summand P_i[1] stands for
+    the initial cluster variable x_i, yielding each object once as
+    ``(summands, partners, origin)``: its summand ids, the exchange partner of
+    its summand k at ``partners[k - 1]``, so its mutation edges are
+    ``enumerate(partners, 1)``, and ``(position, k)`` when it is the mutation
+    at k of the object yielded at that position, or None for P[1].
 
     The objects come out in the order in which ``explore_exchange_graph``
     discovers their clusters. The mask of the summands other than k is the
@@ -255,18 +193,20 @@ def walk_tilting(g: GammaC) -> Iterator[Expansion]:
     takes the suffixes, started from the vertices outside the object, and the
     loop carries the prefix, so 3n ANDs per object. Every edge checks that its
     partner is unique and has a one dimensional extension space with the
-    summand, and derives the next key by XOR; only a key not seen before gets
-    its seed built, its matrix mutated on first read. An edge's exchange data
-    is ``exchange_data(seed, k, tk_star)``, for its readers.
+    summand, and derives the next key by XOR; only a key not seen before is
+    queued. The walk holds no matrix: P[1]'s is ``exchange_matrix(g.quiver)``
+    and every other object's is one ``mutate_matrix`` of its origin's, and an
+    edge's exchange data is ``exchange_data(summands, b, k, tk_star)``, for
+    the readers that keep them.
     """
-    start = shifted_initial_seed_c(g)
-    seen = {start.tilting_key}
-    queue = deque([start])
+    start = reduce(or_, (1 << x for x in g.shift_i), 0)
+    seen = {start}
+    queue = deque([(g.shift_i, start, None)])
     full = (1 << len(g.vertices)) - 1
     ext_free, hom_i, tau_i = g.ext_free.__getitem__, g.hom_i, g.tau_i
+    position = 0
     while queue:
-        seed = queue.popleft()
-        key, summands = seed.tilting_key, seed.summands
+        summands, key, origin = queue.popleft()
         masks = list(map(ext_free, summands))
         suffix = list(accumulate(reversed(masks[1:]), and_, initial=full & ~key))
         suffix.reverse()  # suffix[k - 1]: AND of masks[k:], outside the object
@@ -286,8 +226,9 @@ def walk_tilting(g: GammaC) -> Iterator[Expansion]:
             nkey = key ^ (1 << tk) ^ mask
             if nkey not in seen:
                 seen.add(nkey)
-                queue.append(_mutated(seed, k, tk_star, nkey))
-        yield seed, tuple(partners)
+                queue.append((summands[: k - 1] + (tk_star,) + summands[k:], nkey, (position, k)))
+        yield summands, tuple(partners), origin
+        position += 1
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +288,7 @@ def theorem1_injectivity(quiver: Quiver) -> dict:
     return _theorem1_report(g, walk_tilting(g))
 
 
-def _theorem1_report(g: GammaC, objects: Iterable[Expansion]) -> dict:
+def _theorem1_report(g: GammaC, objects: Iterable[tuple]) -> dict:
     """The report of ``theorem1_injectivity`` over the tilting objects of a
     walk of g, for callers that walk g for checks of their own as well; each
     object stands for its n mutations. Column m is m's dimension vector,
@@ -366,9 +307,8 @@ def _theorem1_report(g: GammaC, objects: Iterable[Expansion]) -> dict:
         nbytes = size * array(code).itemsize
     checked_tiltings = lemma7_cases = 0
     failures: list[dict] = []
-    for seed, _ in objects:
+    for summands, _, _ in objects:
         checked_tiltings += 1
-        summands = seed.summands
         shifted = {tau_i[t] for t in summands}
         if code:
             cols = memoryview(sum(map(getitem, placed, summands)).to_bytes(nbytes, byteorder)).cast(code)
@@ -428,40 +368,45 @@ def den_vs_hom_crosscheck(quiver: Quiver) -> dict:
     The walk from P[1] expands the objects in the order in which one
     ``explore_exchange_graph`` finds their seeds; an object whose matrix is
     not its seed's, or a walk and an exploration of different lengths, is an
-    ``order`` mismatch that ends the walk. Each object pairs its summands with
-    its seed's cluster, and each edge pairs ``tk_star`` with the variable that
-    explore's mutation of that seed at k made; a vertex already paired with
-    another polynomial is a ``path`` mismatch. The walk takes every edge of
-    the exchange graph, so this covers every mutation sequence. Then every
-    vertex must be paired, and the denominator vector of its variable must be
-    its hom counts (hom(P_p, t))_p from the projectives, or -e_j at P_j[1].
+    ``order`` mismatch that ends the walk. The object's matrix is the quiver's
+    at P[1], and otherwise the matrix of the seed at its origin's position,
+    checked already, mutated at the origin's k. Each object pairs its
+    summands with its seed's cluster, and each edge pairs ``tk_star`` with the
+    variable that explore's mutation of that seed at k made; a vertex already
+    paired with another polynomial is a ``path`` mismatch. The walk takes
+    every edge of the exchange graph, so this covers every mutation sequence.
+    Then every vertex must be paired, and the denominator vector of its
+    variable must be its hom counts (hom(P_p, t))_p from the projectives, or
+    -e_j at P_j[1].
     """
     g = GammaC(quiver)
-    res = explore_exchange_graph(exchange_matrix(quiver))
+    b0 = exchange_matrix(quiver)
+    res = explore_exchange_graph(b0)
     expansions = [*zip(res.seeds, res.mutations), (None, ())]  # the last marks explore's end
     paired, mismatches = {}, []
     tilting_objects = edges = 0
 
-    def render(seed):
-        return [g.vertices[t].render() for t in seed.summands]
+    def render(summands):
+        return [g.vertices[t].render() for t in summands]
 
-    def pair(t, x, seed, k):
+    def pair(t, x, summands, k):
         first = paired.setdefault(t, x)
         if first != x:
-            where = {"summand": g.vertices[t].render(), "tilting": render(seed), "k": k}
+            where = {"summand": g.vertices[t].render(), "tilting": render(summands), "k": k}
             mismatches.append({"check": "path", **where, "paired": first.render(), "reached": x.render()})
 
-    for seed, partners in walk_tilting(g):
+    for summands, partners, origin in walk_tilting(g):
         s, made = expansions[tilting_objects]
-        if s is None or s.b != seed.b:
-            mismatches.append({"check": "order", "position": tilting_objects, "tilting": render(seed)})
+        b = b0 if origin is None else mutate_matrix(expansions[origin[0]][0].b, origin[1])
+        if s is None or s.b != b:
+            mismatches.append({"check": "order", "position": tilting_objects, "tilting": render(summands)})
             break
         tilting_objects += 1
-        for j, (t, x) in enumerate(zip(seed.summands, s.cluster), 1):
-            pair(t, x, seed, j)
+        for j, (t, x) in enumerate(zip(summands, s.cluster), 1):
+            pair(t, x, summands, j)
         for k, tk_star in enumerate(partners, 1):
             edges += 1
-            pair(tk_star, made[k - 1], seed, k)
+            pair(tk_star, made[k - 1], summands, k)
     else:
         if expansions[tilting_objects][0] is not None:  # explore found more seeds than the walk
             mismatches.append({"check": "order", "position": tilting_objects, "tilting": None})

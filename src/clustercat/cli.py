@@ -38,6 +38,7 @@ from .quivers import (
     builtin_quiver,
     exchange_matrix,
     load_quiver_json,
+    mutate_matrix,
 )
 from .tilting import enumerate_tilting_modules, prop8_descent
 
@@ -306,18 +307,22 @@ def _verify_prop8(qtype: str, depth):
 def _verify_lemma67(qtype: str, depth):
     q = builtin_quiver(qtype)
     g = GammaC(q)
-    # one walk serves both lemmas and the Theorem 1 propagation report
+    # one walk serves both lemmas and the Theorem 1 propagation report; each
+    # object's matrix is one mutation of its origin's
     objects = list(walk_tilting(g))
+    matrices = []
     compat_cases = 0
     failures: list[dict] = []
-    for cur, partners in objects:
+    for summands, partners, origin in objects:
+        b = exchange_matrix(q) if origin is None else mutate_matrix(matrices[origin[0]], origin[1])
+        matrices.append(b)
         for k, tk_star in enumerate(partners, 1):
-            xd = exchange_data(cur, k, tk_star)
+            xd = exchange_data(summands, b, k, tk_star)
             for x, agree in enumerate(lemma6_check(g, xd)):
                 compat_cases += 1
                 for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):
                     if not holds:
-                        tilting = [g.vertices[t].render() for t in cur.summands]
+                        tilting = [g.vertices[t].render() for t in summands]
                         obj = g.vertices[x].render()
                         failures.append({"tilting": tilting, "k": k, "object": obj, "check": check})
     prop = _theorem1_report(g, objects)

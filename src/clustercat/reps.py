@@ -187,10 +187,6 @@ class Representation:
             cur = linalg.mat_mul(self.mats[a], cur, cols)
         return cur
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     @classmethod
     def from_dims(cls, algebra, dims, entries=None) -> "Representation":
         """Module with given dims; ``entries`` maps arrow index to matrix,

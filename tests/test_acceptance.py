@@ -15,6 +15,7 @@ from test_category import (
     initial_seed_c,
     mutate_tilting,
     oracle_hom_c,
+    tilting_key,
 )
 from test_reps import all_indecomposables, direct_sum
 
@@ -24,7 +25,6 @@ from clustercat.category import (
     den_vs_hom_crosscheck,
     is_compatible,
     lemma6_check,
-    shifted_initial_seed_c,
     theorem1_injectivity,
 )
 from clustercat.laurent import (
@@ -109,11 +109,11 @@ def test_criterion_3_denominators_equal_hom_dimensions():
         checks = 0
         for _ in range(120):
             seq = [rng.randint(1, 3) for _ in range(rng.randint(1, 8))]
-            ls, cs = initial_seed(exchange_matrix(q)), shifted_initial_seed_c(g)
+            ls, summands, b = initial_seed(exchange_matrix(q)), g.shift_i, exchange_matrix(q)
             for k in seq:
-                ls, (cs, _) = seed_mutate(ls, k), mutate_tilting(g, cs, k)
-                assert ls.b == cs.b
-                for x, t in zip(ls.cluster, cs.summands, strict=True):
+                ls, (summands, b, _) = seed_mutate(ls, k), mutate_tilting(g, summands, b, k)
+                assert ls.b == b
+                for x, t in zip(ls.cluster, summands, strict=True):
                     v = g.vertices[t]
                     if v.is_module:
                         want = tuple(g.hom_i[p][t] for p in g.proj_i)
@@ -199,18 +199,18 @@ def test_criterion_7_exchange_compatibility_suite():
             rep = theorem1_injectivity(builtin_quiver(name))
             assert rep["injective_everywhere"] is True
             stack = [initial_seed_c(g)]
-            visited = {stack[0].tilting_key}
+            visited = {tilting_key(g.proj_i)}
             while stack:
-                seed = stack.pop()
+                summands, b = stack.pop()
                 for k in range(1, g.quiver.n + 1):
-                    nxt, xd = mutate_tilting(g, seed, k)
+                    nxt, nxt_b, xd = mutate_tilting(g, summands, b, k)
                     ids = range(len(g.vertices))
                     for x, agree in zip(ids, lemma6_check(g, xd), strict=True):
                         assert is_compatible(g, x, xd), (name, k, g.vertices[x])
                         assert agree, (name, k, g.vertices[x])
-                    if nxt.tilting_key not in visited:
-                        visited.add(nxt.tilting_key)
-                        stack.append(nxt)
+                    if tilting_key(nxt) not in visited:
+                        visited.add(tilting_key(nxt))
+                        stack.append((nxt, nxt_b))
 
     run_criterion(
         7, "compatibility and its dual agree at every vertex of every exchange "

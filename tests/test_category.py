@@ -33,19 +33,16 @@ from test_reps import injective_dims, tau, tau_inverse
 
 from clustercat import category, cli, laurent, quivers, reps, tilting
 from clustercat.category import (
-    CategorifiedSeed,
     CVertex,
     ExchangeData,
     GammaC,
     MultipleComplements,
     NoComplement,
-    _mutated,
     _theorem1_report,
     den_vs_hom_crosscheck,
     exchange_data,
     is_compatible,
     lemma6_check,
-    shifted_initial_seed_c,
     theorem1_injectivity,
     walk_tilting,
 )
@@ -101,11 +98,11 @@ def oracle_tau(quiver, v: CVertex) -> CVertex:
     shift of P_i, the shift of P_i goes to I_i, and any other module goes to
     its AR translate."""
     if not v.is_module:
-        return CVertex.module(injective_dims(quiver, v.shift_vertex))
+        return CVertex(injective_dims(quiver, v.shift_vertex), None)
     for i in range(1, quiver.n + 1):
         if v.dims == projective_dims(quiver, i):
-            return CVertex.shifted_projective(i)
-    return CVertex.module(tau(indecomposable_from_root(quiver, v.dims)).dims)
+            return CVertex(None, i)
+    return CVertex(tau(indecomposable_from_root(quiver, v.dims)).dims, None)
 
 
 @pytest.mark.parametrize(
@@ -134,6 +131,11 @@ def linear(n):
     return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
 
 
+def type_d(n):
+    """D_n as the path 1 -> ... -> n - 1 with the arrow n - 2 -> n."""
+    return Quiver(n, (*linear(n - 1).arrows, (n - 2, n)))
+
+
 def orientations(q):
     """Every quiver on q's underlying graph, one per choice of arrow directions."""
     for flips in itertools.product((False, True), repeat=len(q.arrows)):
@@ -154,12 +156,12 @@ class ZQ:
         self.pos, inj_pos = {}, {}
         for i in range(1, q.n + 1):
             d, k = projective_dims(q, i), 0
-            self.pos[CVertex.module(d)] = (0, i)
+            self.pos[CVertex(d, None)] = (0, i)
             while d not in inj:
                 d, k = ed.inverse_coxeter_transform(d), k + 1
-                self.pos[CVertex.module(d)] = (k, i)
+                self.pos[CVertex(d, None)] = (k, i)
             inj_pos[inj[d]] = (k, i)
-            self.pos[CVertex.shifted_projective(inj[d])] = (k + 1, i)
+            self.pos[CVertex(None, inj[d])] = (k + 1, i)
         self.at = {p: v for v, p in self.pos.items()}
         assert len(self.at) == len(self.pos)
         self.last = max(k for k, _ in self.at)
@@ -265,9 +267,9 @@ def test_module_table_hom_is_the_knitted_hammock(q):
     # each module, read at the module positions, is the reference
     table = tilting._directed_indecomposables(q)
     zq = ZQ(q)
-    at = [zq.pos[CVertex.module(m.dims)] for m in table.ordered]
+    at = [zq.pos[CVertex(m.dims, None)] for m in table.ordered]
     for m, row in zip(table.ordered, table.hh):
-        h = zq.hammock(CVertex.module(m.dims))
+        h = zq.hammock(CVertex(m.dims, None))
         assert row == tuple(h.get(p, 0) for p in at), m.dims
 
 
@@ -472,8 +474,8 @@ def test_shift_is_tau_of_projective():
     q = builtin_quiver("A3")
     g = GammaC(q)
     for i in (1, 2, 3):
-        assert g.vertices[g.proj_i[i - 1]] == CVertex.module(projective_dims(q, i))
-        assert g.vertices[g.shift_i[i - 1]] == CVertex.shifted_projective(i)
+        assert g.vertices[g.proj_i[i - 1]] == CVertex(projective_dims(q, i), None)
+        assert g.vertices[g.shift_i[i - 1]] == CVertex(None, i)
         assert g.tau_i[g.proj_i[i - 1]] == g.shift_i[i - 1]
 
 
@@ -489,24 +491,43 @@ def brute_force_tilting_count(g):
     return count
 
 
-def expanded_seeds(g):
-    """The seeds walk_tilting expands, one per tilting object."""
-    return [seed for seed, _ in walk_tilting(g)]
+def tilting_key(summands):
+    """The bitmask of a tilting object's summand ids."""
+    return functools.reduce(operator.or_, (1 << x for x in summands), 0)
+
+
+def expanded_objects(g):
+    """The summands of each tilting object walk_tilting expands, in order."""
+    return [summands for summands, _, _ in walk_tilting(g)]
+
+
+def folded_matrices(g, objects):
+    """The exchange matrix of each object of a walk of g: the quiver's at
+    P[1], and otherwise its origin's mutated at the origin's k."""
+    matrices = []
+    for _, _, origin in objects:
+        if origin is None:
+            matrices.append(exchange_matrix(g.quiver))
+        else:
+            matrices.append(mutate_matrix(matrices[origin[0]], origin[1]))
+    return matrices
 
 
 @pytest.mark.parametrize("name,count", [("A2", 5), ("A3", 14), ("D4", 50)])
 def test_tilting_object_counts_two_routes(name, count):
     g = GammaC(builtin_quiver(name))
-    reached = expanded_seeds(g)
-    assert len(reached) == count
+    objects = list(walk_tilting(g))
+    assert len(objects) == count
     assert brute_force_tilting_count(g) == count
-    assert reached[0] == shifted_initial_seed_c(g)
+    start, _, origin = objects[0]
+    assert (start, origin) == (g.shift_i, None)
+    assert None not in [origin for _, _, origin in objects[1:]]
 
 
 def test_a1_counts():
     # with one vertex no other summand narrows the partner mask
     g = GammaC(A1)
-    assert [seed.summands for seed in expanded_seeds(g)] == [g.shift_i, g.proj_i]
+    assert expanded_objects(g) == [g.shift_i, g.proj_i]
     assert explore_exchange_graph(exchange_matrix(A1)).cluster_count == 2
     (only,) = enumerate_tilting_modules(A1)
     assert prop8_descent(A1, only)["step_count"] == 0
@@ -527,9 +548,16 @@ def test_walk_hashes_no_vertex_label(monkeypatch):
     assert hashed == []
 
 
+def label_key(v):
+    """The order of GammaC's vertices: modules by dimension vector, then the
+    shifted projectives by quiver vertex."""
+    return (0, v.dims) if v.is_module else (1, (v.shift_vertex,))
+
+
 @pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6", "E7", "E8"])
 def test_int_tables_match_vertex_queries(name):
     g = GammaC(QUIVERS[name])
+    assert list(g.vertices) == sorted(g.vertices, key=label_key)
     for x, vx in enumerate(g.vertices):
         assert g.vertices[g.tau_i[x]] == oracle_tau(QUIVERS[name], vx)
         for y, vy in enumerate(g.vertices):
@@ -537,14 +565,14 @@ def test_int_tables_match_vertex_queries(name):
             assert bool(g.ext_free[x] >> y & 1) == ext_free, (vx, vy)
 
 
-def brute_force_partner(g, seed, k):
+def brute_force_partner(g, summands, b, k):
     """Exchange partner of summand k by scanning every indecomposable for one
     that is rigid and ext-free with the other summands, with the middle terms
-    read off the matrix column and ordered by their labels' sort keys; the
-    route mutate_tilting replaced."""
+    read off column k of the matrix b and ordered by their labels; the route
+    mutate_tilting replaced."""
     n = g.quiver.n
-    tk = seed.summands[k - 1]
-    others = tuple(v for i, v in enumerate(seed.summands) if i != k - 1)
+    tk = summands[k - 1]
+    others = tuple(v for i, v in enumerate(summands) if i != k - 1)
     found = [
         cand
         for cand in range(len(g.vertices))
@@ -553,32 +581,34 @@ def brute_force_partner(g, seed, k):
         and not ext_c(g, cand, cand)
         and all(not ext_c(g, cand, o) and not ext_c(g, o, cand) for o in others)
     ]
-    col = [seed.b[i][k - 1] for i in range(n)]
+    col = [b[i][k - 1] for i in range(n)]
 
     def middle(sign):
-        pairs = {seed.summands[i]: sign * col[i] for i in range(n) if sign * col[i] > 0}
-        return tuple(sorted(pairs.items(), key=lambda p: g.vertices[p[0]].sort_key()))
+        pairs = {summands[i]: sign * col[i] for i in range(n) if sign * col[i] > 0}
+        return tuple(sorted(pairs.items(), key=lambda p: label_key(g.vertices[p[0]])))
 
     return found, middle(1), middle(-1)
 
 
 def initial_seed_c(g):
-    """The projective generator with the quiver's own exchange matrix."""
-    return CategorifiedSeed(g.proj_i, exchange_matrix(g.quiver))
+    """The projective generator with the quiver's own exchange matrix, as
+    (summands, b)."""
+    return g.proj_i, exchange_matrix(g.quiver)
 
 
-def mutate_tilting(g, seed, k):
+def mutate_tilting(g, summands, b, k):
     """One-step oracle: replace summand k of a tilting object by its unique
-    exchange partner, with the exchange data of the step. The partner is the
-    one vertex outside the seed in the AND of the other summands' ext_free
-    masks, started from all ones so that it is exact when the summand is the
-    only one; the walker ANDs a prefix and a suffix instead."""
-    masks = (g.ext_free[x] for i, x in enumerate(seed.summands) if i != k - 1)
-    mask = functools.reduce(operator.and_, masks, (1 << len(g.vertices)) - 1) & ~seed.tilting_key
+    exchange partner, and return the new summands, b mutated at k, and the
+    exchange data of the step. The partner is the one vertex outside the
+    object in the AND of the other summands' ext_free masks, started from all
+    ones so that it is exact when the summand is the only one; the walker ANDs
+    a prefix and a suffix instead."""
+    masks = (g.ext_free[x] for i, x in enumerate(summands) if i != k - 1)
+    mask = functools.reduce(operator.and_, masks, (1 << len(g.vertices)) - 1) & ~tilting_key(summands)
     assert mask.bit_count() == 1
     tk_star = mask.bit_length() - 1
-    key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ mask
-    return _mutated(seed, k, tk_star, key), exchange_data(seed, k, tk_star)
+    nxt = summands[: k - 1] + (tk_star,) + summands[k:]
+    return nxt, mutate_matrix(b, k), exchange_data(summands, b, k, tk_star)
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D6", "E6"])
@@ -589,35 +619,35 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
     monkeypatch.setattr(category, "reduce", lambda *args: reduced.append(args) or real_reduce(*args))
     objects = list(walk_tilting(g))
     # only the start's key is read off its summands; every other key is the
-    # walk's XOR, passed in as it is
+    # walk's XOR
     assert len(reduced) == 1
-    # the walker builds a seed only for the edge that first reaches its key,
-    # and expands the seeds in that order
-    expanded = iter([seed for seed, _ in objects])
-    start = next(expanded)
-    assert start == shifted_initial_seed_c(g)
-    reduced.clear()
-    seen = {start.tilting_key}
-    edges = [(seed, k, tk_star) for seed, partners in objects for k, tk_star in enumerate(partners, 1)]
-    for seed, k, tk_star in edges:
-        found, e, e_prime = brute_force_partner(g, seed, k)
-        assert found == [tk_star], (seed.summands, k)
-        nxt, xd = mutate_tilting(g, seed, k)
-        assert xd == exchange_data(seed, k, tk_star)
-        assert xd == ExchangeData(k, seed.summands[k - 1], tk_star, e, e_prime)
+    # the walker queues an object only for the edge that first reaches its
+    # key, and expands the objects in that order
+    matrices = folded_matrices(g, objects)
+    assert objects[0][0] == g.shift_i
+    seen = {tilting_key(g.shift_i)}
+    queued = 1
+    edges = [
+        (at, k, tk_star) for at, (_, partners, _) in enumerate(objects) for k, tk_star in enumerate(partners, 1)
+    ]
+    for at, k, tk_star in edges:
+        summands, b = objects[at][0], matrices[at]
+        found, e, e_prime = brute_force_partner(g, summands, b, k)
+        assert found == [tk_star], (summands, k)
+        nxt, nb, xd = mutate_tilting(g, summands, b, k)
+        assert xd == ExchangeData(k, summands[k - 1], tk_star, e, e_prime)
         assert ext_c(g, xd.tk, xd.tk_star) == 1
-        assert nxt.summands[k - 1] == tk_star
-        assert nxt.summands[:k - 1] + nxt.summands[k:] == seed.summands[:k - 1] + seed.summands[k:]
-        # the next key comes from one XOR; recompute it from the summands
-        key = seed.tilting_key ^ (1 << seed.summands[k - 1]) ^ (1 << tk_star)
-        assert nxt.tilting_key == key == functools.reduce(operator.or_, (1 << x for x in nxt.summands))
-        assert reduced == []
-        if nxt.tilting_key not in seen:
-            seen.add(nxt.tilting_key)
-            built = next(expanded)
-            assert (built.summands, built.b, built.tilting_key) == (nxt.summands, nxt.b, nxt.tilting_key)
-            assert built.b == mutate_matrix(seed.b, k)
-    assert next(expanded, None) is None
+        assert nxt[k - 1] == tk_star
+        assert nxt[:k - 1] + nxt[k:] == summands[:k - 1] + summands[k:]
+        # the walk's next key is one XOR; recompute it from the summands
+        key = tilting_key(summands) ^ (1 << summands[k - 1]) ^ (1 << tk_star)
+        assert key == tilting_key(nxt)
+        if key not in seen:
+            seen.add(key)
+            built, _, origin = objects[queued]
+            assert (built, origin, matrices[queued]) == (nxt, (at, k), nb)
+            queued += 1
+    assert queued == len(objects)
     # Fomin-Zelevinsky cluster counts
     assert len(seen) == {"A4": 42, "D4": 50, "D6": 672, "E6": 833}[name]
     assert len(edges) == len(seen) * g.quiver.n
@@ -625,82 +655,83 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
 
 def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
     # D4 has 50 tilting objects and 200 edges: neither the walk nor Theorem 1
-    # mutates a matrix or builds exchange data; reading every expanded seed's
-    # matrix mutates once per object beyond the first, and so does lemma67
+    # mutates a matrix or builds exchange data; every object but P[1] has an
+    # origin, and lemma67 mutates its origin's matrix once for each
     calls = {"mutate_matrix": 0, "ExchangeData": 0}
 
-    def counting(name, real):
+    def counting(module, name):
+        real = getattr(module, name)
+
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(category, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counting("mutate_matrix", category.mutate_matrix)
-    counting("ExchangeData", category.ExchangeData)
+    counting(category, "mutate_matrix")
+    counting(cli, "mutate_matrix")
+    counting(category, "ExchangeData")
     g = GammaC(builtin_quiver("D4"))
     objects = list(walk_tilting(g))
-    assert sum(len(partners) for _, partners in objects) == 200
+    assert sum(len(partners) for _, partners, _ in objects) == 200
     assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
     assert theorem1_injectivity(builtin_quiver("D4"))["tilting_count"] == 50
     assert calls == {"mutate_matrix": 0, "ExchangeData": 0}
-    assert len([seed.b for seed, _ in objects]) == 50
-    assert calls == {"mutate_matrix": 49, "ExchangeData": 0}
-    calls["mutate_matrix"] = 0
+    assert sum(origin is not None for _, _, origin in objects) == 49
     assert cli.main(["verify", "lemma67", "--type", "D4"]) == 0
     assert json.loads(capsys.readouterr().out)["details"]["tilting_objects"] == 50
     # one exchange per edge, and lemma6_check's double shift of it
     assert calls == {"mutate_matrix": 49, "ExchangeData": 400}
 
 
-def test_matrices_read_backwards_match_forward_mutation(monkeypatch):
-    # reading the last seed's matrix first resolves its chain of ancestors
-    # in one go; each matrix is still one mutation of its parent's, each is
-    # mutated once, and no seed holds on to its parent once it is read
-    g = GammaC(E6)
-    backwards = expanded_seeds(g)
-    origins = [seed._from for seed in backwards]
-    assert origins[0] is None and None not in origins[1:]
-    calls = []
-    monkeypatch.setattr(category, "mutate_matrix", lambda b, k: calls.append(k) or mutate_matrix(b, k))
-    read_back = [seed.b for seed in reversed(backwards)][::-1]
-    assert len(calls) == 832
-    assert all(seed._from is None for seed in backwards)
-    forward = [seed.b for seed in expanded_seeds(g)]
-    assert read_back == forward
-    assert forward[0] == exchange_matrix(E6)
-    position = {id(seed): i for i, seed in enumerate(backwards)}
-    for (parent, k), b in zip(origins[1:], forward[1:]):
-        assert b == mutate_matrix(forward[position[id(parent)]], k)
+@pytest.mark.parametrize("quiver", [D5, E6], ids=["D5", "E6"])
+def test_origins_fold_to_explore_matrices(quiver):
+    # each object but P[1] names the earlier object, and the k, of the first
+    # edge of the walk that reaches it, and its summands are that object's
+    # with summand k swapped for its partner; folding the origins through
+    # mutate_matrix gives the matrices of explore's seeds, in order
+    g = GammaC(quiver)
+    objects = list(walk_tilting(g))
+    position = {tilting_key(summands): at for at, (summands, _, _) in enumerate(objects)}
+    first = {0: None}
+    for at, (summands, partners, _) in enumerate(objects):
+        for k, tk_star in enumerate(partners, 1):
+            first.setdefault(position[tilting_key(summands[: k - 1] + (tk_star,) + summands[k:])], (at, k))
+    assert [origin for _, _, origin in objects] == [first[at] for at in range(len(objects))]
+    for summands, _, (at, k) in objects[1:]:
+        parent, partners, _ = objects[at]
+        assert summands == parent[: k - 1] + (partners[k - 1],) + parent[k:]
+    res = explore_exchange_graph(exchange_matrix(quiver))
+    assert folded_matrices(g, objects) == [s.b for s in res.seeds]
 
 
 def test_walker_expands_each_tilting_object_once():
     g = GammaC(builtin_quiver("D4"))
     objects = list(walk_tilting(g))
-    expanded = [seed for seed, _ in objects]
-    assert [len(partners) for _, partners in objects] == [4] * len(expanded)
-    assert expanded[0] == shifted_initial_seed_c(g)
-    assert len({s.tilting_key for s in expanded}) == len(expanded) == 50
+    expanded = [summands for summands, _, _ in objects]
+    assert [len(partners) for _, partners, _ in objects] == [4] * len(expanded)
+    assert expanded[0] == g.shift_i
+    assert len(set(map(tilting_key, expanded))) == len(expanded) == 50
     for s in expanded:
-        assert len(set(s.summands)) == 4
-        assert all(ext_c(g, a, b) == 0 for a in s.summands for b in s.summands)
+        assert len(set(s)) == 4
+        assert all(ext_c(g, a, b) == 0 for a in s for b in s)
 
 
-def test_non_tilting_seeds_raise(monkeypatch):
+def test_non_tilting_seeds_raise():
     # a walk started from four vertices that are not a tilting object runs
     # its partner checks on them: they fire at the first summand where the
     # brute-force scan finds no partner, two, or one whose extension space is
     # not one dimensional, and where every summand has one partner the walk
     # yields those
     g = GammaC(builtin_quiver("D4"))
-    b = initial_seed_c(g).b
+    b = exchange_matrix(g.quiver)
     raised = set()
     for combo in itertools.combinations(range(len(g.vertices)), 4):
-        seed = CategorifiedSeed(combo, b)
-        monkeypatch.setattr(category, "shifted_initial_seed_c", lambda g: seed)
+        start = copy.copy(g)
+        start.shift_i = combo
         error, partners = None, []
         for k, tk in enumerate(combo, 1):
-            found, _, _ = brute_force_partner(g, seed, k)
+            found, _, _ = brute_force_partner(g, combo, b, k)
             if not found:
                 error = NoComplement
             elif len(found) > 1:
@@ -712,10 +743,10 @@ def test_non_tilting_seeds_raise(monkeypatch):
                 continue
             break
         if error is None:
-            assert next(walk_tilting(g)) == (seed, tuple(partners))
+            assert next(walk_tilting(start)) == (combo, tuple(partners), None)
             continue
         with pytest.raises(error):
-            next(walk_tilting(g))
+            next(walk_tilting(start))
         raised.add(error)
     assert raised == {NoComplement, MultipleComplements, AssertionError}
 
@@ -724,60 +755,58 @@ def test_mutation_exchange_a2():
     # from the projective seed of 1->2, exchanging position 2 replaces P2
     # by the simple at 1 through the triangle with middle term P1
     g = GammaC(builtin_quiver("A2"))
-    seed = initial_seed_c(g)
-    new, xd = mutate_tilting(g, seed, 2)
-    assert g.vertices[xd.tk] == CVertex.module((0, 1))
-    assert g.vertices[xd.tk_star] == CVertex.module((1, 0))
-    assert xd.e == ((g.vertices.index(CVertex.module((1, 1))), 1),)
+    new, b, xd = mutate_tilting(g, *initial_seed_c(g), 2)
+    assert g.vertices[xd.tk] == CVertex((0, 1), None)
+    assert g.vertices[xd.tk_star] == CVertex((1, 0), None)
+    assert xd.e == ((g.vertices.index(CVertex((1, 1), None)), 1),)
     assert xd.e_prime == ()
-    assert new.summands[1] == xd.tk_star
-    assert new.b == ((0, -1), (1, 0))
+    assert new[1] == xd.tk_star
+    assert b == ((0, -1), (1, 0))
 
 
 def test_mutation_is_involutive():
     g = GammaC(builtin_quiver("A3"))
-    seed = initial_seed_c(g)
+    summands, b = initial_seed_c(g)
     for k in (1, 2, 3):
-        once, _ = mutate_tilting(g, seed, k)
-        twice, _ = mutate_tilting(g, once, k)
-        assert twice.tilting_key == seed.tilting_key
-        assert twice.b == seed.b
+        once, once_b, _ = mutate_tilting(g, summands, b, k)
+        twice, twice_b, _ = mutate_tilting(g, once, once_b, k)
+        assert twice == summands
+        assert twice_b == b
 
 
 def test_compatibility_and_dual_criterion_sweep():
     g = GammaC(builtin_quiver("A3"))
     seen = 0
     stack = [initial_seed_c(g)]
-    visited = {stack[0].tilting_key}
+    visited = {tilting_key(g.proj_i)}
     while stack:
-        seed = stack.pop()
+        summands, b = stack.pop()
         for k in range(1, 4):
-            new, xd = mutate_tilting(g, seed, k)
+            new, new_b, xd = mutate_tilting(g, summands, b, k)
             for x, agree in zip(range(len(g.vertices)), lemma6_check(g, xd), strict=True):
                 assert is_compatible(g, x, xd)
                 assert agree
                 seen += 1
-            if new.tilting_key not in visited:
-                visited.add(new.tilting_key)
-                stack.append(new)
+            if tilting_key(new) not in visited:
+                visited.add(tilting_key(new))
+                stack.append((new, new_b))
     assert len(visited) == 14
     assert seen == 14 * 3 * 9
 
 
 def test_tampered_exchange_data_is_detected():
     g = GammaC(builtin_quiver("A3"))
-    seed = initial_seed_c(g)
-    _, xd = mutate_tilting(g, seed, 2)
+    _, _, xd = mutate_tilting(g, *initial_seed_c(g), 2)
     wrong = dataclasses.replace(xd, e=((g.proj_i[2], 1),))
     assert any(not is_compatible(g, x, wrong) for x in range(len(g.vertices)))
 
 
-def seed_columns(g, seed):
+def seed_columns(g, summands):
     """Column x of the summands' hom rows, for every vertex x, as
     theorem1_injectivity reads them, and the vertices it leaves out: the
     shift tau T of the tilting object."""
-    columns = list(zip(*(g.hom_i[t] for t in seed.summands)))
-    return columns, {g.tau_i[t] for t in seed.summands}
+    columns = list(zip(*(g.hom_i[t] for t in summands)))
+    return columns, {g.tau_i[t] for t in summands}
 
 
 def test_hom_columns_on_projective_seed():
@@ -785,7 +814,7 @@ def test_hom_columns_on_projective_seed():
     # the left-out shift holds the shifted projectives, whose columns are
     # all zero, so they would break injectivity if they were read
     g = GammaC(builtin_quiver("A3"))
-    columns, left_out = seed_columns(g, initial_seed_c(g))
+    columns, left_out = seed_columns(g, g.proj_i)
     assert left_out == set(g.shift_i)
     for x, m in enumerate(g.vertices):
         if m.is_module:
@@ -800,9 +829,9 @@ def test_hom_columns_over_shifted_seed():
     # shift holds the injectives, where tau^-1 M is zero
     q = builtin_quiver("A3")
     g = GammaC(q)
-    columns, left_out = seed_columns(g, shifted_initial_seed_c(g))
+    columns, left_out = seed_columns(g, g.shift_i)
     assert {g.vertices[x] for x in left_out} == {
-        CVertex.module(injective_dims(q, i)) for i in (1, 2, 3)
+        CVertex(injective_dims(q, i), None) for i in (1, 2, 3)
     }
     for x, m in enumerate(g.vertices):
         if not m.is_module:
@@ -885,10 +914,10 @@ def test_theorem1_report_names_two_colliding_columns(monkeypatch, route):
     # neither is in the shift of P[1], expanded first, so P[1] admits them;
     # every field width names the same collisions as the tuples do
     g = GammaC(builtin_quiver("A3"))
-    start = shifted_initial_seed_c(g)
-    shift = {g.tau_i[t] for t in start.summands}
+    start = g.shift_i
+    shift = {g.tau_i[t] for t in start}
     x, y = [m for m in range(len(g.vertices)) if m not in shift][:2]
-    assert [g.hom_i[t][x] for t in start.summands] != [g.hom_i[t][y] for t in start.summands]
+    assert [g.hom_i[t][x] for t in start] != [g.hom_i[t][y] for t in start]
 
     def planted(h):
         h.hom_i = tuple(row[:y] + (row[x],) + row[y + 1 :] for row in h.hom_i)
@@ -901,10 +930,10 @@ def test_theorem1_report_names_two_colliding_columns(monkeypatch, route):
     assert rep["injective_everywhere"] is False
     assert rep["tilting_count"] == 14
     assert rep["failures"][0] == {
-        "tilting": [g.vertices[t].render() for t in start.summands],
+        "tilting": [g.vertices[t].render() for t in start],
         "first": g.vertices[x].render(),
         "second": g.vertices[y].render(),
-        "vector": [g.hom_i[t][x] << bits for t in start.summands],
+        "vector": [g.hom_i[t][x] << bits for t in start],
     }
     unshifted = [{**f, "vector": [v >> bits for v in f["vector"]]} for f in rep["failures"]]
     assert {**rep, "failures": unshifted} == base
@@ -926,8 +955,18 @@ def test_theorem1_never_takes_the_tuple_route_on_d_and_e(monkeypatch, name, code
 
 @pytest.mark.parametrize(
     "quiver,count,cases",
-    [(A1, 2, 2), (D5, 182, 18_200), (D6, 672, 120_960), (E6, 833, 179_928), (E7, 4160, 1_834_560)],
-    ids=["A1", "D5", "D6", "E6", "E7"],
+    [
+        (A1, 2, 2),
+        (D5, 182, 18_200),
+        (D6, 672, 120_960),
+        (E6, 833, 179_928),
+        (E7, 4160, 1_834_560),
+        (linear(10), 58_786, 32_332_300),
+        (type_d(9), 35_750, 23_166_000),
+        pytest.param(linear(12), 742_900, 695_354_400, marks=pytest.mark.slow),
+        pytest.param(type_d(11), 520_676, 630_017_960, marks=pytest.mark.slow),
+    ],
+    ids=["A1", "D5", "D6", "E6", "E7", "A10", "D9", "A12", "D11"],
 )
 def test_theorem1_finite_type_counts(quiver, count, cases):
     # Fomin-Zelevinsky cluster counts; every tilting object and every one of
@@ -1054,8 +1093,8 @@ def test_den_vs_hom_catches_transposed_hom(name, count):
 def test_den_vs_hom_catches_pairing_with_the_removed_summand(name):
     # the removed summand is paired already, with the variable the mutation
     # removes, so every edge clashes
-    old = "pair(tk_star, made[k - 1], seed, k)"
-    mutant = crosscheck_mutant(old, old.replace("tk_star", "seed.summands[k - 1]"))
+    old = "pair(tk_star, made[k - 1], summands, k)"
+    mutant = crosscheck_mutant(old, old.replace("tk_star", "summands[k - 1]"))
     rep = mutant(builtin_quiver(name))
     assert rep["ok"] is False
     assert len(rep["mismatches"]) == rep["edges"]
@@ -1125,13 +1164,14 @@ def test_walk_expands_in_explore_discovery_order(quiver):
     # k-th seed's cluster
     b = exchange_matrix(quiver)
     g = GammaC(quiver)
+    objects = list(walk_tilting(g))
     paired = dict(zip(g.shift_i, initial_seed(b).cluster))
     expanded = []
-    for seed, partners in walk_tilting(g):
-        cluster = tuple(paired[t] for t in seed.summands)
-        expanded.append((seed.b, frozenset(cluster)))
+    for (summands, partners, _), m in zip(objects, folded_matrices(g, objects)):
+        cluster = tuple(paired[t] for t in summands)
+        expanded.append((m, frozenset(cluster)))
         for k, tk_star in enumerate(partners, 1):
-            paired.setdefault(tk_star, seed_mutate(Seed(seed.b, cluster), k).cluster[k - 1])
+            paired.setdefault(tk_star, seed_mutate(Seed(m, cluster), k).cluster[k - 1])
     res = explore_exchange_graph(b)
     assert expanded == [(s.b, frozenset(s.cluster)) for s in res.seeds]
 

@@ -80,6 +80,47 @@ def test_private_helpers_have_a_src_caller():
     assert test_only == []
 
 
+# Public methods and properties that nothing in src/ or bench/ names, kept on
+# purpose as constructors of the library's value types.
+LIBRARY_METHODS = {
+    "LaurentPoly.zero": "the additive identity in n variables, beside LaurentPoly.one",
+    "LaurentPoly.monomial": "a single term from its exponent vector and coefficient",
+    "TiltingModule.of": "a tilting module from module objects, checking each summand is a brick",
+}
+
+
+def _uncalled_methods():
+    """Every ``Class.name`` of a public method or property of a src class
+    that nothing in src/ or bench/ names outside the method's own body."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in ("src", "bench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    used = Counter(n for tree in trees.values() for n in _names(tree))
+    return {
+        f"{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(root / "src")
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and used[node.name] == sum(n == node.name for n in _names(node))
+    }
+
+
+def test_public_methods_have_a_src_caller():
+    # a public method or property that only the tests name is a test oracle,
+    # and belongs in the tests
+    uncalled = _uncalled_methods()
+    assert sorted(uncalled - LIBRARY_METHODS.keys()) == []
+    # an entry that gained a caller or left its class no longer needs it
+    assert LIBRARY_METHODS.keys() <= uncalled
+
+
 def _exports(tree):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(

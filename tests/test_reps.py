@@ -158,7 +158,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         raise ValueError("isomorphism test needs a common algebra")
     if m.dims != n.dims:
         return False
-    if m.total_dim == 0:
+    if sum(m.dims) == 0:
         return True
     return invertible_element_exists(m.dims, hom(m, n))
 

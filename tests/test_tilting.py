@@ -103,8 +103,8 @@ def test_d4_count_against_cluster_category():
     # module-only tilting objects of the category are the tilting modules
     g = GammaC(D4)
     module_only = [
-        seed for seed, _ in walk_tilting(g)
-        if all(g.vertices[x].is_module for x in seed.summands)
+        summands for summands, _, _ in walk_tilting(g)
+        if all(g.vertices[x].is_module for x in summands)
     ]
     assert len(module_only) == 20
 
@@ -585,8 +585,8 @@ def _module_tilting_objects(q):
     # tilting objects of the cluster category with no shifted projective
     g = GammaC(q)
     found = set()
-    for seed, _ in walk_tilting(g):
-        labels = [g.vertices[x] for x in seed.summands]
+    for summands, _, _ in walk_tilting(g):
+        labels = [g.vertices[x] for x in summands]
         if all(v.is_module for v in labels):
             found.add(frozenset(v.dims for v in labels))
     return found
