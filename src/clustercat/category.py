@@ -88,7 +88,6 @@ class ExchangeData:
     """An exchange pair of vertex ids with the middle terms of its two
     triangles, each a tuple of (id, multiplicity) pairs sorted by id."""
 
-    k: int
     tk: int
     tk_star: int
     e: tuple[tuple[int, int], ...]
@@ -175,7 +174,7 @@ def exchange_data(summands: tuple[int, ...], b, k: int, tk_star: int) -> Exchang
     col = [row[k - 1] for row in b]
     e = tuple(sorted((x, c) for x, c in zip(summands, col) if c > 0))
     e_prime = tuple(sorted((x, -c) for x, c in zip(summands, col) if c < 0))
-    return ExchangeData(k, summands[k - 1], tk_star, e, e_prime)
+    return ExchangeData(summands[k - 1], tk_star, e, e_prime)
 
 
 def walk_tilting(g: GammaC) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, int] | None]]:
@@ -257,7 +256,7 @@ def lemma6_check(g: GammaC, xd: ExchangeData) -> tuple[bool, ...]:
     """
     hom, tau = g.hom_i, g.tau_i
     e2, e2_prime = (tuple(sorted((tau[tau[v]], c) for v, c in mid)) for mid in (xd.e, xd.e_prime))
-    shifted = ExchangeData(xd.k, tau[tau[xd.tk]], tau[tau[xd.tk_star]], e2, e2_prime)
+    shifted = ExchangeData(tau[tau[xd.tk]], tau[tau[xd.tk_star]], e2, e2_prime)
     return tuple(
         (
             x in (tau[xd.tk], tau[xd.tk_star])

@@ -126,10 +126,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, json.dumps(value, sort_keys=True)))
 
 
-def _emit(report: dict, fmt: str) -> None:
-    print(render_report(report, fmt))
-
-
 # ---------------------------------------------------------------------------
 # quiver sources
 
@@ -171,7 +167,7 @@ def cmd_mutate(args, parser) -> int:
         "b": [list(row) for row in seed.b],
         "cluster": [p.render() for p in seed.cluster],
     }
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0
 
 
@@ -195,7 +191,7 @@ def cmd_explore(args, parser) -> int:
         "truncated": res.truncated,
         "depth_reached": res.depth_reached,
     }
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0
 
 
@@ -212,7 +208,7 @@ def cmd_denominators(args, parser) -> int:
         "truncated": res.truncated,
         "variables": rows,
     }
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0
 
 
@@ -390,7 +386,7 @@ def cmd_verify(args, parser) -> int:
         "details": details,
         "witness": witness,
     }
-    _emit(report, args.format)
+    print(render_report(report, args.format))
     return 0 if ok else 1
 
 

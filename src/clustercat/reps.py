@@ -3,17 +3,20 @@
 A module assigns a finite-dimensional Q-vector space to each vertex and a
 matrix to each arrow; the matrix of an arrow s -> t has shape
 dims[t] x dims[s] and acts on column vectors; its entries are ints, with a
-Fraction only where a value is not integral. One class, Representation,
-serves every algebra: a bare Quiver stands for its path algebra, a
-MonomialAlgebra with no relations. Hom spaces are computed as kernels of the
-commuting-square system, which relations do not change. Ext^1 over every
-algebra is the first cohomology of one small complex (vertices -> arrows ->
-relations), whose first map is that same system; without relations it is
-dim Hom minus the Euler form. The indecomposables of a Dynkin quiver are
-built once per quiver, never by guessing matrices: the rows of
-``quivers.tau_orbits`` walked with reflection functors, each step checked
-against its row, so every one of them is preinjective. The AR translates,
-the preinjectivity search and the isomorphism test live with the tests.
+Fraction only where a value is not integral, and ``Representation.mats``
+holds them as tuples of rows. One class, Representation, serves every
+algebra: a bare Quiver stands for its path algebra, a MonomialAlgebra with
+no relations. Hom spaces are computed as kernels of the commuting-square
+system, which relations do not change. Ext^1 over every algebra is the first
+cohomology of one small complex (vertices -> arrows -> relations), whose
+first map is that same system; without relations it is dim Hom minus the
+Euler form. Both systems hand the entries to ``linalg`` as they are: its
+elimination is the one place a row is scaled to integers. The indecomposables
+of a Dynkin quiver are built once per quiver, never by guessing matrices:
+the rows of ``quivers.tau_orbits`` walked with reflection functors, each
+step checked against its row, so every one of them is preinjective. The AR
+translates, the preinjectivity search, the isomorphism test and the path
+bases of the projectives live with the tests.
 
 Modules are immutable once constructed.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 
 from . import linalg
 from .quivers import Quiver, builtin_quiver, check_relations, euler_data, positive_roots, tau_orbits
@@ -32,7 +34,6 @@ __all__ = [
     "MonomialAlgebra",
     "Representation",
     "HomSpace",
-    "NegativeExtError",
     "hom",
     "hom_space",
     "ext1_dim",
@@ -40,10 +41,6 @@ __all__ = [
     "indecomposable_from_root",
     "atilde21_tube_modules",
 ]
-
-
-class NegativeExtError(AssertionError):
-    """Internal failure: the Ext formula went negative."""
 
 
 Matrix = linalg.Matrix
@@ -111,16 +108,6 @@ class MonomialAlgebra:
     def path_end(self, start: int, path: tuple[int, ...]) -> int:
         return start if not path else self.quiver.arrows[path[-1]][1]
 
-    @lru_cache(maxsize=None)
-    def basis_from(self, start: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Basis paths starting at ``start`` grouped by end vertex (0-based tuple
-        index), each group sorted by length then lexicographically."""
-        groups: list[list[tuple[int, ...]]] = [[] for _ in range(self.quiver.n)]
-        for s, p in self.paths:
-            if s == start:
-                groups[self.path_end(s, p) - 1].append(p)
-        return tuple(tuple(sorted(g, key=lambda p: (len(p), p))) for g in groups)
-
 
 @lru_cache(maxsize=None)
 def _path_algebra(q: Quiver) -> MonomialAlgebra:
@@ -174,9 +161,6 @@ class Representation:
         m.mats = tuple(tuple(map(tuple, a)) for a in mats)
         return m
 
-    def mat(self, arrow_index: int) -> Matrix:
-        return [list(row) for row in self.mats[arrow_index]]
-
     def path_action(self, start: int, path: tuple[int, ...]) -> Matrix:
         """Matrix of a path from the start vertex space to the end vertex
         space. The width is pinned so that passing through a zero space
@@ -226,23 +210,19 @@ class HomSpace:
     basis: list[tuple[Matrix, ...]]
 
 
-def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[dict[int, int]], list[int]]:
+def _square_rows(arrows, dims_m, mats_m, dims_n, mats_n) -> tuple[list[linalg.SparseRow], list[int]]:
     """The commuting-square system f -> (N_a f_s - f_t M_a)_a, one sparse
-    integer row per nonzero equation, over the variables of the vertexwise
-    maps f_v laid out vertex by vertex, each row-major; also the offset of
-    each vertex's block and, last, the variable count."""
+    row per nonzero equation, over the variables of the vertexwise maps f_v
+    laid out vertex by vertex, each row-major; also the offset of each
+    vertex's block and, last, the variable count.  The rows carry the arrow
+    entries as given: ``linalg``'s elimination scales a row that holds a
+    Fraction to integers once."""
     offsets = [0]
     for v in range(len(dims_m)):
         offsets.append(offsets[-1] + dims_n[v] * dims_m[v])
-    rows: list[dict[int, int]] = []
-    for idx, (s, t) in enumerate(arrows):
+    rows: list[linalg.SparseRow] = []
+    for (s, t), ma, na in zip(arrows, mats_m, mats_n):
         u, v = s - 1, t - 1
-        # one common scale per arrow keeps its square's equations integral
-        pair = (mats_m[idx], mats_n[idx])
-        den = lcm(*(x.denominator for m in pair for row in m for x in row))
-        ma, na = pair if den == 1 else (
-            [[x.numerator * den // x.denominator for x in row] for row in m] for m in pair
-        )
         # with no loops the f_t and f_s terms share no variable
         for r in range(dims_n[v]):
             ft = offsets[v] + r * dims_m[v]
@@ -332,7 +312,7 @@ def ext1_dim(m: Representation, n: Representation) -> int:
         - linalg.rank(_square_rows(arrows, m.dims, m.mats, n.dims, n.mats)[0])
     )
     if value < 0:
-        raise NegativeExtError(f"ext went negative: {value} for {m.dims} -> {n.dims}")
+        raise AssertionError(f"ext went negative: {value} for {m.dims} -> {n.dims}")
     return value
 
 
@@ -344,7 +324,9 @@ def projective_dims(over, i: int) -> tuple[int, ...]:
     """Dimension vector of the indecomposable projective at vertex i over a
     Quiver's path algebra or a MonomialAlgebra: the number of surviving
     paths from i to each vertex."""
-    return tuple(map(len, _algebra(over).basis_from(i)))
+    alg = _algebra(over)
+    ends = [alg.path_end(s, p) for s, p in alg.paths if s == i]
+    return tuple(map(ends.count, range(1, alg.quiver.n + 1)))
 
 
 def _reflect_quiver(q: Quiver, k: int) -> Quiver:

@@ -49,10 +49,6 @@ class NotTilting(ValueError):
     """Summand list fails the tilting-module invariants."""
 
 
-class NoDescentSummand(RuntimeError):
-    """No summand qualifies for a descent step; indicates an engine bug."""
-
-
 class DescentStepError(RuntimeError):
     """Approximation or cokernel misbehaved during a swap; engine bug."""
 
@@ -200,6 +196,13 @@ def _directed_indecomposables(q: Quiver) -> _ModuleTable:
     )
 
 
+def _table_for(quiver: Quiver, t: TiltingModule) -> _ModuleTable:
+    """The module table of ``quiver``, which must be the quiver ``t`` lives on."""
+    if t.quiver != quiver:
+        raise ValueError("tilting module lives on a different quiver")
+    return _directed_indecomposables(quiver)
+
+
 def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
     """All tilting modules in lexicographic id order, by a clique search on
     the compatibility masks: a clique's candidates are the ids above its
@@ -223,9 +226,7 @@ def enumerate_tilting_modules(quiver: Quiver) -> tuple[TiltingModule, ...]:
 def torsion_class(quiver: Quiver, t: TiltingModule) -> int:
     """Indecomposables M with ext^1(T, M) = 0, as a mask: bit j is set iff
     the module with id j is one."""
-    if t.quiver != quiver:
-        raise ValueError("tilting module lives on a different quiver")
-    table = _directed_indecomposables(quiver)
+    table = _table_for(quiver, t)
     mask = (1 << len(table.ordered)) - 1
     for i in t.ids:
         mask &= table.ext_free[i]
@@ -239,22 +240,20 @@ def find_descent_summand(quiver: Quiver, t: TiltingModule) -> int | None:
     summands (its ``hom_into`` mask misses T's), so the full hom space from T
     onto it is the one-dimensional endomorphism ring.
     """
-    if t.quiver != quiver:
-        raise ValueError("tilting module lives on a different quiver")
-    table = _directed_indecomposables(quiver)
+    table = _table_for(quiver, t)
     if table.injective.issuperset(t.ids):
         return None
     for k, j in enumerate(t.ids):
         if j not in table.injective and not table.hom_into[j] & t.key:
             return k
-    raise NoDescentSummand(f"no swappable summand in {t.dims}")
+    raise AssertionError(f"no swappable summand in {t.dims}")
 
 
 def _cokernel(quiver: Quiver, t: TiltingModule, k: int) -> Representation:
     """Cokernel W of the left approximation of summand ``k`` by the table's
     hom bases into the others; it must be injective at every vertex.  E, one
     summand per basis map, is never formed: W reads the summands' matrices."""
-    table, i0 = _directed_indecomposables(quiver), t.ids[k]
+    table, i0 = _table_for(quiver, t), t.ids[k]
     t0 = table.ordered[i0]
     blocks = [
         (table.ordered[j], f) for j in t.ids if j != i0 for f in table.hom_basis.get((i0, j), ())
@@ -319,7 +318,7 @@ def complement_and_sequence(quiver: Quiver, t: TiltingModule, k: int):
     plus those copies.  Returns the new tilting module and the ids of E's
     summands, repeated by multiplicity and sorted by dimension vector.
     """
-    table = _directed_indecomposables(quiver)
+    table = _table_for(quiver, t)
     dims, hh = [m.dims for m in table.ordered], table.hh
     t0, rest = t.ids[k], t.ids[:k] + t.ids[k + 1:]
     cand = ~(1 << t0)

@@ -29,11 +29,21 @@ from clustercat.reps import (
 #     dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N)
 
 
+def basis_from(algebra: MonomialAlgebra, start: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Basis paths starting at ``start`` grouped by end vertex (0-based tuple
+    index), each group sorted by length then lexicographically."""
+    groups = [[] for _ in range(algebra.quiver.n)]
+    for s, p in algebra.paths:
+        if s == start:
+            groups[algebra.path_end(s, p) - 1].append(p)
+    return tuple(tuple(sorted(g, key=lambda p: (len(p), p))) for g in groups)
+
+
 def projective(algebra: MonomialAlgebra, i: int) -> Representation:
     """Indecomposable projective at vertex i, with path basis; an arrow acts
     by appending itself when the longer path survives the relations."""
     q = algebra.quiver
-    basis = algebra.basis_from(i)
+    basis = basis_from(algebra, i)
     dims = tuple(len(g) for g in basis)
     index = {p: (v, k) for v in range(q.n) for k, p in enumerate(basis[v])}
     entries = {}
@@ -64,7 +74,7 @@ def top_lifts(m):
         spanning = []
         for idx, (s, t) in enumerate(q.arrows):
             if t == v:
-                spanning.extend(linalg.transpose(m.mat(idx), m.dims[s - 1]))
+                spanning.extend(linalg.transpose(m.mats[idx], m.dims[s - 1]))
         rank = linalg.rank(spanning)
         chosen = []
         for k in range(dv):
@@ -87,7 +97,7 @@ def projective_cover(m):
     p0 = direct_sum(zero, *(projective(alg, v) for v, _ in blocks))
     cover = []
     for j in range(1, q.n + 1):
-        cols = [apply(m.path_action(v, p), vec) for v, vec in blocks for p in alg.basis_from(v)[j - 1]]
+        cols = [apply(m.path_action(v, p), vec) for v, vec in blocks for p in basis_from(alg, v)[j - 1]]
         mat_j = linalg.transpose(cols, m.dims[j - 1])
         linalg.shape_of(mat_j, m.dims[j - 1], p0.dims[j - 1])
         assert linalg.rank(mat_j) == m.dims[j - 1], "cover map is not surjective"
@@ -330,7 +340,7 @@ def rebased(m, rng):
     # the base change holds a true Fraction, so the fraction path is exercised
     assert any(x.denominator > 1 for g in gs for row in g for x in row)
     mats = [
-        linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mat(a), m.dims[s - 1]), invs[s - 1], m.dims[s - 1])
+        linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mats[a], m.dims[s - 1]), invs[s - 1], m.dims[s - 1])
         for a, (s, t) in enumerate(m.quiver.arrows)
     ]
     return Representation(m.algebra, m.dims, mats)

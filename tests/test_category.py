@@ -635,7 +635,7 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
         found, e, e_prime = brute_force_partner(g, summands, b, k)
         assert found == [tk_star], (summands, k)
         nxt, nb, xd = mutate_tilting(g, summands, b, k)
-        assert xd == ExchangeData(k, summands[k - 1], tk_star, e, e_prime)
+        assert xd == ExchangeData(summands[k - 1], tk_star, e, e_prime)
         assert ext_c(g, xd.tk, xd.tk_star) == 1
         assert nxt[k - 1] == tk_star
         assert nxt[:k - 1] + nxt[k:] == summands[:k - 1] + summands[k:]

@@ -428,7 +428,7 @@ def _conjugate(m, rng):
         gs.append(g)
     inverses = [solve_matrix(g, linalg.identity(d), d) for g, d in zip(gs, m.dims)]
     mats = [
-        linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mat(i), m.dims[s - 1]), inverses[s - 1], m.dims[s - 1])
+        linalg.mat_mul(linalg.mat_mul(gs[t - 1], m.mats[i], m.dims[s - 1]), inverses[s - 1], m.dims[s - 1])
         for i, (s, t) in enumerate(m.quiver.arrows)
     ]
     return Representation(m.algebra, m.dims, mats)

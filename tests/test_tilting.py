@@ -437,6 +437,56 @@ def test_ids_are_checked_by_lookup():
         TiltingModule(A3, ids[:2] + (len(table.ordered),))
 
 
+@pytest.mark.parametrize("q,other", [(A4, A3), (D4, A4)], ids=["A4", "D4"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda q, t, k: _cokernel(q, t, k),
+        lambda q, t, k: complement_and_sequence(q, t, k),
+        lambda q, t, k: torsion_class(q, t),
+        lambda q, t, k: find_descent_summand(q, t),
+    ],
+    ids=["_cokernel", "complement_and_sequence", "torsion_class", "find_descent_summand"],
+)
+def test_tilting_module_on_another_quiver_is_refused(q, other, entry):
+    # the table of q read with the ids of a module over another quiver is an
+    # input error, never a module over q or an engine fault
+    t = TiltingModule.of(other, projectives(other))
+    k = find_descent_summand(other, t)
+    assert k is not None
+    with pytest.raises(ValueError, match="tilting module lives on a different quiver"):
+        entry(q, t, k)
+
+
+def test_dynkin_module_traffic_is_integral(monkeypatch):
+    # the hom and ext systems hand module entries to linalg unscaled: every
+    # module, stored hom basis and certified cokernel the Dynkin engine makes
+    # has int entries, so no Fraction ever reaches linalg's rational branch
+    def entries(blocks):
+        return {type(x) for block in blocks for row in block for x in row}
+
+    cokernels = []
+    real = tilting._cokernel
+
+    def recording(q, t, k):
+        cokernels.append(real(q, t, k))
+        return cokernels[-1]
+
+    monkeypatch.setattr(tilting, "_cokernel", recording)
+    for q, chains in ((A5, 42), (D6, 294), (E6, 418)):
+        _directed_indecomposables.cache_clear()
+        assert len([prop8_descent(q, t) for t in enumerate_tilting_modules(q)]) == chains
+        table = _directed_indecomposables(q)
+        assert len(cokernels) == len(table.swaps)
+        assert all(entries(m.mats) <= {int} for m in table.ordered + tuple(cokernels))
+        assert all(entries(b) <= {int} for basis in table.hom_basis.values() for b in basis)
+        cokernels.clear()
+    for q in (E7, E8):
+        table = _directed_indecomposables(q)
+        assert all(entries(m.mats) <= {int} for m in table.ordered)
+        assert all(entries(b) <= {int} for basis in table.hom_basis.values() for b in basis)
+
+
 @pytest.mark.parametrize(
     "q,total", [(A5, 176), (D4, 75), (D5, 493)], ids=["A5", "D4", "D5"]
 )
