@@ -18,14 +18,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .bound import counterexample_report
 from .category import (
-    GammaC,
-    _theorem1_report,
     den_vs_hom_crosscheck,
-    exchange_data,
-    is_compatible,
-    lemma6_check,
+    lemma67_report,
     theorem1_injectivity,
-    walk_tilting,
 )
 from .laurent import (
     den_injectivity_check,
@@ -38,16 +33,15 @@ from .quivers import (
     builtin_quiver,
     exchange_matrix,
     load_quiver_json,
-    mutate_matrix,
 )
 from .tilting import enumerate_tilting_modules, prop8_descent
 
 # the only target that reads --depth; it needs at least one mutation step
 DEPTH_TARGETS = ("corollary5",)
-DYNKIN_TYPES = ("A2", "A3", "A4", "D4")
 
 # cross-checked against the categorical tilting-object count in verify theorem1
 KNOWN_CLUSTER_COUNTS = {"A2": 5, "A3": 14, "A4": 42, "D4": 50}
+DYNKIN_TYPES = tuple(KNOWN_CLUSTER_COUNTS)
 
 BUILTIN_DOC = (
     "built-in quivers: A2/A3/A4 linear 1 -> 2 -> ... -> n; "
@@ -301,35 +295,9 @@ def _verify_prop8(qtype: str, depth):
 
 
 def _verify_lemma67(qtype: str, depth):
-    q = builtin_quiver(qtype)
-    g = GammaC(q)
-    # one walk serves both lemmas and the Theorem 1 propagation report; each
-    # object's matrix is one mutation of its origin's
-    objects = list(walk_tilting(g))
-    matrices = []
-    compat_cases = 0
-    failures: list[dict] = []
-    for summands, partners, origin in objects:
-        b = exchange_matrix(q) if origin is None else mutate_matrix(matrices[origin[0]], origin[1])
-        matrices.append(b)
-        for k, tk_star in enumerate(partners, 1):
-            xd = exchange_data(summands, b, k, tk_star)
-            for x, agree in enumerate(lemma6_check(g, xd)):
-                compat_cases += 1
-                for check, holds in (("compatibility", is_compatible(g, x, xd)), ("shifted agreement", agree)):
-                    if not holds:
-                        tilting = [g.vertices[t].render() for t in summands]
-                        obj = g.vertices[x].render()
-                        failures.append({"tilting": tilting, "k": k, "object": obj, "check": check})
-    prop = _theorem1_report(g, objects)
-    ok = not failures and prop["injective_everywhere"]
-    details = {
-        "tilting_objects": len(objects),
-        "compatibility_cases": compat_cases,
-        "propagation_cases": prop["propagation_cases"],
-    }
-    witness = None if ok else {"failures": failures + prop["failures"]}
-    return ok, details, witness
+    rep = lemma67_report(builtin_quiver(qtype))
+    details = {key: rep[key] for key in ("tilting_objects", "compatibility_cases", "propagation_cases")}
+    return rep["ok"], details, None if rep["ok"] else {"failures": rep["failures"]}
 
 
 def _verify_denomhom(qtype: str, depth):

@@ -13,6 +13,7 @@ from test_category import (
     brute_force_tilting_count,
     ext_c,
     initial_seed_c,
+    lemma6_check,
     mutate_tilting,
     oracle_hom_c,
     tilting_key,
@@ -24,7 +25,6 @@ from clustercat.category import (
     GammaC,
     den_vs_hom_crosscheck,
     is_compatible,
-    lemma6_check,
     theorem1_injectivity,
 )
 from clustercat.laurent import (

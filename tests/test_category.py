@@ -42,7 +42,7 @@ from clustercat.category import (
     den_vs_hom_crosscheck,
     exchange_data,
     is_compatible,
-    lemma6_check,
+    lemma67_report,
     theorem1_injectivity,
     walk_tilting,
 )
@@ -656,7 +656,8 @@ def test_mask_partner_matches_brute_force_scan(monkeypatch, name):
 def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
     # D4 has 50 tilting objects and 200 edges: neither the walk nor Theorem 1
     # mutates a matrix or builds exchange data; every object but P[1] has an
-    # origin, and lemma67 mutates its origin's matrix once for each
+    # origin, and lemma67 mutates its origin's matrix once for each and
+    # builds one exchange per edge
     calls = {"mutate_matrix": 0, "ExchangeData": 0}
 
     def counting(module, name):
@@ -669,7 +670,6 @@ def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(category, "mutate_matrix")
-    counting(cli, "mutate_matrix")
     counting(category, "ExchangeData")
     g = GammaC(builtin_quiver("D4"))
     objects = list(walk_tilting(g))
@@ -680,8 +680,7 @@ def test_walk_mutates_matrices_only_for_new_objects(monkeypatch, capsys):
     assert sum(origin is not None for _, _, origin in objects) == 49
     assert cli.main(["verify", "lemma67", "--type", "D4"]) == 0
     assert json.loads(capsys.readouterr().out)["details"]["tilting_objects"] == 50
-    # one exchange per edge, and lemma6_check's double shift of it
-    assert calls == {"mutate_matrix": 49, "ExchangeData": 400}
+    assert calls == {"mutate_matrix": 49, "ExchangeData": 200}
 
 
 @pytest.mark.parametrize("quiver", [D5, E6], ids=["D5", "E6"])
@@ -774,6 +773,31 @@ def test_mutation_is_involutive():
         assert twice_b == b
 
 
+def lemma6_check(g: GammaC, xd: ExchangeData) -> tuple[bool, ...]:
+    """Lemma 6 on one exchange pair, as the per-pair oracle of the Serre
+    duality check in ``lemma67_report``: for every vertex id m, dual
+    compatibility of m agrees with compatibility of m for the double-shifted
+    pair.
+
+    Dual criterion: m is the suspension of one of the pair, or the hom count
+    from the pair into m matches the larger of the counts from the middle
+    terms. The double shift acts on the translation quiver as tau twice; the
+    shifted pair is built once for every m.
+    """
+    hom, tau = g.hom_i, g.tau_i
+    e2, e2_prime = (tuple(sorted((tau[tau[v]], c) for v, c in mid)) for mid in (xd.e, xd.e_prime))
+    shifted = ExchangeData(tau[tau[xd.tk]], tau[tau[xd.tk_star]], e2, e2_prime)
+    return tuple(
+        (
+            x in (tau[xd.tk], tau[xd.tk_star])
+            or hom[xd.tk][x] + hom[xd.tk_star][x]
+            == max(sum(c * hom[v][x] for v, c in mid) for mid in (xd.e, xd.e_prime))
+        )
+        == is_compatible(g, x, shifted)
+        for x in range(len(g.vertices))
+    )
+
+
 def test_compatibility_and_dual_criterion_sweep():
     g = GammaC(builtin_quiver("A3"))
     seen = 0
@@ -799,6 +823,113 @@ def test_tampered_exchange_data_is_detected():
     _, _, xd = mutate_tilting(g, *initial_seed_c(g), 2)
     wrong = dataclasses.replace(xd, e=((g.proj_i[2], 1),))
     assert any(not is_compatible(g, x, wrong) for x in range(len(g.vertices)))
+
+
+def walk_exchanges(g):
+    """The exchange data of every edge of a walk of g, in walk order."""
+    objects = list(walk_tilting(g))
+    return [
+        exchange_data(summands, b, k, tk_star)
+        for (summands, partners, _), b in zip(objects, folded_matrices(g, objects))
+        for k, tk_star in enumerate(partners, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "quiver,objects,compatibility,propagation",
+    [
+        (E6, 833, 209_916, 179_928),
+        pytest.param(E7, 4160, 2_038_400, 1_834_560, marks=pytest.mark.slow),
+    ],
+    ids=["E6", "E7"],
+)
+def test_lemma67_report_counts(quiver, objects, compatibility, propagation):
+    assert lemma67_report(quiver) == {
+        "diagram": GammaC(quiver).diagram.label,
+        "tilting_objects": objects,
+        "compatibility_cases": compatibility,
+        "propagation_cases": propagation,
+        "ok": True,
+        "failures": [],
+    }
+
+
+@pytest.mark.parametrize("quiver", [builtin_quiver("A4"), builtin_quiver("D4"), D5], ids=["A4", "D4", "D5"])
+def test_lemma67_report_agrees_with_the_per_pair_oracle(quiver):
+    # the report checks Lemma 6 once on the table; the oracle checks it, and
+    # Lemma 7, on every exchange pair
+    assert lemma67_report(quiver)["ok"] is True
+    g = GammaC(quiver)
+    for xd in walk_exchanges(g):
+        assert all(lemma6_check(g, xd))
+        assert all(is_compatible(g, x, xd) for x in range(len(g.vertices)))
+
+
+@pytest.mark.parametrize("name,serre", [("A3", 51), ("D4", 152)])
+def test_lemma67_catches_every_raised_hom_entry(monkeypatch, capsys, name, serre):
+    # every hom_i entry raised by 1 after the build, one at a time: verify
+    # lemma67 exits 1, with a Serre duality entry for the raised one or at
+    # the walk's check that an exchange pair has a one dimensional extension
+    # space, and the per-pair oracle fails on some edge of the clean walk
+    g = GammaC(builtin_quiver(name))
+    exchanges = walk_exchanges(g)
+    size = len(g.vertices)
+    tau2 = [g.tau_i[t] for t in g.tau_i]
+
+    def raised(v, x):
+        hom = [list(row) for row in g.hom_i]
+        hom[v][x] += 1
+        return tuple(map(tuple, hom))
+
+    at = []
+    init = GammaC.__init__
+
+    def mutant_init(self, quiver):
+        init(self, quiver)
+        self.hom_i = raised(*at[-1])
+
+    monkeypatch.setattr(GammaC, "__init__", mutant_init)
+    caught = 0
+    for v, x in itertools.product(range(size), repeat=2):
+        at.append((v, x))
+        assert cli.main(["verify", "lemma67", "--type", name]) == 1, (v, x)
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        if "failures" in witness:
+            entry = {
+                "check": "serre duality",
+                "from": g.vertices[v].render(),
+                "to": g.vertices[x].render(),
+                "hom": g.hom_i[v][x] + 1,
+                "dual": g.hom_i[x][tau2[v]],
+            }
+            assert entry in witness["failures"], (v, x)
+            caught += 1
+        else:
+            assert witness == {
+                "error": "AssertionError: exchange pair does not have a one dimensional extension space"
+            }
+        bad = copy.copy(g)
+        bad.hom_i = raised(v, x)
+        assert not all(all(lemma6_check(bad, xd)) for xd in exchanges), (v, x)
+    assert len(at) == size * size
+    assert caught == serre
+
+
+@pytest.mark.parametrize("name,failures", [("A3", 81), ("D4", 816)])
+def test_lemma67_reads_middle_terms_at_every_edge(monkeypatch, name, failures):
+    # an exchange that drops its first middle term fails Lemma 7 alone: the
+    # Serre duality check reads the hom table and no middle term
+    real = category.exchange_data
+
+    def dropped(*args):
+        xd = real(*args)
+        return dataclasses.replace(xd, e=xd.e[1:])
+
+    monkeypatch.setattr(category, "exchange_data", dropped)
+    rep = lemma67_report(builtin_quiver(name))
+    assert rep["ok"] is False
+    assert {f["check"] for f in rep["failures"]} == {"compatibility"}
+    assert len(rep["failures"]) == failures
 
 
 def seed_columns(g, summands):

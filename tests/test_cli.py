@@ -349,10 +349,10 @@ def test_verify_prop8_a3(capsys):
     assert len(rep["details"]["chains"]) == 5
 
 
-def test_verify_lemma67_builds_one_shifted_pair_per_edge(capsys, monkeypatch):
+def test_verify_lemma67_builds_one_exchange_per_edge(capsys, monkeypatch):
     # D4 has 50 tilting objects, so 200 edges; each edge builds its exchange
-    # data once in the one walk, and one double-shifted copy for all 16
-    # vertices (16 per edge when each vertex built its own)
+    # data once in the one walk, and Lemma 6 is checked on the hom table, so
+    # no edge builds a double-shifted copy
     from clustercat import category
 
     built = []
@@ -371,7 +371,7 @@ def test_verify_lemma67_builds_one_shifted_pair_per_edge(capsys, monkeypatch):
         "propagation_cases": 2400,
         "tilting_objects": 50,
     }
-    assert len(built) == 2 * 200
+    assert len(built) == 200
 
 
 def test_verify_lemma67_builds_the_category_and_walks_it_once(capsys, monkeypatch):
@@ -391,8 +391,7 @@ def test_verify_lemma67_builds_the_category_and_walks_it_once(capsys, monkeypatc
         return _real(g)
 
     monkeypatch.setattr(category.GammaC, "__init__", counting_init)
-    for module in (category, cli):
-        monkeypatch.setattr(module, "walk_tilting", counting_walk)
+    monkeypatch.setattr(category, "walk_tilting", counting_walk)
     code, rep = run_json(capsys, "verify", "lemma67", "--type", "D4")
     assert code == 0 and rep["pass"] is True
     assert calls == {"GammaC": 1, "walk_tilting": 1}

@@ -322,6 +322,19 @@ def _imports(module):
     return imported
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name to its own module; a second module
+    # that needs it needs a public report instead
+    modules = {name.rpartition(".")[2] for name in MODULES[1:]}
+    private = sorted(
+        f"{module} imports {source}.{name}"
+        for module in modules | {"__init__"}
+        for source, name in _imports(module)
+        if source.rpartition(".")[2] in modules and name and name.startswith("_")
+    )
+    assert private == []
+
+
 @pytest.mark.parametrize("module", ["reps", "bound", "linalg"])
 def test_module_layer_imports_nothing_from_laurent(module):
     # modules, their bound quotients and the matrix kernel do not depend on
